@@ -211,12 +211,9 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
 
 
 def _axis_counts(k: int, s: int, out_len: int) -> np.ndarray:
-    c = k // 2
-    counts = np.zeros(out_len, dtype=int)
-    for i in range(out_len // s):
-        for j in range(k):
-            counts[(s * i + j - c) % out_len] += 1
-    return counts
+    """Output p gets one contribution per tap j = p + floor(k/2) (mod s)."""
+    phase = (np.arange(out_len) + k // 2) % s
+    return k // s + (phase < k % s).astype(int)
 
 
 def error_spectrum(pred, gt, mode: str = "complex", floor: float = LOG_FLOOR,

@@ -124,12 +124,9 @@ def bar_strip(values, height: int = 48) -> np.ndarray:
     """Render a 1D array as a bar-chart image (grayscale, row 0 on top)."""
     vals = np.asarray(values, dtype=float)
     lo, hi = float(vals.min()), float(vals.max())
-    scaled = np.zeros_like(vals) if hi == lo else (vals - lo) / (hi - lo)
+    fill = np.zeros_like(vals) if hi == lo else np.rint((vals - lo) / (hi - lo) * height)
     img = np.zeros((height, vals.size))
-    for col, v in enumerate(scaled):
-        fill = int(round(v * height))
-        if fill > 0:
-            img[height - fill:, col] = 1.0
+    np.greater_equal(np.arange(height)[:, np.newaxis], height - fill, out=img)
     return img
 
 
@@ -185,16 +182,8 @@ def _parse_components(text: str):
     return comps
 
 
-def _fitted_kernel(args, n: int, parallel: bool) -> KernelSpec:
-    small = (args.parallel_small or 3) if parallel else None
-    problem = FitProblem(n=n, r=args.factor, k=args.kernel_size,
-                         parallel_small=small)
-    result = lctc_fit(problem) if parallel else fit_closed_form(problem)
-    return result.kernel
-
-
 def apply_operator(name: str, x: np.ndarray, args):
-    """Run one named upsampler; returns (output, kernel size or None)."""
+    """Run one named upsampler; returns (output, fitted kernel or None)."""
     r = args.factor
     if name == "bed_of_nails":
         return bed_of_nails(x, r), None
@@ -209,12 +198,11 @@ def apply_operator(name: str, x: np.ndarray, args):
         channels = [x] + [bandlimited_noise(x.size, x.size // 2 - 1, seed + 1000 + i)
                           for i in range(1, r)]
         return pixel_shuffle(channels, r), None
-    if name == "transposed_conv":
-        kernel = _fitted_kernel(args, x.size, parallel=False)
-        return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), args.kernel_size
-    if name == "lctc":
-        kernel = _fitted_kernel(args, x.size, parallel=True)
-        return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), args.kernel_size
+    if name in ("transposed_conv", "lctc"):
+        small = (args.parallel_small or 3) if name == "lctc" else None
+        problem = FitProblem(n=x.size, r=r, k=args.kernel_size, parallel_small=small)
+        kernel = (fit_closed_form(problem) if small is None else lctc_fit(problem)).kernel
+        return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), kernel
     raise UsageError(f"unknown operator {name!r}")
 
 
@@ -222,19 +210,14 @@ def apply_operator(name: str, x: np.ndarray, args):
 # commands
 
 
-def _operator_row(name: str, x, y, ksize, args, reference):
+def _operator_row(name: str, x, y, kernel, args, reference):
     report = alias_energy(y, args.factor, reference=x)
-    kernel = None
-    if name in ("transposed_conv", "lctc"):
-        kernel = _fitted_kernel(args, x.size, parallel=name == "lctc")
-    contrib_var = None
-    if kernel is not None:
-        contrib_var = contribution_map(kernel, y.size).variance
+    contrib_var = None if kernel is None else contribution_map(kernel, y.size).variance
     peak = float(np.ptp(reference)) or 1.0
     quality = psnr(y[np.newaxis, :], reference[np.newaxis, :], peak=peak)
     row = {
         "operator": name,
-        "kernel_size": ksize,
+        "kernel_size": None if kernel is None else kernel.size,
         "passband_energy": report.passband_energy,
         "alias_energy": report.alias_energy,
         "nyquist_energy": report.nyquist_energy,
@@ -253,9 +236,9 @@ def _write_spectrum_pgm(out_dir: Path, name: str, y) -> None:
 
 def cmd_analyze(args, out_dir: Path, formats, config) -> int:
     x = build_signal(args)
-    y, ksize = apply_operator(args.op, x, args)
+    y, kernel = apply_operator(args.op, x, args)
     reference = fourier_pad_upsample(x, args.factor)
-    row = _operator_row(args.op, x, y, ksize, args, reference)
+    row = _operator_row(args.op, x, y, kernel, args, reference)
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
                   [[row[k] for k in COMPARE_CSV_HEADER]])
@@ -275,8 +258,8 @@ def cmd_compare(args, out_dir: Path, formats, config) -> int:
     reference = fourier_pad_upsample(x, args.factor)
     rows = []
     for name in names:
-        y, ksize = apply_operator(name, x, args)
-        rows.append(_operator_row(name, x, y, ksize, args, reference))
+        y, kernel = apply_operator(name, x, args)
+        rows.append(_operator_row(name, x, y, kernel, args, reference))
         if "pgm" in formats:
             _write_spectrum_pgm(out_dir, name, y)
     rows.sort(key=lambda row: row["alias_ratio"])
@@ -334,6 +317,7 @@ def cmd_fit(args, out_dir: Path, formats, config) -> int:
             "residual": result.residual,
             "iterations": result.iterations,
             "gram_rank": result.gram_rank,
+            "converged": result.converged,
         }
         if kernel.size >= 3:
             profile = kernel_edge_profile(kernel)
@@ -506,10 +490,10 @@ def main(argv=None) -> int:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("func", "out_dir")}
         return args.func(args, out_dir, formats, config)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (DivergenceError, NonRealResultError) as exc:
+        print(f"error: numeric: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (UsageError, ValueError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
@@ -519,9 +503,6 @@ def main(argv=None) -> int:
         path = getattr(exc, "filename", None)
         print(f"error: io: {exc}" + (f" (path: {path})" if path else ""), file=sys.stderr)
         return EXIT_IO
-    except (DivergenceError, NonRealResultError) as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def entrypoint() -> None:

@@ -1,17 +1,28 @@
 """Least-squares fitting of transposed-convolution kernels to the ideal
 (Fourier zero-padding) upsampler.
 
-A stride-r transposed convolution is linear in its taps, so with basis
-operators B_j (one-hot kernels) the fit
+Offset and fold view: a periodic stride-r transposed convolution maps x
+to g (*) z, the circular convolution of the zero-inserted signal z
+(length M = r*N) with a length-M kernel g. Tap j of a K-tap kernel sits
+at offset (j - floor(K/2)) mod M, the taps of a parallel small branch at
+their own anchored offsets, and g is the fold of all taps onto their
+offsets (taps sharing an offset add). The ideal upsampler is h (*) z
+with h = fourier_pad_upsample(e_0, r). Every column of either operator
+is a shift of its kernel, so
 
-    min_w || sum_j w_j B_j - U ||_F^2,   U = ideal upsampling operator,
+    ||T(w) - U||_F^2 = N ||g - h||^2,   ||T(w) x - U x||^2 = ||(g - h) (*) z||^2.
 
-is a convex quadratic solved exactly by the K x K normal equations. The
-Gram matrix is symmetric PSD; rank-deficient systems (e.g. the parallel
-small kernel duplicating central taps) are resolved by the deterministic
-minimum-norm solution. Because kernel anchors are fixed at floor(K/2),
-supports are nested in K and fitting residuals are monotone
-non-increasing, reaching zero at full support K = r*N.
+"operator_frobenius" is then solved directly: g = h on every covered
+offset, split equally among the taps sharing it (the minimum-norm
+solution; ``gram_rank`` is the number of distinct offsets), in
+O(K + M log M) with no linear solve. "corpus_lsq" solves a small Gram
+system whose entries are autocorrelations of z at offset differences and
+whose right-hand side is the cross-correlation of z with U x, both
+summed over the corpus and computed by rFFT. No dense operator matrix
+is built on the fit path; ``build_basis`` and ``ideal_operator`` remain
+for inspection. Because kernel anchors are fixed at floor(K/2), supports
+are nested in K and fitting residuals are monotone non-increasing,
+reaching exactly zero at full support K = r*N.
 """
 
 from __future__ import annotations
@@ -86,8 +97,9 @@ class FitResult:
 
     ``residual`` is the Frobenius operator distance (or root-mean-square
     corpus error). ``gram_rank`` reports the numerical rank of the normal
-    equations; anything below the basis size means the minimum-norm
-    solution was taken.
+    equations; anything below the tap count means the minimum-norm
+    solution was taken. ``converged`` is False only when gradient descent
+    stopped at its iteration cap.
     """
 
     kernel: KernelSpec
@@ -95,6 +107,7 @@ class FitResult:
     iterations: int
     gram_rank: int
     objective_history: tuple = field(default=())
+    converged: bool = True
 
 
 class EdgeProfile(NamedTuple):
@@ -124,36 +137,41 @@ def ideal_operator(n: int, r: int) -> np.ndarray:
     return operator_matrix(lambda x: fourier_pad_upsample(x, r), n)
 
 
-def _small_branch_basis(n: int, r: int, k: int, small: int) -> list[np.ndarray]:
-    basis = []
-    for j in range(small):
-        taps = np.zeros(small)
-        taps[j] = 1.0
-        one_hot = KernelSpec(weights=np.zeros(k), stride=r, parallel_small=taps)
-        basis.append(operator_matrix(lambda x: transposed_conv(x, one_hot), n))
-    return basis
+def _offsets(problem: FitProblem) -> np.ndarray:
+    """Output offset (mod r*n) of every tap, large branch first."""
+    sizes = [problem.k] if problem.parallel_small is None else [problem.k, problem.parallel_small]
+    offsets = np.concatenate([np.arange(size) - size // 2 for size in sizes])
+    return offsets % (problem.r * problem.n)
 
 
-def _normal_equations(basis: list[np.ndarray], target: np.ndarray,
-                      corpus: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gram matrix, right-hand side, and the constant term of the quadratic."""
-    m = len(basis)
-    if len(corpus) == 0:
-        stack = np.stack([b.ravel() for b in basis])
-        gram = stack @ stack.T
-        rhs = stack @ target.ravel()
-        const = float(np.sum(target * target))
-    else:
-        gram = np.zeros((m, m))
-        rhs = np.zeros(m)
-        const = 0.0
-        for x in corpus:
-            bx = np.stack([b @ x for b in basis])
-            ux = target @ x
-            gram += bx @ bx.T
-            rhs += bx @ ux
-            const += float(ux @ ux)
-    return gram, rhs, const
+def _ideal_response(n: int, r: int) -> np.ndarray:
+    """Impulse response h of the ideal upsampler: U x = h (*) zero-inserted x."""
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return fourier_pad_upsample(impulse, r)
+
+
+def _corpus_spectra(problem: FitProblem) -> np.ndarray:
+    """rFFT of every zero-inserted corpus signal, one row per signal."""
+    z = np.zeros((len(problem.corpus), problem.r * problem.n))
+    z[:, ::problem.r] = np.stack(problem.corpus)
+    return np.fft.rfft(z, axis=1)
+
+
+def _quadratic(problem: FitProblem, offsets: np.ndarray,
+               h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gram matrix G, right-hand side b and constant c of the objective
+    w.G.w - 2 b.w + c, built from the tap offsets alone."""
+    if problem.objective == "operator_frobenius":
+        gram = problem.n * (offsets[:, None] == offsets[None, :]).astype(float)
+        return gram, problem.n * h[offsets], problem.n * float(h @ h)
+    m = problem.r * problem.n
+    power = np.sum(np.abs(_corpus_spectra(problem)) ** 2, axis=0)
+    response = np.fft.rfft(h)
+    autocorr = np.fft.irfft(power, m)
+    crosscorr = np.fft.irfft(response * power, m)
+    const = float(np.fft.irfft(np.abs(response) ** 2 * power, m)[0])
+    return autocorr[(offsets[:, None] - offsets[None, :]) % m], crosscorr[offsets], const
 
 
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -167,14 +185,15 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
     return w, int(np.count_nonzero(keep))
 
 
-def _residual(weights: np.ndarray, basis: list[np.ndarray], target: np.ndarray,
-              corpus: tuple) -> float:
-    """Residual recomputed from the operator, independent of the solve."""
-    fitted = sum(w * b for w, b in zip(weights, basis))
-    if len(corpus) == 0:
-        return float(np.linalg.norm(fitted - target))
-    err = sum(float(np.sum((fitted @ x - target @ x) ** 2)) for x in corpus)
-    return float(np.sqrt(err / len(corpus)))
+def _fit_residual(problem: FitProblem, weights: np.ndarray, offsets: np.ndarray,
+                  h: np.ndarray) -> float:
+    """Residual of the fitted operator, from its folded kernel g."""
+    m = problem.r * problem.n
+    error = np.bincount(offsets, weights=weights, minlength=m) - h
+    if problem.objective == "operator_frobenius":
+        return float(np.sqrt(problem.n * np.sum(error ** 2)))
+    per_signal = np.fft.irfft(np.fft.rfft(error) * _corpus_spectra(problem), m, axis=1)
+    return float(np.sqrt(np.sum(per_signal ** 2) / len(problem.corpus)))
 
 
 def _result_kernel(problem: FitProblem, weights: np.ndarray) -> KernelSpec:
@@ -185,26 +204,25 @@ def _result_kernel(problem: FitProblem, weights: np.ndarray) -> KernelSpec:
                       parallel_small=weights[k:])
 
 
-def _problem_basis(problem: FitProblem) -> list[np.ndarray]:
-    basis = build_basis(problem.n, problem.r, problem.k)
-    if problem.parallel_small is not None:
-        basis += _small_branch_basis(problem.n, problem.r, problem.k,
-                                     problem.parallel_small)
-    return basis
-
-
 def fit_closed_form(problem: FitProblem) -> FitResult:
-    """Solve the kernel fit exactly via the normal equations.
+    """Solve the kernel fit exactly.
 
-    Handles both objectives; a rank-deficient Gram matrix yields the
-    minimum-norm weights (reported through ``gram_rank``).
+    ``operator_frobenius`` needs no linear solve: every tap gets an equal
+    share of h at its offset. ``corpus_lsq`` solves its (k+s) x (k+s)
+    Gram system; a rank-deficient one yields the minimum-norm weights
+    (reported through ``gram_rank``).
     """
-    basis = _problem_basis(problem)
-    target = ideal_operator(problem.n, problem.r)
-    gram, rhs, _ = _normal_equations(basis, target, problem.corpus)
-    weights, rank = _min_norm_solve(gram, rhs)
-    residual = _residual(weights, basis, target, problem.corpus)
-    return FitResult(kernel=_result_kernel(problem, weights), residual=residual,
+    offsets = _offsets(problem)
+    h = _ideal_response(problem.n, problem.r)
+    if problem.objective == "operator_frobenius":
+        counts = np.bincount(offsets)
+        weights = h[offsets] / counts[offsets]
+        rank = int(np.count_nonzero(counts))
+    else:
+        gram, rhs, _ = _quadratic(problem, offsets, h)
+        weights, rank = _min_norm_solve(gram, rhs)
+    return FitResult(kernel=_result_kernel(problem, weights),
+                     residual=_fit_residual(problem, weights, offsets, h),
                      iterations=0, gram_rank=rank)
 
 
@@ -217,16 +235,18 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     guarantees descent; ten consecutive objective increases raise
     :class:`DivergenceError` naming the step. Weights start at zero
     (the objective is convex, so this only affects iteration count).
+    ``converged`` reports whether the relative objective change fell
+    below ``tol`` within ``max_iter`` steps.
     """
     if lr is not None and lr <= 0:
         raise ValueError("learning rate must be positive")
-    basis = _problem_basis(problem)
-    target = ideal_operator(problem.n, problem.r)
-    gram, rhs, const = _normal_equations(basis, target, problem.corpus)
+    offsets = _offsets(problem)
+    h = _ideal_response(problem.n, problem.r)
+    gram, rhs, const = _quadratic(problem, offsets, h)
     if lr is None:
         lr = 1.0 / (2.0 * _power_lambda_max(gram))
 
-    m = len(basis)
+    m = offsets.size
     w = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
     if w.shape != (m,):
         raise ValueError(f"init must have shape ({m},)")
@@ -238,6 +258,7 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     history = [obj]
     increases = 0
     iterations = 0
+    converged = False
     for iterations in range(1, max_iter + 1):
         w = w - lr * 2.0 * (gram @ w - rhs)
         new = objective(w)
@@ -249,16 +270,16 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
                     f"objective increased for 10 consecutive steps at lr={lr:g}")
         else:
             increases = 0
-        if abs(obj - new) <= tol * max(abs(obj), np.finfo(float).tiny):
-            obj = new
-            break
+        converged = abs(obj - new) <= tol * max(abs(obj), np.finfo(float).tiny)
         obj = new
+        if converged:
+            break
 
-    residual = _residual(w, basis, target, problem.corpus)
     _, rank = _min_norm_solve(gram, rhs)
-    return FitResult(kernel=_result_kernel(problem, w), residual=residual,
+    return FitResult(kernel=_result_kernel(problem, w),
+                     residual=_fit_residual(problem, w, offsets, h),
                      iterations=iterations, gram_rank=rank,
-                     objective_history=tuple(history))
+                     objective_history=tuple(history), converged=converged)
 
 
 def _power_lambda_max(gram: np.ndarray) -> float:
@@ -277,7 +298,7 @@ def residual_sweep(n: int, r: int, kernel_sizes) -> list[tuple[int, float]]:
     """Closed-form fit residual for each kernel size (sizes ascending).
 
     The fixed floor(K/2) anchor nests supports, so the residual column is
-    non-increasing and hits zero (to round-off) at K = r*n.
+    non-increasing and exactly zero from K = r*n on.
     """
     sizes = [int(k) for k in kernel_sizes]
     if any(b < a for a, b in zip(sizes, sizes[1:])):
@@ -314,11 +335,11 @@ def kernel_edge_profile(kernel: KernelSpec) -> EdgeProfile:
 def lctc_fit(problem: FitProblem) -> FitResult:
     """Jointly fit a large kernel plus a parallel small branch.
 
-    The small branch duplicates central tap directions, so the joint Gram
-    matrix is rank-deficient by construction and the minimum-norm
-    solution is taken. The combined operator can represent everything the
-    large kernel alone can, hence its residual never exceeds the
-    large-only fit's.
+    The small branch's taps share offsets with central taps of the large
+    kernel, so the joint fit is rank-deficient by construction and the
+    minimum-norm solution is taken. The combined operator can represent
+    everything the large kernel alone can, hence its residual never
+    exceeds the large-only fit's.
     """
     if problem.parallel_small is None:
         raise ValueError("lctc_fit requires a parallel_small size")

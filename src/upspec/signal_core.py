@@ -22,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Maximum absolute imaginary residue tolerated when an inverse transform
-#: is required to produce a real signal. Well above double-precision
-#: round-off for N <= 1e4, well below any real artifact.
+#: Maximum imaginary residue, relative to the largest output magnitude,
+#: tolerated when an inverse transform is required to produce a real
+#: signal. Far above double-precision round-off, far below any real
+#: conjugate-symmetry violation, at any signal amplitude.
 IMAG_RESIDUE_TOL = 1e-9
 
 #: Default additive floor for log-magnitude plots: avoids -inf while
@@ -110,18 +111,19 @@ def dft(signal) -> Spectrum:
 def idft(spectrum, residue_tol: float = IMAG_RESIDUE_TOL) -> np.ndarray:
     """Inverse DFT, returning a real signal.
 
-    x_j = (1/N) * sum_k exp(+2*pi*i*j*k/N) * F_k. Imaginary residue below
-    ``residue_tol`` (absolute) is discarded; anything larger raises
-    :class:`NonRealResultError` because the input cannot be the spectrum
-    of a real signal.
+    x_j = (1/N) * sum_k exp(+2*pi*i*j*k/N) * F_k. Imaginary residue up to
+    ``residue_tol`` times the largest output magnitude is discarded;
+    anything larger raises :class:`NonRealResultError` because the input
+    cannot be the spectrum of a real signal.
     """
     values = _unshifted_values(spectrum, ndim=1)
     out = np.fft.ifft(values)
     residue = float(np.max(np.abs(out.imag)))
-    if residue > residue_tol:
+    scale = float(np.max(np.abs(out)))
+    if residue > residue_tol * scale:
         raise NonRealResultError(
-            f"imaginary residue {residue:.3e} exceeds {residue_tol:.1e}; "
-            "spectrum is not conjugate-symmetric"
+            f"imaginary residue {residue:.3e} exceeds {residue_tol:.1e} of the "
+            f"output scale {scale:.3e}; spectrum is not conjugate-symmetric"
         )
     return out.real
 

@@ -7,6 +7,8 @@ library implementations they check.
 
 import numpy as np
 
+from upspec import KernelSpec, build_basis, ideal_operator, operator_matrix, transposed_conv
+
 
 def brute_dft(x) -> np.ndarray:
     """Literal O(N^2) evaluation of F_k = sum_j exp(-2*pi*i*j*k/N) x_j."""
@@ -98,3 +100,52 @@ def random_bandlimited(n: int, cutoff: int, rng) -> np.ndarray:
         spec[k] = re + 1j * im
         spec[n - k] = re - 1j * im
     return np.fft.ifft(spec).real * n
+
+
+def dense_fit(n: int, r: int, k: int, small=None, corpus=()):
+    """Kernel fit through dense operator matrices: the normal equations of
+    the one-hot basis operators (large branch, then the optional small
+    branch) against the dense ideal operator, solved for the minimum-norm
+    weights with eigenvalues below 1e-12 of the Gram trace treated as
+    null. Returns (weights, residual recomputed from the operator, rank).
+    """
+    basis = build_basis(n, r, k)
+    for j in range(small or 0):
+        taps = np.zeros(small)
+        taps[j] = 1.0
+        one_hot = KernelSpec(weights=np.zeros(k), stride=r, parallel_small=taps)
+        basis.append(operator_matrix(lambda x: transposed_conv(x, one_hot), n))
+    target = ideal_operator(n, r)
+    if len(corpus) == 0:
+        stack = np.stack([b.ravel() for b in basis])
+        gram, rhs = stack @ stack.T, stack @ target.ravel()
+    else:
+        gram, rhs = 0.0, 0.0
+        for x in corpus:
+            bx = np.stack([b @ x for b in basis])
+            gram = gram + bx @ bx.T
+            rhs = rhs + bx @ (target @ x)
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals > 1e-12 * np.trace(gram)
+    weights = evecs[:, keep] @ ((evecs[:, keep].T @ rhs) / evals[keep])
+    fitted = sum(w * b for w, b in zip(weights, basis))
+    if len(corpus) == 0:
+        residual = float(np.linalg.norm(fitted - target))
+    else:
+        err = sum(float(np.sum((fitted @ x - target @ x) ** 2)) for x in corpus)
+        residual = float(np.sqrt(err / len(corpus)))
+    return weights, residual, int(np.count_nonzero(keep))
+
+
+def literal_bar_strip(values, height: int = 48) -> np.ndarray:
+    """Bar chart filled column by column: ``round(scaled * height)`` ones
+    at the bottom of each column, values min-max scaled to [0, 1]."""
+    vals = np.asarray(values, dtype=float)
+    lo, hi = float(vals.min()), float(vals.max())
+    img = np.zeros((height, vals.size))
+    for col, v in enumerate(vals):
+        scaled = 0.0 if hi == lo else (v - lo) / (hi - lo)
+        fill = int(round(scaled * height))
+        if fill > 0:
+            img[height - fill:, col] = 1.0
+    return img

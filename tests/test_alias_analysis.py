@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_dft2,
@@ -213,6 +215,23 @@ class TestContributionMap:
     def test_out_len_must_be_multiple_of_stride(self):
         with pytest.raises(ValueError):
             contribution_map(KernelSpec(weights=np.ones(3), stride=2), 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 40), s=st.integers(1, 8), periods=st.integers(1, 12))
+    def test_counts_equal_literal_enumeration(self, k, s, periods):
+        # includes out_len < k, s | k and s = k
+        counts = contribution_map(KernelSpec(weights=np.ones(k), stride=s), s * periods).counts
+        np.testing.assert_array_equal(counts, enumerate_contributions(k, s, s * periods))
+
+    @settings(max_examples=50, deadline=None)
+    @given(ka=st.integers(1, 9), kb=st.integers(1, 9), s=st.integers(1, 4),
+           periods=st.integers(1, 4))
+    def test_2d_counts_equal_literal_enumeration(self, ka, kb, s, periods):
+        out_len = s * periods
+        counts = contribution_map(KernelSpec(weights=np.ones((ka, kb)), stride=s),
+                                  out_len).counts
+        np.testing.assert_array_equal(counts, np.outer(
+            enumerate_contributions(ka, s, out_len), enumerate_contributions(kb, s, out_len)))
 
 
 class TestErrorSpectrum:

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upspec.cli import main
+from helpers import literal_bar_strip
+from upspec import cli
+from upspec.cli import bar_strip, main
+from upspec.signal_core import NonRealResultError
 from upspec.netpbm import read_netpbm, write_netpbm
 
 
@@ -54,6 +59,17 @@ class TestCompare:
         assert payload["metrics"][0]["operator"] == "linear"
 
 
+    def test_each_fitted_kernel_is_fitted_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("fit_closed_form", "lctc_fit"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda p, f=original, n=name: calls.append(n) or f(p))
+        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "4", "--n", "32",
+                     "--ops", "transposed_conv,lctc,linear"])
+        assert code == 0
+        assert sorted(calls) == ["fit_closed_form", "lctc_fit"]
+
+
 class TestAnalyze:
     def test_single_operator_row(self, tmp_path):
         code = main(["analyze", "--out-dir", str(tmp_path), "--op", "linear",
@@ -88,6 +104,16 @@ class TestFitAndSweep:
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert payload["edge_profile"]["decays_toward_edge"] is True
         assert (tmp_path / "kernel.pgm").exists()
+
+    def test_fit_json_reports_convergence(self, tmp_path):
+        for method, max_iter, converged in [("closed", "100000", True),
+                                            ("gradient", "100000", True),
+                                            ("gradient", "1", False)]:
+            out = tmp_path / f"{method}{max_iter}"
+            code = main(["fit", "--out-dir", str(out), "--n", "16", "--kernel-size", "9",
+                         "--method", method, "--max-iter", max_iter])
+            assert code == 0
+            assert json.loads((out / "fit.json").read_text())["converged"] is converged
 
     def test_fit_with_parallel_branch(self, tmp_path):
         code = main(["fit", "--out-dir", str(tmp_path), "--n", "16",
@@ -174,6 +200,22 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numeric:")
 
+    def test_large_amplitude_real_signal_is_accepted(self, tmp_path):
+        code = main(["compare", "--out-dir", str(tmp_path), "--signal", "cosine",
+                     "--amplitude", "1e8", "--n", "1000", "--factor", "3",
+                     "--frequency", "7", "--ops", "fourier_pad"])
+        assert code == 0
+
+    def test_non_real_result_is_3(self, tmp_path, capsys, monkeypatch):
+        def non_real(x, r):
+            raise NonRealResultError("imaginary residue")
+
+        monkeypatch.setattr(cli, "fourier_pad_upsample", non_real)
+        code = main(["compare", "--out-dir", str(tmp_path), "--signal", "cosine",
+                     "--ops", "linear"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: numeric:")
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
@@ -195,3 +237,18 @@ class TestDeterminism:
         b = json.loads((tmp_path / "b" / "sweep.json").read_text())
         assert a["config_hash"] == b["config_hash"]
         assert a["residuals"] == b["residuals"]
+
+
+class TestBarStrip:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300) | st.integers(-1000, 1000),
+                           min_size=1, max_size=40),
+           height=st.integers(1, 64))
+    def test_equals_literal_column_fill(self, values, height):
+        np.testing.assert_array_equal(bar_strip(values, height),
+                                      literal_bar_strip(values, height))
+
+    def test_half_steps_round_to_even(self):
+        # scaled values 0, 1/4, 1/2, 3/4, 1 at height 2 fill 0, 0, 1, 2, 2 rows
+        img = bar_strip([0, 1, 2, 3, 4], height=2)
+        np.testing.assert_array_equal(img, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 1]])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dirichlet_matrix, random_bandlimited
+from helpers import dense_fit, dirichlet_interpolant, dirichlet_matrix, random_bandlimited
 from upspec import (
     DivergenceError,
     FitProblem,
@@ -18,6 +20,7 @@ from upspec import (
     residual_sweep,
     transposed_conv,
 )
+from upspec.generators import bandlimited_noise
 
 # closed-form residuals for N=16, r=2, frozen from an independent
 # least-squares solve of the stacked operator system (see test below)
@@ -271,3 +274,134 @@ class TestFitInvariants:
                 fitted_ratio = alias_energy(transposed_conv(x, kernel), 2).alias_ratio
                 nails_ratio = alias_energy(bed_of_nails(x, 2), 2).alias_ratio
                 assert fitted_ratio < nails_ratio
+
+
+# ---------------------------------------------------------------------------
+# the structured fit against the dense normal-equation oracle
+
+@st.composite
+def fit_problems(draw, objective):
+    """Small problems over odd and even n, r in {2, 3}, kernels up to
+    about twice the full support r*n, and an optional small branch of up
+    to k taps; corpus signals are full-band normal draws."""
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2 * r * n + 3))
+    small = draw(st.none() | st.integers(1, k))
+    corpus = ()
+    if objective == "corpus_lsq":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        corpus = tuple(rng.normal(size=n) for _ in range(draw(st.integers(1, 3))))
+    return FitProblem(n=n, r=r, k=k, objective=objective, corpus=corpus,
+                      parallel_small=small)
+
+
+def _weights(result):
+    kernel = result.kernel
+    if kernel.parallel_small is None:
+        return kernel.weights
+    return np.concatenate([kernel.weights, kernel.parallel_small])
+
+
+def _scales(problem):
+    """(|h|, scale of the residual): the residual is |h| times the RMS
+    input norm (sqrt(n) for the operator norm, the corpus RMS otherwise)."""
+    h = np.linalg.norm(ideal_operator(problem.n, problem.r)[:, 0])
+    if problem.objective == "operator_frobenius":
+        return h, h * np.sqrt(problem.n)
+    return h, h * np.sqrt(np.mean([x @ x for x in problem.corpus]))
+
+
+def assert_matches_oracle(problem, result, rel):
+    weights, residual, rank = dense_fit(problem.n, problem.r, problem.k,
+                                        problem.parallel_small, problem.corpus)
+    h_norm, residual_scale = _scales(problem)
+    np.testing.assert_allclose(_weights(result), weights, rtol=0, atol=rel * h_norm)
+    assert abs(result.residual - residual) <= rel * residual_scale
+    assert result.gram_rank == rank
+
+
+OBJECTIVE_NAMES = ("operator_frobenius", "corpus_lsq")
+
+
+class TestStructuredFitAgainstDenseOracle:
+    @pytest.mark.parametrize("objective", OBJECTIVE_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form(self, objective, data):
+        problem = data.draw(fit_problems(objective))
+        assert_matches_oracle(problem, fit_closed_form(problem), 1e-9)
+
+    @pytest.mark.parametrize("objective", OBJECTIVE_NAMES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lctc_fit(self, objective, data):
+        problem = data.draw(fit_problems(objective).filter(
+            lambda p: p.parallel_small is not None and p.k >= 5))
+        assert_matches_oracle(problem, lctc_fit(problem), 1e-9)
+
+    @pytest.mark.parametrize("objective", OBJECTIVE_NAMES)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gradient_descent(self, objective, data):
+        # the stop rule bounds the objective change, not the weight error,
+        # so the tolerance is looser than the closed form's
+        problem = data.draw(fit_problems(objective))
+        result = fit_gradient_descent(problem)
+        assert result.converged
+        assert_matches_oracle(problem, result, 1e-4)
+
+    def test_full_support_residual_is_exactly_zero(self):
+        for n, r in [(16, 2), (9, 3), (7, 2)]:
+            result = fit_closed_form(FitProblem(n=n, r=r, k=r * n))
+            assert result.residual == 0.0
+            assert result.gram_rank == r * n
+
+    def test_aliased_taps_share_the_target_equally(self):
+        # k = 2rN + 1: the anchor offset carries three taps, the rest two
+        n, r = 4, 2
+        k = 2 * r * n + 1
+        weights = fit_closed_form(FitProblem(n=n, r=r, k=k)).kernel.weights
+        h = ideal_operator(n, r)[:, 0]
+        folded = np.bincount((np.arange(k) - k // 2) % (r * n), weights=weights)
+        np.testing.assert_allclose(folded, h, atol=1e-15)
+        assert weights[k // 2] == pytest.approx(h[0] / 3, abs=1e-15)
+        assert weights[0] == pytest.approx(h[0] / 3, abs=1e-15)
+        assert weights[1] == pytest.approx(h[1] / 2, abs=1e-15)
+
+
+class TestLargeProblems:
+    def test_full_support_at_n4096(self):
+        n, r = 4096, 2
+        result = fit_closed_form(FitProblem(n=n, r=r, k=r * n))
+        assert result.residual == 0.0
+        assert result.gram_rank == r * n
+        anchor = n  # floor(k/2): the tap at offset 0
+        for offset in (0, 1, 3, 100):
+            assert result.kernel.weights[anchor + offset] == pytest.approx(
+                dirichlet_interpolant(offset, n, r), abs=1e-12)
+
+    def test_residual_sweep_at_n4096(self):
+        # ||U||_F^2 = r (n - 1/2) for even n splits into the fitted taps'
+        # share n |w|^2 and the residual^2
+        n, r = 4096, 2
+        sizes = [31, 63, 255, 1023]
+        results = residual_sweep(n, r, sizes)
+        assert [k for k, _ in results] == sizes
+        residuals = [res for _, res in results]
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+        for k, res in results:
+            w = fit_closed_form(FitProblem(n=n, r=r, k=k)).kernel.weights
+            assert res ** 2 + n * np.sum(w ** 2) == pytest.approx(r * (n - 0.5), rel=1e-12)
+
+
+class TestGradientDescentConvergence:
+    def test_iteration_cap_reports_not_converged(self):
+        # a band-limited corpus leaves the Gram matrix ill-conditioned,
+        # so descent is far from done after a few hundred steps
+        corpus = tuple(bandlimited_noise(64, 20, s) for s in range(4))
+        problem = FitProblem(n=64, r=2, k=31, objective="corpus_lsq", corpus=corpus)
+        result = fit_gradient_descent(problem, max_iter=300)
+        assert result.iterations == 300
+        assert not result.converged
+        assert result.residual > fit_closed_form(problem).residual

@@ -61,6 +61,14 @@ class TestIdft:
         with pytest.raises(NonRealResultError):
             idft([0, 1, 0, 0])
 
+    def test_residue_bound_scales_with_the_signal(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-8, 1.0, 1e8, 1e14):
+            x = scale * rng.normal(size=1000)
+            np.testing.assert_allclose(idft(dft(x)), x, rtol=0, atol=1e-12 * scale)
+            with pytest.raises(NonRealResultError):
+                idft(scale * np.array([0, 1, 0, 0]))
+
     def test_rejects_centered_spectrum(self):
         with pytest.raises(ValueError):
             idft(center_shift(dft([1, 2, 3, 4])))

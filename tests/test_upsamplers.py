@@ -319,3 +319,9 @@ class TestOperatorInvariants:
         fourier_pad_upsample(x, 3)  # must not raise
         with pytest.raises((NonRealResultError, ValueError)):
             fourier_pad_upsample([1.0, np.inf], 2)
+
+    def test_fourier_pad_accepts_any_amplitude(self):
+        # the imaginary residue grows with the amplitude; the bound must too
+        x = 1e8 * np.cos(2 * np.pi * 7 * np.arange(1000) / 1000)
+        y = fourier_pad_upsample(x, 3)
+        np.testing.assert_allclose(y[::3], x, rtol=0, atol=1e-12 * 1e8)
