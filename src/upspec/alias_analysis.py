@@ -221,7 +221,8 @@ def error_spectrum(pred, gt, mode: str = "complex", floor: float = LOG_FLOOR,
     """Centered log-magnitude spectrum of the channel-mean prediction error.
 
     By default the per-channel 2D DFTs of (pred - gt) are averaged as
-    complex values and the magnitude is taken afterwards; ``mode=
+    complex values and the magnitude is taken afterwards (the DFT is
+    linear, so this is one DFT of the channel-mean difference); ``mode=
     "magnitude"`` averages the magnitudes instead. ``log=False`` returns
     the centered magnitudes without the log10(. + floor) mapping.
     """
@@ -235,11 +236,10 @@ def error_spectrum(pred, gt, mode: str = "complex", floor: float = LOG_FLOOR,
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
 
     diff = p - g
-    spectra = np.fft.fft2(diff, axes=(0, 1))
     if mode == "complex":
-        mag = np.abs(np.mean(spectra, axis=2))
+        mag = np.abs(np.fft.fft2(np.mean(diff, axis=2)))
     else:
-        mag = np.mean(np.abs(spectra), axis=2)
+        mag = np.mean(np.abs(np.fft.fft2(diff, axes=(0, 1))), axis=2)
     mag = np.fft.fftshift(mag)
     return np.log10(mag + floor) if log else mag
 

@@ -30,7 +30,8 @@ from .kernel_fit import (
     lctc_fit,
 )
 from .netpbm import read_netpbm, write_netpbm
-from .signal_core import NonRealResultError, center_shift, dft, log_magnitude, radial_average
+from .signal_core import (NonRealResultError, Spectrum, center_shift, dft, log_magnitude,
+                          radial_average)
 from .upsamplers import (
     KernelSpec,
     bed_of_nails,
@@ -262,7 +263,8 @@ def cmd_compare(args, out_dir: Path, formats, config) -> int:
         rows.append(_operator_row(name, x, y, kernel, args, reference))
         if "pgm" in formats:
             _write_spectrum_pgm(out_dir, name, y)
-    rows.sort(key=lambda row: row["alias_ratio"])
+    # sort on the printed ratio, so ties in round-off keep the --ops order
+    rows.sort(key=lambda row: float(_fmt(row["alias_ratio"])))
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
                   [[row[k] for k in COMPARE_CSV_HEADER] for row in rows])
@@ -367,10 +369,9 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
     if pred.shape != gt.shape:
         raise DataError(f"shape mismatch: {pred.shape} vs {gt.shape}")
 
-    log_map = error_spectrum(pred, gt, mode=args.mode)
     magnitudes = error_spectrum(pred, gt, mode=args.mode, log=False)
     if "pgm" in formats:
-        write_netpbm(log_map, out_dir / "error_spectrum.pgm")
+        write_netpbm(log_magnitude(magnitudes), out_dir / "error_spectrum.pgm")
     if "json" in formats:
         write_json(out_dir / "error_spectrum.json", {
             "magnitude_min": float(magnitudes.min()),
@@ -378,7 +379,6 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
             "magnitude_mean": float(magnitudes.mean()),
         }, config)
     if "csv" in formats:
-        from .signal_core import Spectrum
         profile = radial_average(Spectrum(magnitudes.astype(complex), centered=True),
                                  n_bins=args.bins)
         write_csv(out_dir / "radial_profile.csv", ("radius", "mean_magnitude", "empty"),

@@ -88,7 +88,11 @@ class FitProblem:
         if self.parallel_small is not None:
             if self.parallel_small < 1 or self.parallel_small > self.k:
                 raise ValueError("parallel kernel size must be in [1, k]")
-        object.__setattr__(self, "corpus", tuple(np.asarray(x, dtype=float) for x in self.corpus))
+        corpus = tuple(np.asarray(x, dtype=float) for x in self.corpus)
+        shapes = sorted({x.shape for x in corpus} - {(self.n,)})
+        if shapes:
+            raise ValueError(f"corpus signals must have shape ({self.n},), got {shapes}")
+        object.__setattr__(self, "corpus", corpus)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ explicit everywhere:
 Transposed convolutions are defined constructively: insert r-1 zeros
 between samples, then convolve with the kernel anchored at index
 floor(K/2). The fixed anchor makes kernel supports nested as K grows,
-which in turn makes least-squares fitting residuals monotone in K.
+which in turn makes least-squares fitting residuals monotone in K. They
+are computed in polyphase form (Shi et al. 2016, arXiv:1609.07009):
+output phase p only receives the taps j = p + floor(K/2) (mod r), applied
+to the un-inserted input, so no zero-inserted array is built and each
+output sample costs K/r multiply-adds per axis instead of K.
 """
 
 from __future__ import annotations
@@ -176,17 +180,35 @@ def pixel_unshuffle(x, r: int) -> list[np.ndarray]:
     raise ValueError("pixel_unshuffle expects a 1D or 2D array")
 
 
-def _place_1d(z: np.ndarray, w: np.ndarray, boundary: str) -> np.ndarray:
-    """Convolve a zero-inserted signal with taps anchored at floor(K/2)."""
-    c = w.shape[0] // 2
-    if boundary == "periodic":
-        out = np.zeros_like(z)
-        for j in range(w.shape[0]):
-            if w[j] != 0.0:
-                out += w[j] * np.roll(z, j - c)
-        return out
-    full = np.convolve(z, w, mode="full")
-    return full[c:c + z.shape[0]]
+def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
+    """Polyphase tap placement of an (H, W, C) array, all channels at once.
+
+    Output phase (pa, pb) of the stride-(sa, sb) transposed convolution
+    only receives taps a = pa + floor(Ka/2) (mod sa), b likewise; each such
+    tap adds w[a, b] times a shifted copy of the un-inserted input. The
+    input is padded once (wrapped or zero) so every shift is a slice, and
+    taps are summed in ascending (a, b) order.
+    """
+    (h, wd, nc), (sa, sb) = x.shape, strides
+    ca, cb = w.shape[0] // 2, w.shape[1] // 2
+    # tap a of phase p reads the input at offset (p + c - a) / s, which
+    # lies between -((K - 1 - c) // s) and (s - 1 + c) // s
+    pads = [((k - 1 - c) // s, (s - 1 + c) // s)
+            for k, c, s in zip(w.shape, (ca, cb), strides)]
+    padded = np.pad(x, pads + [(0, 0)], mode="wrap" if boundary == "periodic" else "constant")
+    (lo_a, _), (lo_b, _) = pads
+    out = np.empty((sa * h, sb * wd, nc))
+    for pa in range(sa):
+        for pb in range(sb):
+            acc = np.zeros((h, wd, nc))
+            for a in range((pa + ca) % sa, w.shape[0], sa):
+                ra = lo_a + (pa + ca - a) // sa
+                for b in range((pb + cb) % sb, w.shape[1], sb):
+                    if w[a, b] != 0.0:
+                        rb = lo_b + (pb + cb - b) // sb
+                        acc += w[a, b] * padded[ra:ra + h, rb:rb + wd]
+            out[pa::sa, pb::sb] = acc
+    return out
 
 
 def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:
@@ -201,33 +223,11 @@ def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.nda
     _validate_boundary(boundary)
     if kernel.weights.ndim != 1:
         raise ValueError("transposed_conv expects a 1D kernel; use transposed_conv2 for images")
-    z = np.zeros(kernel.stride * x.size)
-    z[::kernel.stride] = x
-    out = _place_1d(z, kernel.weights, boundary)
+    column, strides = x[:, None, None], (kernel.stride, 1)
+    out = _place(column, kernel.weights[:, None], strides, boundary)
     if kernel.parallel_small is not None:
-        out = out + _place_1d(z, kernel.parallel_small, boundary)
-    return out
-
-
-def _place_2d(z: np.ndarray, w: np.ndarray, boundary: str) -> np.ndarray:
-    ca, cb = w.shape[0] // 2, w.shape[1] // 2
-    if boundary == "periodic":
-        out = np.zeros_like(z)
-        for a in range(w.shape[0]):
-            for b in range(w.shape[1]):
-                if w[a, b] != 0.0:
-                    out += w[a, b] * np.roll(z, (a - ca, b - cb), axis=(0, 1))
-        return out
-    padded = np.zeros((z.shape[0] + w.shape[0], z.shape[1] + w.shape[1]))
-    out = np.zeros_like(z)
-    for a in range(w.shape[0]):
-        for b in range(w.shape[1]):
-            if w[a, b] == 0.0:
-                continue
-            shifted = np.zeros_like(padded)
-            shifted[a:a + z.shape[0], b:b + z.shape[1]] = w[a, b] * z
-            out += shifted[ca:ca + z.shape[0], cb:cb + z.shape[1]]
-    return out
+        out = out + _place(column, kernel.parallel_small[:, None], strides, boundary)
+    return out.ravel()
 
 
 def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:
@@ -246,16 +246,10 @@ def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> n
     if arr.ndim != 3 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ValueError("image must be a finite 2D or 3D array")
 
-    s = kernel.stride
-    h, wd, nc = arr.shape
-    out = np.zeros((s * h, s * wd, nc))
-    for c in range(nc):
-        z = np.zeros((s * h, s * wd))
-        z[::s, ::s] = arr[:, :, c]
-        acc = _place_2d(z, kernel.weights, boundary)
-        if kernel.parallel_small is not None:
-            acc = acc + _place_2d(z, kernel.parallel_small, boundary)
-        out[:, :, c] = acc
+    strides = (kernel.stride, kernel.stride)
+    out = _place(arr, kernel.weights, strides, boundary)
+    if kernel.parallel_small is not None:
+        out = out + _place(arr, kernel.parallel_small, strides, boundary)
     return out[:, :, 0] if squeeze else out
 
 

@@ -149,3 +149,67 @@ def literal_bar_strip(values, height: int = 48) -> np.ndarray:
         if fill > 0:
             img[height - fill:, col] = 1.0
     return img
+
+
+def _literal_place_1d(z, w, boundary):
+    """Convolve a zero-inserted signal with taps anchored at floor(K/2):
+    one full-array roll per tap (periodic) or ``np.convolve`` (zero-pad)."""
+    c = w.shape[0] // 2
+    if boundary == "periodic":
+        out = np.zeros_like(z)
+        for j in range(w.shape[0]):
+            if w[j] != 0.0:
+                out += w[j] * np.roll(z, j - c)
+        return out
+    full = np.convolve(z, w, mode="full")
+    return full[c:c + z.shape[0]]
+
+
+def literal_transposed_conv(x, kernel, boundary="periodic") -> np.ndarray:
+    """1D transposed convolution by zero insertion and per-tap placement."""
+    x = np.asarray(x, dtype=float)
+    z = np.zeros(kernel.stride * x.size)
+    z[::kernel.stride] = x
+    out = _literal_place_1d(z, kernel.weights, boundary)
+    if kernel.parallel_small is not None:
+        out = out + _literal_place_1d(z, kernel.parallel_small, boundary)
+    return out
+
+
+def _literal_place_2d(z, w, boundary):
+    """Place every tap of w over a zero-inserted image, one shifted
+    full-size copy per tap: rolled (periodic) or cut from a zero frame."""
+    ca, cb = w.shape[0] // 2, w.shape[1] // 2
+    out = np.zeros_like(z)
+    if boundary == "periodic":
+        for a in range(w.shape[0]):
+            for b in range(w.shape[1]):
+                if w[a, b] != 0.0:
+                    out += w[a, b] * np.roll(z, (a - ca, b - cb), axis=(0, 1))
+        return out
+    padded = np.zeros((z.shape[0] + w.shape[0], z.shape[1] + w.shape[1]))
+    for a in range(w.shape[0]):
+        for b in range(w.shape[1]):
+            if w[a, b] == 0.0:
+                continue
+            shifted = np.zeros_like(padded)
+            shifted[a:a + z.shape[0], b:b + z.shape[1]] = w[a, b] * z
+            out += shifted[ca:ca + z.shape[0], cb:cb + z.shape[1]]
+    return out
+
+
+def literal_transposed_conv2(image, kernel, boundary="periodic") -> np.ndarray:
+    """2D transposed convolution of an (H, W, C) image, channel by channel,
+    by zero insertion and per-tap placement."""
+    arr = np.asarray(image, dtype=float)
+    s = kernel.stride
+    h, wd, nc = arr.shape
+    out = np.zeros((s * h, s * wd, nc))
+    for c in range(nc):
+        z = np.zeros((s * h, s * wd))
+        z[::s, ::s] = arr[:, :, c]
+        acc = _literal_place_2d(z, kernel.weights, boundary)
+        if kernel.parallel_small is not None:
+            acc = acc + _literal_place_2d(z, kernel.parallel_small, boundary)
+        out[:, :, c] = acc
+    return out

@@ -235,6 +235,19 @@ class TestContributionMap:
 
 
 class TestErrorSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 4),
+           exponent=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
+    def test_complex_mode_equals_mean_of_channel_spectra(self, h, w, channels, exponent,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
+        spectra = np.fft.fft2(pred - gt, axes=(0, 1))
+        expected = np.fft.fftshift(np.abs(np.mean(spectra, axis=2)))
+        mags = error_spectrum(pred, gt, log=False)
+        np.testing.assert_allclose(mags, expected, rtol=0,
+                                   atol=1e-12 * np.abs(spectra).max())
+
     def test_identical_inputs_hit_floor(self):
         img = np.random.default_rng(3).normal(size=(8, 8, 3))
         out = error_spectrum(img, img)

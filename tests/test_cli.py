@@ -59,6 +59,22 @@ class TestCompare:
         assert payload["metrics"][0]["operator"] == "linear"
 
 
+    @pytest.mark.parametrize("ops, order", [
+        ("all", ["transposed_conv", "lctc"]),
+        ("lctc,transposed_conv,linear", ["lctc", "transposed_conv"]),
+    ])
+    def test_round_off_ties_keep_ops_order(self, tmp_path, ops, order):
+        # both ratios equal in exact arithmetic; the raw values differ in
+        # their last bits, the printed ones do not
+        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "3", "--n", "128",
+                     "--kernel-size", "31", "--boundary", "zero-pad", "--ops", ops])
+        assert code == 0
+        header, rows = read_csv(tmp_path / "alias_metrics.csv")
+        ratios = [(row[header.index("operator")], row[header.index("alias_ratio")])
+                  for row in rows]
+        assert [pair for pair in ratios if pair[0] in order] == [
+            (name, "0.00353399364315") for name in order]
+
     def test_each_fitted_kernel_is_fitted_once(self, tmp_path, monkeypatch):
         calls = []
         for name in ("fit_closed_form", "lctc_fit"):
@@ -162,6 +178,25 @@ class TestErrorspec:
                      "--pred", str(pred_path), "--gt", str(gt_path)])
         assert code == 0
         assert (tmp_path / "out" / "radial_profile.csv").exists()
+
+    def test_error_spectrum_computed_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        paths = [tmp_path / "pred.pgm", tmp_path / "gt.pgm"]
+        for path in paths:
+            write_netpbm(rng.normal(size=(12, 10)), path)
+        calls = []
+        original = cli.error_spectrum
+        monkeypatch.setattr(cli, "error_spectrum",
+                            lambda *a, **kw: calls.append(kw) or original(*a, **kw))
+        code = main(["errorspec", "--out-dir", str(tmp_path / "out"),
+                     "--pred", str(paths[0]), "--gt", str(paths[1])])
+        assert code == 0
+        assert len(calls) == 1
+        # the log map is the library's, byte for byte
+        pred, gt = (read_netpbm(path).astype(float) for path in paths)
+        write_netpbm(original(pred, gt), tmp_path / "expected.pgm")
+        assert ((tmp_path / "out" / "error_spectrum.pgm").read_bytes()
+                == (tmp_path / "expected.pgm").read_bytes())
 
     def test_shape_mismatch_exits_2(self, tmp_path, capsys):
         pred_path = tmp_path / "pred.pgm"

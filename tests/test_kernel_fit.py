@@ -265,6 +265,11 @@ class TestFitInvariants:
         with pytest.raises(ValueError):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq")
 
+    def test_corpus_signal_length_must_be_n(self):
+        corpus = (np.ones(8), np.ones(5))
+        with pytest.raises(ValueError, match=r"corpus .*\(8,\).*\(5,\)"):
+            FitProblem(n=8, r=2, k=3, objective="corpus_lsq", corpus=corpus)
+
     def test_fitted_kernels_suppress_aliasing(self):
         rng = np.random.default_rng(3)
         for k in (5, 7, 11):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_dft, dirichlet_matrix, random_bandlimited
+from helpers import (
+    brute_dft,
+    dirichlet_matrix,
+    literal_transposed_conv,
+    literal_transposed_conv2,
+    random_bandlimited,
+)
 from upspec import (
     KernelSpec,
     NonRealResultError,
@@ -225,6 +233,90 @@ class TestTransposedConv2:
                         if 0 <= pi < 6 and 0 <= qi < 6:
                             expected[p, q] += w[a, b] * z[pi, qi]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+@st.composite
+def placement_cases(draw, ndim, min_stride=1):
+    """(input, kernel, scale): 1-9 samples per axis (1-4 channels in 2D),
+    stride 1-4, kernel sizes per axis from 1 to past 2*s*N (so taps wrap
+    around the output more than once), some taps zero, an optional
+    parallel small kernel, and amplitudes over 12 decades. ``scale``
+    bounds every output sample."""
+    s = draw(st.integers(min_stride, 4))
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(ndim))
+    ksize = tuple(draw(st.integers(1, 2 * s * n + 3)) for n in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = (draw(st.integers(1, 4)),) if ndim == 2 else ()
+    x = rng.normal(size=shape + channels) * 10.0 ** draw(st.integers(-6, 6))
+    w = np.where(rng.random(ksize) < 0.2, 0.0, rng.normal(size=ksize))
+    small = None
+    if draw(st.booleans()):
+        small = rng.normal(size=tuple(draw(st.integers(1, k)) for k in ksize))
+    kernel = KernelSpec(weights=w, stride=s, parallel_small=small)
+    taps = np.abs(w).sum() + (0.0 if small is None else np.abs(small).sum())
+    return x, kernel, float(np.abs(x).max() * taps)
+
+
+def _phase_conv(x, w, s):
+    """Output phases of a periodic stride-s transposed convolution, each
+    the un-inserted input circularly convolved (by FFT) with its sub-kernel
+    w[(p + c) mod s :: s] per axis, shifted by (p + c) // s."""
+    anchors = [k // 2 for k in w.shape]
+    phases = []
+    for p in np.ndindex(*(s,) * w.ndim):
+        sub = w[tuple(slice((q + c) % s, None, s) for q, c in zip(p, anchors))]
+        g = np.zeros(x.shape)
+        idx = np.meshgrid(*[(np.arange(m) - (q + c) // s) % n
+                            for m, q, c, n in zip(sub.shape, p, anchors, x.shape)],
+                          indexing="ij")
+        np.add.at(g, tuple(idx), sub)
+        phases.append(np.fft.ifftn(np.fft.fftn(x) * np.fft.fftn(g)).real)
+    return phases
+
+
+class TestPolyphasePlacement:
+    @settings(max_examples=200, deadline=None)
+    @given(case=placement_cases(ndim=2), boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_2d_equals_literal_placement(self, case, boundary):
+        x, kernel, _ = case
+        np.testing.assert_array_equal(transposed_conv2(x, kernel, boundary),
+                                      literal_transposed_conv2(x, kernel, boundary))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=placement_cases(ndim=1))
+    def test_1d_periodic_equals_literal_placement(self, case):
+        x, kernel, _ = case
+        np.testing.assert_array_equal(transposed_conv(x, kernel),
+                                      literal_transposed_conv(x, kernel))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=placement_cases(ndim=1))
+    def test_1d_zero_pad_matches_direct_convolution(self, case):
+        # np.convolve sums in its own order, so agreement is to round-off
+        x, kernel, scale = case
+        np.testing.assert_allclose(transposed_conv(x, kernel, "zero-pad"),
+                                   literal_transposed_conv(x, kernel, "zero-pad"),
+                                   rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=placement_cases(ndim=1, min_stride=2))
+    def test_1d_is_pixel_shuffle_of_phase_convolutions(self, case):
+        x, kernel, scale = case
+        kernel = KernelSpec(weights=kernel.weights, stride=kernel.stride)
+        expected = pixel_shuffle(_phase_conv(x, kernel.weights, kernel.stride), kernel.stride)
+        np.testing.assert_allclose(transposed_conv(x, kernel), expected,
+                                   rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=placement_cases(ndim=2, min_stride=2))
+    def test_2d_is_pixel_shuffle_of_phase_convolutions(self, case):
+        x, kernel, scale = case
+        kernel = KernelSpec(weights=kernel.weights, stride=kernel.stride)
+        for c in range(x.shape[2]):
+            expected = pixel_shuffle(_phase_conv(x[:, :, c], kernel.weights, kernel.stride),
+                                     kernel.stride)
+            np.testing.assert_allclose(transposed_conv2(x[:, :, c], kernel), expected,
+                                       rtol=0, atol=1e-12 * scale)
 
 
 class TestFourierPad:
