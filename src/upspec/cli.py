@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .alias_analysis import alias_energy, contribution_map, error_spectrum, psnr
-from .generators import bandlimited_noise, generate
+from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
+                         cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
     DivergenceError,
     FitProblem,
@@ -144,32 +145,28 @@ def _require_seed(args, why: str) -> int:
 def build_signal(args) -> np.ndarray:
     kind = args.signal
     if kind == "cosine":
-        return generate("cosine", n=args.n, frequency=args.frequency,
-                        amplitude=args.amplitude)
+        return cosine_signal(args.n, args.frequency, args.amplitude)
     if kind == "cosine-mix":
-        comps = _parse_components(args.components)
-        return generate("cosine-mix", n=args.n, components=comps)
+        return cosine_mixture(args.n, _parse_components(args.components))
     if kind == "noise":
         seed = _require_seed(args, "for the noise generator")
         cutoff = args.cutoff if args.cutoff is not None else args.n // 2 - 1
-        return generate("noise", n=args.n, cutoff=cutoff, seed=seed)
+        return bandlimited_noise(args.n, cutoff, seed)
     if kind == "step":
-        return generate("step", n=args.n)
+        return step_signal(args.n)
     raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
 
 
 def build_image(args, seed) -> np.ndarray:
     kind = args.signal
     if kind == "checkerboard":
-        return generate("checkerboard", height=args.height, width=args.width,
-                        period=args.period)
+        return checkerboard_image(args.height, args.width, args.period)
     if kind == "gaussian":
-        return generate("gaussian", height=args.height, width=args.width,
-                        sigma=args.sigma)
+        return gaussian_blob_image(args.height, args.width, args.sigma)
     if kind == "composite":
         if seed is None:
             raise UsageError("--seed is required for the composite generator")
-        return generate("composite", height=args.height, width=args.width, seed=seed)
+        return composite_image(args.height, args.width, seed)
     raise UsageError(f"--signal must be a 2D kind for this command, got {kind!r}")
 
 
@@ -300,8 +297,6 @@ def _solve_fit(args, k: int):
     parallel = args.parallel_small if args.parallel_small else None
     problem = FitProblem(n=args.n, r=args.factor, k=k, parallel_small=parallel)
     if args.method == "gradient":
-        if parallel is not None:
-            raise UsageError("--method gradient does not support --parallel-small")
         return fit_gradient_descent(problem, lr=args.lr, max_iter=args.max_iter)
     return lctc_fit(problem) if parallel is not None else fit_closed_form(problem)
 

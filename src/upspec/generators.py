@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SIGNAL_KINDS = ("cosine", "cosine-mix", "noise", "step")
-IMAGE_KINDS = ("checkerboard", "gaussian", "composite")
-
 
 def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
                   phase: float = 0.0) -> np.ndarray:
@@ -47,10 +44,9 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     spec = np.zeros(n, dtype=complex)
     spec[0] = rng.normal()
-    for k in range(1, cutoff + 1):
-        re, im = rng.normal(), rng.normal()
-        spec[k] = re + 1j * im
-        spec[n - k] = re - 1j * im
+    re, im = rng.normal(size=(cutoff, 2)).T
+    spec[1:cutoff + 1] = re + 1j * im
+    spec[n - cutoff:] = (re - 1j * im)[::-1]
     return np.fft.ifft(spec).real * np.sqrt(n)
 
 
@@ -102,34 +98,3 @@ def composite_image(height: int, width: int, seed: int) -> np.ndarray:
         noise = 0.1 * rng.standard_normal((height, width))
         out[:, :, c] = edge + texture + noise
     return out
-
-
-def generate(kind: str, **params) -> np.ndarray:
-    """Dispatch a generator by kind name (the CLI entry point).
-
-    1D kinds: cosine(n, frequency, amplitude, phase), cosine-mix(n,
-    components), noise(n, cutoff, seed), step(n, level). 2D kinds:
-    checkerboard(height, width, period), gaussian(height, width, sigma),
-    composite(height, width, seed).
-    """
-    try:
-        if kind == "cosine":
-            return cosine_signal(params["n"], params.get("frequency", 1),
-                                 params.get("amplitude", 1.0), params.get("phase", 0.0))
-        if kind == "cosine-mix":
-            return cosine_mixture(params["n"], params["components"])
-        if kind == "noise":
-            return bandlimited_noise(params["n"], params["cutoff"], params["seed"])
-        if kind == "step":
-            return step_signal(params["n"], params.get("level", 1.0))
-        if kind == "checkerboard":
-            return checkerboard_image(params["height"], params["width"],
-                                      params.get("period", 8))
-        if kind == "gaussian":
-            return gaussian_blob_image(params["height"], params["width"],
-                                       params.get("sigma"))
-        if kind == "composite":
-            return composite_image(params["height"], params["width"], params["seed"])
-    except KeyError as exc:
-        raise ValueError(f"generator {kind!r} is missing parameter {exc.args[0]!r}") from None
-    raise ValueError(f"unknown generator kind {kind!r}")

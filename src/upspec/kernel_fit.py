@@ -341,9 +341,11 @@ def lctc_fit(problem: FitProblem) -> FitResult:
 
     The small branch's taps share offsets with central taps of the large
     kernel, so the joint fit is rank-deficient by construction and the
-    minimum-norm solution is taken. The combined operator can represent
-    everything the large kernel alone can, hence its residual never
-    exceeds the large-only fit's.
+    minimum-norm solution is taken: it splits each shared offset between
+    the branches. Both branches cover exactly the offsets the large kernel
+    alone covers, so the residual equals the large-only fit's (to
+    round-off); the small branch reparametrises the kernel, it adds no
+    representational power.
     """
     if problem.parallel_small is None:
         raise ValueError("lctc_fit requires a parallel_small size")

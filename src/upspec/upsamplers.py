@@ -17,7 +17,10 @@ which in turn makes least-squares fitting residuals monotone in K. They
 are computed in polyphase form (Shi et al. 2016, arXiv:1609.07009):
 output phase p only receives the taps j = p + floor(K/2) (mod r), applied
 to the un-inserted input, so no zero-inserted array is built and each
-output sample costs K/r multiply-adds per axis instead of K.
+output sample costs K/r multiply-adds per axis instead of K. Placement is
+linear, so a parallel small branch is folded into one effective kernel
+(:meth:`KernelSpec.effective_weights`) and every transposed convolution
+places its taps once.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ class KernelSpec:
     """Transposed-convolution weights plus stride.
 
     ``weights`` is a 1D tap vector or a 2D (square or rectangular) tap
-    matrix. ``parallel_small`` is an optional second, smaller kernel
-    applied to the same zero-inserted input; both branch outputs are
-    summed (the large-context block composition). The anchor of every
-    kernel is fixed at floor(K/2) per axis.
+    matrix. ``parallel_small`` is an optional second, smaller kernel on
+    the same zero-inserted input (the large-context block composition).
+    The anchor of every kernel is fixed at floor(K/2) per axis, so the
+    two branches together act as the single kernel
+    :meth:`effective_weights`.
     """
 
     weights: np.ndarray
@@ -70,12 +74,24 @@ class KernelSpec:
 
     @property
     def size(self) -> int:
-        """Tap count along one axis (kernels are square in 2D)."""
+        """Tap count along axis 0 (2D kernels may be rectangular)."""
         return self.weights.shape[0]
 
-    @property
-    def anchor(self) -> int:
-        return self.weights.shape[0] // 2
+    def effective_weights(self) -> np.ndarray:
+        """The one kernel whose placement equals both branches summed.
+
+        Without a small branch this is ``weights`` itself (no copy).
+        Otherwise it is a copy with ``parallel_small`` added onto the
+        window starting at K//2 - k//2 on each axis, which puts the small
+        anchor on the large one; the window fits because k <= K.
+        """
+        if self.parallel_small is None:
+            return self.weights
+        folded = self.weights.copy()
+        window = tuple(slice(big // 2 - small // 2, big // 2 - small // 2 + small)
+                       for big, small in zip(folded.shape, self.parallel_small.shape))
+        folded[window] += self.parallel_small
+        return folded
 
 
 def validate_factor(r: int) -> int:
@@ -216,25 +232,23 @@ def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.nda
 
     out[p] = sum_j w[j] * z[(p - j + c) mod s*N] with z the zero-inserted
     signal, c = floor(K/2) (periodic mode; zero-pad reads missing
-    neighbours as 0). When a parallel small kernel is present the two
-    branch outputs are summed. Output length is s*N.
+    neighbours as 0), with w the kernel's effective weights (a parallel
+    small branch folded in). Output length is s*N.
     """
     x = as_signal(x)
     _validate_boundary(boundary)
     if kernel.weights.ndim != 1:
         raise ValueError("transposed_conv expects a 1D kernel; use transposed_conv2 for images")
-    column, strides = x[:, None, None], (kernel.stride, 1)
-    out = _place(column, kernel.weights[:, None], strides, boundary)
-    if kernel.parallel_small is not None:
-        out = out + _place(column, kernel.parallel_small[:, None], strides, boundary)
-    return out.ravel()
+    return _place(x[:, None, None], kernel.effective_weights()[:, None],
+                  (kernel.stride, 1), boundary).ravel()
 
 
 def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:
     """2D transposed convolution, applied per channel independently.
 
-    Full 2D tap placement (separability is not assumed). Accepts (H, W)
-    or (H, W, C) arrays and preserves the input's dimensionality.
+    Full 2D tap placement of the kernel's effective weights (separability
+    is not assumed). Accepts (H, W) or (H, W, C) arrays and preserves the
+    input's dimensionality.
     """
     _validate_boundary(boundary)
     if kernel.weights.ndim != 2:
@@ -246,10 +260,7 @@ def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> n
     if arr.ndim != 3 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ValueError("image must be a finite 2D or 3D array")
 
-    strides = (kernel.stride, kernel.stride)
-    out = _place(arr, kernel.weights, strides, boundary)
-    if kernel.parallel_small is not None:
-        out = out + _place(arr, kernel.parallel_small, strides, boundary)
+    out = _place(arr, kernel.effective_weights(), (kernel.stride, kernel.stride), boundary)
     return out[:, :, 0] if squeeze else out
 
 

@@ -102,6 +102,19 @@ def random_bandlimited(n: int, cutoff: int, rng) -> np.ndarray:
     return np.fft.ifft(spec).real * n
 
 
+def literal_bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
+    """``bandlimited_noise`` drawn bin by bin: DC gets one normal draw, then
+    bins 1..cutoff get (re, im) draws in turn, mirrored conjugate."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(n, dtype=complex)
+    spec[0] = rng.normal()
+    for k in range(1, cutoff + 1):
+        re, im = rng.normal(), rng.normal()
+        spec[k] = re + 1j * im
+        spec[n - k] = re - 1j * im
+    return np.fft.ifft(spec).real * np.sqrt(n)
+
+
 def dense_fit(n: int, r: int, k: int, small=None, corpus=()):
     """Kernel fit through dense operator matrices: the normal equations of
     the one-hot basis operators (large branch, then the optional small
@@ -151,6 +164,20 @@ def literal_bar_strip(values, height: int = 48) -> np.ndarray:
     return img
 
 
+def literal_fold(kernel) -> KernelSpec:
+    """The one-branch kernel of a two-branch one: each small tap is added,
+    one at a time, onto the large tap at the same offset from the anchor
+    (floor(K/2) for the large kernel, floor(k/2) for the small one)."""
+    weights = kernel.weights.copy()
+    small = kernel.parallel_small
+    if small is not None:
+        for idx in np.ndindex(*small.shape):
+            at = tuple(i - k // 2 + big // 2
+                       for i, k, big in zip(idx, small.shape, weights.shape))
+            weights[at] += small[idx]
+    return KernelSpec(weights=weights, stride=kernel.stride)
+
+
 def _literal_place_1d(z, w, boundary):
     """Convolve a zero-inserted signal with taps anchored at floor(K/2):
     one full-array roll per tap (periodic) or ``np.convolve`` (zero-pad)."""
@@ -166,7 +193,8 @@ def _literal_place_1d(z, w, boundary):
 
 
 def literal_transposed_conv(x, kernel, boundary="periodic") -> np.ndarray:
-    """1D transposed convolution by zero insertion and per-tap placement."""
+    """1D transposed convolution by zero insertion and per-tap placement;
+    a parallel small branch is placed on its own and added."""
     x = np.asarray(x, dtype=float)
     z = np.zeros(kernel.stride * x.size)
     z[::kernel.stride] = x
@@ -200,7 +228,8 @@ def _literal_place_2d(z, w, boundary):
 
 def literal_transposed_conv2(image, kernel, boundary="periodic") -> np.ndarray:
     """2D transposed convolution of an (H, W, C) image, channel by channel,
-    by zero insertion and per-tap placement."""
+    by zero insertion and per-tap placement; a parallel small branch is
+    placed on its own and added."""
     arr = np.asarray(image, dtype=float)
     s = kernel.stride
     h, wd, nc = arr.shape

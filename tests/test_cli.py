@@ -64,8 +64,8 @@ class TestCompare:
         ("lctc,transposed_conv,linear", ["lctc", "transposed_conv"]),
     ])
     def test_round_off_ties_keep_ops_order(self, tmp_path, ops, order):
-        # both ratios equal in exact arithmetic; the raw values differ in
-        # their last bits, the printed ones do not
+        # the two ratios are equal (the LCTC kernel folds back to the
+        # large-only one), so the stable sort keeps the --ops order
         code = main(["compare", "--out-dir", str(tmp_path), "--seed", "3", "--n", "128",
                      "--kernel-size", "31", "--boundary", "zero-pad", "--ops", ops])
         assert code == 0
@@ -74,6 +74,17 @@ class TestCompare:
                   for row in rows]
         assert [pair for pair in ratios if pair[0] in order] == [
             (name, "0.00353399364315") for name in order]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    def test_lctc_row_equals_transposed_conv_row(self, tmp_path, boundary):
+        # the minimum-norm split h/2 + h/2 folds back to the large-only taps h
+        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "128",
+                     "--kernel-size", "31", "--parallel-small", "3", "--boundary", boundary,
+                     "--ops", "transposed_conv,lctc", "--format", "json"])
+        assert code == 0
+        rows = {row.pop("operator"): row
+                for row in json.loads((tmp_path / "summary.json").read_text())["metrics"]}
+        assert rows["lctc"] == rows["transposed_conv"]
 
     def test_each_fitted_kernel_is_fitted_once(self, tmp_path, monkeypatch):
         calls = []
@@ -138,6 +149,17 @@ class TestFitAndSweep:
         _, rows = read_csv(tmp_path / "kernel_weights.csv")
         assert len(rows) == 10
         assert {row[0] for row in rows} == {"large", "small"}
+
+    def test_gradient_fit_with_parallel_branch(self, tmp_path):
+        code = main(["fit", "--out-dir", str(tmp_path / "gradient"), "--n", "16",
+                     "--kernel-size", "7", "--parallel-small", "3", "--method", "gradient"])
+        assert code == 0
+        main(["fit", "--out-dir", str(tmp_path / "closed"), "--n", "16",
+              "--kernel-size", "7", "--parallel-small", "3"])
+        gradient = json.loads((tmp_path / "gradient" / "fit.json").read_text())
+        closed = json.loads((tmp_path / "closed" / "fit.json").read_text())
+        assert gradient["converged"] is True
+        assert abs(gradient["residual"] - closed["residual"]) <= 1e-6
 
     def test_sweep_residuals_non_increasing(self, tmp_path):
         code = main(["sweep", "--out-dir", str(tmp_path), "--n", "16",
@@ -213,6 +235,13 @@ class TestExitCodes:
     def test_usage_error_is_1(self, tmp_path, capsys):
         assert main(["analyze", "--out-dir", str(tmp_path), "--op", "warp"]) == 1
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    @pytest.mark.parametrize("command, kind", [("compare", "sawtooth"), ("compare", "composite"),
+                                               ("errorspec", "sawtooth"), ("errorspec", "noise")])
+    def test_unknown_signal_is_1(self, tmp_path, capsys, command, kind):
+        assert main([command, "--out-dir", str(tmp_path), "--seed", "1",
+                     "--signal", kind]) == 1
+        assert capsys.readouterr().err.startswith("error: usage: --signal")
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         assert main(["compare", "--out-dir", str(tmp_path), "--ops", "linear"]) == 1

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import literal_bandlimited_noise
 from upspec.generators import (
     bandlimited_noise,
     checkerboard_image,
@@ -8,7 +11,6 @@ from upspec.generators import (
     cosine_mixture,
     cosine_signal,
     gaussian_blob_image,
-    generate,
     step_signal,
 )
 
@@ -45,6 +47,13 @@ class TestBandlimitedNoise:
             bandlimited_noise(64, cutoff=32, seed=1)
         bandlimited_noise(64, cutoff=31, seed=1)  # largest legal band
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    def test_equals_bin_by_bin_draws(self, data, n, seed):
+        cutoff = data.draw(st.integers(0, (n - 1) // 2))
+        np.testing.assert_array_equal(bandlimited_noise(n, cutoff, seed),
+                                      literal_bandlimited_noise(n, cutoff, seed))
+
 
 class TestOtherGenerators:
     def test_step_edge(self):
@@ -66,19 +75,3 @@ class TestOtherGenerators:
         assert a.shape == (16, 16, 3)
         np.testing.assert_array_equal(a, b)
 
-
-class TestDispatch:
-    def test_kinds_route_correctly(self):
-        np.testing.assert_array_equal(generate("step", n=4), step_signal(4))
-        np.testing.assert_array_equal(generate("cosine", n=4, frequency=1),
-                                      cosine_signal(4, 1))
-        np.testing.assert_array_equal(
-            generate("noise", n=32, cutoff=4, seed=9), bandlimited_noise(32, 4, 9))
-
-    def test_missing_parameter_is_reported(self):
-        with pytest.raises(ValueError, match="seed"):
-            generate("noise", n=32, cutoff=4)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            generate("sawtooth", n=8)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_dft,
     dirichlet_matrix,
+    literal_fold,
     literal_transposed_conv,
     literal_transposed_conv2,
     random_bandlimited,
@@ -23,6 +24,7 @@ from upspec import (
     pixel_unshuffle,
     transposed_conv,
     transposed_conv2,
+    upsamplers,
 )
 
 
@@ -280,14 +282,14 @@ class TestPolyphasePlacement:
     def test_2d_equals_literal_placement(self, case, boundary):
         x, kernel, _ = case
         np.testing.assert_array_equal(transposed_conv2(x, kernel, boundary),
-                                      literal_transposed_conv2(x, kernel, boundary))
+                                      literal_transposed_conv2(x, literal_fold(kernel), boundary))
 
     @settings(max_examples=200, deadline=None)
     @given(case=placement_cases(ndim=1))
     def test_1d_periodic_equals_literal_placement(self, case):
         x, kernel, _ = case
         np.testing.assert_array_equal(transposed_conv(x, kernel),
-                                      literal_transposed_conv(x, kernel))
+                                      literal_transposed_conv(x, literal_fold(kernel)))
 
     @settings(max_examples=200, deadline=None)
     @given(case=placement_cases(ndim=1))
@@ -295,8 +297,46 @@ class TestPolyphasePlacement:
         # np.convolve sums in its own order, so agreement is to round-off
         x, kernel, scale = case
         np.testing.assert_allclose(transposed_conv(x, kernel, "zero-pad"),
-                                   literal_transposed_conv(x, kernel, "zero-pad"),
+                                   literal_transposed_conv(x, literal_fold(kernel), "zero-pad"),
                                    rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]),
+           boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_folded_kernel_equals_sum_of_branches(self, data, ndim, boundary):
+        # placement is linear: one placement of the folded kernel equals the
+        # two branch placements summed, up to the order of the additions
+        x, kernel, scale = data.draw(placement_cases(ndim=ndim))
+        conv, literal = ((transposed_conv, literal_transposed_conv) if ndim == 1
+                         else (transposed_conv2, literal_transposed_conv2))
+        np.testing.assert_allclose(conv(x, kernel, boundary), literal(x, kernel, boundary),
+                                   rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]))
+    def test_effective_weights_equal_literal_fold(self, data, ndim):
+        _, kernel, _ = data.draw(placement_cases(ndim=ndim))
+        folded = kernel.effective_weights()
+        np.testing.assert_array_equal(folded, literal_fold(kernel).weights)
+        if kernel.parallel_small is None:
+            assert folded is kernel.weights
+        else:
+            assert not np.shares_memory(folded, kernel.weights)
+
+    def test_one_placement_per_call(self, monkeypatch):
+        calls = []
+        place = upsamplers._place
+        monkeypatch.setattr(upsamplers, "_place", lambda *a: calls.append(1) or place(*a))
+        rng = np.random.default_rng(16)
+        for small in (None, rng.normal(size=3)):
+            calls.clear()
+            transposed_conv(rng.normal(size=6), KernelSpec(rng.normal(size=7), 2, small))
+            assert len(calls) == 1
+        for small in (None, rng.normal(size=(3, 1))):
+            calls.clear()
+            transposed_conv2(rng.normal(size=(4, 5, 2)),
+                             KernelSpec(rng.normal(size=(5, 3)), 2, small), "zero-pad")
+            assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(case=placement_cases(ndim=1, min_stride=2))
