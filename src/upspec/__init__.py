@@ -25,10 +25,8 @@ from .kernel_fit import (
     EdgeProfile,
     FitProblem,
     FitResult,
-    build_basis,
     fit_closed_form,
     fit_gradient_descent,
-    ideal_operator,
     kernel_edge_profile,
     lctc_fit,
     residual_sweep,
@@ -53,7 +51,6 @@ from .upsamplers import (
     fourier_pad_upsample,
     linear,
     nearest,
-    operator_matrix,
     pixel_shuffle,
     pixel_unshuffle,
     transposed_conv,
@@ -75,7 +72,6 @@ __all__ = [
     "as_image",
     "as_signal",
     "bed_of_nails",
-    "build_basis",
     "center_shift",
     "center_unshift",
     "contribution_map",
@@ -87,14 +83,12 @@ __all__ = [
     "fit_closed_form",
     "fit_gradient_descent",
     "fourier_pad_upsample",
-    "ideal_operator",
     "idft",
     "kernel_edge_profile",
     "lctc_fit",
     "linear",
     "log_magnitude",
     "nearest",
-    "operator_matrix",
     "pixel_shuffle",
     "pixel_unshuffle",
     "psnr",

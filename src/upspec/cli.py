@@ -260,8 +260,7 @@ def cmd_compare(args, out_dir: Path, formats, config) -> int:
         rows.append(_operator_row(name, x, y, kernel, args, reference))
         if "pgm" in formats:
             _write_spectrum_pgm(out_dir, name, y)
-    # sort on the printed ratio, so ties in round-off keep the --ops order
-    rows.sort(key=lambda row: float(_fmt(row["alias_ratio"])))
+    rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
                   [[row[k] for k in COMPARE_CSV_HEADER] for row in rows])

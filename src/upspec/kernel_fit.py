@@ -19,8 +19,7 @@ O(K + M log M) with no linear solve. "corpus_lsq" solves a small Gram
 system whose entries are autocorrelations of z at offset differences and
 whose right-hand side is the cross-correlation of z with U x, both
 summed over the corpus and computed by rFFT. No dense operator matrix
-is built on the fit path; ``build_basis`` and ``ideal_operator`` remain
-for inspection. Because kernel anchors are fixed at floor(K/2), supports
+is built. Because kernel anchors are fixed at floor(K/2), supports
 are nested in K and fitting residuals are monotone non-increasing,
 reaching exactly zero at full support K = r*N.
 """
@@ -32,23 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .upsamplers import (
-    KernelSpec,
-    fourier_pad_upsample,
-    operator_matrix,
-    transposed_conv,
-    validate_factor,
-)
+from .upsamplers import KernelSpec, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
 
-#: Relative eigenvalue cutoff (times the Gram trace) below which basis
-#: directions are treated as null space in the minimum-norm solve.
+#: Relative eigenvalue cutoff (times the Gram trace) below which Gram
+#: directions are treated as null space (minimum-norm solve, rank).
 RANK_TOL = 1e-12
 
-#: Gradient-descent defaults: step 1/(2*lambda_max) estimated by 20 power
-#: iterations, relative-objective-change stop, iteration cap.
-POWER_ITERATIONS = 20
+#: Gradient-descent defaults: relative gradient-norm stop, iteration cap.
 GD_TOL = 1e-12
 GD_MAX_ITER = 100_000
 
@@ -102,8 +93,9 @@ class FitResult:
     ``residual`` is the Frobenius operator distance (or root-mean-square
     corpus error). ``gram_rank`` reports the numerical rank of the normal
     equations; anything below the tap count means the minimum-norm
-    solution was taken. ``converged`` is False only when gradient descent
-    stopped at its iteration cap.
+    solution was taken. ``converged`` is True for closed-form fits; for
+    gradient descent it says whether ||G w - b|| <= tol * ||b|| held
+    within the iteration cap.
     """
 
     kernel: KernelSpec
@@ -118,27 +110,6 @@ class EdgeProfile(NamedTuple):
     center_mass: float
     edge_mass: float
     decays_toward_edge: bool
-
-
-def build_basis(n: int, r: int, k: int) -> list[np.ndarray]:
-    """Operator matrices of the one-hot kernels e_0 .. e_{k-1}.
-
-    T(w) = sum_j w_j B_j reproduces the stride-r periodic transposed
-    convolution with tap vector w exactly.
-    """
-    validate_factor(r)
-    basis = []
-    for j in range(k):
-        taps = np.zeros(k)
-        taps[j] = 1.0
-        one_hot = KernelSpec(weights=taps, stride=r)
-        basis.append(operator_matrix(lambda x: transposed_conv(x, one_hot), n))
-    return basis
-
-
-def ideal_operator(n: int, r: int) -> np.ndarray:
-    """Dense matrix of the Fourier zero-padding upsampler (the fit target)."""
-    return operator_matrix(lambda x: fourier_pad_upsample(x, r), n)
 
 
 def _offsets(problem: FitProblem) -> np.ndarray:
@@ -178,11 +149,15 @@ def _quadratic(problem: FitProblem, offsets: np.ndarray,
     return autocorr[(offsets[:, None] - offsets[None, :]) % m], crosscorr[offsets], const
 
 
+def _kept(gram: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """Mask of the Gram eigenvalues above the null-space cutoff."""
+    return evals > RANK_TOL * max(float(np.trace(gram)), np.finfo(float).tiny)
+
+
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm solution of a symmetric PSD system via eigendecomposition."""
     evals, evecs = np.linalg.eigh(gram)
-    cutoff = RANK_TOL * max(float(np.trace(gram)), np.finfo(float).tiny)
-    keep = evals > cutoff
+    keep = _kept(gram, evals)
     inv = np.zeros_like(evals)
     inv[keep] = 1.0 / evals[keep]
     w = evecs @ (inv * (evecs.T @ rhs))
@@ -231,71 +206,54 @@ def fit_closed_form(problem: FitProblem) -> FitResult:
 
 
 def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
-                         max_iter: int = GD_MAX_ITER, tol: float = GD_TOL,
-                         init=None) -> FitResult:
+                         max_iter: int = GD_MAX_ITER, tol: float = GD_TOL) -> FitResult:
     """Solve the kernel fit by plain gradient descent on the quadratic.
 
-    The gradient is 2*(G w - b). The default step 1/(2*lambda_max(G))
-    guarantees descent; ten consecutive objective increases raise
-    :class:`DivergenceError` naming the step. Weights start at zero
-    (the objective is convex, so this only affects iteration count).
-    ``converged`` reports whether the relative objective change fell
-    below ``tol`` within ``max_iter`` steps.
+    The gradient is 2*(G w - b). One ``eigvalsh`` of G gives ``gram_rank``
+    and the default step 1/(2*lambda_max), which shrinks the error along
+    every eigenvector without overshoot (by 1 - lambda/lambda_max). Weights start at zero, so they stay in
+    the range of G and converge to the closed form's minimum-norm weights.
+    Descent stops once ||G w - b|| <= tol * ||b||, which bounds the weight
+    error by tol * ||b|| / (smallest nonzero eigenvalue); ``converged``
+    says whether that held within ``max_iter`` steps. Ten consecutive
+    objective increases raise :class:`DivergenceError` naming the step.
     """
     if lr is not None and lr <= 0:
         raise ValueError("learning rate must be positive")
+    if max_iter < 0:
+        raise ValueError("iteration cap must be >= 0")
     offsets = _offsets(problem)
     h = _ideal_response(problem.n, problem.r)
     gram, rhs, const = _quadratic(problem, offsets, h)
+    evals = np.linalg.eigvalsh(gram)
     if lr is None:
-        lr = 1.0 / (2.0 * _power_lambda_max(gram))
+        lr = 1.0 / (2.0 * max(float(evals[-1]), np.finfo(float).tiny))
+    stop = tol * float(np.linalg.norm(rhs))
 
-    m = offsets.size
-    w = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
-    if w.shape != (m,):
-        raise ValueError(f"init must have shape ({m},)")
-
-    def objective(v: np.ndarray) -> float:
-        return float(v @ gram @ v - 2.0 * rhs @ v + const)
-
-    obj = objective(w)
-    history = [obj]
+    w = np.zeros(offsets.size)
+    history = []
     increases = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        w = w - lr * 2.0 * (gram @ w - rhs)
-        new = objective(w)
-        history.append(new)
-        if new > obj:
+    for iterations in range(max_iter + 1):
+        normal_residual = gram @ w - rhs
+        obj = float(w @ normal_residual - rhs @ w + const)
+        if history and obj > history[-1]:
             increases += 1
             if increases >= 10:
                 raise DivergenceError(
                     f"objective increased for 10 consecutive steps at lr={lr:g}")
         else:
             increases = 0
-        converged = abs(obj - new) <= tol * max(abs(obj), np.finfo(float).tiny)
-        obj = new
-        if converged:
+        history.append(obj)
+        converged = float(np.linalg.norm(normal_residual)) <= stop
+        if converged or iterations == max_iter:
             break
+        w = w - lr * 2.0 * normal_residual
 
-    _, rank = _min_norm_solve(gram, rhs)
     return FitResult(kernel=_result_kernel(problem, w),
                      residual=_fit_residual(problem, w, offsets, h),
-                     iterations=iterations, gram_rank=rank,
+                     iterations=iterations,
+                     gram_rank=int(np.count_nonzero(_kept(gram, evals))),
                      objective_history=tuple(history), converged=converged)
-
-
-def _power_lambda_max(gram: np.ndarray) -> float:
-    m = gram.shape[0]
-    v = np.ones(m) / np.sqrt(m)
-    for _ in range(POWER_ITERATIONS):
-        nxt = gram @ v
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            return 1.0
-        v = nxt / norm
-    return max(float(v @ gram @ v), np.finfo(float).tiny)
 
 
 def residual_sweep(n: int, r: int, kernel_sizes) -> list[tuple[int, float]]:

@@ -291,20 +291,3 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
         g[:half + 1] = f[:half + 1]
         g[m - half:] = f[half + 1:]
     return r * idft(g)
-
-
-def operator_matrix(op, n: int) -> np.ndarray:
-    """Dense matrix of a linear signal operator on length-n inputs.
-
-    Column j is the operator applied to the j-th standard basis vector;
-    the matrix-vector product then reproduces direct application.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("input length must be >= 1")
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols.append(np.asarray(op(e), dtype=float))
-    return np.stack(cols, axis=1)

@@ -7,7 +7,28 @@ library implementations they check.
 
 import numpy as np
 
-from upspec import KernelSpec, build_basis, ideal_operator, operator_matrix, transposed_conv
+from upspec import KernelSpec, fourier_pad_upsample, transposed_conv
+
+
+def operator_matrix(op, n: int) -> np.ndarray:
+    """Dense matrix of a linear signal operator on length-n inputs: column
+    j is the operator applied to the j-th standard basis vector."""
+    return np.stack([np.asarray(op(e), dtype=float) for e in np.eye(n)], axis=1)
+
+
+def build_basis(n: int, r: int, k: int, small: int = 0) -> list[np.ndarray]:
+    """Operator matrices of the one-hot kernels: e_0 .. e_{k-1} of the large
+    branch, then e_0 .. e_{small-1} of a parallel small branch, so that
+    T(w) = sum_j w_j B_j is the stride-r periodic transposed convolution."""
+    kernels = [KernelSpec(weights=taps, stride=r) for taps in np.eye(k)]
+    kernels += [KernelSpec(weights=np.zeros(k), stride=r, parallel_small=taps)
+                for taps in np.eye(small)]
+    return [operator_matrix(lambda x: transposed_conv(x, kernel), n) for kernel in kernels]
+
+
+def ideal_operator(n: int, r: int) -> np.ndarray:
+    """Dense matrix of the Fourier zero-padding upsampler (the fit target)."""
+    return operator_matrix(lambda x: fourier_pad_upsample(x, r), n)
 
 
 def brute_dft(x) -> np.ndarray:
@@ -122,12 +143,7 @@ def dense_fit(n: int, r: int, k: int, small=None, corpus=()):
     weights with eigenvalues below 1e-12 of the Gram trace treated as
     null. Returns (weights, residual recomputed from the operator, rank).
     """
-    basis = build_basis(n, r, k)
-    for j in range(small or 0):
-        taps = np.zeros(small)
-        taps[j] = 1.0
-        one_hot = KernelSpec(weights=np.zeros(k), stride=r, parallel_small=taps)
-        basis.append(operator_matrix(lambda x: transposed_conv(x, one_hot), n))
+    basis = build_basis(n, r, k, small or 0)
     target = ideal_operator(n, r)
     if len(corpus) == 0:
         stack = np.stack([b.ravel() for b in basis])

@@ -9,12 +9,16 @@ import time
 
 import numpy as np
 
-from helpers import random_bandlimited, truncated_sinc_square_replicas
+from helpers import (
+    build_basis,
+    ideal_operator,
+    random_bandlimited,
+    truncated_sinc_square_replicas,
+)
 from upspec import (
     FitProblem,
     alias_energy,
     bed_of_nails,
-    build_basis,
     contribution_map,
     dft,
     empirical_filter_response,
@@ -22,7 +26,6 @@ from upspec import (
     fit_closed_form,
     fit_gradient_descent,
     fourier_pad_upsample,
-    ideal_operator,
     idft,
     kernel_edge_profile,
     KernelSpec,
@@ -34,6 +37,7 @@ from upspec import (
     transposed_conv,
 )
 from upspec.cli import main as cli_main
+from upspec.kernel_fit import _ideal_response, _offsets, _quadratic
 
 
 def _run(num, name, budget_s, body):
@@ -139,26 +143,39 @@ def test_06_optimizer_agreement():
             closed = fit_closed_form(problem)
             descended = fit_gradient_descent(problem)
             assert abs(closed.residual - descended.residual) <= 1e-6
-        # analytic gradient against central finite differences
+        # the library's quadratic w.G.w - 2 b.w + c and its gradient
+        # 2 (G w - b) against the dense objective and its central finite
+        # differences, for both objectives, with and without a small branch
         n, r, k = 8, 2, 5
-        basis = build_basis(n, r, k)
-        target = ideal_operator(n, r)
         rng = np.random.default_rng(106)
-        w = rng.normal(size=k)
-        fitted = sum(wj * bj for wj, bj in zip(w, basis))
-        analytic = np.array([2.0 * np.sum((fitted - target) * bj) for bj in basis])
+        signals = tuple(rng.normal(size=n) for _ in range(3))
+        target = ideal_operator(n, r)
+        for corpus in ((), signals):
+            for small in (None, 3):
+                objective = "corpus_lsq" if corpus else "operator_frobenius"
+                problem = FitProblem(n=n, r=r, k=k, objective=objective,
+                                     corpus=corpus, parallel_small=small)
+                gram, rhs, const = _quadratic(problem, _offsets(problem),
+                                              _ideal_response(n, r))
+                basis = build_basis(n, r, k, small or 0)
 
-        def objective(v):
-            comb = sum(vj * bj for vj, bj in zip(v, basis))
-            return float(np.sum((comb - target) ** 2))
+                def dense(v):
+                    err = sum(vj * bj for vj, bj in zip(v, basis)) - target
+                    if corpus:
+                        return float(sum(np.sum((err @ x) ** 2) for x in corpus))
+                    return float(np.sum(err ** 2))
 
-        h = 1e-6
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h
-            fd = (objective(w + e) - objective(w - e)) / (2 * h)
-            rel = abs(analytic[j] - fd) / max(abs(fd), 1e-12)
-            assert rel <= 1e-5, f"gradient coordinate {j}: relative error {rel:.2e}"
+                w = rng.normal(size=len(basis))
+                quadratic = float(w @ gram @ w - 2.0 * rhs @ w + const)
+                assert abs(quadratic - dense(w)) <= 1e-12 * dense(w), (objective, small)
+                analytic = 2.0 * (gram @ w - rhs)
+                step = 1e-6
+                for j, e in enumerate(np.eye(len(basis)) * step):
+                    fd = (dense(w + e) - dense(w - e)) / (2 * step)
+                    rel = abs(analytic[j] - fd) / max(abs(fd), 1e-12)
+                    assert rel <= 1e-5, (
+                        f"{objective}, small {small}, gradient coordinate {j}: "
+                        f"relative error {rel:.2e}")
 
     _run(6, "gradient descent agrees with the closed form", 10.0, body)
 

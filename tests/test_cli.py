@@ -64,8 +64,9 @@ class TestCompare:
         ("lctc,transposed_conv,linear", ["lctc", "transposed_conv"]),
     ])
     def test_round_off_ties_keep_ops_order(self, tmp_path, ops, order):
-        # the two ratios are equal (the LCTC kernel folds back to the
-        # large-only one), so the stable sort keeps the --ops order
+        # the two ratios are exactly equal (the LCTC kernel folds back to
+        # the large-only one), and Python's sort is stable, so the raw-ratio
+        # sort keeps the --ops order
         code = main(["compare", "--out-dir", str(tmp_path), "--seed", "3", "--n", "128",
                      "--kernel-size", "31", "--boundary", "zero-pad", "--ops", ops])
         assert code == 0
@@ -133,14 +134,21 @@ class TestFitAndSweep:
         assert (tmp_path / "kernel.pgm").exists()
 
     def test_fit_json_reports_convergence(self, tmp_path):
-        for method, max_iter, converged in [("closed", "100000", True),
-                                            ("gradient", "100000", True),
-                                            ("gradient", "1", False)]:
-            out = tmp_path / f"{method}{max_iter}"
+        # large-only operator fits have G = n I, so one exact step converges;
+        # the parallel branch shares offsets, and one step is not enough
+        for method, extra, converged in [("closed", [], True),
+                                         ("gradient", [], True),
+                                         ("gradient", ["--max-iter", "1"], True),
+                                         ("gradient", ["--parallel-small", "3",
+                                                       "--max-iter", "1"], False)]:
+            out = tmp_path / "-".join([method, *extra])
             code = main(["fit", "--out-dir", str(out), "--n", "16", "--kernel-size", "9",
-                         "--method", method, "--max-iter", max_iter])
+                         "--method", method, *extra])
             assert code == 0
-            assert json.loads((out / "fit.json").read_text())["converged"] is converged
+            payload = json.loads((out / "fit.json").read_text())
+            assert payload["converged"] is converged
+            if method == "gradient" and "--parallel-small" not in extra:
+                assert payload["iterations"] == 1
 
     def test_fit_with_parallel_branch(self, tmp_path):
         code = main(["fit", "--out-dir", str(tmp_path), "--n", "16",

@@ -9,6 +9,7 @@ from helpers import (
     literal_fold,
     literal_transposed_conv,
     literal_transposed_conv2,
+    operator_matrix,
     random_bandlimited,
 )
 from upspec import (
@@ -19,7 +20,6 @@ from upspec import (
     fourier_pad_upsample,
     linear,
     nearest,
-    operator_matrix,
     pixel_shuffle,
     pixel_unshuffle,
     transposed_conv,
