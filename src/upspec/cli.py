@@ -30,7 +30,7 @@ from .kernel_fit import (
     kernel_edge_profile,
     lctc_fit,
 )
-from .netpbm import read_netpbm, write_netpbm
+from .netpbm import minmax_rint, read_netpbm, write_netpbm
 from .signal_core import (NonRealResultError, Spectrum, center_shift, dft, log_magnitude,
                           radial_average)
 from .upsamplers import (
@@ -80,6 +80,10 @@ def config_hash(config: dict) -> str:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return f"{value:.12g}"
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -93,7 +97,7 @@ def _fmt(value) -> str:
 
 def write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -123,13 +127,16 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
 
 
 def bar_strip(values, height: int = 48) -> np.ndarray:
-    """Render a 1D array as a bar-chart image (grayscale, row 0 on top)."""
+    """Render a 1D array as a bar-chart mask of shape (height, len(values)).
+
+    Row 0 is the top. Column j is True in its bottom rint(scaled_j * height)
+    rows, with the values min-max scaled to [0, 1] (no row when constant).
+    ``write_netpbm`` turns the mask into 0/255 bytes.
+    """
     vals = np.asarray(values, dtype=float)
     lo, hi = float(vals.min()), float(vals.max())
-    fill = np.zeros_like(vals) if hi == lo else np.rint((vals - lo) / (hi - lo) * height)
-    img = np.zeros((height, vals.size))
-    np.greater_equal(np.arange(height)[:, np.newaxis], height - fill, out=img)
-    return img
+    fill = np.zeros_like(vals) if hi == lo else minmax_rint(vals, lo, hi, height)
+    return np.arange(height)[:, np.newaxis] >= height - fill
 
 
 # ---------------------------------------------------------------------------

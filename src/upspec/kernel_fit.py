@@ -216,10 +216,11 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     Descent stops once ||G w - b|| <= tol * ||b||, which bounds the weight
     error by tol * ||b|| / (smallest nonzero eigenvalue); ``converged``
     says whether that held within ``max_iter`` steps. Ten consecutive
-    objective increases raise :class:`DivergenceError` naming the step.
+    objective increases, or an objective that overflows, raise
+    :class:`DivergenceError` naming the step.
     """
-    if lr is not None and lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if lr is not None and not lr > 0:
+        raise ValueError(f"learning rate must be positive, got lr={lr:g}")
     if max_iter < 0:
         raise ValueError("iteration cap must be >= 0")
     offsets = _offsets(problem)
@@ -233,21 +234,25 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     w = np.zeros(offsets.size)
     history = []
     increases = 0
-    for iterations in range(max_iter + 1):
-        normal_residual = gram @ w - rhs
-        obj = float(w @ normal_residual - rhs @ w + const)
-        if history and obj > history[-1]:
-            increases += 1
-            if increases >= 10:
-                raise DivergenceError(
-                    f"objective increased for 10 consecutive steps at lr={lr:g}")
-        else:
-            increases = 0
-        history.append(obj)
-        converged = float(np.linalg.norm(normal_residual)) <= stop
-        if converged or iterations == max_iter:
-            break
-        w = w - lr * 2.0 * normal_residual
+    # an overflowing step is reported by the finiteness check, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(max_iter + 1):
+            normal_residual = gram @ w - rhs
+            obj = float(w @ normal_residual - rhs @ w + const)
+            if not np.isfinite(obj):
+                raise DivergenceError(f"objective is no longer finite at lr={lr:g}")
+            if history and obj > history[-1]:
+                increases += 1
+                if increases >= 10:
+                    raise DivergenceError(
+                        f"objective increased for 10 consecutive steps at lr={lr:g}")
+            else:
+                increases = 0
+            history.append(obj)
+            converged = float(np.linalg.norm(normal_residual)) <= stop
+            if converged or iterations == max_iter:
+                break
+            w = w - lr * 2.0 * normal_residual
 
     return FitResult(kernel=_result_kernel(problem, w),
                      residual=_fit_residual(problem, w, offsets, h),

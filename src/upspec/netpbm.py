@@ -1,8 +1,11 @@
 """Binary Netpbm (P5/P6) writing and reading.
 
 Arrays are min-max normalized to 0..255 on write (constant arrays map to
-0), with a single-space header "P5 <w> <h> 255\\n". Reading back yields
-the quantized bytes exactly, so write -> read -> write is byte-stable.
+0), with a single-space header "P5 <w> <h> 255\\n". A boolean array, such
+as a bar-strip mask, maps to {0, 255}, or to 0 when constant. A range
+too wide for ``hi - lo`` to be finite is scaled by halves instead of
+overflowing. Reading back yields the quantized bytes exactly, so
+write -> read -> write is byte-stable.
 """
 
 from __future__ import annotations
@@ -10,16 +13,45 @@ from __future__ import annotations
 import numpy as np
 
 
+def minmax_rint(arr: np.ndarray, lo: float, hi: float, top: float) -> np.ndarray:
+    """``rint((arr - lo) / (hi - lo) * top)`` as a new float array, for lo < hi.
+
+    Works in place on one temporary, in that order of operations, so
+    ties at .5 round as the expression does. When ``hi - lo`` overflows,
+    the same ratio is taken as ``(arr/2 - lo/2) / (hi/2 - lo/2)``.
+    """
+    span = hi - lo
+    if np.isfinite(span):
+        out = np.subtract(arr, lo)
+        out /= span
+    else:
+        out = np.multiply(arr, 0.5)
+        out -= lo / 2
+        out /= hi / 2 - lo / 2
+    out *= top
+    return np.rint(out, out=out)
+
+
 def quantize(array) -> np.ndarray:
-    """Min-max normalize to uint8; constant input maps to all zeros."""
-    arr = np.asarray(array, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("array values must be finite")
+    """Min-max normalize to uint8; constant input maps to all zeros.
+
+    Boolean input maps exactly to {0, 255} (all zeros when constant)
+    without a float pass. Any other input is read as float and must be
+    finite; a range whose width overflows is handled by ``minmax_rint``.
+    """
+    arr = np.asarray(array)
+    if arr.dtype == bool:
+        if arr.min() == arr.max():
+            return np.zeros(arr.shape, dtype=np.uint8)
+        return arr.view(np.uint8) * np.uint8(255)
+    arr = np.asarray(arr, dtype=float)
     lo = float(arr.min())
     hi = float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("array values must be finite")
     if hi == lo:
         return np.zeros(arr.shape, dtype=np.uint8)
-    return np.rint((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    return minmax_rint(arr, lo, hi, 255.0).astype(np.uint8)
 
 
 def write_netpbm(array, path) -> None:

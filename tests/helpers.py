@@ -180,6 +180,16 @@ def literal_bar_strip(values, height: int = 48) -> np.ndarray:
     return img
 
 
+def literal_quantize(array) -> np.ndarray:
+    """Min-max quantisation as one expression over a float copy:
+    ``rint((a - lo) / (hi - lo) * 255)`` cast to uint8, zeros when constant."""
+    a = np.asarray(array, dtype=float)
+    lo, hi = a.min(), a.max()
+    if hi == lo:
+        return np.zeros(a.shape, dtype=np.uint8)
+    return np.rint((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
+
+
 def literal_fold(kernel) -> KernelSpec:
     """The one-branch kernel of a two-branch one: each small tap is added,
     one at a time, onto the large tap at the same offset from the anchor

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +123,18 @@ class TestContribution:
         payload = json.loads((tmp_path / "contribution.json").read_text())
         assert payload["uniform"] is False
         assert payload["period"] == 2
+
+    def test_long_counts_csv_equals_csv_module_rendering(self, tmp_path):
+        k, s, out_len = 63, 4, 32768
+        assert main(["contribution", "--out-dir", str(tmp_path), "--format", "csv",
+                     "--kernel-size", str(k), "--stride", str(s),
+                     "--out-len", str(out_len)]) == 0
+        # position p gets one tap per j in [0, K) with j = (p + K//2) mod s
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["position", "count"])
+        writer.writerows((p, -(-(k - (p + k // 2) % s) // s)) for p in range(out_len))
+        assert (tmp_path / "contribution_counts.csv").read_text() == expected.getvalue()
 
 
 class TestFitAndSweep:
@@ -272,6 +287,17 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numeric:")
 
+    @pytest.mark.parametrize("lr, code, kind", [("nan", 1, "usage"), ("0", 1, "usage"),
+                                                ("1e300", 3, "numeric"), ("inf", 3, "numeric")])
+    def test_bad_learning_rate(self, tmp_path, capsys, lr, code, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--out-dir", str(tmp_path), "--kernel-size", "3",
+                         "--method", "gradient", "--lr", lr]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+        assert "lr=" in err
+
     def test_large_amplitude_real_signal_is_accepted(self, tmp_path):
         code = main(["compare", "--out-dir", str(tmp_path), "--signal", "cosine",
                      "--amplitude", "1e8", "--n", "1000", "--factor", "3",
@@ -317,10 +343,31 @@ class TestBarStrip:
                            min_size=1, max_size=40),
            height=st.integers(1, 64))
     def test_equals_literal_column_fill(self, values, height):
-        np.testing.assert_array_equal(bar_strip(values, height),
-                                      literal_bar_strip(values, height))
+        mask = bar_strip(values, height)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, literal_bar_strip(values, height))
+
+    def test_overflowing_range_fills_by_halves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = bar_strip([-1e308, 0.0, 1e308], height=4)
+        np.testing.assert_array_equal(mask.sum(axis=0), [0, 2, 4])
 
     def test_half_steps_round_to_even(self):
         # scaled values 0, 1/4, 1/2, 3/4, 1 at height 2 fill 0, 0, 1, 2, 2 rows
         img = bar_strip([0, 1, 2, 3, 4], height=2)
         np.testing.assert_array_equal(img, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 1]])
+
+
+class TestCsvFormatting:
+    @pytest.mark.parametrize("value, text", [
+        (0, "0"), (-7, "-7"), (12345678901234567890, "12345678901234567890"),
+        (1.5, "1.5"), (0.1, "0.1"), (1 / 3, "0.333333333333"), (2.0, "2"),
+        (True, "true"), (False, "false"), (None, ""),
+        (np.int64(-3), "-3"), (np.float64(0.1), "0.1"), (np.float64(1 / 3), "0.333333333333"),
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+        (np.float64("inf"), "inf"), (np.float64("nan"), "nan"),
+        (-0.0, "-0"), (1e-320, "9.99988867183e-321"), (1e300, "1e+300"),
+    ])
+    def test_fmt_strings(self, value, text):
+        assert cli._fmt(value) == text

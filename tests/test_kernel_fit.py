@@ -166,6 +166,16 @@ class TestFitGradientDescent:
         with pytest.raises(ValueError):
             fit_gradient_descent(FitProblem(n=8, r=2, k=3), lr=-1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), 0.0, float("-inf")])
+    def test_rejects_nan_and_non_positive_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            fit_gradient_descent(FitProblem(n=8, r=2, k=3), lr=lr)
+
+    @pytest.mark.parametrize("lr", [1e300, float("inf")])
+    def test_overflowing_step_is_divergence(self, lr):
+        with pytest.raises(DivergenceError, match="no longer finite at lr="):
+            fit_gradient_descent(FitProblem(n=8, r=2, k=3), lr=lr)
+
     def test_rejects_negative_iteration_cap(self):
         with pytest.raises(ValueError, match="iteration cap"):
             fit_gradient_descent(FitProblem(n=8, r=2, k=3), max_iter=-1)

@@ -1,7 +1,37 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from helpers import literal_quantize
 from upspec.netpbm import quantize, read_netpbm, write_netpbm
+
+shapes = (st.tuples(st.integers(1, 6), st.integers(1, 6))
+          | st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3)))
+
+
+@st.composite
+def float_images(draw):
+    """Unit-range images scaled by 1e-300 .. 1e300 and shifted by up to
+    that amplitude, so the range stays finite."""
+    shape = draw(shapes)
+    amplitude = 10.0 ** draw(st.floats(-300, 300))
+    unit = draw(hnp.arrays(float, shape, elements=st.floats(-1, 1)))
+    return unit * amplitude + draw(st.floats(-1, 1)) * amplitude
+
+
+@st.composite
+def tie_images(draw):
+    """Integers 0 .. 2^j with both ends present, times a power of two:
+    the value 2^(j-1) scales to exactly 127.5."""
+    shape = draw(shapes)
+    top = 2 ** draw(st.integers(1, 12))
+    arr = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top))).astype(float)
+    arr.flat[0], arr.flat[-1] = 0, top
+    return arr * 2.0 ** draw(st.integers(-60, 60))
 
 
 class TestQuantize:
@@ -16,12 +46,57 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("values", [[np.inf], [-np.inf, 0.0], [1e308, np.inf, np.nan]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            quantize(np.array([values]))
+
+    @settings(max_examples=250, deadline=None)
+    @given(arr=float_images() | tie_images()
+           | st.builds(np.full, shapes, st.floats(-1e300, 1e300)))
+    def test_floats_equal_literal_formula(self, arr):
+        np.testing.assert_array_equal(quantize(arr), literal_quantize(arr))
+
+    def test_half_step_ties_round_to_even(self):
+        # 0, 1/2, 1 scale to 0, 127.5, 255; 127.5 rounds to the even 128
+        np.testing.assert_array_equal(quantize(np.array([[0.0, 1.0, 2.0]])), [[0, 128, 255]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=hnp.arrays(bool, shapes) | shapes.map(lambda s: np.ones(s, dtype=bool))
+           | shapes.map(lambda s: np.zeros(s, dtype=bool)))
+    def test_booleans_equal_float_cast(self, mask):
+        out = quantize(mask)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, quantize(mask.astype(float)))
+        np.testing.assert_array_equal(out, literal_quantize(mask))
+        np.testing.assert_array_equal(quantize(mask.T), literal_quantize(mask.T))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arr=hnp.arrays(np.int64, shapes, elements=st.integers(-2 ** 40, 2 ** 40))
+           | hnp.arrays(np.uint8, shapes))
+    def test_integers_equal_literal_formula(self, arr):
+        np.testing.assert_array_equal(quantize(arr), literal_quantize(arr))
+
+    def test_overflowing_range_is_scaled_by_halves(self):
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(quantize(np.array([-1e308, 0.0, 1e308])),
+                                          [0, 128, 255])
+            np.testing.assert_array_equal(quantize(np.array([[-big, big], [0.0, big / 2]])),
+                                          [[0, 255], [128, 191]])
+
 
 class TestWriteRead:
     def test_single_pixel_header_and_byte(self, tmp_path):
         path = tmp_path / "one.pgm"
         write_netpbm(np.array([[123.4]]), path)
         assert path.read_bytes() == b"P5 1 1 255\n\x00"
+
+    def test_boolean_mask_bytes(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        write_netpbm(np.array([[True, False], [False, False]]), path)
+        assert path.read_bytes() == b"P5 2 2 255\n" + bytes([255, 0, 0, 0])
 
     def test_two_pixel_endpoints(self, tmp_path):
         path = tmp_path / "two.pgm"
