@@ -15,7 +15,7 @@ stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class AliasReport:
 
     ``alias_ratio`` = (alias + Nyquist) / total energy, in [0, 1].
     ``replica_deviation`` is populated only when the low-rate input was
-    supplied for reference (None otherwise).
+    supplied for reference (None otherwise). ``magnitude`` is the
+    centered |DFT(y)| (DC at index len//2) that the bands partition.
     """
 
     passband_energy: float
@@ -39,6 +40,7 @@ class AliasReport:
     nyquist_energy: float
     alias_ratio: float
     replica_deviation: float | None = None
+    magnitude: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,9 @@ class ContributionMap:
 def alias_energy(y, r: int, reference=None) -> AliasReport:
     """Split the spectrum of an upsampled signal into band energies.
 
-    ``y`` must have length r*N. If ``reference`` (the low-rate input) is
-    given, the report also carries its replica deviation.
+    ``y`` must have length r*N. One transform of y gives the band
+    energies, the centered magnitude carried by the report and, if
+    ``reference`` (the low-rate input) is given, its replica deviation.
     """
     y = as_signal(y)
     r = validate_factor(r)
@@ -70,13 +73,14 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     n = y.size // r
     m = y.size
 
-    f = np.fft.fftshift(np.fft.fft(y))
+    spectrum = np.fft.fft(y)
+    magnitude = np.abs(np.fft.fftshift(spectrum))
     kc = np.arange(m) - m // 2
     passband = 2 * np.abs(kc) < n
     nyquist = 2 * np.abs(kc) == n
     alias = ~(passband | nyquist)
 
-    power = np.abs(f) ** 2
+    power = magnitude ** 2
     e_pass = float(np.sum(power[passband]))
     e_nyq = float(np.sum(power[nyquist]))
     e_alias = float(np.sum(power[alias]))
@@ -85,13 +89,14 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
 
     deviation = None
     if reference is not None:
-        deviation = replica_deviation(reference, y, r)
+        deviation = _replica_gap(as_signal(reference), spectrum, r)
     return AliasReport(
         passband_energy=e_pass,
         alias_energy=e_alias,
         nyquist_energy=e_nyq,
         alias_ratio=ratio,
         replica_deviation=deviation,
+        magnitude=magnitude,
     )
 
 
@@ -103,13 +108,14 @@ def replica_deviation(x, y, r: int) -> float:
     """
     x = as_signal(x)
     y = as_signal(y)
-    r = validate_factor(r)
-    if y.size != r * x.size:
-        raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {y.size}")
-    fx = np.fft.fft(x)
-    fy = np.fft.fft(y)
-    replicated = np.tile(fx, r)
-    return float(np.max(np.abs(fy - replicated)))
+    return _replica_gap(x, np.fft.fft(y), validate_factor(r))
+
+
+def _replica_gap(x: np.ndarray, fy: np.ndarray, r: int) -> float:
+    """``replica_deviation`` of a validated x against the unshifted DFT of y."""
+    if fy.size != r * x.size:
+        raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {fy.size}")
+    return float(np.max(np.abs(fy - np.tile(np.fft.fft(x), r))))
 
 
 def filter_response(method: str, r: int, n_points: int,

@@ -31,8 +31,7 @@ from .kernel_fit import (
     lctc_fit,
 )
 from .netpbm import minmax_rint, read_netpbm, write_netpbm
-from .signal_core import (NonRealResultError, Spectrum, center_shift, dft, log_magnitude,
-                          radial_average)
+from .signal_core import NonRealResultError, Spectrum, log_magnitude, radial_average
 from .upsamplers import (
     KernelSpec,
     bed_of_nails,
@@ -86,7 +85,7 @@ def _fmt(value) -> str:
         return str(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -106,8 +105,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if np.isfinite(f) else ("inf" if f > 0 else "-inf")
@@ -215,42 +214,45 @@ def apply_operator(name: str, x: np.ndarray, args):
 # commands
 
 
-def _operator_row(name: str, x, y, kernel, args, reference):
-    report = alias_energy(y, args.factor, reference=x)
-    contrib_var = None if kernel is None else contribution_map(kernel, y.size).variance
+def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
+    """Alias metrics of each named operator, sorted by alias ratio.
+
+    Writes ``spectrum_<op>.pgm`` from the magnitude that ``alias_energy``
+    already took, and ``alias_metrics.csv`` from the sorted rows.
+    """
+    x = build_signal(args)
+    reference = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(reference)) or 1.0
-    quality = psnr(y[np.newaxis, :], reference[np.newaxis, :], peak=peak)
-    row = {
-        "operator": name,
-        "kernel_size": None if kernel is None else kernel.size,
-        "passband_energy": report.passband_energy,
-        "alias_energy": report.alias_energy,
-        "nyquist_energy": report.nyquist_energy,
-        "alias_ratio": report.alias_ratio,
-        "replica_deviation": report.replica_deviation,
-        "contribution_variance": contrib_var,
-        "psnr_vs_ideal_db": quality,
-    }
-    return row
-
-
-def _write_spectrum_pgm(out_dir: Path, name: str, y) -> None:
-    spec = center_shift(dft(y))
-    write_netpbm(bar_strip(log_magnitude(spec)), out_dir / f"spectrum_{name}.pgm")
+    rows = []
+    for name in names:
+        y, kernel = apply_operator(name, x, args)
+        report = alias_energy(y, args.factor, reference=x)
+        rows.append({
+            "operator": name,
+            "kernel_size": None if kernel is None else kernel.size,
+            "passband_energy": report.passband_energy,
+            "alias_energy": report.alias_energy,
+            "nyquist_energy": report.nyquist_energy,
+            "alias_ratio": report.alias_ratio,
+            "replica_deviation": report.replica_deviation,
+            "contribution_variance": (None if kernel is None
+                                      else contribution_map(kernel, y.size).variance),
+            "psnr_vs_ideal_db": psnr(y[np.newaxis, :], reference[np.newaxis, :], peak=peak),
+        })
+        if "pgm" in formats:
+            write_netpbm(bar_strip(log_magnitude(report.magnitude)),
+                         out_dir / f"spectrum_{name}.pgm")
+    rows.sort(key=lambda row: row["alias_ratio"])
+    if "csv" in formats:
+        write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
+                  [[row[k] for k in COMPARE_CSV_HEADER] for row in rows])
+    return rows
 
 
 def cmd_analyze(args, out_dir: Path, formats, config) -> int:
-    x = build_signal(args)
-    y, kernel = apply_operator(args.op, x, args)
-    reference = fourier_pad_upsample(x, args.factor)
-    row = _operator_row(args.op, x, y, kernel, args, reference)
-    if "csv" in formats:
-        write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
-                  [[row[k] for k in COMPARE_CSV_HEADER]])
+    (row,) = _write_operator_rows((args.op,), args, out_dir, formats)
     if "json" in formats:
         write_json(out_dir / "summary.json", {"metrics": row}, config)
-    if "pgm" in formats:
-        _write_spectrum_pgm(out_dir, args.op, y)
     return EXIT_OK
 
 
@@ -259,18 +261,7 @@ def cmd_compare(args, out_dir: Path, formats, config) -> int:
     for name in names:
         if name not in OPERATORS:
             raise UsageError(f"unknown operator {name!r}; choose from {OPERATORS}")
-    x = build_signal(args)
-    reference = fourier_pad_upsample(x, args.factor)
-    rows = []
-    for name in names:
-        y, kernel = apply_operator(name, x, args)
-        rows.append(_operator_row(name, x, y, kernel, args, reference))
-        if "pgm" in formats:
-            _write_spectrum_pgm(out_dir, name, y)
-    rows.sort(key=lambda row: row["alias_ratio"])
-    if "csv" in formats:
-        write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
-                  [[row[k] for k in COMPARE_CSV_HEADER] for row in rows])
+    rows = _write_operator_rows(names, args, out_dir, formats)
     if "json" in formats:
         write_json(out_dir / "summary.json", {"metrics": rows}, config)
     return EXIT_OK

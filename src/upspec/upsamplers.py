@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import as_signal, idft
+from .signal_core import as_image, as_signal, idft
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -253,15 +253,9 @@ def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> n
     _validate_boundary(boundary)
     if kernel.weights.ndim != 2:
         raise ValueError("transposed_conv2 expects a 2D kernel")
-    arr = np.asarray(image, dtype=float)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, np.newaxis]
-    if arr.ndim != 3 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValueError("image must be a finite 2D or 3D array")
-
-    out = _place(arr, kernel.effective_weights(), (kernel.stride, kernel.stride), boundary)
-    return out[:, :, 0] if squeeze else out
+    out = _place(as_image(image), kernel.effective_weights(), (kernel.stride, kernel.stride),
+                 boundary)
+    return out[:, :, 0] if np.ndim(image) == 2 else out
 
 
 def fourier_pad_upsample(x, r: int) -> np.ndarray:

@@ -105,6 +105,48 @@ class TestReplicaDeviation:
             replica_deviation(np.ones(4), np.ones(6), 2)
 
 
+signal_pairs = st.fixed_dictionaries({
+    "n": st.integers(1, 64), "r": st.integers(2, 4),
+    "exponent": st.integers(-6, 6), "seed": st.integers(0, 2**32 - 1)})
+
+
+def _draw_pair(case):
+    """A low-rate x and an unrelated length-r*n y, at 10**exponent amplitude."""
+    rng = np.random.default_rng(case["seed"])
+    scale = 10.0 ** case["exponent"]
+    return (rng.normal(size=case["n"]) * scale,
+            rng.normal(size=case["r"] * case["n"]) * scale)
+
+
+class TestOneSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(case=signal_pairs)
+    def test_report_reads_one_dft_of_y(self, case):
+        x, y = _draw_pair(case)
+        report = alias_energy(y, case["r"], reference=x)
+        assert report.replica_deviation == replica_deviation(x, y, case["r"])
+        np.testing.assert_array_equal(report.magnitude,
+                                      np.abs(np.fft.fftshift(np.fft.fft(y))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=signal_pairs, c_exponent=st.integers(-6, 6), sign=st.sampled_from([-1, 1]))
+    def test_metrics_follow_amplitude(self, case, c_exponent, sign):
+        # y -> c*y leaves the ratio alone, scales energies by c^2 and the
+        # replica deviation by |c|; round-off is relative to that scale
+        x, y = _draw_pair(case)
+        r, c = case["r"], sign * 10.0 ** c_exponent
+        base = alias_energy(y, r, reference=x)
+        scaled = alias_energy(c * y, r, reference=c * x)
+        assert scaled.alias_ratio == pytest.approx(base.alias_ratio, rel=0, abs=1e-12)
+        total = base.passband_energy + base.alias_energy + base.nyquist_energy
+        for name in ("passband_energy", "alias_energy", "nyquist_energy"):
+            assert abs(getattr(scaled, name) - c * c * getattr(base, name)) <= \
+                1e-12 * c * c * total
+        coefficient_bound = np.abs(x).sum() + np.abs(y).sum()
+        assert abs(scaled.replica_deviation - abs(c) * base.replica_deviation) <= \
+            1e-12 * abs(c) * coefficient_bound
+
+
 class TestFilterResponse:
     def test_linear_dc_gain(self):
         _, mags = filter_response("linear", 2, 3)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import literal_bar_strip
 from upspec import cli
-from upspec.cli import bar_strip, main
-from upspec.signal_core import NonRealResultError
+from upspec.cli import OPERATORS, bar_strip, main
+from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
 from upspec.netpbm import read_netpbm, write_netpbm
 
 
@@ -110,6 +110,45 @@ class TestAnalyze:
         assert len(rows) == 1
         assert rows[0][header.index("operator")] == "linear"
         assert (tmp_path / "spectrum_linear.pgm").exists()
+
+
+class TestOperatorRows:
+    @pytest.mark.parametrize("argv, rows", [(["compare", "--ops", "all"], 7),
+                                            (["analyze", "--op", "lctc"], 1)])
+    def test_one_transform_of_y_per_row(self, tmp_path, monkeypatch, argv, rows):
+        # bands, replica deviation and spectrum strip all read one DFT of y
+        n, r = 64, 2
+        lengths = []
+        original = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
+                            or original(a, *rest, **kw))
+        assert main(argv + ["--out-dir", str(tmp_path), "--seed", "1", "--n", str(n)]) == 0
+        assert lengths.count(r * n) == rows
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_analyze_equals_compare_of_one_operator(self, tmp_path, op, boundary):
+        base = ["--seed", "2", "--n", "48", "--boundary", boundary, "--parallel-small", "3"]
+        assert main(["analyze", "--op", op, "--out-dir", str(tmp_path / "a")] + base) == 0
+        assert main(["compare", "--ops", op, "--out-dir", str(tmp_path / "c")] + base) == 0
+        analyzed = json.loads((tmp_path / "a" / "summary.json").read_text())["metrics"]
+        compared = json.loads((tmp_path / "c" / "summary.json").read_text())["metrics"]
+        assert [analyzed] == compared
+        for name in ("alias_metrics.csv", f"spectrum_{op}.pgm"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+    def test_spectrum_strip_equals_centered_dft_rendering(self, tmp_path):
+        argv = ["--seed", "3", "--n", "40", "--factor", "3", "--boundary", "zero-pad"]
+        assert main(["compare", "--out-dir", str(tmp_path / "out")] + argv) == 0
+        args = cli.build_parser().parse_args(["compare", "--out-dir", "-"] + argv)
+        x = cli.build_signal(args)
+        for op in OPERATORS:
+            y, _ = cli.apply_operator(op, x, args)
+            expected = tmp_path / f"{op}.pgm"
+            write_netpbm(bar_strip(log_magnitude(center_shift(dft(y)))), expected)
+            assert (tmp_path / "out" / f"spectrum_{op}.pgm").read_bytes() == \
+                expected.read_bytes()
 
 
 class TestContribution:
@@ -368,6 +407,11 @@ class TestCsvFormatting:
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
         (np.float64("inf"), "inf"), (np.float64("nan"), "nan"),
         (-0.0, "-0"), (1e-320, "9.99988867183e-321"), (1e300, "1e+300"),
+        (np.bool_(True), "true"), (np.bool_(False), "false"),
     ])
     def test_fmt_strings(self, value, text):
         assert cli._fmt(value) == text
+
+    def test_sanitize_spells_numpy_bools_as_json_bools(self):
+        clean = cli._sanitize({"uniform": np.bool_(True), "flags": [np.bool_(False)]})
+        assert json.dumps(clean, sort_keys=True) == '{"flags": [false], "uniform": true}'

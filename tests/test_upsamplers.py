@@ -218,6 +218,13 @@ class TestTransposedConv2:
         for c in range(2):
             np.testing.assert_allclose(out[:, :, c], transposed_conv2(img[:, :, c], k))
 
+    @pytest.mark.parametrize("image, message", [
+        (np.ones(4), "must be 2D or 3D"), (np.ones((2, 0)), "at least one sample"),
+        (np.full((2, 2), np.nan), "must be finite")])
+    def test_invalid_image_uses_the_image_checks(self, image, message):
+        with pytest.raises(ValueError, match=message):
+            transposed_conv2(image, KernelSpec(weights=np.ones((3, 3)), stride=2))
+
     def test_zero_pad_matches_direct_sum(self):
         rng = np.random.default_rng(9)
         img = rng.normal(size=(3, 3))
