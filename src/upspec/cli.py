@@ -116,9 +116,10 @@ def _sanitize(obj):
 
 
 def write_json(path: Path, payload: dict, config: dict) -> None:
+    config = _sanitize(config)
     body = {
-        "config": _sanitize(config),
-        "config_hash": config_hash(_sanitize(config)),
+        "config": config,
+        "config_hash": config_hash(config),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         **_sanitize(payload),
     }
@@ -341,12 +342,18 @@ def cmd_sweep(args, out_dir: Path, formats, config) -> int:
     return EXIT_OK
 
 
+def _read_input(path) -> np.ndarray:
+    try:  # a malformed input file is an I/O error, like a missing one
+        return read_netpbm(path).astype(float)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
     if (args.pred is None) != (args.gt is None):
         raise UsageError("--pred and --gt must be given together")
     if args.pred is not None:
-        pred = read_netpbm(args.pred).astype(float)
-        gt = read_netpbm(args.gt).astype(float)
+        pred, gt = _read_input(args.pred), _read_input(args.gt)
     else:
         pred = build_image(args, args.seed)
         seed_b = args.seed_b if args.seed_b is not None else (

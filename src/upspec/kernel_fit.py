@@ -67,7 +67,7 @@ class FitProblem:
     parallel_small: int | None = None
 
     def __post_init__(self) -> None:
-        validate_factor(self.r)
+        object.__setattr__(self, "r", validate_factor(self.r))
         if self.n < 1:
             raise ValueError("input length must be >= 1")
         if self.k < 1:

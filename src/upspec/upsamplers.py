@@ -20,7 +20,8 @@ to the un-inserted input, so no zero-inserted array is built and each
 output sample costs K/r multiply-adds per axis instead of K. Placement is
 linear, so a parallel small branch is folded into one effective kernel
 (:meth:`KernelSpec.effective_weights`) and every transposed convolution
-places its taps once.
+places its taps once. So do zero insertion, nearest and linear
+interpolation, whose kernels are fixed: the pad mode is the one boundary rule.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class KernelSpec:
             raise ValueError("kernel must have at least one tap")
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")
+        if int(self.stride) != self.stride:
+            raise ValueError(f"stride must be an integer, got {self.stride!r}")
         if int(self.stride) < 1:
             raise ValueError("stride must be >= 1")
         object.__setattr__(self, "weights", w)
@@ -95,32 +98,30 @@ class KernelSpec:
 
 
 def validate_factor(r: int) -> int:
-    r = int(r)
+    if int(r) != r:
+        raise ValueError(f"upsampling factor must be an integer, got {r!r}")
     if r < 2:
         raise ValueError("upsampling factor must be >= 2")
-    return r
+    return int(r)
 
 
-def _validate_boundary(boundary: str) -> str:
+def _validate_boundary(boundary: str) -> None:
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-    return boundary
 
 
 def bed_of_nails(x, r: int) -> np.ndarray:
-    """Insert r-1 zeros after every sample: out[r*j] = x[j], 0 elsewhere."""
+    """Insert r-1 zeros after every sample (kernel [1]): out[r*j] = x[j], 0 elsewhere."""
     x = as_signal(x)
     r = validate_factor(r)
-    out = np.zeros(r * x.size)
-    out[::r] = x
-    return out
+    return _place1(x, np.ones(1), r, "periodic")
 
 
 def nearest(x, r: int) -> np.ndarray:
-    """Repeat every sample r times: out[r*j + m] = x[j]."""
+    """Repeat every sample r times (kernel: r-1 zeros, r ones): out[r*j + m] = x[j]."""
     x = as_signal(x)
     r = validate_factor(r)
-    return np.repeat(x, r)
+    return _place1(x, np.concatenate([np.zeros(r - 1), np.ones(r)]), r, "periodic")
 
 
 def linear(x, r: int, boundary: str = "periodic") -> np.ndarray:
@@ -128,20 +129,13 @@ def linear(x, r: int, boundary: str = "periodic") -> np.ndarray:
 
     out[r*j] = x[j]; out[r*j + m] = (1 - m/r) x[j] + (m/r) x[j+1] for
     0 < m < r. The missing neighbour x[N] is x[0] under "periodic" and 0
-    under "zero-pad". For r=2 this is the midpoint rule.
+    under "zero-pad". For r=2 this is the midpoint rule. The kernel is
+    the triangle m/r (0 < m < r), then 1 - m/r (0 <= m < r), its 1 on the anchor.
     """
     x = as_signal(x)
     r = validate_factor(r)
     _validate_boundary(boundary)
-    succ = np.roll(x, -1)
-    if boundary == "zero-pad":
-        succ = succ.copy()
-        succ[-1] = 0.0
-    out = np.empty(r * x.size)
-    for m in range(r):
-        t = m / r
-        out[m::r] = (1.0 - t) * x + t * succ
-    return out
+    return _place1(x, np.concatenate([np.arange(1, r) / r, 1 - np.arange(r) / r]), r, boundary)
 
 
 def pixel_shuffle(channels, r: int) -> np.ndarray:
@@ -164,19 +158,13 @@ def pixel_shuffle(channels, r: int) -> np.ndarray:
     if arrays[0].ndim == 1:
         if len(arrays) != r:
             raise ValueError(f"1D pixel shuffle needs exactly r={r} channels, got {len(arrays)}")
-        out = np.empty(r * shape[0])
-        for m, chan in enumerate(arrays):
-            out[m::r] = chan
-        return out
+        return np.stack(arrays, axis=1).ravel()
 
     if arrays[0].ndim == 2:
         if len(arrays) != r * r:
             raise ValueError(f"2D pixel shuffle needs exactly r^2={r * r} channels, got {len(arrays)}")
-        out = np.empty((r * shape[0], r * shape[1]))
-        for a in range(r):
-            for b in range(r):
-                out[a::r, b::r] = arrays[a * r + b]
-        return out
+        h, w = shape
+        return np.stack(arrays).reshape(r, r, h, w).transpose(2, 0, 3, 1).reshape(r * h, r * w)
 
     raise ValueError("channels must be 1D or 2D arrays")
 
@@ -227,6 +215,11 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     return out
 
 
+def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:
+    """:func:`_place` of a validated signal by 1D taps w at stride s."""
+    return _place(x[:, None, None], w[:, None], (s, 1), boundary).ravel()
+
+
 def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:
     """Transposed convolution: zero insertion followed by kernel placement.
 
@@ -239,8 +232,7 @@ def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.nda
     _validate_boundary(boundary)
     if kernel.weights.ndim != 1:
         raise ValueError("transposed_conv expects a 1D kernel; use transposed_conv2 for images")
-    return _place(x[:, None, None], kernel.effective_weights()[:, None],
-                  (kernel.stride, 1), boundary).ravel()
+    return _place1(x, kernel.effective_weights(), kernel.stride, boundary)
 
 
 def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:

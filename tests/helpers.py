@@ -204,6 +204,34 @@ def literal_fold(kernel) -> KernelSpec:
     return KernelSpec(weights=weights, stride=kernel.stride)
 
 
+def literal_bed_of_nails(x, r: int) -> np.ndarray:
+    """Zero insertion by a strided write: out[r*j] = x[j], 0 elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(r * x.size)
+    out[::r] = x
+    return out
+
+
+def literal_nearest(x, r: int) -> np.ndarray:
+    """Every sample repeated r times by ``np.repeat``."""
+    return np.repeat(np.asarray(x, dtype=float), r)
+
+
+def literal_linear(x, r: int, boundary: str = "periodic") -> np.ndarray:
+    """Linear interpolation phase by phase: out[r*j + m] is
+    ``(1 - m/r) * x[j] + (m/r) * x[j+1]``, with x[N] read as x[0]
+    ("periodic") or 0 ("zero-pad")."""
+    x = np.asarray(x, dtype=float)
+    succ = np.roll(x, -1)
+    if boundary == "zero-pad":
+        succ[-1] = 0.0
+    out = np.empty(r * x.size)
+    for m in range(r):
+        t = m / r
+        out[m::r] = (1.0 - t) * x + t * succ
+    return out
+
+
 def _literal_place_1d(z, w, boundary):
     """Convolve a zero-inserted signal with taps anchored at floor(K/2):
     one full-array roll per tap (periodic) or ``np.convolve`` (zero-pad)."""

@@ -292,6 +292,23 @@ class TestErrorspec:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: io:")
 
+    @pytest.mark.parametrize("content", [b"P5 4 4 255\n" + bytes(10), b"P7 4 4 255\n",
+                                         b"P5 4 4 65535\n" + bytes(32), b"P5 4 x 255\n",
+                                         b""],
+                             ids=["truncated", "magic-P7", "maxval-65535", "non-integer", "empty"])
+    @pytest.mark.parametrize("flag", ["--pred", "--gt"])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, content, flag):
+        good, bad = tmp_path / "good.pgm", tmp_path / "bad.pgm"
+        write_netpbm(np.zeros((4, 4)), good)
+        bad.write_bytes(content)
+        paths = {"--pred": str(good), "--gt": str(good), flag: str(bad)}
+        code = main(["errorspec", "--out-dir", str(tmp_path / "out"),
+                     "--pred", paths["--pred"], "--gt", paths["--gt"]])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: io: ")
+        assert str(bad) in err[0]
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, tmp_path, capsys):

@@ -307,6 +307,19 @@ class TestFitInvariants:
                                          corpus=corpus))
         np.testing.assert_allclose(lsq.kernel.weights, frob.kernel.weights, atol=1e-10)
 
+    def test_integral_factor_is_stored_as_int(self):
+        expected = fit_closed_form(FitProblem(n=8, r=2, k=3))
+        for r in (np.int64(2), 2.0):
+            problem = FitProblem(n=8, r=r, k=3)
+            assert type(problem.r) is int
+            result = fit_closed_form(problem)
+            np.testing.assert_array_equal(result.kernel.weights, expected.kernel.weights)
+            assert result.residual == expected.residual
+
+    def test_non_integral_factor_is_rejected(self):
+        with pytest.raises(ValueError, match="factor must be an integer"):
+            FitProblem(n=8, r=2.5, k=3)
+
     def test_corpus_objective_requires_corpus(self):
         with pytest.raises(ValueError):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq")

@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from helpers import (
     brute_dft,
     dirichlet_matrix,
+    literal_bed_of_nails,
     literal_fold,
+    literal_linear,
+    literal_nearest,
     literal_transposed_conv,
     literal_transposed_conv2,
     operator_matrix,
@@ -47,6 +50,18 @@ class TestBedOfNails:
     def test_rejects_factor_below_two(self):
         with pytest.raises(ValueError):
             bed_of_nails([1, 2], 1)
+
+    @pytest.mark.parametrize("op", [bed_of_nails, nearest, linear, fourier_pad_upsample])
+    def test_rejects_non_integral_factor(self, op):
+        for r in (2.7, 3.5, np.float64(2.5)):
+            with pytest.raises(ValueError, match="factor must be an integer"):
+                op([1.0, 2.0], r)
+
+    def test_integral_factor_of_any_type(self):
+        for r in (2, np.int64(2), 2.0, np.float64(2.0)):
+            np.testing.assert_array_equal(bed_of_nails([1.0, 2.0], r), [1, 0, 2, 0])
+            assert upsamplers.validate_factor(r) == 2
+            assert type(upsamplers.validate_factor(r)) is int
 
 
 class TestNearest:
@@ -146,19 +161,26 @@ class TestTransposedConv:
         np.testing.assert_allclose(transposed_conv([1.0, 0.0], k), [1, 1, 0, 1])
 
     def test_delta_kernel_is_zero_insertion(self):
-        k = KernelSpec(weights=[0.0, 1.0, 0.0], stride=2)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=5)
-        np.testing.assert_allclose(transposed_conv(x, k), bed_of_nails(x, 2))
+        for r in range(2, 7):
+            k = KernelSpec(weights=[0.0, 1.0, 0.0], stride=r)
+            x = rng.normal(size=5)
+            for boundary in ("periodic", "zero-pad"):
+                np.testing.assert_array_equal(transposed_conv(x, k, boundary),
+                                              bed_of_nails(x, r))
 
     def test_triangular_kernel_equals_linear(self):
         k = KernelSpec(weights=[0.5, 1.0, 0.5], stride=2)
-        np.testing.assert_allclose(transposed_conv([0.0, 4.0], k), linear([0.0, 4.0], 2),
-                                   atol=1e-12)
+        np.testing.assert_array_equal(transposed_conv([0.0, 4.0], k), linear([0.0, 4.0], 2))
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.normal(size=rng.integers(2, 40))
-            np.testing.assert_allclose(transposed_conv(x, k), linear(x, 2), atol=1e-12)
+        for r in range(2, 7):
+            # taps m/r and 1 - m/r, the weights of the interpolation formula
+            k = KernelSpec(np.concatenate([np.arange(1, r) / r, 1 - np.arange(r) / r]), r)
+            for _ in range(20):
+                x = rng.normal(size=rng.integers(2, 40))
+                for boundary in ("periodic", "zero-pad"):
+                    np.testing.assert_array_equal(transposed_conv(x, k, boundary),
+                                                  linear(x, r, boundary))
 
     def test_zero_pad_mode(self):
         k = KernelSpec(weights=[1.0, 1.0, 1.0], stride=2)
@@ -178,6 +200,10 @@ class TestTransposedConv:
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
             KernelSpec(weights=[1.0], stride=0)
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            KernelSpec(weights=[1.0], stride=2.9)
+        for stride in (2, np.int64(2), 2.0):
+            assert type(KernelSpec(weights=[1.0], stride=stride).stride) is int
         with pytest.raises(ValueError):
             KernelSpec(weights=[], stride=2)
         with pytest.raises(ValueError):
@@ -281,6 +307,31 @@ def _phase_conv(x, w, s):
         np.add.at(g, tuple(idx), sub)
         phases.append(np.fft.ifftn(np.fft.fftn(x) * np.fft.fftn(g)).real)
     return phases
+
+
+class TestFixedKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 200), r=st.integers(2, 8), exponent=st.integers(-300, 300),
+           seed=st.integers(0, 2**32 - 1), boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_byte_equal_to_literal_oracles(self, n, r, exponent, seed, boundary):
+        # placement starts every phase at +0.0, so an input -0.0 would come
+        # out as +0.0; the draws have +0.0 samples but no -0.0
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(n) < 0.1, 0.0, rng.normal(size=n) * 10.0 ** exponent)
+        assert bed_of_nails(x, r).tobytes() == literal_bed_of_nails(x, r).tobytes()
+        assert nearest(x, r).tobytes() == literal_nearest(x, r).tobytes()
+        assert linear(x, r, boundary).tobytes() == literal_linear(x, r, boundary).tobytes()
+
+    def test_each_operator_is_one_placement(self, monkeypatch):
+        calls = []
+        place = upsamplers._place
+        monkeypatch.setattr(upsamplers, "_place", lambda *a: calls.append(a[1]) or place(*a))
+        bed_of_nails([1.0, 2.0], 3)
+        nearest([1.0, 2.0], 3)
+        linear([1.0, 2.0], 3, "zero-pad")
+        np.testing.assert_array_equal(calls[0], [[1]])
+        np.testing.assert_array_equal(calls[1], [[0], [0], [1], [1], [1]])
+        np.testing.assert_array_equal(calls[2], [[1 / 3], [2 / 3], [1], [1 - 1 / 3], [1 - 2 / 3]])
 
 
 class TestPolyphasePlacement:
