@@ -10,7 +10,8 @@ on the centered index grid k_c = -M//2 .. M - M//2 - 1:
 The alias-energy ratio counts the Nyquist band as alias (it is not
 representable unambiguously at the lower rate) but also reports it
 separately, so the half-split Nyquist convention of the ideal upsampler
-stays visible.
+stays visible. Ratios and PSNR are taken from unit-peak quantities, so
+they do not depend on the amplitude of the signal.
 """
 
 from __future__ import annotations
@@ -80,20 +81,21 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     nyquist = 2 * np.abs(kc) == n
     alias = ~(passband | nyquist)
 
-    power = magnitude ** 2
-    e_pass = float(np.sum(power[passband]))
-    e_nyq = float(np.sum(power[nyquist]))
-    e_alias = float(np.sum(power[alias]))
-    total = e_pass + e_nyq + e_alias
-    ratio = (e_alias + e_nyq) / total if total > 0.0 else 0.0
+    # band sums of the unit-peak power neither over- nor underflow at any
+    # amplitude; the energies are those sums times peak^2
+    peak = float(magnitude.max()) or 1.0
+    power = (magnitude / peak) ** 2
+    s_pass, s_nyq, s_alias = (float(np.sum(power[band])) for band in (passband, nyquist, alias))
+    total = s_pass + s_nyq + s_alias
+    ratio = (s_alias + s_nyq) / total if total > 0.0 else 0.0
 
     deviation = None
     if reference is not None:
         deviation = _replica_gap(as_signal(reference), spectrum, r)
     return AliasReport(
-        passband_energy=e_pass,
-        alias_energy=e_alias,
-        nyquist_energy=e_nyq,
+        passband_energy=s_pass * peak * peak,
+        alias_energy=s_alias * peak * peak,
+        nyquist_energy=s_nyq * peak * peak,
         alias_ratio=ratio,
         replica_deviation=deviation,
         magnitude=magnitude,
@@ -151,11 +153,9 @@ def filter_response(method: str, r: int, n_points: int,
 
 def _folded_response(method: str, r: int, ell: np.ndarray) -> np.ndarray:
     """Closed form of the replica-folded response on the rate-r grid."""
-    num = np.sin(np.pi * ell)
-    den = np.sin(np.pi * ell / r)
-    at_dc = np.isclose(np.mod(ell, r), 0.0) | np.isclose(np.mod(ell, r), float(r))
-    safe = np.where(at_dc, 1.0, den)
-    ratio = np.where(at_dc, float(r), num / safe)
+    # sin(pi l) / sin(pi l / r) = r sinc(l) / sinc(l / r); np.sinc takes
+    # the l = 0 limit, and sinc(l / r) has no zero for l in [0, r/2]
+    ratio = r * np.sinc(ell) / np.sinc(ell / r)
     if method == "nearest":
         return np.abs(ratio)
     return ratio ** 2 / r
@@ -222,20 +222,17 @@ def _axis_counts(k: int, s: int, out_len: int) -> np.ndarray:
     return k // s + (phase < k % s).astype(int)
 
 
-def error_spectrum(pred, gt, mode: str = "complex", floor: float = LOG_FLOOR,
-                   log: bool = True) -> np.ndarray:
+def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndarray:
     """Centered log-magnitude spectrum of the channel-mean prediction error.
 
     By default the per-channel 2D DFTs of (pred - gt) are averaged as
     complex values and the magnitude is taken afterwards (the DFT is
     linear, so this is one DFT of the channel-mean difference); ``mode=
     "magnitude"`` averages the magnitudes instead. ``log=False`` returns
-    the centered magnitudes without the log10(. + floor) mapping.
+    the centered magnitudes without the log10(. + LOG_FLOOR) mapping.
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")
-    if floor <= 0:
-        raise ValueError("floor must be positive")
     p = as_image(pred)
     g = as_image(gt)
     if p.shape != g.shape:
@@ -247,7 +244,7 @@ def error_spectrum(pred, gt, mode: str = "complex", floor: float = LOG_FLOOR,
     else:
         mag = np.mean(np.abs(np.fft.fft2(diff, axes=(0, 1))), axis=2)
     mag = np.fft.fftshift(mag)
-    return np.log10(mag + floor) if log else mag
+    return np.log10(mag + LOG_FLOOR) if log else mag
 
 
 def psnr(pred, gt, peak: float) -> float:
@@ -258,7 +255,9 @@ def psnr(pred, gt, peak: float) -> float:
     g = as_image(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    mse = float(np.mean((p - g) ** 2))
-    if mse == 0.0:
+    diff = p - g
+    top = float(np.max(np.abs(diff)))
+    if top == 0.0:
         return float("inf")
-    return 10.0 * float(np.log10(peak * peak / mse))
+    mse = float(np.mean((diff / top) ** 2))  # scaled by its max: no over- or underflow
+    return 20.0 * float(np.log10(peak / top)) - 10.0 * float(np.log10(mse))

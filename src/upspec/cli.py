@@ -33,6 +33,7 @@ from .kernel_fit import (
 from .netpbm import minmax_rint, read_netpbm, write_netpbm
 from .signal_core import NonRealResultError, Spectrum, log_magnitude, radial_average
 from .upsamplers import (
+    BOUNDARY_MODES,
     KernelSpec,
     bed_of_nails,
     fourier_pad_upsample,
@@ -50,6 +51,7 @@ EXIT_NUMERIC = 3
 FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
+BAR_HEIGHT = 48
 COMPARE_CSV_HEADER = ("operator", "kernel_size", "passband_energy", "alias_energy",
                       "nyquist_energy", "alias_ratio", "replica_deviation",
                       "contribution_variance", "psnr_vs_ideal_db")
@@ -126,17 +128,17 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
-def bar_strip(values, height: int = 48) -> np.ndarray:
-    """Render a 1D array as a bar-chart mask of shape (height, len(values)).
+def bar_strip(values) -> np.ndarray:
+    """Render a 1D array as a bar-chart mask of shape (BAR_HEIGHT, len(values)).
 
-    Row 0 is the top. Column j is True in its bottom rint(scaled_j * height)
+    Row 0 is the top. Column j is True in its bottom rint(scaled_j * BAR_HEIGHT)
     rows, with the values min-max scaled to [0, 1] (no row when constant).
     ``write_netpbm`` turns the mask into 0/255 bytes.
     """
     vals = np.asarray(values, dtype=float)
     lo, hi = float(vals.min()), float(vals.max())
-    fill = np.zeros_like(vals) if hi == lo else minmax_rint(vals, lo, hi, height)
-    return np.arange(height)[:, np.newaxis] >= height - fill
+    fill = np.zeros_like(vals) if hi == lo else minmax_rint(vals, lo, hi, BAR_HEIGHT)
+    return np.arange(BAR_HEIGHT)[:, np.newaxis] >= BAR_HEIGHT - fill
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +202,9 @@ def apply_operator(name: str, x: np.ndarray, args):
         return fourier_pad_upsample(x, r), None
     if name == "pixel_shuffle":
         seed = _require_seed(args, "to draw the extra pixel-shuffle channels")
-        channels = [x] + [bandlimited_noise(x.size, x.size // 2 - 1, seed + 1000 + i)
-                          for i in range(1, r)]
+        # drawn at --amplitude, so the row scales with x like every other
+        channels = [x] + [args.amplitude * bandlimited_noise(x.size, x.size // 2 - 1, s)
+                          for s in range(seed + 1001, seed + 1000 + r)]
         return pixel_shuffle(channels, r), None
     if name in ("transposed_conv", "lctc"):
         small = (args.parallel_small or 3) if name == "lctc" else None
@@ -323,7 +326,7 @@ def cmd_fit(args, out_dir: Path, formats, config) -> int:
             }
         write_json(out_dir / "fit.json", payload, config)
     if "pgm" in formats:
-        write_netpbm(bar_strip(kernel.weights), out_dir / "kernel.pgm")
+        write_netpbm(bar_strip(kernel.effective_weights()), out_dir / "kernel.pgm")
     return EXIT_OK
 
 
@@ -412,7 +415,7 @@ def build_parser() -> _Parser:
     signal.add_argument("--amplitude", type=float, default=1.0)
     signal.add_argument("--components", default="1:1:0")
     signal.add_argument("--factor", "-r", type=int, default=2)
-    signal.add_argument("--boundary", choices=("periodic", "zero-pad"), default="periodic")
+    signal.add_argument("--boundary", choices=BOUNDARY_MODES, default="periodic")
     signal.add_argument("--kernel-size", type=int, default=7)
     signal.add_argument("--parallel-small", type=int, default=0,
                         help="parallel small-kernel size (lctc defaults to 3)")

@@ -50,12 +50,12 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
     return np.fft.ifft(spec).real * np.sqrt(n)
 
 
-def step_signal(n: int, level: float = 1.0) -> np.ndarray:
-    """Edge at n//2: zeros then ``level``."""
+def step_signal(n: int) -> np.ndarray:
+    """Edge at n//2: zeros then ones."""
     if n < 2:
         raise ValueError("signal length must be >= 2")
     out = np.zeros(n)
-    out[n // 2:] = level
+    out[n // 2:] = 1.0
     return out
 
 

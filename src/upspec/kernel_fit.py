@@ -22,6 +22,10 @@ summed over the corpus and computed by rFFT. No dense operator matrix
 is built. Because kernel anchors are fixed at floor(K/2), supports
 are nested in K and fitting residuals are monotone non-increasing,
 reaching exactly zero at full support K = r*N.
+
+Gradient descent on the same quadratic diverges exactly when
+lr * lambda_max > 1 (a step scales the error along each Gram eigenvalue
+lambda by 1 - 2*lr*lambda), which it checks before the first step.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ OBJECTIVES = ("operator_frobenius", "corpus_lsq")
 #: directions are treated as null space (minimum-norm solve, rank).
 RANK_TOL = 1e-12
 
-#: Gradient-descent defaults: relative gradient-norm stop, iteration cap.
+#: Gradient descent: relative gradient-norm stop, default iteration cap.
 GD_TOL = 1e-12
 GD_MAX_ITER = 100_000
 
 
 class DivergenceError(RuntimeError):
-    """Gradient descent increased its objective repeatedly."""
+    """The gradient-descent step exceeds 1/lambda_max, so descent diverges."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ class FitProblem:
         shapes = sorted({x.shape for x in corpus} - {(self.n,)})
         if shapes:
             raise ValueError(f"corpus signals must have shape ({self.n},), got {shapes}")
+        if not all(np.all(np.isfinite(x)) for x in corpus):
+            raise ValueError("corpus signals must be finite")
         object.__setattr__(self, "corpus", corpus)
 
 
@@ -206,18 +212,19 @@ def fit_closed_form(problem: FitProblem) -> FitResult:
 
 
 def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
-                         max_iter: int = GD_MAX_ITER, tol: float = GD_TOL) -> FitResult:
+                         max_iter: int = GD_MAX_ITER) -> FitResult:
     """Solve the kernel fit by plain gradient descent on the quadratic.
 
-    The gradient is 2*(G w - b). One ``eigvalsh`` of G gives ``gram_rank``
-    and the default step 1/(2*lambda_max), which shrinks the error along
-    every eigenvector without overshoot (by 1 - lambda/lambda_max). Weights start at zero, so they stay in
-    the range of G and converge to the closed form's minimum-norm weights.
-    Descent stops once ||G w - b|| <= tol * ||b||, which bounds the weight
-    error by tol * ||b|| / (smallest nonzero eigenvalue); ``converged``
-    says whether that held within ``max_iter`` steps. Ten consecutive
-    objective increases, or an objective that overflows, raise
-    :class:`DivergenceError` naming the step.
+    The gradient is 2*(G w - b), so a step scales the error along each
+    eigenvalue lambda of G by 1 - 2*lr*lambda. One ``eigvalsh`` of G gives
+    ``gram_rank``, the default step 1/(2*lambda_max), which shrinks every
+    error component without overshoot, and the divergence rule: a step
+    lr > 1/lambda_max raises :class:`DivergenceError` before the first step.
+    Weights start at zero, so they stay in the range of G and converge to
+    the closed form's minimum-norm weights. Descent stops once
+    ||G w - b|| <= GD_TOL * ||b||, which bounds the weight error by
+    GD_TOL * ||b|| / (smallest nonzero eigenvalue); ``converged`` says
+    whether that held within ``max_iter`` steps.
     """
     if lr is not None and not lr > 0:
         raise ValueError(f"learning rate must be positive, got lr={lr:g}")
@@ -227,32 +234,23 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     h = _ideal_response(problem.n, problem.r)
     gram, rhs, const = _quadratic(problem, offsets, h)
     evals = np.linalg.eigvalsh(gram)
+    top = float(evals[-1])
     if lr is None:
-        lr = 1.0 / (2.0 * max(float(evals[-1]), np.finfo(float).tiny))
-    stop = tol * float(np.linalg.norm(rhs))
+        lr = 1.0 / (2.0 * max(top, np.finfo(float).tiny))
+    elif lr * top > 1.0:
+        raise DivergenceError(f"step lr={lr:g} exceeds 1/lambda_max={1.0 / top:g}, "
+                              f"so gradient descent diverges")
+    stop = GD_TOL * float(np.linalg.norm(rhs))
 
     w = np.zeros(offsets.size)
     history = []
-    increases = 0
-    # an overflowing step is reported by the finiteness check, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(max_iter + 1):
-            normal_residual = gram @ w - rhs
-            obj = float(w @ normal_residual - rhs @ w + const)
-            if not np.isfinite(obj):
-                raise DivergenceError(f"objective is no longer finite at lr={lr:g}")
-            if history and obj > history[-1]:
-                increases += 1
-                if increases >= 10:
-                    raise DivergenceError(
-                        f"objective increased for 10 consecutive steps at lr={lr:g}")
-            else:
-                increases = 0
-            history.append(obj)
-            converged = float(np.linalg.norm(normal_residual)) <= stop
-            if converged or iterations == max_iter:
-                break
-            w = w - lr * 2.0 * normal_residual
+    for iterations in range(max_iter + 1):
+        normal_residual = gram @ w - rhs
+        history.append(float(w @ normal_residual - rhs @ w + const))
+        converged = float(np.linalg.norm(normal_residual)) <= stop
+        if converged or iterations == max_iter:
+            break
+        w = w - lr * 2.0 * normal_residual
 
     return FitResult(kernel=_result_kernel(problem, w),
                      residual=_fit_residual(problem, w, offsets, h),
@@ -262,19 +260,13 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
 
 
 def residual_sweep(n: int, r: int, kernel_sizes) -> list[tuple[int, float]]:
-    """Closed-form fit residual for each kernel size (sizes ascending).
+    """Closed-form fit residual for each kernel size, in the given order.
 
-    The fixed floor(K/2) anchor nests supports, so the residual column is
-    non-increasing and exactly zero from K = r*n on.
+    The fixed floor(K/2) anchor nests supports, so residuals are
+    non-increasing in K and exactly zero from K = r*n on.
     """
     sizes = [int(k) for k in kernel_sizes]
-    if any(b < a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("kernel sizes must be ascending")
-    out = []
-    for k in sizes:
-        result = fit_closed_form(FitProblem(n=n, r=r, k=k))
-        out.append((k, result.residual))
-    return out
+    return [(k, fit_closed_form(FitProblem(n=n, r=r, k=k)).residual) for k in sizes]
 
 
 def kernel_edge_profile(kernel: KernelSpec) -> EdgeProfile:
@@ -282,9 +274,10 @@ def kernel_edge_profile(kernel: KernelSpec) -> EdgeProfile:
 
     center_mass is the mean |w| over the central third, edge_mass the
     mean |w| over the outer sixths; smooth interpolating kernels fade
-    toward the border (edge < center).
+    toward the border (edge < center). It reads the placed kernel, the
+    effective weights with any parallel small branch folded in.
     """
-    w = kernel.weights
+    w = kernel.effective_weights()
     if w.ndim != 1:
         raise ValueError("edge profile is defined for 1D kernels")
     k = w.shape[0]
@@ -308,10 +301,8 @@ def lctc_fit(problem: FitProblem) -> FitResult:
     the branches. Both branches cover exactly the offsets the large kernel
     alone covers, so the residual equals the large-only fit's (to
     round-off); the small branch reparametrises the kernel, it adds no
-    representational power.
+    representational power. Any small size 1 <= s <= k is valid.
     """
     if problem.parallel_small is None:
         raise ValueError("lctc_fit requires a parallel_small size")
-    if problem.k < 5:
-        raise ValueError("the large kernel of the parallel block must have k >= 5")
     return fit_closed_form(problem)

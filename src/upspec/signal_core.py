@@ -12,7 +12,8 @@ Conventions:
 - Spectra are "unshifted" (k = 0..N-1) unless explicitly centered with
   ``center_shift`` (DC moved to index len//2).
 
-All functions are pure and never mutate their inputs.
+All functions are pure and never mutate their inputs. Their tolerances
+are the module constants below, not parameters.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import numpy as np
 #: conjugate-symmetry violation, at any signal amplitude.
 IMAG_RESIDUE_TOL = 1e-9
 
-#: Default additive floor for log-magnitude plots: avoids -inf while
-#: leaving 12 decades of dynamic range.
+#: Additive floor of log-magnitude plots: avoids -inf while leaving 12
+#: decades of dynamic range.
 LOG_FLOOR = 1e-12
 
 
 class NonRealResultError(ValueError):
-    """An inverse transform produced a signal with non-negligible
-    imaginary part, which signals a conjugate-symmetry violation."""
+    """An inverse transform overflowed, or produced a signal with
+    non-negligible imaginary part (a conjugate-symmetry violation)."""
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,6 @@ class Spectrum:
         if not np.all(np.isfinite(values)):
             raise ValueError("spectrum coefficients must be finite")
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[-1] if self.values.ndim == 1 else self.values.size
 
 
 class RadialProfile(NamedTuple):
@@ -108,21 +106,24 @@ def dft(signal) -> Spectrum:
     return Spectrum(np.fft.fft(x), centered=False)
 
 
-def idft(spectrum, residue_tol: float = IMAG_RESIDUE_TOL) -> np.ndarray:
+def idft(spectrum) -> np.ndarray:
     """Inverse DFT, returning a real signal.
 
     x_j = (1/N) * sum_k exp(+2*pi*i*j*k/N) * F_k. Imaginary residue up to
-    ``residue_tol`` times the largest output magnitude is discarded;
+    ``IMAG_RESIDUE_TOL`` times the largest output magnitude is discarded;
     anything larger raises :class:`NonRealResultError` because the input
-    cannot be the spectrum of a real signal.
+    cannot be the spectrum of a real signal, as does an overflow.
     """
-    values = _unshifted_values(spectrum, ndim=1)
-    out = np.fft.ifft(values)
+    values = _unshifted_values(spectrum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.fft.ifft(values)
     residue = float(np.max(np.abs(out.imag)))
     scale = float(np.max(np.abs(out)))
-    if residue > residue_tol * scale:
+    if not np.isfinite(scale):  # an overflow, reported here instead of as a warning
+        raise NonRealResultError("inverse transform overflowed: output is not finite")
+    if residue > IMAG_RESIDUE_TOL * scale:
         raise NonRealResultError(
-            f"imaginary residue {residue:.3e} exceeds {residue_tol:.1e} of the "
+            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.1e} of the "
             f"output scale {scale:.3e}; spectrum is not conjugate-symmetric"
         )
     return out.real
@@ -155,12 +156,10 @@ def center_unshift(spectrum: Spectrum) -> Spectrum:
     return Spectrum(np.fft.ifftshift(spectrum.values), centered=False)
 
 
-def log_magnitude(spectrum, floor: float = LOG_FLOOR) -> np.ndarray:
-    """log10(|F_k| + floor), elementwise; real array of the same shape."""
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+def log_magnitude(spectrum) -> np.ndarray:
+    """log10(|F_k| + LOG_FLOOR), elementwise; real array of the same shape."""
     values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-    return np.log10(np.abs(values) + floor)
+    return np.log10(np.abs(values) + LOG_FLOOR)
 
 
 def radial_average(spectrum: Spectrum, n_bins: int) -> RadialProfile:
@@ -198,17 +197,17 @@ def radial_average(spectrum: Spectrum, n_bins: int) -> RadialProfile:
     return RadialProfile(radius=centers, magnitude=means, empty=empty)
 
 
-def _unshifted_values(spectrum, ndim: int) -> np.ndarray:
-    """Extract complex values from a Spectrum or array, enforcing
-    unshifted convention and dimensionality."""
+def _unshifted_values(spectrum) -> np.ndarray:
+    """Extract complex values from a Spectrum or array, enforcing the
+    unshifted convention and one dimension."""
     if isinstance(spectrum, Spectrum):
         if spectrum.centered:
             raise ValueError("expected an unshifted spectrum")
         values = spectrum.values
     else:
         values = np.asarray(spectrum, dtype=complex)
-    if values.ndim != ndim:
-        raise ValueError(f"expected a {ndim}D spectrum, got shape {values.shape}")
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1D spectrum, got shape {values.shape}")
     if values.size == 0:
         raise ValueError("spectrum must contain at least one coefficient")
     return values

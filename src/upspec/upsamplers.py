@@ -259,13 +259,14 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     the coarse grid. For even N the single Nyquist coefficient is split
     half-and-half into the +N/2 and -N/2 bins, the unique choice that
     keeps the output real and the implied kernel symmetric; an imaginary
-    residue beyond round-off raises :class:`NonRealResultError`.
+    residue beyond round-off, or an overflow, raises :class:`NonRealResultError`.
     """
     x = as_signal(x)
     r = validate_factor(r)
     n = x.size
     m = r * n
-    f = np.fft.fft(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # idft reports an overflow
+        f = np.fft.fft(x)
     g = np.zeros(m, dtype=complex)
     half = n // 2
     if n % 2 == 0:

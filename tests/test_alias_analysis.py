@@ -147,6 +147,28 @@ class TestOneSpectrum:
             1e-12 * abs(c) * coefficient_bound
 
 
+class TestAmplitudeInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 4), k=st.integers(-300, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ratio_and_psnr_ignore_amplitude(self, n, r, k, seed):
+        # energies over- or underflow at such amplitudes; the ratio and
+        # PSNR are taken from unit-peak quantities and do not
+        rng = np.random.default_rng(seed)
+        y, g = rng.normal(size=(2, 1, r * n))
+        c = 10.0 ** k
+        peak = float(np.ptp(g)) or 1.0
+        assert alias_energy(c * y[0], r).alias_ratio == pytest.approx(
+            alias_energy(y[0], r).alias_ratio, rel=1e-12)
+        assert psnr(c * y, c * g, c * peak) == pytest.approx(psnr(y, g, peak), rel=1e-12)
+
+    def test_bed_of_nails_ratio_at_tiny_amplitude(self):
+        # zero insertion puts (r-1)/r of any signal's energy into replicas
+        x = 1e-170 * np.cos(2 * np.pi * 3 * np.arange(16) / 16)
+        report = alias_energy(bed_of_nails(x, 2), 2)
+        assert report.alias_ratio == pytest.approx(0.5, rel=1e-12)
+
+
 class TestFilterResponse:
     def test_linear_dc_gain(self):
         _, mags = filter_response("linear", 2, 3)

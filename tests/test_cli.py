@@ -101,6 +101,22 @@ class TestCompare:
         assert sorted(calls) == ["fit_closed_form", "lctc_fit"]
 
 
+class TestAmplitude:
+    @pytest.mark.parametrize("amplitude", ["1e-300", "1e-170", "1e160", "1e200", "1e300"])
+    def test_ratio_and_psnr_rows_ignore_amplitude(self, tmp_path, amplitude):
+        rows = {}
+        for a in ("1", amplitude):
+            main(["compare", "--out-dir", str(tmp_path / a), "--seed", "1", "--signal",
+                  "cosine", "--frequency", "3", "--n", "16", "--amplitude", a])
+            header, table = read_csv(tmp_path / a / "alias_metrics.csv")
+            columns = [header.index(c) for c in ("alias_ratio", "psnr_vs_ideal_db")]
+            rows[a] = {row[0]: [row[i] for i in columns] for row in table}
+        # fourier_pad is ideal: its alias ratio is round-off
+        del rows["1"]["fourier_pad"], rows[amplitude]["fourier_pad"]
+        assert rows[amplitude] == rows["1"]
+        assert rows["1"]["bed_of_nails"][0] == "0.5"
+
+
 class TestAnalyze:
     def test_single_operator_row(self, tmp_path):
         code = main(["analyze", "--out-dir", str(tmp_path), "--op", "linear",
@@ -222,6 +238,25 @@ class TestFitAndSweep:
         closed = json.loads((tmp_path / "closed" / "fit.json").read_text())
         assert gradient["converged"] is True
         assert abs(gradient["residual"] - closed["residual"]) <= 1e-6
+
+    @pytest.mark.parametrize("method", ["closed", "gradient"])
+    def test_parallel_branch_as_large_as_the_kernel(self, tmp_path, method):
+        code = main(["fit", "--out-dir", str(tmp_path), "--n", "16", "--kernel-size", "3",
+                     "--parallel-small", "3", "--method", method])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "kernel_weights.csv")
+        assert len(rows) == 6
+
+    def test_parallel_fit_reports_the_placed_kernel(self, tmp_path):
+        main(["fit", "--out-dir", str(tmp_path / "lctc"), "--n", "16", "--kernel-size", "7",
+              "--parallel-small", "3"])
+        main(["fit", "--out-dir", str(tmp_path / "large"), "--n", "16", "--kernel-size", "7"])
+        lctc = json.loads((tmp_path / "lctc" / "fit.json").read_text())["edge_profile"]
+        large = json.loads((tmp_path / "large" / "fit.json").read_text())["edge_profile"]
+        assert lctc["center_mass"] == pytest.approx(large["center_mass"], abs=1e-12)
+        assert lctc["center_mass"] == pytest.approx(0.817, abs=1e-3)
+        assert (tmp_path / "lctc" / "kernel.pgm").read_bytes() == \
+            (tmp_path / "large" / "kernel.pgm").read_bytes()
 
     def test_sweep_residuals_non_increasing(self, tmp_path):
         code = main(["sweep", "--out-dir", str(tmp_path), "--n", "16",
@@ -360,6 +395,13 @@ class TestExitCodes:
                      "--frequency", "7", "--ops", "fourier_pad"])
         assert code == 0
 
+    def test_overflowing_transform_is_3(self, tmp_path, capsys):
+        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--signal",
+                     "cosine", "--frequency", "3", "--n", "16", "--amplitude", "1e308"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric:") and err.count("\n") == 1
+
     def test_non_real_result_is_3(self, tmp_path, capsys, monkeypatch):
         def non_real(x, r):
             raise NonRealResultError("imaginary residue")
@@ -396,23 +438,24 @@ class TestDeterminism:
 class TestBarStrip:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(-1e300, 1e300) | st.integers(-1000, 1000),
-                           min_size=1, max_size=40),
-           height=st.integers(1, 64))
-    def test_equals_literal_column_fill(self, values, height):
-        mask = bar_strip(values, height)
+                           min_size=1, max_size=40))
+    def test_equals_literal_column_fill(self, values):
+        mask = bar_strip(values)
         assert mask.dtype == bool
-        np.testing.assert_array_equal(mask, literal_bar_strip(values, height))
+        np.testing.assert_array_equal(mask, literal_bar_strip(values, cli.BAR_HEIGHT))
 
     def test_overflowing_range_fills_by_halves(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = bar_strip([-1e308, 0.0, 1e308], height=4)
-        np.testing.assert_array_equal(mask.sum(axis=0), [0, 2, 4])
+            mask = bar_strip([-1e308, 0.0, 1e308])
+        np.testing.assert_array_equal(mask.sum(axis=0), [0, 24, 48])
 
     def test_half_steps_round_to_even(self):
-        # scaled values 0, 1/4, 1/2, 3/4, 1 at height 2 fill 0, 0, 1, 2, 2 rows
-        img = bar_strip([0, 1, 2, 3, 4], height=2)
-        np.testing.assert_array_equal(img, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 1]])
+        # scaled values times 48 are 0, 1.5, 4.5, 7.5, 10.5 and 48, exactly
+        img = bar_strip([0, 2, 6, 10, 14, 64])
+        assert img.shape == (48, 6)
+        np.testing.assert_array_equal(img.sum(axis=0), [0, 2, 4, 8, 10, 48])
+        assert not img[:-2, 1].any() and img[-2:, 1].all()
 
 
 class TestCsvFormatting:

@@ -57,7 +57,7 @@ class TestBandlimitedNoise:
 
 class TestOtherGenerators:
     def test_step_edge(self):
-        np.testing.assert_array_equal(step_signal(6, level=2.0), [0, 0, 0, 2, 2, 2])
+        np.testing.assert_array_equal(step_signal(6), [0, 0, 0, 1, 1, 1])
 
     def test_checkerboard_alternates(self):
         img = checkerboard_image(4, 4, period=2)

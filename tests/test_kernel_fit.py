@@ -21,6 +21,7 @@ from upspec import (
     fit_closed_form,
     fit_gradient_descent,
     kernel_edge_profile,
+    kernel_fit,
     lctc_fit,
     residual_sweep,
     transposed_conv,
@@ -173,8 +174,26 @@ class TestFitGradientDescent:
 
     @pytest.mark.parametrize("lr", [1e300, float("inf")])
     def test_overflowing_step_is_divergence(self, lr):
-        with pytest.raises(DivergenceError, match="no longer finite at lr="):
+        with pytest.raises(DivergenceError, match="lr=.* exceeds 1/lambda_max="):
             fit_gradient_descent(FitProblem(n=8, r=2, k=3), lr=lr)
+
+    @pytest.mark.parametrize("objective", ["operator_frobenius", "corpus_lsq"])
+    def test_divergence_is_decided_by_the_top_eigenvalue(self, objective):
+        # each step scales the error along lambda by 1 - 2 lr lambda, so a
+        # step just above 1/lambda_max diverges and one just below converges;
+        # the first raises with no step taken
+        corpus = (bandlimited_noise(8, 3, 0),) if objective == "corpus_lsq" else ()
+        problem = FitProblem(n=8, r=2, k=7, objective=objective, corpus=corpus,
+                             parallel_small=3)
+        offsets = kernel_fit._offsets(problem)
+        gram, _, _ = kernel_fit._quadratic(problem, offsets,
+                                           kernel_fit._ideal_response(8, 2))
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        with pytest.raises(DivergenceError, match="lr=.* exceeds 1/lambda_max="):
+            fit_gradient_descent(problem, lr=1.001 / top, max_iter=0)
+        result = fit_gradient_descent(problem, lr=0.999 / top)
+        assert result.converged
+        assert_matches_oracle(problem, result, 1e-9)
 
     def test_rejects_negative_iteration_cap(self):
         with pytest.raises(ValueError, match="iteration cap"):
@@ -234,9 +253,12 @@ class TestResidualSweep:
         (k1, r1), (k2, r2) = residual_sweep(8, 2, [3, 3])
         assert k1 == k2 == 3 and r1 == r2
 
-    def test_rejects_descending_sizes(self):
-        with pytest.raises(ValueError):
-            residual_sweep(8, 2, [5, 3])
+    def test_unsorted_sizes_report_their_own_residuals(self):
+        sizes = [11, 3, 32, 7, 3]
+        results = residual_sweep(16, 2, sizes)
+        assert [k for k, _ in results] == sizes
+        for k, residual in results:
+            assert residual == fit_closed_form(FitProblem(n=16, r=2, k=k)).residual
 
 
 class TestKernelEdgeProfile:
@@ -254,6 +276,16 @@ class TestKernelEdgeProfile:
     def test_fitted_kernel_fades_toward_border(self):
         result = fit_closed_form(FitProblem(n=32, r=2, k=11))
         assert kernel_edge_profile(result.kernel).decays_toward_edge
+
+    def test_reads_the_placed_kernel(self):
+        # the LCTC fit splits the centre taps between the branches; the
+        # profile is that of the one kernel they sum to
+        lctc = lctc_fit(FitProblem(n=16, r=2, k=7, parallel_small=3)).kernel
+        large_only = fit_closed_form(FitProblem(n=16, r=2, k=7)).kernel
+        folded = KernelSpec(weights=lctc.effective_weights(), stride=2)
+        assert kernel_edge_profile(lctc) == kernel_edge_profile(folded)
+        assert kernel_edge_profile(lctc).center_mass == pytest.approx(
+            kernel_edge_profile(large_only).center_mass, abs=1e-12)
 
     def test_requires_three_taps(self):
         with pytest.raises(ValueError):
@@ -282,11 +314,9 @@ class TestLctcFit:
         direct = float(np.linalg.norm(fitted - ideal_operator(8, 2)))
         assert joint.residual == pytest.approx(direct, abs=1e-12)
 
-    def test_requires_parallel_branch_and_min_size(self):
+    def test_requires_parallel_branch(self):
         with pytest.raises(ValueError):
             lctc_fit(FitProblem(n=8, r=2, k=7))
-        with pytest.raises(ValueError):
-            lctc_fit(FitProblem(n=8, r=2, k=3, parallel_small=3))
 
 
 class TestFitInvariants:
@@ -323,6 +353,12 @@ class TestFitInvariants:
     def test_corpus_objective_requires_corpus(self):
         with pytest.raises(ValueError):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_corpus_signals_must_be_finite(self, bad):
+        corpus = (np.ones(8), np.array([0.0] * 7 + [bad]))
+        with pytest.raises(ValueError, match="corpus signals must be finite"):
+            FitProblem(n=8, r=2, k=3, objective="corpus_lsq", corpus=corpus)
 
     def test_corpus_signal_length_must_be_n(self):
         corpus = (np.ones(8), np.ones(5))
@@ -408,7 +444,7 @@ class TestStructuredFitAgainstDenseOracle:
     @given(data=st.data())
     def test_lctc_fit(self, objective, data):
         problem = data.draw(fit_problems(objective).filter(
-            lambda p: p.parallel_small is not None and p.k >= 5))
+            lambda p: p.parallel_small is not None))
         assert_matches_oracle(problem, lctc_fit(problem), 1e-9)
 
     @pytest.mark.parametrize("objective", OBJECTIVE_NAMES)

@@ -417,6 +417,51 @@ class TestPolyphasePlacement:
                                        rtol=0, atol=1e-12 * scale)
 
 
+#: Scale factors c = 2^k, by which every operator commutes exactly.
+POWERS_OF_TWO = st.integers(-30, 30).map(lambda k: 2.0 ** k)
+
+
+class TestEquivariance:
+    """Every operator is linear and commutes with scaling by c = 2^k
+    exactly; under periodic placement a shift of x by one sample shifts
+    y by r exactly (fourier_pad to 1e-12 of scale, as its FFTs sum in
+    another order)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]), c=POWERS_OF_TWO,
+           boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_transposed_convolutions(self, data, ndim, c, boundary):
+        x, kernel, _ = data.draw(placement_cases(ndim=ndim))
+        conv = transposed_conv if ndim == 1 else transposed_conv2
+        axes = tuple(range(ndim))
+        y = conv(x, kernel, boundary)
+        np.testing.assert_array_equal(conv(c * x, kernel, boundary), c * y)
+        if boundary == "periodic":
+            np.testing.assert_array_equal(conv(np.roll(x, 1, axis=axes), kernel),
+                                          np.roll(y, kernel.stride, axis=axes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 6), c=POWERS_OF_TWO,
+           exponent=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
+    def test_fixed_operators(self, n, r, c, exponent, seed):
+        rng = np.random.default_rng(seed)
+        channels = rng.normal(size=(r, n)) * 10.0 ** exponent
+        x = channels[0]
+        ops = [lambda v: bed_of_nails(v, r), lambda v: nearest(v, r),
+               lambda v: linear(v, r), lambda v: linear(v, r, "zero-pad"),
+               lambda v: fourier_pad_upsample(v, r)]
+        for op in ops:
+            np.testing.assert_array_equal(op(c * x), c * op(x))
+        for op in ops[:3]:
+            np.testing.assert_array_equal(op(np.roll(x, 1)), np.roll(op(x), r))
+        np.testing.assert_allclose(ops[4](np.roll(x, 1)), np.roll(ops[4](x), r),
+                                   rtol=0, atol=1e-12 * np.abs(x).sum())
+        shuffled = pixel_shuffle(channels, r)
+        np.testing.assert_array_equal(pixel_shuffle(c * channels, r), c * shuffled)
+        np.testing.assert_array_equal(pixel_shuffle(np.roll(channels, 1, axis=1), r),
+                                      np.roll(shuffled, r))
+
+
 class TestFourierPad:
     def test_bandlimited_cosine_reconstructed(self):
         x = np.cos(2 * np.pi * np.arange(4) / 4)
