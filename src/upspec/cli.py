@@ -80,25 +80,47 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    if type(value) is float:
-        return f"{value:.12g}"
-    if type(value) is int:
-        return str(value)
+def _conversion(kind) -> str | None:
+    """The %-conversion of a CSV value of this type: integers in full,
+    floats to 12 significant digits, other values as ``str`` gives them;
+    None for None and booleans, which are spelled out by :func:`_cell`."""
+    if kind is type(None) or issubclass(kind, (bool, np.bool_)):
+        return None
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.12g"
+    return "%s"
+
+
+def _cell(value) -> str:
+    """One CSV value as text; None is an empty cell, booleans ``true``/``false``."""
+    conversion = _conversion(type(value))
+    if conversion is not None:
+        return conversion % (value,)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    return "true" if value else "false"
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    """Rows of one or more values, all of one length, through one
+    %-template for all of them.
+
+    A column whose values share one type is converted by the template;
+    any other column, and one of None or booleans, cell by cell first.
+    """
+    columns = list(zip(*rows))
+    conversions = []
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
+        if conversion is None:
+            columns[i] = list(map(_cell, column))
+            conversion = "%s"
+        conversions.append(conversion)
+    template = ",".join(conversions)
+    lines = [",".join(header)] + [template % row for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 

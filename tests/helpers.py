@@ -296,3 +296,24 @@ def literal_transposed_conv2(image, kernel, boundary="periodic") -> np.ndarray:
             acc = acc + _literal_place_2d(z, kernel.parallel_small, boundary)
         out[:, :, c] = acc
     return out
+
+
+def literal_csv_cell(value) -> str:
+    """One CSV value, branch by branch: floats (numpy's too) to 12
+    significant digits, integers in full, None empty, Python and numpy
+    booleans as ``true``/``false``, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+def literal_csv_text(header, rows) -> str:
+    """The text of a CSV file, formatted one value at a time."""
+    lines = [",".join(header)] + [",".join(map(literal_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"

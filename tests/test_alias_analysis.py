@@ -11,6 +11,7 @@ from helpers import (
 )
 from upspec import (
     KernelSpec,
+    NonRealResultError,
     alias_energy,
     bed_of_nails,
     contribution_map,
@@ -168,6 +169,20 @@ class TestAmplitudeInvariance:
         report = alias_energy(bed_of_nails(x, 2), 2)
         assert report.alias_ratio == pytest.approx(0.5, rel=1e-12)
 
+    def test_overflowing_transform_is_non_real_result(self):
+        with pytest.raises(NonRealResultError, match="overflowed"):
+            alias_energy(np.full(64, 1e307), 2)
+        for y, x in ((np.ones(128), np.full(64, 1e307)), (np.full(128, 1e307), np.ones(64))):
+            with pytest.raises(NonRealResultError, match="overflowed"):
+                replica_deviation(x, y, 2)
+        with pytest.raises(NonRealResultError, match="overflowed"):
+            alias_energy(np.ones(128), 2, reference=np.full(64, 1e307))
+
+    def test_psnr_of_overflowing_difference_is_finite(self):
+        # the difference 2e308 overflows; half of it does not
+        value = psnr(np.full((2, 2), 1e308), np.full((2, 2), -1e308), 1.0)
+        assert value == pytest.approx(-20.0 * (np.log10(2.0) + 308.0), rel=1e-12)
+
 
 class TestFilterResponse:
     def test_linear_dc_gain(self):
@@ -299,6 +314,20 @@ class TestContributionMap:
 
 
 class TestErrorSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 7),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_numpy_channel_mean(self, h, w, channels, exponent, seed):
+        # below 8 channels numpy's mean(axis=2) adds the channels in order
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
+        diff = pred - gt
+        complex_mean = np.abs(np.fft.fft2(np.mean(diff, axis=2)))
+        magnitude_mean = np.mean(np.abs(np.fft.fft2(diff, axes=(0, 1))), axis=2)
+        for mode, mean in (("complex", complex_mean), ("magnitude", magnitude_mean)):
+            got = error_spectrum(pred, gt, mode=mode, log=False)
+            assert got.tobytes() == np.fft.fftshift(mean).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 4),
            exponent=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_bar_strip
+from helpers import literal_bar_strip, literal_csv_cell, literal_csv_text
 from upspec import cli
 from upspec.cli import OPERATORS, bar_strip, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
@@ -469,8 +469,29 @@ class TestCsvFormatting:
         (-0.0, "-0"), (1e-320, "9.99988867183e-321"), (1e300, "1e+300"),
         (np.bool_(True), "true"), (np.bool_(False), "false"),
     ])
-    def test_fmt_strings(self, value, text):
-        assert cli._fmt(value) == text
+    def test_fmt_strings(self, value, text, tmp_path):
+        # a column of one type goes through the row template, a mixed one
+        # cell by cell; both spell the value as the oracle does
+        assert literal_csv_cell(value) == text
+        for rows in ([[value]], [[value], ["x"]]):
+            cli.write_csv(tmp_path / "t.csv", ["v"], rows)
+            assert (tmp_path / "t.csv").read_text().split("\n")[1] == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), height=st.integers(0, 12))
+    def test_write_csv_bytes_equal_value_by_value_oracle(self, data, width, height,
+                                                         tmp_path_factory):
+        kinds = [st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                 st.floats(), st.floats(width=32).map(np.float32), st.none(), st.booleans(),
+                 st.booleans().map(np.bool_), st.text(alphabet="ab%,-", max_size=4)]
+        # each column of one type or of the mix, so that both the row
+        # template and the cell-by-cell conversion are exercised
+        columns = [data.draw(st.sampled_from([st.one_of(kinds), *kinds])) for _ in range(width)]
+        rows = [[data.draw(c) for c in columns] for _ in range(height)]
+        header = [f"c{i}" for i in range(width)]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli.write_csv(path, header, rows)
+        assert path.read_bytes() == literal_csv_text(header, rows).encode()
 
     def test_sanitize_spells_numpy_bools_as_json_bools(self):
         clean = cli._sanitize({"uniform": np.bool_(True), "flags": [np.bool_(False)]})

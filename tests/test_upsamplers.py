@@ -29,6 +29,7 @@ from upspec import (
     transposed_conv2,
     upsamplers,
 )
+from upspec.cli import main as cli_main
 
 
 class TestBedOfNails:
@@ -415,6 +416,92 @@ class TestPolyphasePlacement:
                                      kernel.stride)
             np.testing.assert_allclose(transposed_conv2(x[:, :, c], kernel), expected,
                                        rtol=0, atol=1e-12 * scale)
+
+
+def _place_by_fft(x, kernel, boundary):
+    """The FFT placement of a kernel's effective weights, called directly."""
+    w, s = kernel.effective_weights(), kernel.stride
+    if w.ndim == 1:
+        return upsamplers._place_fft(x[:, None, None], w[:, None], (s, 1), boundary).ravel()
+    return upsamplers._place_fft(x, w, (s, s), boundary)
+
+
+class TestFftPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]), exponent=st.integers(-300, 300),
+           boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_equals_literal_placement(self, data, ndim, exponent, boundary):
+        # unit-scale kernels and inputs peaking anywhere over 600 decades
+        x, kernel, _ = data.draw(placement_cases(ndim=ndim))
+        x = x / np.abs(x).max() * 10.0 ** exponent
+        literal = literal_transposed_conv if ndim == 1 else literal_transposed_conv2
+        small = kernel.parallel_small
+        taps = np.abs(kernel.weights).sum() + (0.0 if small is None else np.abs(small).sum())
+        np.testing.assert_allclose(_place_by_fft(x, kernel, boundary),
+                                   literal(x, kernel, boundary),
+                                   rtol=0, atol=1e-12 * np.abs(x).max() * taps)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    def test_no_overflow_near_the_largest_float(self, boundary):
+        # the input's DC term, 64 * 1e307, would overflow unscaled
+        rng = np.random.default_rng(13)
+        x = 1e307 * (1.0 + rng.random((8, 8, 1)))
+        kernel = KernelSpec(0.01 * rng.random((3, 3)), 2)
+        np.testing.assert_allclose(_place_by_fft(x, kernel, boundary),
+                                   literal_transposed_conv2(x, kernel, boundary),
+                                   rtol=0, atol=1e-12 * 2e307 * np.abs(kernel.weights).sum())
+
+
+class TestPlacementRule:
+    """The path is a fixed rule on (samples per channel, nonzero taps of
+    the fullest phase): small and few-tap placements stay direct, and so
+    keep their bytes."""
+
+    @staticmethod
+    def _spy(mp):
+        calls = []
+        fft = upsamplers._place_fft
+        mp.setattr(upsamplers, "_place_fft", lambda *a: calls.append(a[0].shape) or fft(*a))
+        return calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]),
+           boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_property_test_draws_are_direct(self, data, ndim, boundary):
+        x, kernel, _ = data.draw(placement_cases(ndim=ndim))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._spy(mp)
+            (transposed_conv if ndim == 1 else transposed_conv2)(x, kernel, boundary)
+        assert calls == []
+
+    def test_default_cli_compares_are_direct(self, tmp_path):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._spy(mp)
+            for argv in ([], ["--n", "128", "--kernel-size", "31"]):
+                for boundary in upsamplers.BOUNDARY_MODES:
+                    assert cli_main(["compare", "--out-dir", str(tmp_path), "--seed", "1",
+                                     "--boundary", boundary, *argv]) == 0
+        assert calls == []
+
+    def test_large_image_with_many_taps_takes_fft(self):
+        rng = np.random.default_rng(11)
+        kernel = KernelSpec(0.5 + rng.random((11, 11)), 2)
+        image = rng.normal(size=(256, 256, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._spy(mp)
+            for boundary in upsamplers.BOUNDARY_MODES:
+                transposed_conv2(image, kernel, boundary)
+        assert calls == [(256, 256, 3)] * 2
+
+    def test_threshold(self):
+        # 1024 samples and 33 taps in the fullest phase switch to FFT; 32
+        # taps (K = 63 at stride 2) or 1023 samples stay direct
+        rng = np.random.default_rng(12)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._spy(mp)
+            for n, k in ((1024, 65), (1024, 63), (1023, 65)):
+                transposed_conv(rng.normal(size=n), KernelSpec(rng.normal(size=k), 2))
+        assert calls == [(1024, 1, 1)]
 
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
