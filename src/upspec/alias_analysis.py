@@ -68,6 +68,11 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     ``reference`` (the low-rate input) is given, its replica deviation. A
     transform that overflows raises :class:`NonRealResultError`.
     """
+    return _alias_report(y, r, None if reference is None else _dft(reference))
+
+
+def _alias_report(y, r: int, low_rate: np.ndarray | None) -> AliasReport:
+    """:func:`alias_energy` given the DFT of the reference, which rows can share."""
     y = as_signal(y)
     r = validate_factor(r)
     if y.size % r != 0:
@@ -93,9 +98,7 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     total = s_pass + s_nyq + s_alias
     ratio = (s_alias + s_nyq) / total if total > 0.0 else 0.0
 
-    deviation = None
-    if reference is not None:
-        deviation = _replica_gap(as_signal(reference), spectrum, r)
+    deviation = None if low_rate is None else _replica_gap(low_rate, spectrum, r)
     return AliasReport(
         passband_energy=s_pass * peak * peak,
         alias_energy=s_alias * peak * peak,
@@ -112,20 +115,22 @@ def replica_deviation(x, y, r: int) -> float:
     max_k |DFT(y)[k] - DFT(x)[k mod N]|; zero exactly when y is the
     zero-inserted upsampling of x.
     """
-    x = as_signal(x)
-    y = as_signal(y)
-    with np.errstate(over="ignore", invalid="ignore"):  # _replica_gap reports it
-        fy = np.fft.fft(y)
-    return _replica_gap(x, fy, validate_factor(r))
+    return _replica_gap(_dft(x), _dft(y), validate_factor(r))
 
 
-def _replica_gap(x: np.ndarray, fy: np.ndarray, r: int) -> float:
-    """``replica_deviation`` of a validated x against the unshifted DFT of y;
-    an overflow on the way raises :class:`NonRealResultError`."""
-    if fy.size != r * x.size:
-        raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {fy.size}")
+def _dft(x) -> np.ndarray:
+    """DFT of a signal; an overflow is left for :func:`_replica_gap` to report."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = float(np.max(np.abs(fy - np.tile(np.fft.fft(x), r))))
+        return np.fft.fft(as_signal(x))
+
+
+def _replica_gap(fx: np.ndarray, fy: np.ndarray, r: int) -> float:
+    """``replica_deviation`` from the unshifted DFTs of x and y; an
+    overflow on the way raises :class:`NonRealResultError`."""
+    if fy.size != r * fx.size:
+        raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.size}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(np.max(np.abs(fy - np.tile(fx, r))))
     if not np.isfinite(gap):
         raise NonRealResultError("replica deviation overflowed: it is not finite")
     return gap

@@ -10,6 +10,7 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alias_analysis import alias_energy, contribution_map, error_spectrum, psnr
+from .alias_analysis import _alias_report, _dft, contribution_map, error_spectrum, psnr
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
@@ -103,25 +104,26 @@ def _cell(value) -> str:
     return "true" if value else "false"
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Rows of one or more values, all of one length, through one
-    %-template for all of them.
+def write_csv(path: Path, header, columns) -> None:
+    """One or more columns, all of one length, interleaved into one flat
+    list of values and formatted by one %-template for the whole file.
 
     A column whose values share one type is converted by the template;
     any other column, and one of None or booleans, cell by cell first.
     """
-    columns = list(zip(*rows))
+    width, height = len(columns), len(columns[0])
+    values = [None] * (width * height)
     conversions = []
     for i, column in enumerate(columns):
         kinds = set(map(type, column))
         conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
         if conversion is None:
-            columns[i] = list(map(_cell, column))
+            column = list(map(_cell, column))
             conversion = "%s"
         conversions.append(conversion)
-    template = ",".join(conversions)
-    lines = [",".join(header)] + [template % row for row in zip(*columns)]
-    path.write_text("\n".join(lines) + "\n")
+        values[i::width] = column
+    row_template = ",".join(conversions) + "\n"
+    path.write_text(",".join(header) + "\n" + (row_template * height) % tuple(values))
 
 
 def _sanitize(obj):
@@ -134,8 +136,6 @@ def _sanitize(obj):
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if np.isfinite(f) else ("inf" if f > 0 else "-inf")
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
     return obj
 
 
@@ -247,12 +247,13 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     already took, and ``alias_metrics.csv`` from the sorted rows.
     """
     x = build_signal(args)
+    low_rate = _dft(x)
     reference = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(reference)) or 1.0
     rows = []
     for name in names:
-        y, kernel = apply_operator(name, x, args)
-        report = alias_energy(y, args.factor, reference=x)
+        y, kernel = (reference, None) if name == "fourier_pad" else apply_operator(name, x, args)
+        report = _alias_report(y, args.factor, low_rate)
         rows.append({
             "operator": name,
             "kernel_size": None if kernel is None else kernel.size,
@@ -271,7 +272,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
-                  [[row[k] for k in COMPARE_CSV_HEADER] for row in rows])
+                  [[row[k] for row in rows] for k in COMPARE_CSV_HEADER])
     return rows
 
 
@@ -300,7 +301,7 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> int:
     cmap = contribution_map(kernel, out_len)
     if "csv" in formats:
         write_csv(out_dir / "contribution_counts.csv", ("position", "count"),
-                  list(enumerate(cmap.counts.tolist())))
+                  [range(out_len), cmap.counts.tolist()])
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
@@ -327,25 +328,17 @@ def _solve_fit(args, k: int):
 def cmd_fit(args, out_dir: Path, formats, config) -> int:
     result = _solve_fit(args, args.kernel_size)
     kernel = result.kernel
-    rows = [("large", i, w) for i, w in enumerate(kernel.weights.tolist())]
-    if kernel.parallel_small is not None:
-        rows += [("small", i, w) for i, w in enumerate(kernel.parallel_small.tolist())]
+    large = kernel.weights.tolist()
+    small = [] if kernel.parallel_small is None else kernel.parallel_small.tolist()
     if "csv" in formats:
-        write_csv(out_dir / "kernel_weights.csv", ("branch", "tap", "weight"), rows)
+        write_csv(out_dir / "kernel_weights.csv", ("branch", "tap", "weight"),
+                  [["large"] * len(large) + ["small"] * len(small),
+                   [*range(len(large)), *range(len(small))], large + small])
     if "json" in formats:
-        payload = {
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "gram_rank": result.gram_rank,
-            "converged": result.converged,
-        }
+        payload = {key: getattr(result, key)
+                   for key in ("residual", "iterations", "gram_rank", "converged")}
         if kernel.size >= 3:
-            profile = kernel_edge_profile(kernel)
-            payload["edge_profile"] = {
-                "center_mass": profile.center_mass,
-                "edge_mass": profile.edge_mass,
-                "decays_toward_edge": profile.decays_toward_edge,
-            }
+            payload["edge_profile"] = kernel_edge_profile(kernel)._asdict()
         write_json(out_dir / "fit.json", payload, config)
     if "pgm" in formats:
         write_netpbm(bar_strip(kernel.effective_weights()), out_dir / "kernel.pgm")
@@ -354,16 +347,14 @@ def cmd_fit(args, out_dir: Path, formats, config) -> int:
 
 def cmd_sweep(args, out_dir: Path, formats, config) -> int:
     sizes = sorted({int(s) for s in args.sizes.split(",")})
-    results = [(k, _solve_fit(args, k).residual) for k in sizes]
+    residuals = [_solve_fit(args, k).residual for k in sizes]
     if "csv" in formats:
-        write_csv(out_dir / "residuals.csv", ("kernel_size", "residual"), results)
+        write_csv(out_dir / "residuals.csv", ("kernel_size", "residual"), [sizes, residuals])
     if "json" in formats:
-        write_json(out_dir / "sweep.json",
-                   {"residuals": [{"kernel_size": k, "residual": v} for k, v in results]},
-                   config)
+        rows = [{"kernel_size": k, "residual": v} for k, v in zip(sizes, residuals)]
+        write_json(out_dir / "sweep.json", {"residuals": rows}, config)
     if "pgm" in formats:
-        write_netpbm(bar_strip(np.array([v for _, v in results])),
-                     out_dir / "residuals.pgm")
+        write_netpbm(bar_strip(np.array(residuals)), out_dir / "residuals.pgm")
     return EXIT_OK
 
 
@@ -406,8 +397,7 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
         profile = radial_average(Spectrum(magnitudes.astype(complex), centered=True),
                                  n_bins=args.bins)
         write_csv(out_dir / "radial_profile.csv", ("radius", "mean_magnitude", "empty"),
-                  list(zip(profile.radius.tolist(), profile.magnitude.tolist(),
-                           profile.empty.tolist())))
+                  [field.tolist() for field in profile])
     return EXIT_OK
 
 
@@ -494,6 +484,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# main parses through one parser per process; build_parser() builds a new one
+_parser = functools.cache(build_parser)
+
+
 def _parse_formats(text: str):
     formats = tuple(f for f in text.split(",") if f)
     if not formats:
@@ -506,7 +500,7 @@ def _parse_formats(text: str):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         formats = _parse_formats(args.format)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -70,7 +70,7 @@ def write_netpbm(array, path) -> None:
     header = b"%s %d %d 255\n" % (magic, w, h)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(np.ascontiguousarray(data))  # copies only a raster not in C order
 
 
 def read_netpbm(path) -> np.ndarray:

@@ -142,6 +142,24 @@ class TestOperatorRows:
         assert main(argv + ["--out-dir", str(tmp_path), "--seed", "1", "--n", str(n)]) == 0
         assert lengths.count(r * n) == rows
 
+    @pytest.mark.parametrize("n, ops, transforms", [
+        (64, "all", 4),
+        (16384, "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad", 2),
+    ])
+    def test_one_transform_of_x_per_run(self, tmp_path, monkeypatch, n, ops, transforms):
+        # the replica deviations of all rows share one DFT of x, and the
+        # fourier_pad row is the reference, so x is transformed once for the
+        # rows and once for the reference (at 64 samples each of the two
+        # kernel fits adds one, for the ideal impulse response)
+        lengths = []
+        original = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
+                            or original(a, *rest, **kw))
+        assert main(["compare", "--ops", ops, "--out-dir", str(tmp_path), "--seed", "1",
+                     "--n", str(n)]) == 0
+        assert lengths.count(n) == transforms
+
     @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
     @pytest.mark.parametrize("op", OPERATORS)
     def test_analyze_equals_compare_of_one_operator(self, tmp_path, op, boundary):
@@ -435,6 +453,46 @@ class TestDeterminism:
         assert a["residuals"] == b["residuals"]
 
 
+class TestParserReuse:
+    RUNS = [
+        ["compare", "--seed", "2", "--n", "32", "--cutoff", "5"],
+        ["compare", "--seed", "2", "--n", "32"],
+        ["fit", "--n", "16", "--kernel-size", "7", "--parallel-small", "3"],
+        ["compare", "--seed", "2", "--n", "32", "--boundary", "mirror"],
+        ["compare", "--seed", "2", "--n", "32"],
+    ]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @staticmethod
+    def _artifacts(out_dir):
+        files = {}
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                payload = json.loads(data)
+                del payload["generated_at"]
+                data = payload
+            files[path.relative_to(out_dir)] = data
+        return files
+
+    def test_runs_through_one_parser_equal_runs_through_fresh_ones(self, tmp_path,
+                                                                   monkeypatch):
+        # defaults, a usage error raised inside argparse and a change of
+        # subcommand leave nothing behind in the one parser main keeps
+        assert cli._parser() is cli._parser()
+        shared = [main(argv + ["--out-dir", str(tmp_path / "shared" / str(i))])
+                  for i, argv in enumerate(self.RUNS)]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [main(argv + ["--out-dir", str(tmp_path / "fresh" / str(i))])
+                 for i, argv in enumerate(self.RUNS)]
+        assert shared == fresh == [0, 0, 0, 1, 0]
+        assert self._artifacts(tmp_path / "shared") == self._artifacts(tmp_path / "fresh")
+        shared_run = [self._artifacts(tmp_path / "shared" / str(i)) for i in (0, 1, 4)]
+        assert shared_run[1] == shared_run[2] != shared_run[0]
+
+
 class TestBarStrip:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(-1e300, 1e300) | st.integers(-1000, 1000),
@@ -473,8 +531,8 @@ class TestCsvFormatting:
         # a column of one type goes through the row template, a mixed one
         # cell by cell; both spell the value as the oracle does
         assert literal_csv_cell(value) == text
-        for rows in ([[value]], [[value], ["x"]]):
-            cli.write_csv(tmp_path / "t.csv", ["v"], rows)
+        for column in ([value], [value, "x"]):
+            cli.write_csv(tmp_path / "t.csv", ["v"], [column])
             assert (tmp_path / "t.csv").read_text().split("\n")[1] == text
 
     @settings(max_examples=200, deadline=None)
@@ -486,12 +544,28 @@ class TestCsvFormatting:
                  st.booleans().map(np.bool_), st.text(alphabet="ab%,-", max_size=4)]
         # each column of one type or of the mix, so that both the row
         # template and the cell-by-cell conversion are exercised
-        columns = [data.draw(st.sampled_from([st.one_of(kinds), *kinds])) for _ in range(width)]
-        rows = [[data.draw(c) for c in columns] for _ in range(height)]
+        drawn = [data.draw(st.sampled_from([st.one_of(kinds), *kinds])) for _ in range(width)]
+        columns = [[data.draw(kind) for _ in range(height)] for kind in drawn]
         header = [f"c{i}" for i in range(width)]
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        cli.write_csv(path, header, rows)
-        assert path.read_bytes() == literal_csv_text(header, rows).encode()
+        cli.write_csv(path, header, columns)
+        assert path.read_bytes() == literal_csv_text(header, list(zip(*columns))).encode()
+
+    def test_empty_columns_write_the_header_only(self, tmp_path):
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[], range(0)])
+        assert (tmp_path / "t.csv").read_bytes() == literal_csv_text(["a", "b"], []).encode()
+
+    def test_long_integer_file_equals_oracle(self, tmp_path):
+        height = 32768
+        counts = np.random.default_rng(8).integers(-5, 40, height).tolist()
+        cli.write_csv(tmp_path / "t.csv", ["position", "count"], [range(height), counts])
+        assert (tmp_path / "t.csv").read_bytes() == \
+            literal_csv_text(["position", "count"], list(zip(range(height), counts))).encode()
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        for columns in ([[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError):
+                cli.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
 
     def test_sanitize_spells_numpy_bools_as_json_bools(self):
         clean = cli._sanitize({"uniform": np.bool_(True), "flags": [np.bool_(False)]})

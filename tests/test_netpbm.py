@@ -122,6 +122,19 @@ class TestWriteRead:
         assert back.shape == (5, 7, 3)
         np.testing.assert_array_equal(back, quantize(img))
 
+    @pytest.mark.parametrize("view", [lambda a: a[:, :, 0].T, lambda a: a[::-1, ::2, 0],
+                                      lambda a: a.transpose(1, 0, 2)],
+                             ids=["transposed", "strided", "rgb-transposed"])
+    @pytest.mark.parametrize("mask", [False, True])
+    def test_non_contiguous_views_write_their_c_order_bytes(self, tmp_path, view, mask):
+        arr = view(np.random.default_rng(2).normal(size=(6, 8, 3)))
+        if mask:
+            arr = arr > 0
+        write_netpbm(arr, tmp_path / "view.pnm")
+        write_netpbm(np.ascontiguousarray(arr), tmp_path / "copy.pnm")
+        assert (tmp_path / "view.pnm").read_bytes() == (tmp_path / "copy.pnm").read_bytes()
+        np.testing.assert_array_equal(read_netpbm(tmp_path / "view.pnm"), quantize(arr))
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([4, 9]))
