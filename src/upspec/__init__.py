@@ -38,9 +38,7 @@ from .signal_core import (
     as_image,
     as_signal,
     center_shift,
-    center_unshift,
     dft,
-    dft2,
     idft,
     log_magnitude,
     radial_average,
@@ -73,10 +71,8 @@ __all__ = [
     "as_signal",
     "bed_of_nails",
     "center_shift",
-    "center_unshift",
     "contribution_map",
     "dft",
-    "dft2",
     "empirical_filter_response",
     "error_spectrum",
     "filter_response",

@@ -29,7 +29,6 @@ from .kernel_fit import (
     fit_closed_form,
     fit_gradient_descent,
     kernel_edge_profile,
-    lctc_fit,
 )
 from .netpbm import minmax_rint, read_netpbm, write_netpbm
 from .signal_core import NonRealResultError, Spectrum, log_magnitude, radial_average
@@ -231,7 +230,7 @@ def apply_operator(name: str, x: np.ndarray, args):
     if name in ("transposed_conv", "lctc"):
         small = (args.parallel_small or 3) if name == "lctc" else None
         problem = FitProblem(n=x.size, r=r, k=args.kernel_size, parallel_small=small)
-        kernel = (fit_closed_form(problem) if small is None else lctc_fit(problem)).kernel
+        kernel = fit_closed_form(problem).kernel
         return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), kernel
     raise UsageError(f"unknown operator {name!r}")
 
@@ -243,7 +242,7 @@ def apply_operator(name: str, x: np.ndarray, args):
 def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     """Alias metrics of each named operator, sorted by alias ratio.
 
-    Writes ``spectrum_<op>.pgm`` from the magnitude that ``alias_energy``
+    Writes ``spectrum_<op>.pgm`` from the magnitude that ``_alias_report``
     already took, and ``alias_metrics.csv`` from the sorted rows.
     """
     x = build_signal(args)
@@ -322,7 +321,7 @@ def _solve_fit(args, k: int):
     problem = FitProblem(n=args.n, r=args.factor, k=k, parallel_small=parallel)
     if args.method == "gradient":
         return fit_gradient_descent(problem, lr=args.lr, max_iter=args.max_iter)
-    return lctc_fit(problem) if parallel is not None else fit_closed_form(problem)
+    return fit_closed_form(problem)
 
 
 def cmd_fit(args, out_dir: Path, formats, config) -> int:

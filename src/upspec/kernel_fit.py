@@ -7,21 +7,31 @@ to g (*) z, the circular convolution of the zero-inserted signal z
 at offset (j - floor(K/2)) mod M, the taps of a parallel small branch at
 their own anchored offsets, and g is the fold of all taps onto their
 offsets (taps sharing an offset add). The ideal upsampler is h (*) z
-with h = fourier_pad_upsample(e_0, r). Every column of either operator
-is a shift of its kernel, so
+with h = fourier_pad_upsample(e_0, r).
 
-    ||T(w) - U||_F^2 = N ||g - h||^2,   ||T(w) x - U x||^2 = ||(g - h) (*) z||^2.
+Per-frequency view: zero insertion repeats the spectrum X of x r times,
+so the error operator T(w) - U is block-circulant: it scales X[q] by
+E[q + m*N] into each output bin q + m*N, where E = DFT(g - h), and has
+one singular value per low-rate frequency q,
 
-"operator_frobenius" is then solved directly: g = h on every covered
-offset, split equally among the taps sharing it (the minimum-norm
-solution; ``gram_rank`` is the number of distinct offsets), in
-O(K + M log M) with no linear solve. "corpus_lsq" solves a small Gram
-system whose entries are autocorrelations of z at offset differences and
-whose right-hand side is the cross-correlation of z with U x, both
-summed over the corpus and computed by rFFT. No dense operator matrix
-is built. Because kernel anchors are fixed at floor(K/2), supports
-are nested in K and fitting residuals are monotone non-increasing,
-reaching exactly zero at full support K = r*N.
+    sigma_q(w)^2 = (1/r) sum_m |E[q + m*N]|^2.
+
+Both objectives are one weighted sum sum_q c_q sigma_q(w)^2: c_q = 1 for
+"operator_frobenius" (||T(w) - U||_F^2), and c_q = P_q / N for
+"corpus_lsq" (sum_s ||T(w) x_s - U x_s||^2), where P_q = sum_s |X_s[q]|^2
+is the corpus power spectrum. The weights c are the only place the
+objective, and the corpus, enter. The quadratic's Gram entries,
+right-hand side and constant are inverse transforms of c tiled over the
+M output frequencies, read at offset differences, so no dense operator
+is built. The residual is sqrt(sum_q c_q sigma_q^2 / S), S the corpus
+size (1 for the operator norm).
+
+"operator_frobenius" is solved directly: g = h on every covered offset,
+split equally among the taps sharing it (the minimum-norm solution;
+``gram_rank`` is the number of distinct offsets), in O(K + M log M)
+with no linear solve; "corpus_lsq" solves the small Gram system. Kernel
+anchors are fixed at floor(K/2), so supports are nested in K and
+residuals are non-increasing, reaching exactly zero at K = r*N.
 
 Gradient descent on the same quadratic diverges exactly when
 lr * lambda_max > 1 (a step scales the error along each Gram eigenvalue
@@ -80,6 +90,8 @@ class FitProblem:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.objective == "corpus_lsq" and len(self.corpus) == 0:
             raise ValueError("corpus_lsq objective requires a non-empty corpus")
+        if self.objective == "operator_frobenius" and len(self.corpus) > 0:
+            raise ValueError("operator_frobenius objective takes no corpus")
         if self.parallel_small is not None:
             if self.parallel_small < 1 or self.parallel_small > self.k:
                 raise ValueError("parallel kernel size must be in [1, k]")
@@ -132,27 +144,29 @@ def _ideal_response(n: int, r: int) -> np.ndarray:
     return fourier_pad_upsample(impulse, r)
 
 
-def _corpus_spectra(problem: FitProblem) -> np.ndarray:
-    """rFFT of every zero-inserted corpus signal, one row per signal."""
-    z = np.zeros((len(problem.corpus), problem.r * problem.n))
-    z[:, ::problem.r] = np.stack(problem.corpus)
-    return np.fft.rfft(z, axis=1)
+def _frequency_weights(problem: FitProblem) -> np.ndarray:
+    """Weight c_q of each low-rate frequency q in the objective
+    sum_q c_q sigma_q^2: 1, or P_q / n for a corpus of power spectrum P."""
+    if problem.objective == "operator_frobenius":
+        return np.ones(problem.n)
+    return np.sum(np.abs(np.fft.fft(problem.corpus, axis=1)) ** 2, axis=0) / problem.n
 
 
 def _quadratic(problem: FitProblem, offsets: np.ndarray,
                h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gram matrix G, right-hand side b and constant c of the objective
-    w.G.w - 2 b.w + c, built from the tap offsets alone."""
-    if problem.objective == "operator_frobenius":
-        gram = problem.n * (offsets[:, None] == offsets[None, :]).astype(float)
-        return gram, problem.n * h[offsets], problem.n * float(h @ h)
+    """Gram matrix G, right-hand side b and constant a of the objective
+    w.G.w - 2 b.w + a = sum_q c_q sigma_q(w)^2, from the tap offsets alone.
+
+    With C the weights c tiled over the M = r*n output frequencies and
+    H = DFT(h): G[j, l] = n IDFT(C)[o_j - o_l], b_j = n IDFT(C H)[o_j] and
+    a = n IDFT(C |H|^2)[0], from one batched inverse transform.
+    """
     m = problem.r * problem.n
-    power = np.sum(np.abs(_corpus_spectra(problem)) ** 2, axis=0)
+    tiled = np.tile(_frequency_weights(problem), problem.r)[:m // 2 + 1]
     response = np.fft.rfft(h)
-    autocorr = np.fft.irfft(power, m)
-    crosscorr = np.fft.irfft(response * power, m)
-    const = float(np.fft.irfft(np.abs(response) ** 2 * power, m)[0])
-    return autocorr[(offsets[:, None] - offsets[None, :]) % m], crosscorr[offsets], const
+    auto, cross, const = problem.n * np.fft.irfft(
+        np.stack([tiled, tiled * response, tiled * np.abs(response) ** 2]), m)
+    return auto[(offsets[:, None] - offsets[None, :]) % m], cross[offsets], float(const[0])
 
 
 def _kept(gram: np.ndarray, evals: np.ndarray) -> np.ndarray:
@@ -170,15 +184,21 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
     return w, int(np.count_nonzero(keep))
 
 
+def _error_gains(g: np.ndarray, h: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Singular values sigma_q of the error operator at each low-rate
+    frequency q: sigma_q^2 = (1/r) sum_m |E[q + m*n]|^2 with E = DFT(g - h),
+    taken in its polyphase form sum_p |DFT(e[p::r])[q]|^2 (Parseval over m).
+    """
+    return np.linalg.norm(np.fft.fft((g - h).reshape(n, r), axis=0), axis=1)
+
+
 def _fit_residual(problem: FitProblem, weights: np.ndarray, offsets: np.ndarray,
                   h: np.ndarray) -> float:
-    """Residual of the fitted operator, from its folded kernel g."""
-    m = problem.r * problem.n
-    error = np.bincount(offsets, weights=weights, minlength=m) - h
-    if problem.objective == "operator_frobenius":
-        return float(np.sqrt(problem.n * np.sum(error ** 2)))
-    per_signal = np.fft.irfft(np.fft.rfft(error) * _corpus_spectra(problem), m, axis=1)
-    return float(np.sqrt(np.sum(per_signal ** 2) / len(problem.corpus)))
+    """Residual sqrt(sum_q c_q sigma_q^2 / S) of the fitted operator, from
+    its folded kernel g; S is the corpus size, 1 for the operator norm."""
+    g = np.bincount(offsets, weights=weights, minlength=problem.r * problem.n)
+    spread = _frequency_weights(problem) @ _error_gains(g, h, problem.n, problem.r) ** 2
+    return float(np.sqrt(spread / max(len(problem.corpus), 1)))
 
 
 def _result_kernel(problem: FitProblem, weights: np.ndarray) -> KernelSpec:

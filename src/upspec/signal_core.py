@@ -129,31 +129,14 @@ def idft(spectrum) -> np.ndarray:
     return out.real
 
 
-def dft2(image) -> list[Spectrum]:
-    """Per-channel 2D DFT of an image (row then column transform).
-
-    Returns one unshifted 2D :class:`Spectrum` per channel.
-    """
-    img = as_image(image)
-    return [Spectrum(np.fft.fft2(img[:, :, c]), centered=False)
-            for c in range(img.shape[2])]
-
-
 def center_shift(spectrum: Spectrum) -> Spectrum:
     """Rotate a spectrum so DC sits at index len//2 (all axes).
 
-    Input must be unshifted; ``center_unshift`` is the exact inverse.
+    Input must be unshifted; ``np.fft.ifftshift`` of the values undoes it.
     """
     if spectrum.centered:
         raise ValueError("spectrum is already centered")
     return Spectrum(np.fft.fftshift(spectrum.values), centered=True)
-
-
-def center_unshift(spectrum: Spectrum) -> Spectrum:
-    """Exact inverse of :func:`center_shift`."""
-    if not spectrum.centered:
-        raise ValueError("spectrum is not centered")
-    return Spectrum(np.fft.ifftshift(spectrum.values), centered=False)
 
 
 def log_magnitude(spectrum) -> np.ndarray:

@@ -92,13 +92,12 @@ class TestCompare:
 
     def test_each_fitted_kernel_is_fitted_once(self, tmp_path, monkeypatch):
         calls = []
-        for name in ("fit_closed_form", "lctc_fit"):
-            original = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda p, f=original, n=name: calls.append(n) or f(p))
+        original = cli.fit_closed_form
+        monkeypatch.setattr(cli, "fit_closed_form", lambda p: calls.append(p) or original(p))
         code = main(["compare", "--out-dir", str(tmp_path), "--seed", "4", "--n", "32",
                      "--ops", "transposed_conv,lctc,linear"])
         assert code == 0
-        assert sorted(calls) == ["fit_closed_form", "lctc_fit"]
+        assert [p.parallel_small for p in calls] == [None, 3]
 
 
 class TestAmplitude:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,11 @@ class TestFitInvariants:
         with pytest.raises(ValueError):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq")
 
+    def test_operator_objective_rejects_a_corpus(self):
+        # the operator objective would ignore it, and its residual divides by 1
+        with pytest.raises(ValueError, match="operator_frobenius objective takes no corpus"):
+            FitProblem(n=8, r=2, k=3, corpus=(np.ones(8),))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_corpus_signals_must_be_finite(self, bad):
         corpus = (np.ones(8), np.array([0.0] * 7 + [bad]))
@@ -473,6 +480,25 @@ class TestStructuredFitAgainstDenseOracle:
         assert weights[k // 2] == pytest.approx(h[0] / 3, abs=1e-15)
         assert weights[0] == pytest.approx(h[0] / 3, abs=1e-15)
         assert weights[1] == pytest.approx(h[1] / 2, abs=1e-15)
+
+
+class TestCorpusEntersThroughItsPowerSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sign_flips_and_circular_shifts_keep_the_weights(self, data):
+        # both leave every |X_s[q]|^2, so the weights c and the fit
+        problem = data.draw(fit_problems("corpus_lsq"))
+        size = len(problem.corpus)
+        signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=size, max_size=size))
+        shifts = data.draw(st.lists(st.integers(0, problem.n - 1), min_size=size,
+                                    max_size=size))
+        weights = _weights(fit_closed_form(problem))
+        flipped = replace(problem, corpus=[s * x for s, x in zip(signs, problem.corpus)])
+        np.testing.assert_array_equal(_weights(fit_closed_form(flipped)), weights)
+        shifted = replace(problem, corpus=[np.roll(x, t) for t, x in zip(shifts, problem.corpus)])
+        h_norm, _ = _scales(problem)
+        np.testing.assert_allclose(_weights(fit_closed_form(shifted)), weights,
+                                   rtol=0, atol=1e-9 * h_norm)
 
 
 class TestLargeProblems:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import brute_dft, brute_dft2
+from helpers import brute_dft
 from upspec import (
     NonRealResultError,
     Spectrum,
     center_shift,
-    center_unshift,
     dft,
-    dft2,
     idft,
     log_magnitude,
     radial_average,
@@ -74,38 +72,6 @@ class TestIdft:
             idft(center_shift(dft([1, 2, 3, 4])))
 
 
-class TestDft2:
-    def test_single_pixel(self):
-        [spec] = dft2(np.array([[3.5]]))
-        np.testing.assert_allclose(spec.values, [[3.5]])
-
-    def test_constant_image(self):
-        [spec] = dft2(np.ones((2, 2)))
-        np.testing.assert_allclose(spec.values, [[4, 0], [0, 0]], atol=1e-12)
-
-    def test_delta_image_matches_brute_force(self):
-        img = np.array([[1.0, 0.0], [0.0, 0.0]])
-        expected = brute_dft2(img)
-        np.testing.assert_allclose(expected, np.ones((2, 2)), atol=1e-12)
-        [spec] = dft2(img)
-        np.testing.assert_allclose(spec.values, expected, atol=1e-12)
-
-    def test_random_images_match_brute_force(self):
-        rng = np.random.default_rng(5)
-        for h, w in [(3, 4), (5, 5), (8, 8)]:
-            img = rng.normal(size=(h, w))
-            [spec] = dft2(img)
-            np.testing.assert_allclose(spec.values, brute_dft2(img), atol=1e-9)
-
-    def test_one_spectrum_per_channel(self):
-        rng = np.random.default_rng(6)
-        img = rng.normal(size=(4, 4, 3))
-        specs = dft2(img)
-        assert len(specs) == 3
-        for c, spec in enumerate(specs):
-            np.testing.assert_allclose(spec.values, np.fft.fft2(img[:, :, c]))
-
-
 class TestCenterShift:
     def test_half_rotation(self):
         shifted = center_shift(Spectrum(np.array([1, 2, 3, 4], dtype=complex)))
@@ -119,12 +85,6 @@ class TestCenterShift:
     def test_rotation_by_half_length(self):
         spec = Spectrum(np.arange(6, dtype=complex))
         np.testing.assert_allclose(center_shift(spec).values, [3, 4, 5, 0, 1, 2])
-
-    def test_inverse_restores(self):
-        spec = dft(np.random.default_rng(1).normal(size=7))
-        back = center_unshift(center_shift(spec))
-        np.testing.assert_allclose(back.values, spec.values)
-        assert not back.centered
 
     def test_double_shift_rejected(self):
         spec = center_shift(dft([1, 2, 3]))
