@@ -68,22 +68,24 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     ``reference`` (the low-rate input) is given, its replica deviation. A
     transform that overflows raises :class:`NonRealResultError`.
     """
-    return _alias_report(y, r, None if reference is None else _dft(reference))
-
-
-def _alias_report(y, r: int, low_rate: np.ndarray | None) -> AliasReport:
-    """:func:`alias_energy` given the DFT of the reference, which rows can share."""
     y = as_signal(y)
     r = validate_factor(r)
     if y.size % r != 0:
         raise ValueError(f"length {y.size} is not divisible by r={r}")
-    n = y.size // r
-    m = y.size
+    (report,) = _alias_reports(y[np.newaxis], r, None if reference is None else _dft(reference))
+    return report
 
+
+def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[AliasReport]:
+    """:func:`alias_energy` of each row of a finite (R, r*N) stack, whose rows
+    share ``low_rate``, the DFT of the reference; one row's overflow fails all."""
+    m = ys.shape[1]
+    n = m // r
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        spectrum = np.fft.fft(y)
-        magnitude = np.abs(np.fft.fftshift(spectrum))
-    if not np.isfinite(magnitude.max()):
+        spectra = np.fft.fft(ys, axis=1)
+        magnitudes = np.abs(np.fft.fftshift(spectra, axes=1))
+    peaks = magnitudes.max(axis=1)
+    if not np.all(np.isfinite(peaks)):
         raise NonRealResultError("transform of y overflowed: its spectrum is not finite")
     kc = np.arange(m) - m // 2
     passband = 2 * np.abs(kc) < n
@@ -91,22 +93,20 @@ def _alias_report(y, r: int, low_rate: np.ndarray | None) -> AliasReport:
     alias = ~(passband | nyquist)
 
     # band sums of the unit-peak power neither over- nor underflow at any
-    # amplitude; the energies are those sums times peak^2
-    peak = float(magnitude.max()) or 1.0
-    power = (magnitude / peak) ** 2
-    s_pass, s_nyq, s_alias = (float(np.sum(power[band])) for band in (passband, nyquist, alias))
+    # amplitude; the energies are those sums times peak^2. compress keeps
+    # each row's band contiguous, so a row sums as the 1D band would
+    peaks[peaks == 0.0] = 1.0
+    power = (magnitudes / peaks[:, np.newaxis]) ** 2
+    s_pass, s_nyq, s_alias = (np.compress(band, power, axis=1).sum(axis=1)
+                              for band in (passband, nyquist, alias))
     total = s_pass + s_nyq + s_alias
-    ratio = (s_alias + s_nyq) / total if total > 0.0 else 0.0
-
-    deviation = None if low_rate is None else _replica_gap(low_rate, spectrum, r)
-    return AliasReport(
-        passband_energy=s_pass * peak * peak,
-        alias_energy=s_alias * peak * peak,
-        nyquist_energy=s_nyq * peak * peak,
-        alias_ratio=ratio,
-        replica_deviation=deviation,
-        magnitude=magnitude,
-    )
+    ratios = np.divide(s_alias + s_nyq, total, out=np.zeros_like(total), where=total > 0.0)
+    with np.errstate(over="ignore"):  # an energy outside the float range reads inf
+        energies = [(s * peaks * peaks).tolist() for s in (s_pass, s_alias, s_nyq)]
+    deviations = ([None] * len(ys) if low_rate is None
+                  else _replica_gaps(low_rate, spectra, r).tolist())
+    return [AliasReport(*fields, magnitude=magnitude)
+            for *fields, magnitude in zip(*energies, ratios.tolist(), deviations, magnitudes)]
 
 
 def replica_deviation(x, y, r: int) -> float:
@@ -115,25 +115,25 @@ def replica_deviation(x, y, r: int) -> float:
     max_k |DFT(y)[k] - DFT(x)[k mod N]|; zero exactly when y is the
     zero-inserted upsampling of x.
     """
-    return _replica_gap(_dft(x), _dft(y), validate_factor(r))
+    return float(_replica_gaps(_dft(x), _dft(y), validate_factor(r)))
 
 
 def _dft(x) -> np.ndarray:
-    """DFT of a signal; an overflow is left for :func:`_replica_gap` to report."""
+    """DFT of a signal; an overflow is left for :func:`_replica_gaps` to report."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fft.fft(as_signal(x))
 
 
-def _replica_gap(fx: np.ndarray, fy: np.ndarray, r: int) -> float:
-    """``replica_deviation`` from the unshifted DFTs of x and y; an
-    overflow on the way raises :class:`NonRealResultError`."""
-    if fy.size != r * fx.size:
-        raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.size}")
+def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int) -> np.ndarray:
+    """``replica_deviation`` of each unshifted DFT of y along the last axis
+    of ``fy``; an overflow on the way raises :class:`NonRealResultError`."""
+    if fy.shape[-1] != r * fx.size:
+        raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = float(np.max(np.abs(fy - np.tile(fx, r))))
-    if not np.isfinite(gap):
+        gaps = np.abs(fy - np.tile(fx, r)).max(axis=-1)
+    if not np.all(np.isfinite(gaps)):
         raise NonRealResultError("replica deviation overflowed: it is not finite")
-    return gap
+    return gaps
 
 
 def filter_response(method: str, r: int, n_points: int,
@@ -283,12 +283,19 @@ def psnr(pred, gt, peak: float) -> float:
     g = as_image(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
+    return float(_psnr_rows(p[np.newaxis], g, peak)[0])
+
+
+def _psnr_rows(preds: np.ndarray, gt: np.ndarray, peak: float) -> np.ndarray:
+    """:func:`psnr` of each validated ``preds[i]`` against ``gt``."""
     # the difference at half scale cannot overflow; halving is exact, so the
     # ratios below are those of the full-scale difference
-    half = 0.5 * p
-    half -= 0.5 * g
-    top = float(np.max(np.abs(half)))
-    if top == 0.0:
-        return float("inf")
-    mse = float(np.mean((half / top) ** 2))  # scaled by its max: no over- or underflow
-    return 20.0 * float(np.log10(peak / top * 0.5)) - 10.0 * float(np.log10(mse))
+    half = 0.5 * preds
+    half -= 0.5 * gt
+    axes = tuple(range(1, half.ndim))
+    top = np.abs(half).max(axis=axes, keepdims=True)
+    # a row with top 0 reads +inf; peak / top overflows to inf as a float would
+    with np.errstate(all="ignore"):
+        mse = np.mean((half / top) ** 2, axis=axes)  # scaled by its max: no over- or underflow
+        db = 20.0 * np.log10(peak / top.ravel() * 0.5) - 10.0 * np.log10(mse)
+    return np.where(top.ravel() == 0.0, np.inf, db)

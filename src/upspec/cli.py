@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alias_analysis import _alias_report, _dft, contribution_map, error_spectrum, psnr
+from .alias_analysis import _alias_reports, _dft, _psnr_rows, contribution_map, error_spectrum
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
@@ -52,9 +53,11 @@ FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
 BAR_HEIGHT = 48
-COMPARE_CSV_HEADER = ("operator", "kernel_size", "passband_energy", "alias_energy",
-                      "nyquist_energy", "alias_ratio", "replica_deviation",
-                      "contribution_variance", "psnr_vs_ideal_db")
+ROW_BLOCK_SAMPLES = 2 ** 14  # see _write_operator_rows
+REPORT_FIELDS = ("passband_energy", "alias_energy", "nyquist_energy", "alias_ratio",
+                 "replica_deviation")
+COMPARE_CSV_HEADER = ("operator", "kernel_size", *REPORT_FIELDS, "contribution_variance",
+                      "psnr_vs_ideal_db")
 
 
 class UsageError(Exception):
@@ -144,6 +147,8 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
         "config": config,
         "config_hash": config_hash(config),
         "generated_at": datetime.now(timezone.utc).isoformat(),
+        "versions": {"upspec": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
         **_sanitize(payload),
     }
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
@@ -242,32 +247,38 @@ def apply_operator(name: str, x: np.ndarray, args):
 def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     """Alias metrics of each named operator, sorted by alias ratio.
 
-    Writes ``spectrum_<op>.pgm`` from the magnitude that ``_alias_report``
-    already took, and ``alias_metrics.csv`` from the sorted rows.
+    Runs of consecutive rows, as many of r*N samples as fit in
+    ``ROW_BLOCK_SAMPLES`` and at least one, are stacked and scored by one
+    ``_alias_reports`` and one ``_psnr_rows`` call; every row equals its
+    one-row ``alias_energy(y, r, reference=x)`` and ``psnr`` byte for byte.
+    Writes ``spectrum_<op>.pgm`` per row and ``alias_metrics.csv``.
     """
     x = build_signal(args)
     low_rate = _dft(x)
     reference = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(reference)) or 1.0
+    per_block = max(1, ROW_BLOCK_SAMPLES // reference.size)
     rows = []
-    for name in names:
-        y, kernel = (reference, None) if name == "fourier_pad" else apply_operator(name, x, args)
-        report = _alias_report(y, args.factor, low_rate)
-        rows.append({
-            "operator": name,
-            "kernel_size": None if kernel is None else kernel.size,
-            "passband_energy": report.passband_energy,
-            "alias_energy": report.alias_energy,
-            "nyquist_energy": report.nyquist_energy,
-            "alias_ratio": report.alias_ratio,
-            "replica_deviation": report.replica_deviation,
-            "contribution_variance": (None if kernel is None
-                                      else contribution_map(kernel, y.size).variance),
-            "psnr_vs_ideal_db": psnr(y[np.newaxis, :], reference[np.newaxis, :], peak=peak),
-        })
+    for start in range(0, len(names), per_block):
+        block = names[start:start + per_block]
+        ys, kernels = zip(*[(reference, None) if name == "fourier_pad"
+                            else apply_operator(name, x, args) for name in block])
+        ys = np.stack(ys)
+        reports = _alias_reports(ys, args.factor, low_rate)
+        for name, kernel, report, db in zip(block, kernels, reports,
+                                            _psnr_rows(ys, reference, peak).tolist()):
+            rows.append({
+                "operator": name,
+                "kernel_size": None if kernel is None else kernel.size,
+                **{field: getattr(report, field) for field in REPORT_FIELDS},
+                "contribution_variance": (None if kernel is None
+                                          else contribution_map(kernel, ys.shape[1]).variance),
+                "psnr_vs_ideal_db": db,
+            })
         if "pgm" in formats:
-            write_netpbm(bar_strip(log_magnitude(report.magnitude)),
-                         out_dir / f"spectrum_{name}.pgm")
+            strips = log_magnitude(np.stack([report.magnitude for report in reports]))
+            for name, strip in zip(block, strips):
+                write_netpbm(bar_strip(strip), out_dir / f"spectrum_{name}.pgm")
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,

@@ -9,6 +9,7 @@ from helpers import (
     random_bandlimited,
     truncated_sinc_square_replicas,
 )
+from upspec.alias_analysis import _alias_reports
 from upspec import (
     KernelSpec,
     NonRealResultError,
@@ -177,6 +178,19 @@ class TestAmplitudeInvariance:
                 replica_deviation(x, y, 2)
         with pytest.raises(NonRealResultError, match="overflowed"):
             alias_energy(np.ones(128), 2, reference=np.full(64, 1e307))
+
+    def test_one_overflowing_row_fails_the_stack(self):
+        x = np.full(64, 2e306)  # its DFT, 1.28e308 at DC, is finite
+        rows = np.stack([bed_of_nails(x, 2), np.ones(128), np.ones(128)])
+        assert [report.replica_deviation for report in _alias_reports(rows, 2, np.fft.fft(x))] \
+            == [replica_deviation(x, y, 2) for y in rows]
+        for row, y, what in ((1, np.full(128, 1e307), "transform of y"),
+                             (2, -np.full(128, 1e306), "replica deviation")):
+            # the transform of y overflows at DC; the replica gap 2.56e308 does
+            stack = rows.copy()
+            stack[row] = y
+            with pytest.raises(NonRealResultError, match=f"{what} overflowed"):
+                _alias_reports(stack, 2, np.fft.fft(x))
 
     def test_psnr_of_overflowing_difference_is_finite(self):
         # the difference 2e308 overflows; half of it does not

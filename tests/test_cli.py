@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import platform
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import literal_bar_strip, literal_csv_cell, literal_csv_text
-from upspec import cli
+from upspec import __version__, cli
+from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, bar_strip, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
 from upspec.netpbm import read_netpbm, write_netpbm
@@ -131,15 +133,17 @@ class TestOperatorRows:
     @pytest.mark.parametrize("argv, rows", [(["compare", "--ops", "all"], 7),
                                             (["analyze", "--op", "lctc"], 1)])
     def test_one_transform_of_y_per_row(self, tmp_path, monkeypatch, argv, rows):
-        # bands, replica deviation and spectrum strip all read one DFT of y
+        # bands, replica deviation and spectrum strip all read one DFT of y;
+        # rows are transformed in stacks, so transformed rows are counted
         n, r = 64, 2
-        lengths = []
+        transformed = []
         original = np.fft.fft
         monkeypatch.setattr(np.fft, "fft",
-                            lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
-                            or original(a, *rest, **kw))
+                            lambda a, *rest, **kw: transformed.append(
+                                int(np.prod(np.shape(a)[:-1])) if np.shape(a)[-1] == r * n
+                                else 0) or original(a, *rest, **kw))
         assert main(argv + ["--out-dir", str(tmp_path), "--seed", "1", "--n", str(n)]) == 0
-        assert lengths.count(r * n) == rows
+        assert sum(transformed) == rows
 
     @pytest.mark.parametrize("n, ops, transforms", [
         (64, "all", 4),
@@ -158,6 +162,54 @@ class TestOperatorRows:
         assert main(["compare", "--ops", ops, "--out-dir", str(tmp_path), "--seed", "1",
                      "--n", str(n)]) == 0
         assert lengths.count(n) == transforms
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_their_one_row_calls(self, data, tmp_path_factory):
+        # every row of a stacked block is what alias_energy and psnr give for
+        # that operator output alone, and so is its spectrum strip; lengths
+        # reach past ROW_BLOCK_SAMPLES, and at half and a third of it blocks
+        # of 2 and 3 rows split the operator list
+        r = data.draw(st.sampled_from([2, 3]), label="r")
+        limit = cli.ROW_BLOCK_SAMPLES // r
+        n = data.draw(st.integers(2, 80) | st.sampled_from(
+            [limit // 3, limit // 2, limit, limit + 1]), label="n")
+        ops = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=8), label="ops")
+        command = ["compare", "--ops", ",".join(ops)]
+        if len(ops) == 1 and data.draw(st.booleans(), label="analyze"):
+            command = ["analyze", "--op", ops[0]]
+        argv = ["--seed", str(data.draw(st.integers(0, 99), label="seed")), "--n", str(n),
+                "--factor", str(r),
+                "--boundary", data.draw(st.sampled_from(["periodic", "zero-pad"]), label="b"),
+                "--signal", data.draw(st.sampled_from(["noise", "cosine", "step"]), label="kind"),
+                "--frequency", str(data.draw(st.integers(0, n // 2), label="frequency")),
+                "--amplitude", repr(10.0 ** data.draw(st.floats(-300, 300), label="log10 a"))]
+        out = tmp_path_factory.mktemp("rows")
+        assert main(command + ["--out-dir", str(out / "cli")] + argv) == 0
+
+        args = cli.build_parser().parse_args(command + ["--out-dir", "-"] + argv)
+        x = cli.build_signal(args)
+        reference, _ = cli.apply_operator("fourier_pad", x, args)
+        peak = float(np.ptp(reference)) or 1.0
+        rows = []
+        for op in ops:
+            y, kernel = cli.apply_operator(op, x, args)
+            report = alias_energy(y, r, reference=x)
+            rows.append({"operator": op, "kernel_size": None if kernel is None else kernel.size,
+                         **{field: getattr(report, field) for field in cli.REPORT_FIELDS},
+                         "contribution_variance": (None if kernel is None
+                                                   else contribution_map(kernel, y.size).variance),
+                         "psnr_vs_ideal_db": psnr(y[np.newaxis], reference[np.newaxis], peak)})
+            write_netpbm(bar_strip(log_magnitude(report.magnitude)), out / f"{op}.pgm")
+            assert (out / "cli" / f"spectrum_{op}.pgm").read_bytes() == \
+                (out / f"{op}.pgm").read_bytes()
+        rows.sort(key=lambda row: row["alias_ratio"])
+        cli.write_csv(out / "rows.csv", cli.COMPARE_CSV_HEADER,
+                      [[row[k] for row in rows] for k in cli.COMPARE_CSV_HEADER])
+        assert (out / "cli" / "alias_metrics.csv").read_bytes() == (out / "rows.csv").read_bytes()
+        # the JSON summary carries every float in full
+        metrics = json.loads((out / "cli" / "summary.json").read_text())["metrics"]
+        assert (metrics if command[0] == "compare" else [metrics]) == cli._sanitize(rows)
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
     @pytest.mark.parametrize("op", OPERATORS)
@@ -413,11 +465,14 @@ class TestExitCodes:
         assert code == 0
 
     def test_overflowing_transform_is_3(self, tmp_path, capsys):
-        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--signal",
-                     "cosine", "--frequency", "3", "--n", "16", "--amplitude", "1e308"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: numeric:") and err.count("\n") == 1
+        # without --seed too: the pixel_shuffle row, which needs one, comes
+        # after the overflow
+        for seed in (["--seed", "1"], []):
+            code = main(["compare", "--out-dir", str(tmp_path), "--signal", "cosine",
+                         "--frequency", "3", "--n", "16", "--amplitude", "1e308"] + seed)
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: numeric:") and err.count("\n") == 1
 
     def test_non_real_result_is_3(self, tmp_path, capsys, monkeypatch):
         def non_real(x, r):
@@ -450,6 +505,21 @@ class TestDeterminism:
         b = json.loads((tmp_path / "b" / "sweep.json").read_text())
         assert a["config_hash"] == b["config_hash"]
         assert a["residuals"] == b["residuals"]
+
+
+class TestJsonVersions:
+    @pytest.mark.parametrize("argv, name", [
+        (["compare", "--seed", "1", "--ops", "linear,nearest"], "summary.json"),
+        (["analyze", "--signal", "step"], "summary.json"),
+        (["fit", "--kernel-size", "3"], "fit.json"),
+        (["sweep", "--sizes", "3,5"], "sweep.json"),
+        (["contribution", "--kernel-size", "3", "--stride", "2"], "contribution.json"),
+        (["errorspec", "--seed", "1"], "error_spectrum.json"),
+    ])
+    def test_every_json_summary_names_the_versions(self, tmp_path, argv, name):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / name).read_text())["versions"] == {
+            "upspec": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
 class TestParserReuse:
