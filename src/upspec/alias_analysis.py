@@ -246,6 +246,9 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     linear, so this is one DFT of the channel-mean difference); ``mode=
     "magnitude"`` averages the magnitudes instead. ``log=False`` returns
     the centered magnitudes without the log10(. + LOG_FLOOR) mapping.
+    The channel mean adds the channels in order, as ``mean(axis=2)`` does
+    below 8 channels. Only the half spectrum of a real FFT is computed; the
+    rest is its mirror |F[-k]| = |F[k]|, exactly point-symmetric about DC.
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")
@@ -254,24 +257,27 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
 
-    diff = p - g
-    if mode == "complex":
-        mag = np.abs(np.fft.fft2(_channel_mean(diff)))
-    else:
-        mag = _channel_mean(np.abs(np.fft.fft2(diff, axes=(0, 1))))
-    mag = np.fft.fftshift(mag)
-    return np.log10(mag + LOG_FLOOR) if log else mag
-
-
-def _channel_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the channel axis of an (H, W, C) array: channels added in
-    order, then divided by C. Below 8 channels numpy's ``mean(axis=2)``
-    sums in the same order, so the bytes are the same, at a quarter of its
-    cost on 3 channels."""
-    out = a[:, :, 0].copy()
-    for c in range(1, a.shape[2]):
-        out += a[:, :, c]
-    out /= a.shape[2]
+    h, w, channels = p.shape
+    each = (lambda d: d) if mode == "complex" else (lambda d: np.abs(np.fft.rfft2(d)))
+    mean = each(p[:, :, 0] - g[:, :, 0])
+    for c in range(1, channels):
+        mean += each(p[:, :, c] - g[:, :, c])
+    mean /= channels
+    half = np.abs(np.fft.rfft2(mean)) if mode == "complex" else mean
+    ch, cw = h // 2, w // 2
+    # columns 0 and w/2 (w even) are their own mirror: row -k of each takes
+    # the value of row k, 0 < k < h/2
+    half[:ch:-1, ::w - cw] = half[1:(h + 1) // 2, ::w - cw]
+    if log:
+        half += LOG_FLOOR
+        np.log10(half, out=half)
+    # centred bin (i, j) holds frequency (i - h//2, j - w//2); the columns
+    # from w//2 on are the half spectrum, those before it the mirror
+    out = np.empty((h, w))
+    out[ch:, cw:] = half[:h - ch, :w - cw]
+    out[:ch, cw:] = half[h - ch:, :w - cw]
+    out[:ch + 1, :cw] = half[ch::-1, cw:0:-1]
+    out[ch + 1:, :cw] = half[:ch:-1, cw:0:-1]
     return out
 
 

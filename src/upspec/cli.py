@@ -32,7 +32,7 @@ from .kernel_fit import (
     kernel_edge_profile,
 )
 from .netpbm import minmax_rint, read_netpbm, write_netpbm
-from .signal_core import NonRealResultError, Spectrum, log_magnitude, radial_average
+from .signal_core import NonRealResultError, log_magnitude, radial_average
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -404,8 +404,7 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
             "magnitude_mean": float(magnitudes.mean()),
         }, config)
     if "csv" in formats:
-        profile = radial_average(Spectrum(magnitudes.astype(complex), centered=True),
-                                 n_bins=args.bins)
+        profile = radial_average(magnitudes, n_bins=args.bins)
         write_csv(out_dir / "radial_profile.csv", ("radius", "mean_magnitude", "empty"),
                   [field.tolist() for field in profile])
     return EXIT_OK

@@ -18,6 +18,7 @@ are the module constants below, not parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,39 +146,48 @@ def log_magnitude(spectrum) -> np.ndarray:
     return np.log10(np.abs(values) + LOG_FLOOR)
 
 
-def radial_average(spectrum: Spectrum, n_bins: int) -> RadialProfile:
+def radial_average(spectrum, n_bins: int) -> RadialProfile:
     """Radially average a centered 2D spectrum's magnitudes.
 
-    Radii are measured in integer index units from the DC position
-    (H//2, W//2); n_bins uniform bins partition [0, r_max]. Empty bins
-    report magnitude 0 and are flagged.
+    ``spectrum`` is a centered :class:`Spectrum` or real (H, W) magnitudes.
+    Radii are measured in integer index units from the DC position (H//2,
+    W//2); n_bins uniform bins partition [0, r_max], the bin map is built
+    once per (H, W, n_bins). Empty bins report magnitude 0 and are flagged.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be a positive integer")
-    if not isinstance(spectrum, Spectrum) or not spectrum.centered:
-        raise ValueError("radial_average requires a centered Spectrum")
-    values = spectrum.values
+    if isinstance(spectrum, Spectrum):
+        if not spectrum.centered:
+            raise ValueError("radial_average requires a centered Spectrum")
+        values = spectrum.values
+    else:
+        values = np.asarray(spectrum)
+        if np.iscomplexobj(values) or not np.all(np.isfinite(values)):
+            raise ValueError("radial_average takes a centered Spectrum or finite real magnitudes")
     if values.ndim != 2:
         raise ValueError("radial_average requires a 2D spectrum")
 
-    h, w = values.shape
-    rows = np.arange(h) - h // 2
-    cols = np.arange(w) - w // 2
-    radii = np.hypot(rows[:, None], cols[None, :])
-    r_max = float(radii.max())
-
-    if r_max == 0.0:
-        idx = np.zeros_like(radii, dtype=int)
-    else:
-        idx = np.minimum((radii / r_max * n_bins).astype(int), n_bins - 1)
-
-    mags = np.abs(values)
-    counts = np.bincount(idx.ravel(), minlength=n_bins)
-    sums = np.bincount(idx.ravel(), weights=mags.ravel(), minlength=n_bins)
+    idx, counts, r_max = _radial_bins(*values.shape, n_bins)
+    sums = np.bincount(idx, weights=np.abs(values).ravel(), minlength=n_bins)
     empty = counts == 0
     means = np.where(empty, 0.0, sums / np.maximum(counts, 1))
     centers = (np.arange(n_bins) + 0.5) / n_bins * r_max
     return RadialProfile(radius=centers, magnitude=means, empty=empty)
+
+
+@functools.lru_cache(maxsize=8)
+def _radial_bins(h: int, w: int, n_bins: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only flat bin index of every position of an (h, w) grid, the
+    count of each bin, and the largest radius."""
+    rows = np.arange(h) - h // 2
+    cols = np.arange(w) - w // 2
+    radii = np.hypot(rows[:, None], cols[None, :])
+    r_max = float(radii.max())  # 0 on a 1x1 grid, else at least 1
+    idx = np.minimum((radii / max(r_max, 1.0) * n_bins).astype(int), n_bins - 1).ravel()
+    counts = np.bincount(idx, minlength=n_bins)
+    idx = idx.astype(np.min_scalar_type(n_bins - 1))
+    idx.flags.writeable = counts.flags.writeable = False
+    return idx, counts, r_max
 
 
 def _unshifted_values(spectrum) -> np.ndarray:

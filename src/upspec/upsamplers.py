@@ -42,10 +42,11 @@ from .signal_core import as_image, as_signal, idft
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
 #: Placement runs by FFT when a channel has at least FFT_MIN_SAMPLES samples
-#: and the fullest output phase receives at least FFT_MIN_TAPS nonzero taps
-#: (the crossover table is in :func:`_place`).
+#: and the fullest output phase receives at least the nonzero taps that
+#: FFT_MIN_TAPS pairs with the first bound above the longest axis (the
+#: crossover table is in :func:`_place`).
 FFT_MIN_SAMPLES = 1024
-FFT_MIN_TAPS = 33
+FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
 
 
 @dataclass(frozen=True)
@@ -207,33 +208,35 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     past an edge) so every shift is a slice, and taps are summed in
     ascending (a, b) order.
 
-    With H*W >= FFT_MIN_SAMPLES (1024) and at least FFT_MIN_TAPS (33)
-    nonzero taps in the fullest phase, :func:`_place_fft` computes the
-    same placement to round-off instead. Direct time over FFT time (above
-    1: FFT faster), periodic and zero-pad, 1 BLAS thread, 2-vCPU Xeon VM,
-    min of 4-7 runs, by nonzero taps of the fullest phase:
+    With H*W >= FFT_MIN_SAMPLES (1024) and enough nonzero taps in the
+    fullest phase for the longest axis, max(H, W), :func:`_place_fft`
+    computes the same placement to round-off instead: 25 taps below 1,024
+    samples an axis (2D), 33 below 4,096, 48 below 16,384 and 80 from
+    there on (FFT_MIN_TAPS). Direct time over FFT time (above 1: FFT
+    faster), periodic and zero-pad, strides 2-4, 1 BLAS thread, 2-vCPU
+    Xeon VM, min of 3-7 runs, by nonzero taps of the fullest phase:
 
-    ==================  ===========  ===========  ===========  ===========
-    samples per channel 16-24 taps   32 taps      36-40 taps   48-64 taps
-    ==================  ===========  ===========  ===========  ===========
-    2D 32x32 - 256x256  0.50 - 1.27  --           1.09 - 2.18  1.13 - 3.51
-    1D 1,024            0.83 - 2.17  1.00 - 1.86  1.89 - 2.13  1.49 - 4.40
-    1D 4,096            0.54 - 1.76  0.92 - 1.31  1.19 - 1.56  1.41 - 2.38
-    1D 16,384           0.35 - 0.65  0.60 - 0.87  0.78 - 0.97  0.90 - 1.57
-    1D 65,536           0.32 - 0.56  0.59 - 0.80  0.72 - 0.92  0.84 - 1.40
-    ==================  ===========  ===========  ===========  ===========
+    ===================  =========  =========  =========  =========  =========  =========
+    samples per channel  16 taps    24-25      32-36      48-49      64         80
+    ===================  =========  =========  =========  =========  =========  =========
+    2D 32x32 - 256x256   0.47-1.78  0.69-2.87  0.94-3.53  1.29-4.80  1.85-5.81  --
+    1D 1,024             0.78-0.98  1.06-1.33  1.33-1.72  1.81-2.28  2.48-3.25  --
+    1D 4,096             0.48-0.62  0.68-0.88  0.84-1.26  1.06-1.59  1.53-2.15  --
+    1D 8,192             --         --         --         0.81-1.34  1.07-1.87  1.19-2.39
+    1D 16,384            0.23-0.45  0.31-0.54  0.39-0.67  0.50-1.09  0.72-1.47  0.85-1.80
+    1D 65,536            0.29-0.48  0.42-0.55  0.49-0.67  0.71-1.05  0.84-1.38  0.99-1.34
+    ===================  =========  =========  =========  =========  =========  =========
 
-    (2D kernels of 7-21 taps a side at strides 2-4, 1 and 3 channels; 2D
-    kernels with 25 taps in the fullest phase read 0.68 - 1.81.) The rule
-    keeps every 2D placement from 36 taps on the FFT, where it always
-    wins, and keeps 1D kernels of up to 32 taps a phase (K = 63 at stride
-    2) direct at all lengths. It leaves gains below 33 taps (2D at 25
-    taps, short 1D signals) and loses up to 1.4x on 1D signals of 16,384
-    samples or more with 33-47 taps a phase, where FFTs of that length
-    cost more per sample than 2D ones of the same size.
+    (2D kernels of 7-21 taps a side, 1 and 3 channels; 1D from 96 taps on
+    reads 1.17 - 5.31.) A 1D FFT costs more per sample as it grows, a 2D
+    one of the same size less, so the rule reads the longest axis. It
+    keeps 1D kernels of up to 32 taps a phase (K = 63 at stride 2) direct
+    at every length, and loses up to 1.5x on 2D zero-pad placements with
+    25 taps and up to 1.2x on 1D ones at the lower edge of a step.
     """
     (h, wd, nc), (sa, sb) = x.shape, strides
-    if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= FFT_MIN_TAPS:
+    if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= next(
+            taps for bound, taps in FFT_MIN_TAPS if max(h, wd) < bound):
         return _place_fft(x, w, strides, boundary)
     ca, cb = w.shape[0] // 2, w.shape[1] // 2
     pads = _pads(w.shape, strides)
@@ -283,46 +286,54 @@ def _fast_length(n: int) -> int:
 
 
 def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
-    """:func:`_place` by real FFTs: one of the input, two per output phase.
+    """:func:`_place` by real FFTs: one of the input, one inverse per output phase.
 
-    Phase (pa, pb) is the un-inserted input convolved with its sub-kernel:
-    tap (a, b) reads the input at offset -((a - pa - ca) / sa, ...), so it
-    goes into bin ((a - pa - ca) / sa mod La, ...) of a length-(La, Lb)
-    kernel grid, where taps of equal bin add. Periodic placement is the
-    circular convolution at (La, Lb) = (H, W). Zero-pad placement is the
-    linear one: the input is zero-padded to the next 5-smooth length of at
-    least H + max(pads) per axis, so that every read past either end finds
-    a zero, and the first (H, W) samples are kept. x and w are scaled by
-    exact powers of two to peak in [0.5, 1), so no transform over- or
-    underflows, and the output is scaled back.
+    Phase (pa, pb) is the un-inserted input convolved with its sub-kernel
+    W_p: tap (a, b) reads the input at offset -(ua, ub), ua = (a - pa - ca)
+    / sa and ub likewise, so the phase's spectrum is E_a^T W_p E_b, E_a and
+    E_b the DFT matrices of the taps' bin offsets (taps on one bin add).
+    E_a has na taps by La bins; W_p E_b is the real FFT of W_p's taps summed
+    onto their Lb bins, as a matrix too costly for a long 1D signal.
+    Periodic placement is the circular convolution at (La, Lb) = (H, W).
+    Zero-pad placement is the linear one: the input is zero-padded to the
+    next 5-smooth length of at least H + max(pads) per axis, so that every
+    read past either end finds a zero, and the first (H, W) samples are kept.
+
+    Input and output are handled channel first, so the real FFT runs along
+    the contiguous last axis (a 1D placement, W = 1, is turned to put its
+    samples there), each phase is written once, and the result is an (sa H,
+    sb W, C) view. x and w are scaled by exact powers of two to peak in
+    [0.5, 1), so no transform over- or underflows, and scaled back on write.
     """
+    turned = x.shape[1] == 1
+    if turned:
+        x, w, strides = x.transpose(1, 0, 2), w.T, strides[::-1]
     (h, wd, nc), (sa, sb) = x.shape, strides
     ca, cb = w.shape[0] // 2, w.shape[1] // 2
-    size = (h, wd)
+    la, lb = h, wd
     if boundary == "zero-pad":
-        size = tuple(_fast_length(n + max(pad)) for n, pad in zip(size, _pads(w.shape, strides)))
+        la, lb = (_fast_length(n + max(pad)) for n, pad in zip((h, wd), _pads(w.shape, strides)))
     ex, ew = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (x, w))
-    # the real transform runs along axis 0; axis 1 is left out when it
-    # is a single sample (a 1D placement)
-    axes = (1, 0) if size[1] > 1 else (0,)
-    lengths = [size[axis] for axis in axes]
-    spectrum = np.fft.rfftn(np.ldexp(x, -ex), s=lengths, axes=axes)
+    # a transform of length 1 would only copy
+    axes, lengths = ((1, 2), (la, lb)) if la > 1 else ((2,), (lb,))
+    spectrum = np.fft.rfftn(np.ldexp(x.transpose(2, 0, 1), -ex, order="C"), lengths, axes)
     w = np.ldexp(w, -ew)
     phase = np.empty_like(spectrum)
-    out = np.zeros((sa * h, sb * wd, nc))
+    out = np.zeros((nc, sa * h, sb * wd))
     for pa in range(sa):
         rows = np.arange((pa + ca) % sa, w.shape[0], sa)
+        ea = np.exp(-2j * np.pi / la * (np.outer((rows - pa - ca) // sa, np.arange(la)) % la))
         for pb in range(sb):
             cols = np.arange((pb + cb) % sb, w.shape[1], sb)
             if rows.size == 0 or cols.size == 0:
                 continue
-            grid = np.zeros(size)
-            np.add.at(grid, np.ix_((rows - pa - ca) // sa % size[0],
-                                   (cols - pb - cb) // sb % size[1]), w[np.ix_(rows, cols)])
-            np.multiply(spectrum, np.fft.rfftn(grid, s=lengths, axes=axes)[:, :, np.newaxis],
-                        out=phase)
-            out[pa::sa, pb::sb] = np.fft.irfftn(phase, s=lengths, axes=axes)[:h, :wd]
-    return np.ldexp(out, ex + ew, out=out)
+            bins = np.arange(rows.size)[:, None] * lb + (cols - pb - cb) // sb % lb
+            taps = np.bincount(bins.ravel(), weights=w[np.ix_(rows, cols)].ravel(),
+                               minlength=rows.size * lb).reshape(rows.size, lb)
+            np.multiply(spectrum, ea.T @ np.fft.rfft(taps), out=phase)
+            y = np.fft.irfftn(phase, lengths, axes)
+            np.ldexp(y[:, :h, :wd], ex + ew, out=out[:, pa::sa, pb::sb])
+    return out.transpose(2, 1, 0) if turned else out.transpose(1, 2, 0)
 
 
 def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:

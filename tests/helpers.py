@@ -67,6 +67,21 @@ def brute_dft2(img) -> np.ndarray:
     return out
 
 
+def literal_mirror(half, w: int) -> np.ndarray:
+    """The full (H, W) magnitude spectrum of a real image from the (H, W//2 + 1)
+    magnitudes of its rfft2, bin by bin: |F[k1, k2]| = |F[-k1, -k2]|, read
+    from bin (-k1, -k2) past column W//2 and, in the columns that are their
+    own mirror (0 and W/2), past row H//2."""
+    h = half.shape[0]
+    full = np.empty((h, w))
+    for k1 in range(h):
+        for k2 in range(w):
+            m1, m2 = -k1 % h, -k2 % w
+            mirrored = k2 > w // 2 or (m2 == k2 and k1 > h // 2)
+            full[k1, k2] = half[m1, m2] if mirrored else half[k1, k2]
+    return full
+
+
 def dirichlet_interpolant(u, n: int, r: int) -> float:
     """Periodic-sinc value at output offset u for an N-point input
     upsampled to M = r*N, with the even-N Nyquist term half-weighted:

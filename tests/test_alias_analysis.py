@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_dft2,
     enumerate_contributions,
+    literal_mirror,
     random_bandlimited,
     truncated_sinc_square_replicas,
 )
@@ -336,24 +337,40 @@ class TestErrorSpectrum:
         rng = np.random.default_rng(seed)
         pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
         diff = pred - gt
-        complex_mean = np.abs(np.fft.fft2(np.mean(diff, axis=2)))
-        magnitude_mean = np.mean(np.abs(np.fft.fft2(diff, axes=(0, 1))), axis=2)
+        complex_mean = np.abs(np.fft.rfft2(np.mean(diff, axis=2)))
+        magnitude_mean = np.mean(np.abs(np.fft.rfft2(diff, axes=(0, 1))), axis=2)
         for mode, mean in (("complex", complex_mean), ("magnitude", magnitude_mean)):
             got = error_spectrum(pred, gt, mode=mode, log=False)
-            assert got.tobytes() == np.fft.fftshift(mean).tobytes()
+            assert got.tobytes() == np.fft.fftshift(literal_mirror(mean, w)).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 4),
            exponent=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
     def test_complex_mode_equals_mean_of_channel_spectra(self, h, w, channels, exponent,
                                                          seed):
+        # and magnitude mode equals the mean of their magnitudes
         rng = np.random.default_rng(seed)
         pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
         spectra = np.fft.fft2(pred - gt, axes=(0, 1))
-        expected = np.fft.fftshift(np.abs(np.mean(spectra, axis=2)))
-        mags = error_spectrum(pred, gt, log=False)
-        np.testing.assert_allclose(mags, expected, rtol=0,
-                                   atol=1e-12 * np.abs(spectra).max())
+        for mode, mean in (("complex", np.abs(np.mean(spectra, axis=2))),
+                           ("magnitude", np.mean(np.abs(spectra), axis=2))):
+            mags = error_spectrum(pred, gt, mode=mode, log=False)
+            np.testing.assert_allclose(mags, np.fft.fftshift(mean), rtol=0,
+                                       atol=1e-12 * np.abs(spectra).max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 7),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["complex", "magnitude"]), log=st.booleans())
+    def test_exactly_point_symmetric_about_dc(self, h, w, channels, exponent, seed, mode,
+                                              log):
+        # the error is real, so |F[-k]| = |F[k]|: centred bin (i, j) and bin
+        # (2*(h//2) - i, 2*(w//2) - j), both mod the shape, hold equal bytes
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
+        got = error_spectrum(pred, gt, mode=mode, log=log)
+        mirrored = np.roll(got[::-1, ::-1], (1 - h % 2, 1 - w % 2), axis=(0, 1))
+        assert mirrored.tobytes() == got.tobytes()
 
     def test_identical_inputs_hit_floor(self):
         img = np.random.default_rng(3).normal(size=(8, 8, 3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_dft
 from upspec import (
@@ -11,6 +13,7 @@ from upspec import (
     log_magnitude,
     radial_average,
 )
+from upspec.signal_core import _radial_bins
 
 
 class TestDft:
@@ -145,6 +148,37 @@ class TestRadialAverage:
             radial_average(dft([1, 2, 3, 4]), 2)
         with pytest.raises(ValueError):
             radial_average(Spectrum(np.ones((3, 3), dtype=complex), centered=True), 0)
+        for values in (np.ones((3, 3), dtype=complex), np.full((3, 3), np.inf)):
+            with pytest.raises(ValueError, match="finite real magnitudes"):
+                radial_average(values, 2)
+        with pytest.raises(ValueError, match="2D"):
+            radial_average(np.ones(3), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), n_bins=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_real_magnitudes_equal_the_centered_spectrum(self, h, w, n_bins, seed):
+        mags = np.abs(np.random.default_rng(seed).normal(size=(h, w)))
+        got = radial_average(mags, n_bins)
+        want = radial_average(Spectrum(mags.astype(complex), centered=True), n_bins)
+        for field, expected in zip(got, want):
+            assert field.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), n_bins=st.integers(1, 300))
+    def test_cached_bins_are_read_only_and_equal_the_formula(self, h, w, n_bins):
+        idx, counts, r_max = _radial_bins(h, w, n_bins)
+        assert _radial_bins(h, w, n_bins)[0] is idx
+        assert not idx.flags.writeable and not counts.flags.writeable
+        assert idx.dtype.itemsize <= 2
+        radii = np.hypot(*np.meshgrid(np.arange(h) - h // 2, np.arange(w) - w // 2,
+                                      indexing="ij"))
+        want_max = float(radii.max())
+        want = (np.zeros(radii.shape, dtype=int) if want_max == 0.0
+                else np.minimum((radii / want_max * n_bins).astype(int), n_bins - 1))
+        assert r_max == want_max
+        assert idx.astype(int).tobytes() == want.ravel().tobytes()
+        assert counts.tobytes() == np.bincount(want.ravel(), minlength=n_bins).tobytes()
 
 
 class TestTransformInvariants:

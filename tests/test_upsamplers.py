@@ -442,6 +442,23 @@ class TestFftPlacement:
                                    rtol=0, atol=1e-12 * np.abs(x).max() * taps)
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    @pytest.mark.parametrize("ksize", [(1, 1), (3, 1), (2, 3), (3, 3)])
+    def test_2d_with_empty_phases(self, ksize, boundary):
+        # at stride 4 a kernel of at most 3 taps an axis leaves the phases
+        # p with (p + K//2) mod 4 >= K without a tap: they read exactly 0
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(6, 5, 2))
+        kernel = KernelSpec(rng.normal(size=ksize), 4)
+        got = _place_by_fft(x, kernel, boundary)
+        np.testing.assert_allclose(got, literal_transposed_conv2(x, kernel, boundary),
+                                   rtol=0, atol=1e-12 * np.abs(x).max()
+                                   * np.abs(kernel.weights).sum())
+        for axis, k in enumerate(ksize):
+            for p in range(4):
+                if (p + k // 2) % 4 >= k:
+                    assert not np.take(got, np.arange(p, got.shape[axis], 4), axis).any()
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
     def test_no_overflow_near_the_largest_float(self, boundary):
         # the input's DC term, 64 * 1e307, would overflow unscaled
         rng = np.random.default_rng(13)
@@ -494,14 +511,20 @@ class TestPlacementRule:
         assert calls == [(256, 256, 3)] * 2
 
     def test_threshold(self):
-        # 1024 samples and 33 taps in the fullest phase switch to FFT; 32
-        # taps (K = 63 at stride 2) or 1023 samples stay direct
+        # at stride 2 the fullest phase has ceil(K/2) taps a side; each
+        # FFT_MIN_TAPS step switches to FFT at its count and stays direct one
+        # tap below it, and 1023 samples stay direct
+        fft = [((32, 32), (9, 9)), ((1023, 2), (9, 9)), ((1024,), 65), ((4095,), 65),
+               ((4096,), 95), ((16383,), 95), ((16384,), 159)]
+        direct = [((32, 32), (8, 11)), ((31, 33), (9, 9)), ((1024, 2), (9, 9)),
+                  ((1024,), 63), ((1023,), 65), ((4096,), 93), ((16384,), 157)]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
             calls = self._spy(mp)
-            for n, k in ((1024, 65), (1024, 63), (1023, 65)):
-                transposed_conv(rng.normal(size=n), KernelSpec(rng.normal(size=k), 2))
-        assert calls == [(1024, 1, 1)]
+            for shape, k in fft + direct:
+                op = transposed_conv if len(shape) == 1 else transposed_conv2
+                op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
+        assert calls == [shape + (1,) * (3 - len(shape)) for shape, _ in fft]
 
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
