@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_core import LOG_FLOOR, NonRealResultError, as_image, as_signal
-from .upsamplers import KernelSpec, bed_of_nails, linear, nearest, validate_factor
+from .upsamplers import KernelSpec, _phases, bed_of_nails, linear, nearest, validate_factor
 
-FILTER_METHODS = ("bed_of_nails", "nearest", "linear")
+#: The interpolation filters by name, each the operator that realizes it.
+FILTER_METHODS = {"bed_of_nails": bed_of_nails, "nearest": nearest, "linear": linear}
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def filter_response(method: str, r: int, n_points: int,
     discrete impulse response measures.
     """
     if method not in FILTER_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {FILTER_METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -188,19 +189,13 @@ def empirical_filter_response(method: str, r: int, n: int) -> tuple[np.ndarray, 
     matches ``filter_response(..., include_replicas=True)`` bin for bin.
     """
     if method not in FILTER_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {FILTER_METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
     if n < 4:
         raise ValueError("impulse length must be >= 4")
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    if method == "bed_of_nails":
-        out = bed_of_nails(impulse, r)
-    elif method == "nearest":
-        out = nearest(impulse, r)
-    else:
-        out = linear(impulse, r, boundary="periodic")
-    mags = np.abs(np.fft.fft(out))
+    mags = np.abs(np.fft.fft(FILTER_METHODS[method](impulse, r)))
     k = np.arange(r * n // 2 + 1)
     return k / n, mags[: k.size]
 
@@ -233,9 +228,8 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
 
 
 def _axis_counts(k: int, s: int, out_len: int) -> np.ndarray:
-    """Output p gets one contribution per tap j = p + floor(k/2) (mod s)."""
-    phase = (np.arange(out_len) + k // 2) % s
-    return k // s + (phase < k % s).astype(int)
+    """Output p gets one contribution per tap that placement gives phase p mod s."""
+    return np.tile([taps.size for taps, _ in _phases(k, s)], out_len // s)
 
 
 def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndarray:

@@ -25,6 +25,7 @@ from .alias_analysis import _alias_reports, _dft, _psnr_rows, contribution_map, 
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
+    GD_MAX_ITER,
     DivergenceError,
     FitProblem,
     fit_closed_form,
@@ -463,7 +464,7 @@ def build_parser() -> _Parser:
     fit_common.add_argument("--factor", "-r", type=int, default=2)
     fit_common.add_argument("--method", choices=("closed", "gradient"), default="closed")
     fit_common.add_argument("--lr", type=float, default=None)
-    fit_common.add_argument("--max-iter", type=int, default=100000)
+    fit_common.add_argument("--max-iter", type=int, default=GD_MAX_ITER)
     fit_common.add_argument("--parallel-small", type=int, default=0)
 
     p = sub.add_parser("fit", parents=[common, fit_common],

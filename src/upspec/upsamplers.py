@@ -34,6 +34,7 @@ every placement below the rule's threshold stay on the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,11 +203,11 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     """Polyphase tap placement of an (H, W, C) array, all channels at once.
 
     Output phase (pa, pb) of the stride-(sa, sb) transposed convolution
-    only receives taps a = pa + floor(Ka/2) (mod sa), b likewise; each such
-    tap adds w[a, b] times a shifted copy of the un-inserted input. The
-    input is padded once (wrapped or zero; not at all when no tap reads
-    past an edge) so every shift is a slice, and taps are summed in
-    ascending (a, b) order.
+    receives the taps that :func:`_phases` lists for pa on axis 0 and pb on
+    axis 1; each adds w[a, b] times the un-inserted input shifted by the
+    tap's offsets. The input is padded once (wrapped or zero; not at all
+    when no tap reads past an edge) so every shift is a slice, and taps
+    are summed in ascending (a, b) order. 1D signals come in as rows.
 
     With H*W >= FFT_MIN_SAMPLES (1024) and enough nonzero taps in the
     fullest phase for the longest axis, max(H, W), :func:`_place_fft`
@@ -238,24 +239,33 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= next(
             taps for bound, taps in FFT_MIN_TAPS if max(h, wd) < bound):
         return _place_fft(x, w, strides, boundary)
-    ca, cb = w.shape[0] // 2, w.shape[1] // 2
     pads = _pads(w.shape, strides)
     padded = x
     if any(pads[0] + pads[1]):
         padded = np.pad(x, pads + [(0, 0)], mode="wrap" if boundary == "periodic" else "constant")
     (lo_a, _), (lo_b, _) = pads
     out = np.empty((sa * h, sb * wd, nc))
-    for pa in range(sa):
-        for pb in range(sb):
+    for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
+        for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)):
             acc = np.zeros((h, wd, nc))
-            for a in range((pa + ca) % sa, w.shape[0], sa):
-                ra = lo_a + (pa + ca - a) // sa
-                for b in range((pb + cb) % sb, w.shape[1], sb):
+            for a, u in zip(rows.tolist(), ua.tolist()):
+                for b, v in zip(cols.tolist(), ub.tolist()):
                     if w[a, b] != 0.0:
-                        rb = lo_b + (pb + cb - b) // sb
+                        ra, rb = lo_a - u, lo_b - v
                         acc += w[a, b] * padded[ra:ra + h, rb:rb + wd]
             out[pa::sa, pb::sb] = acc
     return out
+
+
+@lru_cache
+def _phases(k: int, s: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per output phase p, the taps j = p + floor(k/2) (mod s) it receives, in
+    ascending order, and the input offset (j - p - floor(k/2)) / s each reads
+    back. Every tap lies in exactly one phase; a phase gets none only if s > k.
+    Cached, as building it costs more than a short placement: read, never write."""
+    c = k // 2
+    phases = [np.arange((p + c) % s, k, s) for p in range(s)]
+    return tuple((taps, (taps - p - c) // s) for p, taps in enumerate(phases))
 
 
 def _pads(shape, strides) -> list[tuple[int, int]]:
@@ -289,9 +299,9 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     """:func:`_place` by real FFTs: one of the input, one inverse per output phase.
 
     Phase (pa, pb) is the un-inserted input convolved with its sub-kernel
-    W_p: tap (a, b) reads the input at offset -(ua, ub), ua = (a - pa - ca)
-    / sa and ub likewise, so the phase's spectrum is E_a^T W_p E_b, E_a and
-    E_b the DFT matrices of the taps' bin offsets (taps on one bin add).
+    W_p: tap (a, b) reads the input at offset -(ua, ub), the offsets that
+    :func:`_phases` gives it, so the phase's spectrum is E_a^T W_p E_b, E_a
+    and E_b the DFT matrices of the taps' bin offsets (taps on one bin add).
     E_a has na taps by La bins; W_p E_b is the real FFT of W_p's taps summed
     onto their Lb bins, as a matrix too costly for a long 1D signal.
     Periodic placement is the circular convolution at (La, Lb) = (H, W).
@@ -300,16 +310,12 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     read past either end finds a zero, and the first (H, W) samples are kept.
 
     Input and output are handled channel first, so the real FFT runs along
-    the contiguous last axis (a 1D placement, W = 1, is turned to put its
-    samples there), each phase is written once, and the result is an (sa H,
-    sb W, C) view. x and w are scaled by exact powers of two to peak in
-    [0.5, 1), so no transform over- or underflows, and scaled back on write.
+    the contiguous last axis (the samples of a 1D row), each phase is
+    written once, and the result is an (sa H, sb W, C) view. x and w are
+    scaled by exact powers of two to peak in [0.5, 1), so no transform
+    over- or underflows, and scaled back on write.
     """
-    turned = x.shape[1] == 1
-    if turned:
-        x, w, strides = x.transpose(1, 0, 2), w.T, strides[::-1]
     (h, wd, nc), (sa, sb) = x.shape, strides
-    ca, cb = w.shape[0] // 2, w.shape[1] // 2
     la, lb = h, wd
     if boundary == "zero-pad":
         la, lb = (_fast_length(n + max(pad)) for n, pad in zip((h, wd), _pads(w.shape, strides)))
@@ -320,25 +326,24 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     w = np.ldexp(w, -ew)
     phase = np.empty_like(spectrum)
     out = np.zeros((nc, sa * h, sb * wd))
-    for pa in range(sa):
-        rows = np.arange((pa + ca) % sa, w.shape[0], sa)
-        ea = np.exp(-2j * np.pi / la * (np.outer((rows - pa - ca) // sa, np.arange(la)) % la))
-        for pb in range(sb):
-            cols = np.arange((pb + cb) % sb, w.shape[1], sb)
+    for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
+        ea = np.exp(-2j * np.pi / la * (np.outer(ua, np.arange(la)) % la))
+        for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)):
             if rows.size == 0 or cols.size == 0:
                 continue
-            bins = np.arange(rows.size)[:, None] * lb + (cols - pb - cb) // sb % lb
+            bins = np.arange(rows.size)[:, None] * lb + ub % lb
             taps = np.bincount(bins.ravel(), weights=w[np.ix_(rows, cols)].ravel(),
                                minlength=rows.size * lb).reshape(rows.size, lb)
             np.multiply(spectrum, ea.T @ np.fft.rfft(taps), out=phase)
             y = np.fft.irfftn(phase, lengths, axes)
             np.ldexp(y[:, :h, :wd], ex + ew, out=out[:, pa::sa, pb::sb])
-    return out.transpose(2, 1, 0) if turned else out.transpose(1, 2, 0)
+    return out.transpose(1, 2, 0)
 
 
 def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:
-    """:func:`_place` of a validated signal by 1D taps w at stride s."""
-    return _place(x[:, None, None], w[:, None], (s, 1), boundary).ravel()
+    """:func:`_place` of a validated signal by 1D taps w at stride s: one
+    (1, N, 1) row by a (1, K) kernel at strides (1, s), samples contiguous."""
+    return _place(x[None, :, None], w[None, :], (1, s), boundary).ravel()
 
 
 def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.ndarray:

@@ -10,7 +10,8 @@ from helpers import (
     random_bandlimited,
     truncated_sinc_square_replicas,
 )
-from upspec.alias_analysis import _alias_reports
+from upspec.alias_analysis import FILTER_METHODS, _alias_reports
+from upspec.upsamplers import _pads, _phases
 from upspec import (
     KernelSpec,
     NonRealResultError,
@@ -25,6 +26,8 @@ from upspec import (
     nearest,
     psnr,
     replica_deviation,
+    transposed_conv,
+    transposed_conv2,
 )
 
 
@@ -267,6 +270,12 @@ class TestEmpiricalFilterResponse:
             np.testing.assert_allclose(freqs, ell, atol=1e-12)
             np.testing.assert_allclose(measured, analytic, atol=1e-6)
 
+    @pytest.mark.parametrize("response", [filter_response, empirical_filter_response])
+    def test_unknown_method_lists_the_names(self, response):
+        assert tuple(FILTER_METHODS) == ("bed_of_nails", "nearest", "linear")
+        with pytest.raises(ValueError, match=r"\('bed_of_nails', 'nearest', 'linear'\)"):
+            response("bicubic", 2, 8)
+
 
 class TestContributionMap:
     def test_three_taps_stride_two(self):
@@ -316,6 +325,27 @@ class TestContributionMap:
         # includes out_len < k, s | k and s = k
         counts = contribution_map(KernelSpec(weights=np.ones(k), stride=s), s * periods).counts
         np.testing.assert_array_equal(counts, enumerate_contributions(k, s, s * periods))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 40), s=st.integers(1, 5), n=st.integers(1, 64),
+           ka=st.integers(1, 12), kb=st.integers(1, 12), h=st.integers(1, 24),
+           w=st.integers(1, 24))
+    def test_counts_are_what_placement_places(self, k, s, n, ka, kb, h, w):
+        # ones in, so every output sums its phase's taps exactly; the sizes
+        # stay below the FFT threshold, and k > s*n wraps the kernel
+        def counts(k, out_len):
+            return contribution_map(KernelSpec(np.ones(k), s), out_len).counts
+
+        np.testing.assert_array_equal(transposed_conv(np.ones(n), KernelSpec(np.ones(k), s)),
+                                      counts(k, s * n))
+        np.testing.assert_array_equal(
+            transposed_conv2(np.ones((h, w)), KernelSpec(np.ones((ka, kb)), s)),
+            np.outer(counts(ka, s * h), counts(kb, s * w)))
+        phases = _phases(k, s)
+        np.testing.assert_array_equal(np.sort(np.concatenate([t for t, _ in phases])),
+                                      np.arange(k))
+        ((lo, hi),) = _pads((k,), (s,))
+        assert all(np.all((-hi <= u) & (u <= lo)) for _, u in phases)
 
     @settings(max_examples=50, deadline=None)
     @given(ka=st.integers(1, 9), kb=st.integers(1, 9), s=st.integers(1, 4),

@@ -331,8 +331,8 @@ class TestFixedKernels:
         nearest([1.0, 2.0], 3)
         linear([1.0, 2.0], 3, "zero-pad")
         np.testing.assert_array_equal(calls[0], [[1]])
-        np.testing.assert_array_equal(calls[1], [[0], [0], [1], [1], [1]])
-        np.testing.assert_array_equal(calls[2], [[1 / 3], [2 / 3], [1], [1 - 1 / 3], [1 - 2 / 3]])
+        np.testing.assert_array_equal(calls[1], [[0, 0, 1, 1, 1]])
+        np.testing.assert_array_equal(calls[2], [[1 / 3, 2 / 3, 1, 1 - 1 / 3, 1 - 2 / 3]])
 
 
 class TestPolyphasePlacement:
@@ -422,7 +422,7 @@ def _place_by_fft(x, kernel, boundary):
     """The FFT placement of a kernel's effective weights, called directly."""
     w, s = kernel.effective_weights(), kernel.stride
     if w.ndim == 1:
-        return upsamplers._place_fft(x[:, None, None], w[:, None], (s, 1), boundary).ravel()
+        return upsamplers._place_fft(x[None, :, None], w[None, :], (1, s), boundary).ravel()
     return upsamplers._place_fft(x, w, (s, s), boundary)
 
 
@@ -524,7 +524,7 @@ class TestPlacementRule:
             for shape, k in fft + direct:
                 op = transposed_conv if len(shape) == 1 else transposed_conv2
                 op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
-        assert calls == [shape + (1,) * (3 - len(shape)) for shape, _ in fft]
+        assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1) for shape, _ in fft]
 
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
