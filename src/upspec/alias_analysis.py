@@ -84,7 +84,7 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     n = m // r
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         spectra = np.fft.fft(ys, axis=1)
-        magnitudes = np.abs(np.fft.fftshift(spectra, axes=1))
+        magnitudes = np.fft.fftshift(np.abs(spectra), axes=1)
     peaks = magnitudes.max(axis=1)
     if not np.all(np.isfinite(peaks)):
         raise NonRealResultError("transform of y overflowed: its spectrum is not finite")
@@ -97,7 +97,8 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     # amplitude; the energies are those sums times peak^2. compress keeps
     # each row's band contiguous, so a row sums as the 1D band would
     peaks[peaks == 0.0] = 1.0
-    power = (magnitudes / peaks[:, np.newaxis]) ** 2
+    power = magnitudes / peaks[:, np.newaxis]
+    np.square(power, out=power)
     s_pass, s_nyq, s_alias = (np.compress(band, power, axis=1).sum(axis=1)
                               for band in (passband, nyquist, alias))
     total = s_pass + s_nyq + s_alias
@@ -130,8 +131,8 @@ def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int) -> np.ndarray:
     of ``fy``; an overflow on the way raises :class:`NonRealResultError`."""
     if fy.shape[-1] != r * fx.size:
         raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.shape[-1]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.abs(fy - np.tile(fx, r)).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # bins mN + k of y against bin k of x
+        gaps = np.abs(fy.reshape(*fy.shape[:-1], r, fx.size) - fx).max(axis=(-2, -1))
     if not np.all(np.isfinite(gaps)):
         raise NonRealResultError("replica deviation overflowed: it is not finite")
     return gaps

@@ -118,7 +118,7 @@ def write_csv(path: Path, header, columns) -> None:
     values = [None] * (width * height)
     conversions = []
     for i, column in enumerate(columns):
-        kinds = set(map(type, column))
+        kinds = {int} if isinstance(column, range) else set(map(type, column))
         conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
         if conversion is None:
             column = list(map(_cell, column))

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Raster bytes quantized and written at a time by :func:`write_netpbm`.
+_BLOCK_BYTES = 1 << 16
+
 
 def minmax_rint(arr: np.ndarray, lo: float, hi: float, top: float) -> np.ndarray:
     """``rint((arr - lo) / (hi - lo) * top)`` as a new float array, for lo < hi.
@@ -40,22 +43,30 @@ def quantize(array) -> np.ndarray:
     finite; a range whose width overflows is handled by ``minmax_rint``.
     """
     arr = np.asarray(array)
-    if arr.dtype == bool:
-        if arr.min() == arr.max():
-            return np.zeros(arr.shape, dtype=np.uint8)
-        return arr.view(np.uint8) * np.uint8(255)
-    arr = np.asarray(arr, dtype=float)
-    lo = float(arr.min())
-    hi = float(arr.max())
+    return _quantize_block(arr, *_finite_range(arr))
+
+
+def _finite_range(arr: np.ndarray) -> tuple[float, float]:
+    """min and max of the whole array as floats; a non-finite one raises."""
+    lo, hi = float(arr.min()), float(arr.max())
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("array values must be finite")
+    return lo, hi
+
+
+def _quantize_block(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """:func:`quantize` of any rows of an array whose range is [lo, hi]."""
     if hi == lo:
-        return np.zeros(arr.shape, dtype=np.uint8)
-    return minmax_rint(arr, lo, hi, 255.0).astype(np.uint8)
+        return np.zeros(block.shape, dtype=np.uint8)
+    if block.dtype == bool:
+        return block.view(np.uint8) * np.uint8(255)
+    return minmax_rint(np.asarray(block, dtype=float), lo, hi, 255.0).astype(np.uint8)
 
 
 def write_netpbm(array, path) -> None:
-    """Write a 2D array as P5 or an (H, W, 3) array as P6."""
+    """Write a 2D array as P5 or an (H, W, 3) array as P6, quantized in blocks
+    of whole rows of about ``_BLOCK_BYTES``: no full-size copy is made. The
+    range is checked first, so a non-finite array creates no file."""
     arr = np.asarray(array)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
@@ -65,12 +76,14 @@ def write_netpbm(array, path) -> None:
         magic = b"P6"
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {arr.shape}")
-    data = quantize(arr)
-    h, w = data.shape[:2]
-    header = b"%s %d %d 255\n" % (magic, w, h)
+    lo, hi = _finite_range(arr)
+    h, w = arr.shape[:2]
+    rows = max(1, _BLOCK_BYTES // arr[0].size)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(data))  # copies only a raster not in C order
+        fh.write(b"%s %d %d 255\n" % (magic, w, h))
+        for start in range(0, h, rows):
+            # copies only a block not in C order
+            fh.write(np.ascontiguousarray(_quantize_block(arr[start:start + rows], lo, hi)))
 
 
 def read_netpbm(path) -> np.ndarray:

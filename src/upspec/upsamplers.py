@@ -311,10 +311,15 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
 
     Input and output are handled channel first, so the real FFT runs along
     the contiguous last axis (the samples of a 1D row), each phase is
-    written once, and the result is an (sa H, sb W, C) view. x and w are
-    scaled by exact powers of two to peak in [0.5, 1), so no transform
-    over- or underflows, and scaled back on write.
+    written once, and the result is an (sa H, sb W, C) view. An input with
+    H > W is placed turned, so that its longer axis takes the real FFT and
+    it costs what its transpose costs. x and w are scaled by exact powers
+    of two to peak in [0.5, 1), so no transform over- or underflows, and
+    scaled back on write.
     """
+    turned = x.shape[0] > x.shape[1]
+    if turned:
+        x, w, strides = x.transpose(1, 0, 2), w.T, strides[::-1]
     (h, wd, nc), (sa, sb) = x.shape, strides
     la, lb = h, wd
     if boundary == "zero-pad":
@@ -337,7 +342,7 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
             np.multiply(spectrum, ea.T @ np.fft.rfft(taps), out=phase)
             y = np.fft.irfftn(phase, lengths, axes)
             np.ldexp(y[:, :h, :wd], ex + ew, out=out[:, pa::sa, pb::sb])
-    return out.transpose(1, 2, 0)
+    return out.transpose((2, 1, 0) if turned else (1, 2, 0))
 
 
 def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:

@@ -197,12 +197,22 @@ def literal_bar_strip(values, height: int = 48) -> np.ndarray:
 
 def literal_quantize(array) -> np.ndarray:
     """Min-max quantisation as one expression over a float copy:
-    ``rint((a - lo) / (hi - lo) * 255)`` cast to uint8, zeros when constant."""
+    ``rint((a - lo) / (hi - lo) * 255)`` cast to uint8, zeros when constant.
+    When ``hi - lo`` overflows, every term is halved first (exact in binary)."""
     a = np.asarray(array, dtype=float)
-    lo, hi = a.min(), a.max()
+    lo, hi = float(a.min()), float(a.max())
     if hi == lo:
         return np.zeros(a.shape, dtype=np.uint8)
+    if not np.isfinite(hi - lo):
+        return np.rint((a / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0).astype(np.uint8)
     return np.rint((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
+
+
+def literal_replica_deviation(x, y, r: int) -> float:
+    """max_k |DFT(y)[k] - DFT(x)[k mod N]| against DFT(x) tiled r times;
+    an overflow on the way reads inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(np.fft.fft(y) - np.tile(np.fft.fft(x), r)).max())
 
 
 def literal_fold(kernel) -> KernelSpec:

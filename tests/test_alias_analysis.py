@@ -7,6 +7,7 @@ from helpers import (
     brute_dft2,
     enumerate_contributions,
     literal_mirror,
+    literal_replica_deviation,
     random_bandlimited,
     truncated_sinc_square_replicas,
 )
@@ -195,6 +196,33 @@ class TestAmplitudeInvariance:
             stack[row] = y
             with pytest.raises(NonRealResultError, match=f"{what} overflowed"):
                 _alias_reports(stack, 2, np.fft.fft(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 4), rows=st.integers(1, 4),
+           k=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+    def test_gaps_equal_literal_tiled_reference(self, n, r, rows, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * 10.0 ** k
+        ys = rng.normal(size=(rows, r * n)) * 10.0 ** k
+        ys[0] = bed_of_nails(x, r) + ys[0] * 2.0 ** -60
+        expected = [literal_replica_deviation(x, y, r) for y in ys]
+        assert [replica_deviation(x, y, r) for y in ys] == expected
+        assert [report.replica_deviation
+                for report in _alias_reports(ys, r, np.fft.fft(x))] == expected
+
+    @pytest.mark.parametrize("x, y", [
+        (np.full(64, 2e306), bed_of_nails(np.full(64, 2e306), 2)),
+        (np.full(64, 2e306), np.ones(128)),
+        (np.full(64, 2e306), -np.full(128, 1e306)),
+        (np.full(64, 1e307), np.ones(128)),
+    ], ids=["finite-replicas", "finite-gap", "gap-overflows", "x-overflows"])
+    def test_overflow_cases_follow_the_literal_gap(self, x, y):
+        expected = literal_replica_deviation(x, y, 2)
+        if np.isfinite(expected):
+            assert replica_deviation(x, y, 2) == expected
+        else:
+            with pytest.raises(NonRealResultError, match="replica deviation overflowed"):
+                replica_deviation(x, y, 2)
 
     def test_psnr_of_overflowing_difference_is_finite(self):
         # the difference 2e308 overflows; half of it does not

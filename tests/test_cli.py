@@ -631,6 +631,14 @@ class TestCsvFormatting:
         assert (tmp_path / "t.csv").read_bytes() == \
             literal_csv_text(["position", "count"], list(zip(range(height), counts))).encode()
 
+    @pytest.mark.parametrize("positions", [range(0), range(7), range(-3, 40, 7), range(10, 0, -2),
+                                           range(2**60, 2**60 + 50, 7)])
+    def test_range_column_writes_the_bytes_of_its_list(self, tmp_path, positions):
+        counts = [2 * p - 1 for p in positions]
+        cli.write_csv(tmp_path / "range.csv", ["position", "count"], [positions, counts])
+        cli.write_csv(tmp_path / "list.csv", ["position", "count"], [list(positions), counts])
+        assert (tmp_path / "range.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
         for columns in ([[1, 2], [3]], [[1], [2, 3]]):
             with pytest.raises(ValueError):

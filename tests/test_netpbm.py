@@ -87,7 +87,55 @@ class TestQuantize:
                                           [[0, 255], [128, 191]])
 
 
+@st.composite
+def rasters(draw):
+    """Arrays of 1-300 rows, up to 70,000 columns (so that one row can
+    outgrow a write block) and no channel axis or one of 1 or 3 channels,
+    within 300,000 values: constant and mixed masks, floats over 600
+    decades or with a range that overflows, and uint8; in C order,
+    transposed or strided."""
+    h = draw(st.integers(1, 300) | st.integers(1, 4))
+    channels = draw(st.sampled_from([(), (1,), (3,)]))
+    widest = min(70_000, 300_000 // (h * (channels or (1,))[0]))
+    w = draw(st.integers(1, widest) | st.just(widest))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
+    shape = {"c": (h, w), "transposed": (w, h), "strided": (h, 2 * w)}[layout] + channels
+    kind = draw(st.sampled_from(["false", "true", "mask", "float", "overflow", "uint8"]))
+    if kind in ("false", "true"):
+        arr = np.full(shape, kind == "true")
+    elif kind == "mask":
+        arr = rng.random(shape) < draw(st.floats(0, 1))
+    elif kind == "float":
+        arr = rng.normal(size=shape) * 10.0 ** draw(st.integers(-300, 300))
+    elif kind == "overflow":
+        arr = rng.uniform(-1, 1, shape) * 1e308
+        arr.flat[0], arr.flat[-1] = -1e308, 1e308
+    else:
+        arr = rng.integers(0, 256, shape, dtype=np.uint8)
+    return {"c": arr, "transposed": arr.swapaxes(0, 1), "strided": arr[::-1, ::2]}[layout]
+
+
 class TestWriteRead:
+    @settings(max_examples=100, deadline=None)
+    @given(arr=rasters())
+    def test_file_is_header_and_literal_bytes(self, arr, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pnm") / "raster.pnm"
+        write_netpbm(arr, path)
+        raster = literal_quantize(arr[:, :, 0] if arr.ndim == 3 and arr.shape[2] == 1 else arr)
+        magic = b"P5" if raster.ndim == 2 else b"P6"
+        header = b"%s %d %d 255\n" % (magic, arr.shape[1], arr.shape[0])
+        assert path.read_bytes() == header + raster.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_creates_no_file(self, tmp_path, bad):
+        # the bad value sits in the last of several row blocks
+        arr = np.zeros((300, 1000))
+        arr[-1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            write_netpbm(arr, tmp_path / "bad.pgm")
+        assert not (tmp_path / "bad.pgm").exists()
+
     def test_single_pixel_header_and_byte(self, tmp_path):
         path = tmp_path / "one.pgm"
         write_netpbm(np.array([[123.4]]), path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -440,6 +440,21 @@ class TestFftPlacement:
         np.testing.assert_allclose(_place_by_fft(x, kernel, boundary),
                                    literal(x, kernel, boundary),
                                    rtol=0, atol=1e-12 * np.abs(x).max() * taps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), sb=st.integers(1, 4), boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_tall_input_is_the_wide_one_turned(self, data, sb, boundary):
+        # a tall input is placed with its longer axis last, so its bytes
+        # are those of the turned input, kernel and strides
+        x, kernel, _ = data.draw(placement_cases(ndim=2))
+        w, strides = kernel.effective_weights(), (kernel.stride, sb)
+        if x.shape[0] < x.shape[1]:
+            x, w, strides = x.transpose(1, 0, 2), w.T, strides[::-1]
+        assume(x.shape[0] > x.shape[1])
+        wide = upsamplers._place_fft(np.ascontiguousarray(x.transpose(1, 0, 2)),
+                                     np.ascontiguousarray(w.T), strides[::-1], boundary)
+        np.testing.assert_array_equal(upsamplers._place_fft(x, w, strides, boundary),
+                                      wide.transpose(1, 0, 2))
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
     @pytest.mark.parametrize("ksize", [(1, 1), (3, 1), (2, 3), (3, 3)])
