@@ -379,6 +379,8 @@ def _read_input(path) -> np.ndarray:
 def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
     if (args.pred is None) != (args.gt is None):
         raise UsageError("--pred and --gt must be given together")
+    if args.bins < 1:
+        raise UsageError("--bins must be at least 1")
     if args.pred is not None:
         pred, gt = _read_input(args.pred), _read_input(args.gt)
     else:

@@ -396,6 +396,16 @@ class TestErrorspec:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: io:")
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    @pytest.mark.parametrize("format", ["csv,json,pgm", "csv", "json,pgm,ppm"])
+    def test_bad_bins_exits_1_before_writing(self, tmp_path, capsys, bins, format):
+        out = tmp_path / "out"
+        code = main(["errorspec", "--out-dir", str(out), "--seed", "1", "--bins", bins,
+                     "--format", format])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: usage: --bins")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("content", [b"P5 4 4 255\n" + bytes(10), b"P7 4 4 255\n",
                                          b"P5 4 4 65535\n" + bytes(32), b"P5 4 x 255\n",
                                          b""],

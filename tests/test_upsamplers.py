@@ -1,3 +1,8 @@
+import itertools
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -483,6 +488,69 @@ class TestFftPlacement:
                                    literal_transposed_conv2(x, kernel, boundary),
                                    rtol=0, atol=1e-12 * 2e307 * np.abs(kernel.weights).sum())
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), ndim=st.sampled_from([1, 2]), exponent=st.integers(-300, 300),
+           boundary=st.sampled_from(["periodic", "zero-pad"]))
+    def test_bitwise_equal_across_worker_counts(self, data, ndim, exponent, boundary):
+        # each output sample is computed by one job in the same way on any
+        # thread; the size rule is lifted so that small draws run on workers
+        x, kernel, _ = data.draw(placement_cases(ndim=ndim, min_stride=2))
+        x = x / np.abs(x).max() * 10.0 ** exponent
+        outputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_THREAD_MIN_SAMPLES", 0)
+            for workers in (1, 2, 3, kernel.stride ** ndim + 1):
+                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
+                outputs.append(_place_by_fft(x, kernel, boundary))
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out, outputs[0])
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    @pytest.mark.parametrize("shape, ksize, strides", [((256, 256, 3), (11, 11), (2, 2)),
+                                                       ((1, 131072, 1), (1, 161), (1, 2))])
+    def test_threaded_sizes_bitwise_equal_across_worker_counts(self, shape, ksize, strides,
+                                                               boundary):
+        # above the size rule, where the workers' transforms overlap in time;
+        # more workers than phases, and the interpreter switching threads often
+        rng = np.random.default_rng(22)
+        x, w = rng.normal(size=shape), rng.normal(size=ksize)
+        outputs, interval = [], sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                sys.setswitchinterval(1e-5)
+                for workers in (1, 2, 5):
+                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
+                    outputs.append(upsamplers._place_fft(x, w, strides, boundary))
+            finally:
+                sys.setswitchinterval(interval)
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out, outputs[0])
+
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["second-call", "worker-call"])
+    def test_worker_error_reaches_the_caller(self, on_worker):
+        # 256 x 256 at stride 2 writes 2^18 samples, so the phases run on two
+        # workers; irfft fails on its second call, or on every worker call
+        rng = np.random.default_rng(21)
+        image, kernel = rng.normal(size=(256, 256)), KernelSpec(rng.normal(size=(11, 11)), 2)
+        irfft, counter, caller = np.fft.irfft, itertools.count(1), threading.current_thread()
+        failed_on = []
+
+        def failing_irfft(*args, **kwargs):
+            thread = threading.current_thread()
+            if (thread is not caller) if on_worker else (next(counter) == 2):
+                failed_on.append(thread)
+                raise RuntimeError("irfft failed")
+            return irfft(*args, **kwargs)
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_worker_count", lambda: 2)
+            mp.setattr(np.fft, "irfft", failing_irfft)
+            with pytest.raises(RuntimeError, match="irfft failed"):
+                transposed_conv2(image, kernel)
+        assert threading.active_count() == before
+        assert failed_on and (not on_worker or caller not in failed_on)
+
 
 class TestPlacementRule:
     """The path is a fixed rule on (samples per channel, nonzero taps of
@@ -495,6 +563,20 @@ class TestPlacementRule:
         fft = upsamplers._place_fft
         mp.setattr(upsamplers, "_place_fft", lambda *a: calls.append(a[0].shape) or fft(*a))
         return calls
+
+    @staticmethod
+    def _thread_spy(mp):
+        """The threads that placements start, on two CPUs whatever the machine has."""
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        mp.setattr(upsamplers, "threading", types.SimpleNamespace(Thread=Thread))
+        mp.setattr(upsamplers, "_worker_count", lambda: 2)
+        return started
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), ndim=st.sampled_from([1, 2]),
@@ -528,18 +610,26 @@ class TestPlacementRule:
     def test_threshold(self):
         # at stride 2 the fullest phase has ceil(K/2) taps a side; each
         # FFT_MIN_TAPS step switches to FFT at its count and stays direct one
-        # tap below it, and 1023 samples stay direct
+        # tap below it, and 1023 samples stay direct; an FFT placement that
+        # writes fewer than 2^18 samples starts no thread, and from 2^18 on
+        # one of its two stripes of phases runs on a worker thread
         fft = [((32, 32), (9, 9)), ((1023, 2), (9, 9)), ((1024,), 65), ((4095,), 65),
-               ((4096,), 95), ((16383,), 95), ((16384,), 159)]
+               ((4096,), 95), ((16383,), 95), ((16384,), 159), ((131071,), 161),
+               ((255, 256), (11, 11))]
         direct = [((32, 32), (8, 11)), ((31, 33), (9, 9)), ((1024, 2), (9, 9)),
                   ((1024,), 63), ((1023,), 65), ((4096,), 93), ((16384,), 157)]
+        threaded = [((131072,), 161), ((256, 256), (11, 11))]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
-            calls = self._spy(mp)
-            for shape, k in fft + direct:
-                op = transposed_conv if len(shape) == 1 else transposed_conv2
-                op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
-        assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1) for shape, _ in fft]
+            calls, threads = self._spy(mp), self._thread_spy(mp)
+            for cases, started in ((fft + direct, 0), (threaded, len(threaded))):
+                for shape, k in cases:
+                    op = transposed_conv if len(shape) == 1 else transposed_conv2
+                    op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
+                assert len(threads) == started
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1)
+                         for shape, _ in fft + threaded]
 
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
