@@ -29,8 +29,8 @@ one real FFT convolution per output phase (to round-off, O(rN log N)
 whatever K). A fixed rule on the input size and the kernel picks the path
 (see ``FFT_MIN_SAMPLES`` and ``FFT_MIN_TAPS``); the fixed upsamplers and
 every placement below the rule's threshold stay on the first. Large FFT
-placements run their output phases on worker threads, one per CPU, with
-output bitwise equal to one thread's.
+placements run their output phases on worker threads, one per CPU up to
+two, with output bitwise equal to one thread's.
 """
 
 from __future__ import annotations
@@ -52,9 +52,13 @@ BOUNDARY_MODES = ("periodic", "zero-pad")
 #: crossover table is in :func:`_place`).
 FFT_MIN_SAMPLES = 1024
 FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
-#: An FFT placement runs its jobs on worker threads when it writes at least
+#: An FFT placement runs its phases on worker threads when it writes at least
 #: this many output samples (all channels); smaller ones run on the caller.
 _THREAD_MIN_SAMPLES = 1 << 18
+#: Workers are at most this many: the crossover table in :func:`_place` and
+#: the peak-RSS figures were measured with two, each worker holding one
+#: complex and one real buffer of a channel's transform size.
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,8 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
 
     An FFT placement that writes at least _THREAD_MIN_SAMPLES (2^18) output
     samples, all channels counted, runs its phases on worker threads, one
-    per CPU; the bytes are the same either way (see :func:`_place_fft`).
+    per CPU up to _MAX_WORKERS = 2, the count measured below; the bytes are
+    the same either way (see :func:`_place_fft`).
     One worker's time over two workers' (above 1: threads faster),
     periodic / zero-pad, 2-vCPU Xeon VM, medians of 41 alternating calls,
     two runs:
@@ -351,16 +356,18 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     of two to peak in [0.5, 1), so no transform over- or underflows, and
     scaled back on write.
 
-    The work comes in jobs: one per channel, its forward transform, then one
-    per output phase: its sub-kernel spectrum and, per channel, the product,
-    the inverse transform and the write. Each kind runs in stripes
-    (:func:`_in_stripes`) on min(CPUs, phases) workers, the caller one of
-    them, once the output holds at least _THREAD_MIN_SAMPLES samples, and
-    on the caller alone below that. Each worker transforms in one complex
-    and one real buffer made here; the only channel-sized array a job makes
-    is its phase's sub-kernel spectrum. Every output sample is computed by
-    one job with the same operations in the same order whatever the worker
-    count, so the output is bitwise the same.
+    The caller transforms the channels one after another. Then each output
+    phase is a job: its sub-kernel spectrum and, per channel, the product,
+    the inverse transform and the write. The jobs run in stripes
+    (:func:`_in_stripes`) on min(CPUs, _MAX_WORKERS, phases) workers, the
+    caller one of them, once the output holds at least _THREAD_MIN_SAMPLES
+    samples, and on the caller alone below that. Each worker transforms in
+    one complex and one real buffer made here (the transforms write through
+    ``out=``, which numpy's FFT functions take from numpy 2.0 on); the only
+    channel-sized array a job makes is its phase's sub-kernel spectrum.
+    Every output sample is computed by one job with the same operations in
+    the same order whatever the worker count, so the output is bitwise the
+    same.
     """
     turned = x.shape[0] > x.shape[1]
     if turned:
@@ -380,7 +387,8 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     buffers = [(np.empty(spectrum.shape[1:], complex), np.empty((la, lb)))
                for _ in range(workers)]
 
-    def forward(c, _, real):
+    real = buffers[0][1]
+    for c in range(nc):
         np.ldexp(x[:, :, c], -ex, out=real[:h, :wd])
         np.fft.rfft(real[:h, :wd], lb, out=spectrum[c, :h])
         if la > 1:  # a transform of length 1 would only copy
@@ -401,16 +409,14 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
             np.fft.irfft(product, lb, out=real)
             np.ldexp(real[:h, :wd], ex + ew, out=out[c, pa::sa, pb::sb])
 
-    _in_stripes(forward, nc, buffers)
     _in_stripes(phase, len(phases), buffers)
     return out.transpose((2, 1, 0) if turned else (1, 2, 0))
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on, at most _MAX_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, _MAX_WORKERS)
 
 
 def _in_stripes(job, n: int, buffers) -> None:

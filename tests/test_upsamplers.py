@@ -631,6 +631,15 @@ class TestPlacementRule:
         assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1)
                          for shape, _ in fft + threaded]
 
+    def test_workers_are_capped_at_the_measured_count(self):
+        # the size rule and the peak-RSS figures hold for two workers; a host
+        # with more CPUs must not start one buffer pair and thread per CPU
+        with pytest.MonkeyPatch.context() as mp:
+            for cpus, workers in ((1, 1), (2, 2), (64, 2)):
+                mp.setattr(upsamplers.os, "sched_getaffinity", lambda _, n=cpus: set(range(n)),
+                           raising=False)
+                assert upsamplers._worker_count() == workers
+
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
 POWERS_OF_TWO = st.integers(-30, 30).map(lambda k: 2.0 ** k)
