@@ -16,11 +16,12 @@ they do not depend on the amplitude of the signal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import LOG_FLOOR, NonRealResultError, as_image, as_signal
+from .signal_core import NonRealResultError, _log_map, as_image, as_signal
 from .upsamplers import KernelSpec, _phases, bed_of_nails, linear, nearest, validate_factor
 
 #: The interpolation filters by name, each the operator that realizes it.
@@ -213,12 +214,8 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     if out_len < 1 or out_len % s != 0:
         raise ValueError(f"out_len must be a positive multiple of stride {s}")
 
-    if kernel.weights.ndim == 1:
-        counts = _axis_counts(kernel.weights.shape[0], s, out_len)
-    else:
-        rows = _axis_counts(kernel.weights.shape[0], s, out_len)
-        cols = _axis_counts(kernel.weights.shape[1], s, out_len)
-        counts = np.outer(rows, cols)
+    counts = functools.reduce(np.multiply.outer,
+                              [_axis_counts(k, s, out_len) for k in kernel.weights.shape])
     variance = float(np.var(counts))
     return ContributionMap(
         counts=counts,
@@ -240,7 +237,7 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     complex values and the magnitude is taken afterwards (the DFT is
     linear, so this is one DFT of the channel-mean difference); ``mode=
     "magnitude"`` averages the magnitudes instead. ``log=False`` returns
-    the centered magnitudes without the log10(. + LOG_FLOOR) mapping.
+    the centered magnitudes without the log map of :func:`log_magnitude`.
     The channel mean adds the channels in order, as ``mean(axis=2)`` does
     below 8 channels. Only the half spectrum of a real FFT is computed; the
     rest is its mirror |F[-k]| = |F[k]|, exactly point-symmetric about DC.
@@ -264,8 +261,7 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     # the value of row k, 0 < k < h/2
     half[:ch:-1, ::w - cw] = half[1:(h + 1) // 2, ::w - cw]
     if log:
-        half += LOG_FLOOR
-        np.log10(half, out=half)
+        _log_map(half)
     # centred bin (i, j) holds frequency (i - h//2, j - w//2); the columns
     # from w//2 on are the half spectrum, those before it the mirror
     out = np.empty((h, w))

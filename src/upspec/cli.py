@@ -172,25 +172,28 @@ def bar_strip(values) -> np.ndarray:
 # input construction
 
 
-def _require_seed(args, why: str) -> int:
-    if args.seed is None:
+def _require_seed(seed, why: str) -> int:
+    if seed is None:
         raise UsageError(f"--seed is required {why}")
-    return args.seed
+    return seed
 
 
 def build_signal(args) -> np.ndarray:
+    """The 1D --signal kind, built at unit scale and times --amplitude."""
     kind = args.signal
     if kind == "cosine":
-        return cosine_signal(args.n, args.frequency, args.amplitude)
-    if kind == "cosine-mix":
-        return cosine_mixture(args.n, _parse_components(args.components))
-    if kind == "noise":
-        seed = _require_seed(args, "for the noise generator")
+        x = cosine_signal(args.n, args.frequency)
+    elif kind == "cosine-mix":
+        x = cosine_mixture(args.n, _parse_components(args.components))
+    elif kind == "noise":
+        seed = _require_seed(args.seed, "for the noise generator")
         cutoff = args.cutoff if args.cutoff is not None else args.n // 2 - 1
-        return bandlimited_noise(args.n, cutoff, seed)
-    if kind == "step":
-        return step_signal(args.n)
-    raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
+        x = bandlimited_noise(args.n, cutoff, seed)
+    elif kind == "step":
+        x = step_signal(args.n)
+    else:
+        raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
+    return args.amplitude * x
 
 
 def build_image(args, seed) -> np.ndarray:
@@ -200,9 +203,8 @@ def build_image(args, seed) -> np.ndarray:
     if kind == "gaussian":
         return gaussian_blob_image(args.height, args.width, args.sigma)
     if kind == "composite":
-        if seed is None:
-            raise UsageError("--seed is required for the composite generator")
-        return composite_image(args.height, args.width, seed)
+        return composite_image(args.height, args.width,
+                               _require_seed(seed, "for the composite generator"))
     raise UsageError(f"--signal must be a 2D kind for this command, got {kind!r}")
 
 
@@ -228,7 +230,7 @@ def apply_operator(name: str, x: np.ndarray, args):
     if name == "fourier_pad":
         return fourier_pad_upsample(x, r), None
     if name == "pixel_shuffle":
-        seed = _require_seed(args, "to draw the extra pixel-shuffle channels")
+        seed = _require_seed(args.seed, "to draw the extra pixel-shuffle channels")
         # drawn at --amplitude, so the row scales with x like every other
         channels = [x] + [args.amplitude * bandlimited_noise(x.size, x.size // 2 - 1, s)
                           for s in range(seed + 1001, seed + 1000 + r)]
@@ -287,14 +289,13 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     return rows
 
 
-def cmd_analyze(args, out_dir: Path, formats, config) -> int:
+def cmd_analyze(args, out_dir: Path, formats, config) -> None:
     (row,) = _write_operator_rows((args.op,), args, out_dir, formats)
     if "json" in formats:
         write_json(out_dir / "summary.json", {"metrics": row}, config)
-    return EXIT_OK
 
 
-def cmd_compare(args, out_dir: Path, formats, config) -> int:
+def cmd_compare(args, out_dir: Path, formats, config) -> None:
     names = OPERATORS if args.ops == "all" else tuple(args.ops.split(","))
     for name in names:
         if name not in OPERATORS:
@@ -302,10 +303,9 @@ def cmd_compare(args, out_dir: Path, formats, config) -> int:
     rows = _write_operator_rows(names, args, out_dir, formats)
     if "json" in formats:
         write_json(out_dir / "summary.json", {"metrics": rows}, config)
-    return EXIT_OK
 
 
-def cmd_contribution(args, out_dir: Path, formats, config) -> int:
+def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     weights = np.ones(args.kernel_size)
     kernel = KernelSpec(weights=weights, stride=args.stride)
     out_len = args.out_len if args.out_len is not None else 8 * args.stride
@@ -325,7 +325,6 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> int:
     if "pgm" in formats:
         write_netpbm(bar_strip(cmap.counts.astype(float)),
                      out_dir / "contribution_counts.pgm")
-    return EXIT_OK
 
 
 def _solve_fit(args, k: int):
@@ -336,7 +335,7 @@ def _solve_fit(args, k: int):
     return fit_closed_form(problem)
 
 
-def cmd_fit(args, out_dir: Path, formats, config) -> int:
+def cmd_fit(args, out_dir: Path, formats, config) -> None:
     result = _solve_fit(args, args.kernel_size)
     kernel = result.kernel
     large = kernel.weights.tolist()
@@ -353,10 +352,9 @@ def cmd_fit(args, out_dir: Path, formats, config) -> int:
         write_json(out_dir / "fit.json", payload, config)
     if "pgm" in formats:
         write_netpbm(bar_strip(kernel.effective_weights()), out_dir / "kernel.pgm")
-    return EXIT_OK
 
 
-def cmd_sweep(args, out_dir: Path, formats, config) -> int:
+def cmd_sweep(args, out_dir: Path, formats, config) -> None:
     sizes = sorted({int(s) for s in args.sizes.split(",")})
     residuals = [_solve_fit(args, k).residual for k in sizes]
     if "csv" in formats:
@@ -366,7 +364,6 @@ def cmd_sweep(args, out_dir: Path, formats, config) -> int:
         write_json(out_dir / "sweep.json", {"residuals": rows}, config)
     if "pgm" in formats:
         write_netpbm(bar_strip(np.array(residuals)), out_dir / "residuals.pgm")
-    return EXIT_OK
 
 
 def _read_input(path) -> np.ndarray:
@@ -376,7 +373,7 @@ def _read_input(path) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
+def cmd_errorspec(args, out_dir: Path, formats, config) -> None:
     if (args.pred is None) != (args.gt is None):
         raise UsageError("--pred and --gt must be given together")
     if args.bins < 1:
@@ -410,7 +407,6 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> int:
         profile = radial_average(magnitudes, n_bins=args.bins)
         write_csv(out_dir / "radial_profile.csv", ("radius", "mean_magnitude", "empty"),
                   [field.tolist() for field in profile])
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +515,8 @@ def main(argv=None) -> int:
         # the hash identifies the experiment, not where it was written
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("func", "out_dir")}
-        return args.func(args, out_dir, formats, config)
+        args.func(args, out_dir, formats, config)
+        return EXIT_OK
     except (DivergenceError, NonRealResultError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

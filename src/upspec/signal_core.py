@@ -143,7 +143,14 @@ def center_shift(spectrum: Spectrum) -> Spectrum:
 def log_magnitude(spectrum) -> np.ndarray:
     """log10(|F_k| + LOG_FLOOR), elementwise; real array of the same shape."""
     values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-    return np.log10(np.abs(values) + LOG_FLOOR)
+    return _log_map(np.abs(values, out=np.empty(values.shape)))
+
+
+def _log_map(magnitudes: np.ndarray) -> np.ndarray:
+    """log10(magnitudes + LOG_FLOOR), written over the float array
+    ``magnitudes`` and returned: the one log map of every spectrum plot."""
+    magnitudes += LOG_FLOOR
+    return np.log10(magnitudes, out=magnitudes)
 
 
 def radial_average(spectrum, n_bins: int) -> RadialProfile:

@@ -317,9 +317,11 @@ def _pads(shape, strides) -> list[tuple[int, int]]:
 
 
 def _fullest_phase_taps(w: np.ndarray, strides) -> int:
-    """Nonzero taps of the output phase that receives the most of them."""
+    """Nonzero taps of the output phase that receives the most of them, the
+    phases being those of :func:`_phases`."""
     (sa, sb), nonzero = strides, w != 0.0
-    return max(np.count_nonzero(nonzero[a::sa, b::sb]) for a in range(sa) for b in range(sb))
+    return max(np.count_nonzero(nonzero[np.ix_(rows, cols)])
+               for rows, _ in _phases(w.shape[0], sa) for cols, _ in _phases(w.shape[1], sb))
 
 
 def _fast_length(n: int) -> int:
@@ -504,13 +506,8 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # idft reports an overflow
         f = np.fft.fft(x)
     g = np.zeros(m, dtype=complex)
-    half = n // 2
+    g[:(n + 1) // 2] = f[:(n + 1) // 2]
+    g[m - n // 2:] = f[(n + 1) // 2:]
     if n % 2 == 0:
-        g[:half] = f[:half]
-        g[half] = 0.5 * f[half]
-        g[m - half] = 0.5 * f[half]
-        g[m - half + 1:] = f[half + 1:]
-    else:
-        g[:half + 1] = f[:half + 1]
-        g[m - half:] = f[half + 1:]
+        g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
     return r * idft(g)

@@ -42,14 +42,36 @@ def brute_dft(x) -> np.ndarray:
     return out
 
 
-def brute_idft(f) -> np.ndarray:
-    f = np.asarray(f, dtype=complex)
+def literal_fourier_pad(x, r: int) -> np.ndarray:
+    """Ideal upsampling with the bins laid out one branch per parity of n:
+    the n bins of x at their centered places among r*n zeros, and for even
+    n the Nyquist bin n/2 halved into bins n/2 and r*n - n/2."""
+    f = np.fft.fft(np.asarray(x, dtype=float))
     n = f.size
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j] += np.exp(2j * np.pi * j * k / n) * f[k]
-    return out / n
+    m = r * n
+    g = np.zeros(m, dtype=complex)
+    half = n // 2
+    if n % 2 == 0:
+        g[:half] = f[:half]
+        g[half] = 0.5 * f[half]
+        g[m - half] = 0.5 * f[half]
+        g[m - half + 1:] = f[half + 1:]
+    else:
+        g[:half + 1] = f[:half + 1]
+        g[m - half:] = f[half + 1:]
+    return r * np.fft.ifft(g).real
+
+
+def literal_fullest_phase_taps(w, strides) -> int:
+    """Most nonzero taps (a, b) of a 2D kernel that share one class
+    (a mod sa, b mod sb), counted tap by tap; 0 for a kernel of zeros."""
+    sa, sb = strides
+    counts = {}
+    for a in range(w.shape[0]):
+        for b in range(w.shape[1]):
+            if w[a, b] != 0.0:
+                counts[a % sa, b % sb] = counts.get((a % sa, b % sb), 0) + 1
+    return max(counts.values(), default=0)
 
 
 def brute_dft2(img) -> np.ndarray:

@@ -24,6 +24,7 @@ from upspec import (
     filter_response,
     fourier_pad_upsample,
     linear,
+    log_magnitude,
     nearest,
     psnr,
     replica_deviation,
@@ -429,6 +430,19 @@ class TestErrorSpectrum:
         got = error_spectrum(pred, gt, mode=mode, log=log)
         mirrored = np.roll(got[::-1, ::-1], (1 - h % 2, 1 - w % 2), axis=(0, 1))
         assert mirrored.tobytes() == got.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), channels=st.integers(1, 4),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["complex", "magnitude"]))
+    def test_log_map_is_log_magnitude_of_magnitudes(self, h, w, channels, exponent, seed,
+                                                    mode):
+        # the library default and the CLI (log=False, then log_magnitude)
+        # share one log map, byte for byte
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
+        mags = error_spectrum(pred, gt, mode=mode, log=False)
+        assert error_spectrum(pred, gt, mode=mode).tobytes() == log_magnitude(mags).tobytes()
 
     def test_identical_inputs_hit_floor(self):
         img = np.random.default_rng(3).normal(size=(8, 8, 3))

@@ -103,12 +103,17 @@ class TestCompare:
 
 
 class TestAmplitude:
-    @pytest.mark.parametrize("amplitude", ["1e-300", "1e-170", "1e160", "1e200", "1e300"])
-    def test_ratio_and_psnr_rows_ignore_amplitude(self, tmp_path, amplitude):
+    @pytest.mark.parametrize("amplitude, kind", [
+        pytest.param(a, kind, id=a if kind == "cosine" else f"{a}-{kind}")
+        for kind in ("cosine", "noise", "step", "cosine-mix")
+        for a in ("1e-300", "1e-170", "1e160", "1e200", "1e300")])
+    def test_ratio_and_psnr_rows_ignore_amplitude(self, tmp_path, amplitude, kind):
+        # --amplitude scales every input kind, and with it the extra
+        # pixel_shuffle channels, so no row moves
         rows = {}
         for a in ("1", amplitude):
             main(["compare", "--out-dir", str(tmp_path / a), "--seed", "1", "--signal",
-                  "cosine", "--frequency", "3", "--n", "16", "--amplitude", a])
+                  kind, "--frequency", "3", "--n", "16", "--amplitude", a])
             header, table = read_csv(tmp_path / a / "alias_metrics.csv")
             columns = [header.index(c) for c in ("alias_ratio", "psnr_vs_ideal_db")]
             rows[a] = {row[0]: [row[i] for i in columns] for row in table}

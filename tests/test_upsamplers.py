@@ -13,6 +13,8 @@ from helpers import (
     dirichlet_matrix,
     literal_bed_of_nails,
     literal_fold,
+    literal_fourier_pad,
+    literal_fullest_phase_taps,
     literal_linear,
     literal_nearest,
     literal_transposed_conv,
@@ -631,6 +633,19 @@ class TestPlacementRule:
         assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1)
                          for shape, _ in fft + threaded]
 
+    @settings(max_examples=200, deadline=None)
+    @given(ka=st.integers(1, 12), kb=st.integers(1, 12), sa=st.integers(1, 8),
+           sb=st.integers(1, 8), density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fullest_phase_equals_literal_count(self, ka, kb, sa, sb, density, seed):
+        # phases are the tap classes mod s, whatever order _phases lists them
+        # in; kernels of zeros and strides past the kernel size included
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(ka, kb)) * (rng.random((ka, kb)) < density)
+        for strides in ((sa, sb), (1, sb)):
+            assert upsamplers._fullest_phase_taps(w, strides) == \
+                literal_fullest_phase_taps(w, strides)
+
     def test_workers_are_capped_at_the_measured_count(self):
         # the size rule and the peak-RSS figures hold for two workers; a host
         # with more CPUs must not start one buffer pair and thread per CPU
@@ -710,6 +725,15 @@ class TestFourierPad:
                 y = fourier_pad_upsample(x, r)
                 assert y.size == r * n
                 np.testing.assert_allclose(y[::r], x, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.integers(0, 149), odd=st.booleans(), r=st.integers(2, 8),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+    def test_bins_equal_literal_layout(self, half, odd, r, exponent, seed):
+        # one bin copy for both parities, then even n's halved Nyquist bin
+        n = 2 * half + 1 if odd else 2 * half + 2
+        x = np.random.default_rng(seed).normal(size=n) * 10.0 ** exponent
+        assert np.array_equal(fourier_pad_upsample(x, r), literal_fourier_pad(x, r))
 
     def test_no_energy_outside_passband(self):
         rng = np.random.default_rng(11)
