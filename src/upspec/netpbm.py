@@ -23,12 +23,17 @@ def minmax_rint(arr: np.ndarray, lo: float, hi: float, top: float) -> np.ndarray
     ties at .5 round as the expression does. When ``hi - lo`` overflows,
     the same ratio is taken as ``(arr/2 - lo/2) / (hi/2 - lo/2)``.
     """
+    return _minmax_rint(arr, lo, hi, top, None)
+
+
+def _minmax_rint(arr, lo: float, hi: float, top: float, out) -> np.ndarray:
+    """:func:`minmax_rint` into ``out``, an array of arr's shape, or a new one if None."""
     span = hi - lo
     if np.isfinite(span):
-        out = np.subtract(arr, lo)
+        out = np.subtract(arr, lo, out=out)
         out /= span
     else:
-        out = np.multiply(arr, 0.5)
+        out = np.multiply(arr, 0.5, out=out)
         out -= lo / 2
         out /= hi / 2 - lo / 2
     out *= top
@@ -43,7 +48,7 @@ def quantize(array) -> np.ndarray:
     finite; a range whose width overflows is handled by ``minmax_rint``.
     """
     arr = np.asarray(array)
-    return _quantize_block(arr, *_finite_range(arr))
+    return _quantize_block(arr, *_finite_range(arr), np.empty(arr.shape))
 
 
 def _finite_range(arr: np.ndarray) -> tuple[float, float]:
@@ -54,19 +59,25 @@ def _finite_range(arr: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def _quantize_block(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """:func:`quantize` of any rows of an array whose range is [lo, hi]."""
+def _quantize_block(block: np.ndarray, lo: float, hi: float, scratch: np.ndarray) -> np.ndarray:
+    """:func:`quantize` of any rows of an array whose range is [lo, hi], in
+    C order; a float block is scaled in ``scratch``, a C-order float array
+    of the block's shape."""
     if hi == lo:
         return np.zeros(block.shape, dtype=np.uint8)
     if block.dtype == bool:
-        return block.view(np.uint8) * np.uint8(255)
-    return minmax_rint(np.asarray(block, dtype=float), lo, hi, 255.0).astype(np.uint8)
+        return np.multiply(block.view(np.uint8), np.uint8(255), order="C")
+    # with both axes reversed numpy reads a channel-first view, such as an
+    # FFT-placed image, along its rows instead of across its channels
+    _minmax_rint(np.asarray(block, dtype=float).T, lo, hi, 255.0, scratch.T)
+    return scratch.astype(np.uint8)
 
 
 def write_netpbm(array, path) -> None:
     """Write a 2D array as P5 or an (H, W, 3) array as P6, quantized in blocks
-    of whole rows of about ``_BLOCK_BYTES``: no full-size copy is made. The
-    range is checked first, so a non-finite array creates no file."""
+    of whole rows of about ``_BLOCK_BYTES`` through one block-sized float
+    buffer: no full-size copy is made. The range is checked first, so a
+    non-finite array creates no file."""
     arr = np.asarray(array)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
@@ -79,11 +90,12 @@ def write_netpbm(array, path) -> None:
     lo, hi = _finite_range(arr)
     h, w = arr.shape[:2]
     rows = max(1, _BLOCK_BYTES // arr[0].size)
+    scratch = np.empty((min(rows, h), *arr.shape[1:]))
     with open(path, "wb") as fh:
         fh.write(b"%s %d %d 255\n" % (magic, w, h))
         for start in range(0, h, rows):
-            # copies only a block not in C order
-            fh.write(np.ascontiguousarray(_quantize_block(arr[start:start + rows], lo, hi)))
+            block = arr[start:start + rows]
+            fh.write(_quantize_block(block, lo, hi, scratch[:len(block)]))
 
 
 def read_netpbm(path) -> np.ndarray:

@@ -426,17 +426,19 @@ def _in_stripes(job, n: int, buffers) -> None:
 
     m is the lesser of n and the buffer count. Stripe 0 runs on the caller,
     the others on threads started here and joined before return, on error
-    too; the first error a stripe raises is raised here.
+    too. A stripe stops at its first error, and the error of the lowest
+    job index is raised here: the one a loop over i would raise, whatever
+    the threads' timing.
     """
     m = min(n, len(buffers))
-    errors = []
+    errors = {}
 
     def stripe(k):
         try:
             for i in range(k, n, m):
                 job(i, *buffers[k])
         except BaseException as error:  # raised again on the caller
-            errors.append(error)
+            errors[i] = error
 
     threads = []
     try:
@@ -449,7 +451,7 @@ def _in_stripes(job, n: int, buffers) -> None:
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:

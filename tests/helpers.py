@@ -5,9 +5,12 @@ sums and enumerations) so the tests never share a code path with the
 library implementations they check.
 """
 
+import threading
+import types
+
 import numpy as np
 
-from upspec import KernelSpec, fourier_pad_upsample, transposed_conv
+from upspec import KernelSpec, fourier_pad_upsample, transposed_conv, upsamplers
 
 
 def operator_matrix(op, n: int) -> np.ndarray:
@@ -364,3 +367,18 @@ def literal_csv_text(header, rows) -> str:
     """The text of a CSV file, formatted one value at a time."""
     lines = [",".join(header)] + [",".join(map(literal_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def thread_spy(mp, module) -> list:
+    """The threads that ``upsamplers._in_stripes`` starts while ``mp`` is
+    active, with ``module._worker_count`` at two CPUs whatever the machine has."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    mp.setattr(upsamplers, "threading", types.SimpleNamespace(Thread=Thread))
+    mp.setattr(module, "_worker_count", lambda: 2)
+    return started

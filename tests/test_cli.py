@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import platform
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_bar_strip, literal_csv_cell, literal_csv_text
+from helpers import literal_bar_strip, literal_csv_cell, literal_csv_text, thread_spy
 from upspec import __version__, cli
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, bar_strip, main
@@ -179,7 +181,8 @@ class TestOperatorRows:
         limit = cli.ROW_BLOCK_SAMPLES // r
         n = data.draw(st.integers(2, 80) | st.sampled_from(
             [limit // 3, limit // 2, limit, limit + 1]), label="n")
-        ops = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=8), label="ops")
+        ops = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=7, unique=True),
+                        label="ops")
         command = ["compare", "--ops", ",".join(ops)]
         if len(ops) == 1 and data.draw(st.booleans(), label="analyze"):
             command = ["analyze", "--op", ops[0]]
@@ -239,6 +242,98 @@ class TestOperatorRows:
             write_netpbm(bar_strip(log_magnitude(center_shift(dft(y)))), expected)
             assert (tmp_path / "out" / f"spectrum_{op}.pgm").read_bytes() == \
                 expected.read_bytes()
+
+
+FIVE_UNFITTED = "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"
+
+
+class TestRowWorkers:
+    """Row blocks are jobs of ``upsamplers._in_stripes``: on two workers once
+    a row holds _ROW_THREAD_MIN_SAMPLES samples and there are two blocks,
+    with the same bytes on any worker count."""
+
+    @pytest.mark.parametrize("argv, threads", [
+        # the paper-compare and long-signal benchmark shapes
+        (["compare", "--n", "128", "--kernel-size", "31", "--parallel-small", "3"], 0),
+        (["compare", "--n", "16384", "--ops", FIVE_UNFITTED], 1),
+        # one side of the size rule each: r*N = 4,095 and 4,096, two blocks
+        (["compare", "--n", "1365", "--factor", "3"], 0),
+        (["compare", "--n", "2048"], 1),
+        # above the size rule, one block: a single row, or four rows stacked
+        (["analyze", "--n", "16384", "--op", "pixel_shuffle"], 0),
+        (["compare", "--n", "16384", "--ops", "linear"], 0),
+        (["compare", "--n", "2048", "--ops", "bed_of_nails,nearest,linear,fourier_pad"], 0),
+    ])
+    def test_threads_started(self, tmp_path, argv, threads):
+        with pytest.MonkeyPatch.context() as mp:
+            started = thread_spy(mp, cli)
+            assert main([*argv, "--out-dir", str(tmp_path), "--seed", "1"]) == 0
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_across_worker_counts(self, data, tmp_path_factory):
+        # the size rule is lifted, so every draw of two or more blocks runs
+        # them on workers, more of them than CPUs and switching often;
+        # lengths split all seven rows from 6 + 1 blocks on
+        r = data.draw(st.sampled_from([2, 3]), label="r")
+        limit = cli.ROW_BLOCK_SAMPLES // r
+        n = data.draw(st.integers(2, 64) | st.sampled_from(
+            [limit // 7 + 1, limit // 4, limit // 3, limit // 2 + 1, limit + 1]), label="n")
+        ops = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=7, unique=True),
+                        label="ops")
+        command = ["compare", "--ops", ",".join(ops)]
+        if len(ops) == 1 and data.draw(st.booleans(), label="analyze"):
+            command = ["analyze", "--op", ops[0]]
+        argv = command + [
+            "--seed", str(data.draw(st.integers(0, 99), label="seed")), "--n", str(n),
+            "--factor", str(r),
+            "--boundary", data.draw(st.sampled_from(["periodic", "zero-pad"]), label="b"),
+            "--kernel-size", str(data.draw(st.sampled_from([3, 7, 31]), label="k")),
+            "--format", data.draw(st.sampled_from(["csv", "csv,pgm", "csv,json,pgm"]), label="f")]
+        out, interval = tmp_path_factory.mktemp("workers"), sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_ROW_THREAD_MIN_SAMPLES", 0)
+            try:
+                sys.setswitchinterval(1e-5)
+                for workers in (1, 2, 3):
+                    mp.setattr(cli, "_worker_count", lambda w=workers: w)
+                    assert main(argv + ["--out-dir", str(out / str(workers))]) == 0
+            finally:
+                sys.setswitchinterval(interval)
+        files = sorted(path.name for path in (out / "1").iterdir())
+        for workers in ("2", "3"):
+            assert sorted(path.name for path in (out / workers).iterdir()) == files
+            for name in files:
+                if name.endswith(".json"):  # carries a timestamp; its rows must agree
+                    assert (json.loads((out / workers / name).read_text())["metrics"] ==
+                            json.loads((out / "1" / name).read_text())["metrics"])
+                else:
+                    assert (out / workers / name).read_bytes() == (out / "1" / name).read_bytes()
+
+    @pytest.mark.parametrize("first, code", [(NonRealResultError, 3), (cli.UsageError, 1)])
+    def test_lowest_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                     first, code):
+        # each operator is a block of its own at 2^15 samples a row; the first
+        # block fails late on the caller, the second at once on the worker
+        second = cli.UsageError if first is NonRealResultError else NonRealResultError
+        apply_operator = cli.apply_operator
+
+        def failing(name, x, args):
+            if name == "linear":
+                time.sleep(0.01)
+                raise first("first block")
+            if name == "nearest":
+                raise second("second block")
+            return apply_operator(name, x, args)
+
+        monkeypatch.setattr(cli, "apply_operator", failing)
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        for _ in range(3):
+            assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
+                         "--ops", "linear,nearest,fourier_pad"]) == code
+            assert "first block" in capsys.readouterr().err
 
 
 class TestContribution:
@@ -444,6 +539,17 @@ class TestExitCodes:
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         assert main(["compare", "--out-dir", str(tmp_path), "--ops", "linear"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_repeated_operator_is_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # two rows of one operator would also write one spectrum file twice
+        built = []
+        monkeypatch.setattr(cli, "build_signal", built.append)
+        out = tmp_path / "out"
+        assert main(["compare", "--out-dir", str(out), "--seed", "1",
+                     "--ops", "linear,nearest,linear"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "'linear'" in err
+        assert built == [] and list(out.iterdir()) == []
 
     def test_bad_format_is_1(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path), "--format", "bmp"]) == 1

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import literal_quantize
 from upspec.netpbm import quantize, read_netpbm, write_netpbm
+from upspec.upsamplers import KernelSpec, transposed_conv2
 
 shapes = (st.tuples(st.integers(1, 6), st.integers(1, 6))
           | st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3)))
@@ -93,14 +94,15 @@ def rasters(draw):
     outgrow a write block) and no channel axis or one of 1 or 3 channels,
     within 300,000 values: constant and mixed masks, floats over 600
     decades or with a range that overflows, and uint8; in C order,
-    transposed or strided."""
+    transposed, strided, or with the last axis slowest (channel first)."""
     h = draw(st.integers(1, 300) | st.integers(1, 4))
     channels = draw(st.sampled_from([(), (1,), (3,)]))
     widest = min(70_000, 300_000 // (h * (channels or (1,))[0]))
     w = draw(st.integers(1, widest) | st.just(widest))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
-    shape = {"c": (h, w), "transposed": (w, h), "strided": (h, 2 * w)}[layout] + channels
+    layout = draw(st.sampled_from(["c", "transposed", "strided", "channel-first"]))
+    shape = {"c": (h, w), "transposed": (w, h), "strided": (h, 2 * w),
+             "channel-first": (h, w)}[layout] + channels
     kind = draw(st.sampled_from(["false", "true", "mask", "float", "overflow", "uint8"]))
     if kind in ("false", "true"):
         arr = np.full(shape, kind == "true")
@@ -113,12 +115,21 @@ def rasters(draw):
         arr.flat[0], arr.flat[-1] = -1e308, 1e308
     else:
         arr = rng.integers(0, 256, shape, dtype=np.uint8)
+    if layout == "channel-first":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(arr, -1, 0)), 0, -1)
     return {"c": arr, "transposed": arr.swapaxes(0, 1), "strided": arr[::-1, ::2]}[layout]
+
+
+#: A (320, 320, 3) FFT-placed transposed_conv2 output: a channel-first view
+#: written in five row blocks, the last one ragged.
+FFT_PLACED = transposed_conv2(np.random.default_rng(3).normal(size=(160, 160, 3)),
+                              KernelSpec(np.random.default_rng(4).normal(size=(9, 9)), 2))
 
 
 class TestWriteRead:
     @settings(max_examples=100, deadline=None)
     @given(arr=rasters())
+    @example(arr=FFT_PLACED)
     def test_file_is_header_and_literal_bytes(self, arr, tmp_path_factory):
         path = tmp_path_factory.mktemp("pnm") / "raster.pnm"
         write_netpbm(arr, path)

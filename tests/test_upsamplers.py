@@ -1,7 +1,7 @@
 import itertools
 import sys
 import threading
-import types
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from helpers import (
     literal_transposed_conv2,
     operator_matrix,
     random_bandlimited,
+    thread_spy,
 )
 from upspec import (
     KernelSpec,
@@ -553,6 +554,28 @@ class TestFftPlacement:
         assert threading.active_count() == before
         assert failed_on and (not on_worker or caller not in failed_on)
 
+    @pytest.mark.parametrize("low, high", [(0, 1), (1, 2), (2, 3), (1, 4), (0, 7)])
+    def test_lowest_failing_job_wins_whatever_the_timing(self, low, high):
+        # the lower index fails late and the higher one at once, on another
+        # stripe whenever there are two; the error raised is the one a loop
+        # over the jobs meets first, and no thread outlives the call
+        def job(i):
+            if i == low:
+                time.sleep(0.005)
+                raise KeyError("low")
+            if i == high:
+                raise ZeroDivisionError("high")
+
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 2, 3, 4):
+                with pytest.raises(KeyError, match="low"):
+                    upsamplers._in_stripes(job, 8, [()] * workers)
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestPlacementRule:
     """The path is a fixed rule on (samples per channel, nonzero taps of
@@ -565,20 +588,6 @@ class TestPlacementRule:
         fft = upsamplers._place_fft
         mp.setattr(upsamplers, "_place_fft", lambda *a: calls.append(a[0].shape) or fft(*a))
         return calls
-
-    @staticmethod
-    def _thread_spy(mp):
-        """The threads that placements start, on two CPUs whatever the machine has."""
-        started = []
-
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        mp.setattr(upsamplers, "threading", types.SimpleNamespace(Thread=Thread))
-        mp.setattr(upsamplers, "_worker_count", lambda: 2)
-        return started
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), ndim=st.sampled_from([1, 2]),
@@ -623,7 +632,7 @@ class TestPlacementRule:
         threaded = [((131072,), 161), ((256, 256), (11, 11))]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
-            calls, threads = self._spy(mp), self._thread_spy(mp)
+            calls, threads = self._spy(mp), thread_spy(mp, upsamplers)
             for cases, started in ((fft + direct, 0), (threaded, len(threaded))):
                 for shape, k in cases:
                     op = transposed_conv if len(shape) == 1 else transposed_conv2
