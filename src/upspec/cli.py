@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -112,26 +113,39 @@ def _cell(value) -> str:
     return "true" if value else "false"
 
 
-def write_csv(path: Path, header, columns) -> None:
-    """One or more columns, all of one length, interleaved into one flat
-    list of values and formatted by one %-template for the whole file.
+def write_csv(path: Path, header, columns, *, height: int | None = None) -> None:
+    """One or more columns formatted by one %-template for the whole file.
 
-    A column whose values share one type is converted by the template;
-    any other column, and one of None or booleans, cell by cell first.
+    Columns share one length unless ``height`` is declared: then a shorter
+    column cycles, its length dividing ``height``, and is converted once into
+    a row template one period (the lcm of such lengths) long that repeats
+    down the file; only the full-height columns fill it. A full-height column
+    of one type is converted by the template; any other column, and one of
+    None or booleans, cell by cell first.
     """
-    width, height = len(columns), len(columns[0])
-    values = [None] * (width * height)
-    conversions = []
-    for i, column in enumerate(columns):
+    n_rows = len(columns[0]) if height is None else height
+    short = {len(column) for column in columns} - {n_rows}
+    if (short and height is None) or any(not 0 < n <= n_rows or n_rows % n for n in short):
+        raise ValueError(f"CSV columns of lengths {sorted(short)} do not fill {n_rows} rows")
+    period = math.lcm(*short)
+    cells, full = [], []  # template cells over one period; full-height columns
+    for column in columns:
+        if len(column) < n_rows:
+            cells.append([_cell(column[i % len(column)]).replace("%", "%%")
+                          for i in range(period)])
+            continue
         kinds = {int} if isinstance(column, range) else set(map(type, column))
         conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
         if conversion is None:
             column = list(map(_cell, column))
             conversion = "%s"
-        conversions.append(conversion)
-        values[i::width] = column
-    row_template = ",".join(conversions) + "\n"
-    path.write_text(",".join(header) + "\n" + (row_template * height) % tuple(values))
+        cells.append([conversion] * period)
+        full.append(column)
+    values = [None] * (len(full) * n_rows)
+    for i, column in enumerate(full):
+        values[i::len(full)] = column
+    template = "".join(",".join(row) + "\n" for row in zip(*cells))
+    path.write_text(",".join(header) + "\n" + (template * (n_rows // period)) % tuple(values))
 
 
 def _sanitize(obj):
@@ -350,13 +364,18 @@ def cmd_compare(args, out_dir: Path, formats, config) -> None:
 
 
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
-    weights = np.ones(args.kernel_size)
-    kernel = KernelSpec(weights=weights, stride=args.stride)
+    """Tap counts per output position, whose map repeats with period s: the
+    CSV cycles its first s counts and the strip tiles their bar strip. One
+    period holds the map's min and max, so the bytes are those of all counts."""
+    if args.kernel_size < 1:
+        raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
+    kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
     out_len = args.out_len if args.out_len is not None else 8 * args.stride
     cmap = contribution_map(kernel, out_len)
+    cycle = cmap.counts[:kernel.stride]
     if "csv" in formats:
         write_csv(out_dir / "contribution_counts.csv", ("position", "count"),
-                  [range(out_len), cmap.counts.tolist()])
+                  [range(out_len), cycle], height=out_len)
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
@@ -367,7 +386,7 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
             "period": cmap.period,
         }, config)
     if "pgm" in formats:
-        write_netpbm(bar_strip(cmap.counts.astype(float)),
+        write_netpbm(np.tile(bar_strip(cycle.astype(float)), out_len // kernel.stride),
                      out_dir / "contribution_counts.pgm")
 
 

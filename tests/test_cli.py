@@ -8,10 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_bar_strip, literal_csv_cell, literal_csv_text, thread_spy
+from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
+                     literal_quantize, thread_spy)
 from upspec import __version__, cli
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, bar_strip, main
@@ -360,6 +361,23 @@ class TestContribution:
         writer.writerows((p, -(-(k - (p + k // 2) % s) // s)) for p in range(out_len))
         assert (tmp_path / "contribution_counts.csv").read_text() == expected.getvalue()
 
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 70), s=st.integers(1, 9), m=st.integers(1, 64))
+    @example(k=2, s=5, m=4)  # phases with no taps
+    @example(k=7, s=1, m=8)  # period 1
+    @example(k=5, s=3, m=1)  # one period: nothing cycles
+    def test_artifacts_equal_literal_rendering(self, k, s, m, tmp_path_factory):
+        out, out_len = tmp_path_factory.mktemp("contribution"), s * m
+        assert main(["contribution", "--out-dir", str(out), "--format", "csv,pgm",
+                     "--kernel-size", str(k), "--stride", str(s),
+                     "--out-len", str(out_len)]) == 0
+        counts = enumerate_contributions(k, s, out_len).tolist()
+        assert (out / "contribution_counts.csv").read_bytes() == literal_csv_text(
+            ["position", "count"], list(zip(range(out_len), counts))).encode()
+        raster = literal_quantize(literal_bar_strip(counts, cli.BAR_HEIGHT))
+        assert (out / "contribution_counts.pgm").read_bytes() == \
+            b"P5 %d %d 255\n" % (out_len, cli.BAR_HEIGHT) + raster.tobytes()
+
 
 class TestFitAndSweep:
     def test_fit_writes_weights_and_profile(self, tmp_path):
@@ -550,6 +568,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "'linear'" in err
         assert built == [] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_contribution_kernel_size_below_one_is_1(self, tmp_path, capsys, size):
+        assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", size,
+                     "--stride", "2"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: usage: --kernel-size must be at least 1, got {size}\n"
 
     def test_bad_format_is_1(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path), "--format", "bmp"]) == 1
@@ -764,6 +789,44 @@ class TestCsvFormatting:
         for columns in ([[1, 2], [3]], [[1], [2, 3]]):
             with pytest.raises(ValueError):
                 cli.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), height=st.integers(1, 12))
+    def test_cycling_columns_write_the_bytes_of_the_tiled_table(self, data, width, height,
+                                                               tmp_path_factory):
+        kinds = [st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                 st.floats(), st.none(), st.booleans(), st.booleans().map(np.bool_),
+                 st.text(alphabet="ab%,-", max_size=4)]
+        lengths = [n for n in range(1, height + 1) if height % n == 0]
+        columns = []
+        for _ in range(width):
+            kind = data.draw(st.sampled_from([st.one_of(kinds), *kinds]))
+            columns.append([data.draw(kind) for _ in range(data.draw(st.sampled_from(lengths)))])
+        header = [f"c{i}" for i in range(width)]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli.write_csv(path, header, columns, height=height)
+        tiled = [column * (height // len(column)) for column in columns]
+        assert path.read_bytes() == literal_csv_text(header, list(zip(*tiled))).encode()
+
+    @pytest.mark.parametrize("cycle", [[3, -1], [np.int64(-7), np.int64(2**62)],
+                                       np.array([16, 16, 15]), [0.1, 1 / 3, float("nan")],
+                                       [None, None], [True, False, np.bool_(True)],
+                                       ["5%", "a,b", "%d%%"], [1, "x%s", None, 2.5, False]])
+    def test_cycling_column_of_each_kind(self, tmp_path, cycle):
+        height = 6 * len(cycle)
+        cli.write_csv(tmp_path / "t.csv", ["position", "value"], [range(height), cycle],
+                      height=height)
+        rows = list(zip(range(height), list(cycle) * 6))
+        assert (tmp_path / "t.csv").read_bytes() == \
+            literal_csv_text(["position", "value"], rows).encode()
+
+    @pytest.mark.parametrize("lengths, height", [((6, 4), 6), ((6, 0), 6), ((6, 7), 6),
+                                                 ((6, 6), 7), ((0, 2), 0)])
+    def test_cycling_length_must_divide_the_height(self, tmp_path, lengths, height):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [list(range(n)) for n in lengths],
+                          height=height)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_sanitize_spells_numpy_bools_as_json_bools(self):
         clean = cli._sanitize({"uniform": np.bool_(True), "flags": [np.bool_(False)]})
