@@ -369,8 +369,13 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
-    kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
+    if args.stride < 1:
+        raise UsageError(f"--stride must be at least 1, got {args.stride}")
     out_len = args.out_len if args.out_len is not None else 8 * args.stride
+    if out_len < 1 or out_len % args.stride:
+        raise UsageError(f"--out-len must be a positive multiple of --stride {args.stride}, "
+                         f"got {out_len}")
+    kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
     cmap = contribution_map(kernel, out_len)
     cycle = cmap.counts[:kernel.stride]
     if "csv" in formats:

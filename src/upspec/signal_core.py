@@ -85,6 +85,15 @@ def as_image(x) -> np.ndarray:
 
     2D inputs are promoted to a single channel.
     """
+    arr = _image(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("image samples must be finite")
+    return arr
+
+
+def _image(x) -> np.ndarray:
+    """:func:`as_image` but for the finiteness check, for callers that make
+    it on values they compute anyway."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 2:
         arr = arr[:, :, np.newaxis]
@@ -92,8 +101,6 @@ def as_image(x) -> np.ndarray:
         raise ValueError(f"image must be 2D or 3D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("image must contain at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("image samples must be finite")
     return arr
 
 

@@ -53,12 +53,15 @@ BOUNDARY_MODES = ("periodic", "zero-pad")
 FFT_MIN_SAMPLES = 1024
 FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
 #: An FFT placement runs its phases on worker threads when it writes at least
-#: this many output samples (all channels); smaller ones run on the caller.
+#: this many output samples (all channels), and ``error_spectrum`` its stripes
+#: when each input holds this many samples; smaller ones run on the caller.
 _THREAD_MIN_SAMPLES = 1 << 18
 #: Workers are at most this many: the crossover table in :func:`_place` and
 #: the peak-RSS figures were measured with two, each worker holding one
 #: complex and one real buffer of a channel's transform size.
 _MAX_WORKERS = 2
+#: ``running`` is true on a thread while it runs one of several stripes.
+_STRIPES = threading.local()
 
 
 @dataclass(frozen=True)
@@ -426,19 +429,25 @@ def _in_stripes(job, n: int, buffers) -> None:
 
     m is the lesser of n and the buffer count. Stripe 0 runs on the caller,
     the others on threads started here and joined before return, on error
-    too. A stripe stops at its first error, and the error of the lowest
+    too. A call made inside a stripe of a call with more than one stripe
+    has m = 1, so nested calls never run more than _MAX_WORKERS threads at
+    once. A stripe stops at its first error, and the error of the lowest
     job index is raised here: the one a loop over i would raise, whatever
     the threads' timing.
     """
-    m = min(n, len(buffers))
+    nested = getattr(_STRIPES, "running", False)
+    m = 1 if nested else min(n, len(buffers))
     errors = {}
 
     def stripe(k):
+        _STRIPES.running = m > 1 or nested
         try:
             for i in range(k, n, m):
                 job(i, *buffers[k])
         except BaseException as error:  # raised again on the caller
             errors[i] = error
+        finally:
+            _STRIPES.running = nested
 
     threads = []
     try:

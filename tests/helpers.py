@@ -11,6 +11,7 @@ import types
 import numpy as np
 
 from upspec import KernelSpec, fourier_pad_upsample, transposed_conv, upsamplers
+from upspec.signal_core import LOG_FLOOR
 
 
 def operator_matrix(op, n: int) -> np.ndarray:
@@ -105,6 +106,31 @@ def literal_mirror(half, w: int) -> np.ndarray:
             mirrored = k2 > w // 2 or (m2 == k2 and k1 > h // 2)
             full[k1, k2] = half[m1, m2] if mirrored else half[k1, k2]
     return full
+
+
+def literal_error_spectrum(pred, gt, mode: str, log: bool) -> np.ndarray:
+    """``error_spectrum`` by ``np.fft.rfft2``: of the channel mean of pred - gt
+    (channels added in order), or the mean of the channels' magnitudes; the
+    log10(|F| + LOG_FLOOR) map is taken on the half spectrum, which is then
+    mirrored bin by bin and centred."""
+    diff = np.asarray(pred, dtype=float) - np.asarray(gt, dtype=float)
+    if diff.ndim == 2:
+        diff = diff[:, :, np.newaxis]
+    channels = diff.shape[2]
+    if mode == "complex":
+        mean = diff[:, :, 0].copy()
+        for c in range(1, channels):
+            mean += diff[:, :, c]
+        mean /= channels
+        half = np.abs(np.fft.rfft2(mean))
+    else:
+        half = np.abs(np.fft.rfft2(diff[:, :, 0]))
+        for c in range(1, channels):
+            half += np.abs(np.fft.rfft2(diff[:, :, c]))
+        half /= channels
+    if log:
+        half = np.log10(half + LOG_FLOOR)
+    return np.fft.fftshift(literal_mirror(half, diff.shape[1]))
 
 
 def dirichlet_interpolant(u, n: int, r: int) -> float:

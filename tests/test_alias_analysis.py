@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,14 @@ from hypothesis import strategies as st
 from helpers import (
     brute_dft2,
     enumerate_contributions,
+    literal_error_spectrum,
     literal_mirror,
     literal_replica_deviation,
     random_bandlimited,
+    thread_spy,
     truncated_sinc_square_replicas,
 )
+from upspec import alias_analysis
 from upspec.alias_analysis import FILTER_METHODS, _alias_reports
 from upspec.upsamplers import _pads, _phases
 from upspec import (
@@ -488,6 +494,104 @@ class TestErrorSpectrum:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             error_spectrum(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
+class TestErrorSpectrumStripes:
+    """The real 2D FFT runs as row stripes, then column stripes, on worker
+    threads from _THREAD_MIN_SAMPLES input samples on; the bytes are those
+    of ``np.fft.rfft2`` on any worker count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 70), w=st.integers(1, 70), channels=st.integers(1, 4),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["complex", "magnitude"]), log=st.booleans())
+    def test_bytes_equal_rfft2_oracle_on_any_worker_count(self, h, w, channels, exponent,
+                                                          seed, mode, log):
+        # the size rule is lifted, so every draw runs its stripes on workers
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
+        expected = literal_error_spectrum(pred, gt, mode, log).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
+            for workers in (1, 2, 3):
+                mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
+
+    @pytest.mark.parametrize("shape, threads", [
+        # one side of the size rule each: 2^18 - 1 and 2^18 samples
+        ((511, 513, 1), {"complex": 0, "magnitude": 0}),
+        ((512, 512, 1), {"complex": 2, "magnitude": 2}),
+        # magnitude mode runs both stages once per channel
+        ((256, 256, 4), {"complex": 2, "magnitude": 8}),
+        ((301, 257, 3), {"complex": 0, "magnitude": 0}),
+        # a single row is one row stripe
+        ((1, 1 << 18, 1), {"complex": 1, "magnitude": 1}),
+    ])
+    def test_threads_started(self, shape, threads):
+        rng = np.random.default_rng(23)
+        pred, gt = rng.normal(size=(2, *shape))
+        for mode in ("complex", "magnitude"):
+            with pytest.MonkeyPatch.context() as mp:
+                started = thread_spy(mp, alias_analysis)
+                got = error_spectrum(pred, gt, mode=mode)
+            assert len(started) == threads[mode]
+            assert not any(thread.is_alive() for thread in started)
+            assert got.tobytes() == literal_error_spectrum(pred, gt, mode, True).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["complex", "magnitude"])
+    def test_non_finite_input_is_rejected_on_any_worker_count(self, bad, mode):
+        # the finiteness check reads the channel means, which a non-finite
+        # sample makes non-finite, inf - inf included; the first and the last
+        # row stripe, the first and the last channel
+        for pixel, sides in (((8, 7, 2), "p"), ((0, 0, 0), "g"), ((4, 3, 1), "pg")):
+            pred, gt = np.random.default_rng(25).normal(size=(2, 9, 8, 3))
+            for side in sides:
+                (pred if side == "p" else gt)[pixel] = bad
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
+                for workers in (1, 2, 3):
+                    mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                    with pytest.raises(ValueError, match="image samples must be finite"):
+                        error_spectrum(pred, gt, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["complex", "magnitude"])
+    def test_overflowing_difference_of_finite_inputs_is_not_rejected(self, mode):
+        # the difference of two finite samples can overflow: the spectrum is
+        # then not finite, as the literal one is
+        pred, gt = np.zeros((2, 9, 8, 3))
+        pred[4, 3, 1], gt[4, 3, 1] = 1e308, -1e308
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in subtract
+            expected = literal_error_spectrum(pred, gt, mode, False).tobytes()
+            mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
+            for workers in (1, 2):
+                mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                got = error_spectrum(pred, gt, mode=mode, log=False)
+                assert got.tobytes() == expected and not np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("name", ["rfft", "fft"])
+    @pytest.mark.parametrize("mode", ["complex", "magnitude"])
+    def test_worker_error_reaches_the_caller(self, name, mode):
+        # the row stage (rfft) or the column stage (fft) fails on the worker
+        rng = np.random.default_rng(24)
+        pred, gt = rng.normal(size=(2, 512, 512, 3))
+        transform, caller, failed_on = getattr(np.fft, name), threading.current_thread(), []
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError(f"{name} failed")
+            return transform(*args, **kwargs)
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alias_analysis, "_worker_count", lambda: 2)
+            mp.setattr(np.fft, name, failing)
+            with pytest.raises(RuntimeError, match=f"{name} failed"):
+                error_spectrum(pred, gt, mode=mode)
+        assert threading.active_count() == before
+        assert len(failed_on) == 1 and caller not in failed_on
 
 
 class TestPsnr:

@@ -3,6 +3,7 @@ import io
 import json
 import platform
 import sys
+import threading
 import time
 import warnings
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
                      literal_quantize, thread_spy)
-from upspec import __version__, cli
+from upspec import __version__, cli, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, bar_strip, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
@@ -313,6 +314,31 @@ class TestRowWorkers:
                 else:
                     assert (out / workers / name).read_bytes() == (out / "1" / name).read_bytes()
 
+    def test_nested_stripes_use_one_worker_thread(self, tmp_path):
+        # both row blocks place by FFT on 2^18 output samples, each of which
+        # would run its phases on two workers; inside a block they run on its
+        # thread, so one worker thread runs besides the caller, and the bytes
+        # are those of one worker
+        argv = ["compare", "--seed", "1", "--n", "131072", "--kernel-size", "161",
+                "--ops", "transposed_conv,lctc", "--format", "csv,pgm"]
+        irfft, peak, before = np.fft.irfft, [0], threading.active_count()
+
+        def spy(*args, **kwargs):
+            peak[0] = max(peak[0], threading.active_count())
+            return irfft(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "irfft", spy)
+            for workers in (2, 1):
+                mp.setattr(cli, "_worker_count", lambda n=workers: n)
+                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
+                assert main([*argv, "--out-dir", str(tmp_path / str(workers))]) == 0
+                if workers == 2:
+                    assert peak[0] == before + 1
+        assert threading.active_count() == before
+        for name in ("alias_metrics.csv", "spectrum_transposed_conv.pgm", "spectrum_lctc.pgm"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
     @pytest.mark.parametrize("first, code", [(NonRealResultError, 3), (cli.UsageError, 1)])
     def test_lowest_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys,
                                                      first, code):
@@ -575,6 +601,22 @@ class TestExitCodes:
                      "--stride", "2"]) == 1
         assert capsys.readouterr().err == \
             f"error: usage: --kernel-size must be at least 1, got {size}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--stride", "0"], "--stride must be at least 1, got 0"),
+        (["--stride", "-2"], "--stride must be at least 1, got -2"),
+        (["--stride", "4", "--out-len", "0"],
+         "--out-len must be a positive multiple of --stride 4, got 0"),
+        (["--stride", "4", "--out-len", "-4"],
+         "--out-len must be a positive multiple of --stride 4, got -4"),
+        (["--stride", "4", "--out-len", "6"],
+         "--out-len must be a positive multiple of --stride 4, got 6"),
+    ])
+    def test_contribution_bad_stride_or_out_len_is_1(self, tmp_path, capsys, argv, message):
+        # the messages name the flags, not the library's parameters
+        assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
+                     *argv]) == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
 
     def test_bad_format_is_1(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path), "--format", "bmp"]) == 1

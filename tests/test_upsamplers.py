@@ -577,6 +577,39 @@ class TestFftPlacement:
             sys.setswitchinterval(interval)
 
 
+    def test_nested_calls_run_on_their_thread(self):
+        # a call inside a stripe of a two-stripe call runs its jobs on the
+        # thread that made it; inside a one-stripe call it may start its own
+        # threads; after an error the caller starts threads again
+        def inner(i):
+            pass
+
+        def outer(i):
+            ran_on = []
+            upsamplers._in_stripes(lambda j: ran_on.append(threading.current_thread()), 4,
+                                   [()] * 2)
+            assert ran_on == [threading.current_thread()] * 4
+
+        with pytest.MonkeyPatch.context() as mp:
+            started = thread_spy(mp, upsamplers)
+            upsamplers._in_stripes(outer, 2, [()] * 2)
+            assert len(started) == 1
+            upsamplers._in_stripes(lambda i: upsamplers._in_stripes(inner, 2, [()] * 2), 1,
+                                   [()] * 2)
+            assert len(started) == 2
+
+            def failing(i):
+                upsamplers._in_stripes(inner, 2, [()] * 2)
+                raise KeyError("outer")
+
+            with pytest.raises(KeyError, match="outer"):
+                upsamplers._in_stripes(failing, 2, [()] * 2)
+            assert len(started) == 3
+            upsamplers._in_stripes(inner, 2, [()] * 2)
+            assert len(started) == 4
+        assert not any(thread.is_alive() for thread in started)
+
+
 class TestPlacementRule:
     """The path is a fixed rule on (samples per channel, nonzero taps of
     the fullest phase): small and few-tap placements stay direct, and so
