@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_core import NonRealResultError, _image, _log_map, as_image, as_signal
-from .upsamplers import (_THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases, _worker_count,
-                         bed_of_nails, linear, nearest, validate_factor)
+from .upsamplers import (_MAX_WORKERS, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _integer,
+                         _phases, bed_of_nails, linear, nearest, validate_factor)
 
 #: The interpolation filters by name, each the operator that realizes it.
 FILTER_METHODS = {"bed_of_nails": bed_of_nails, "nearest": nearest, "linear": linear}
@@ -210,7 +210,7 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     kernels the count matrix is the outer product of the per-axis counts.
     The map is uniform exactly when the stride divides the kernel size.
     """
-    out_len = int(out_len)
+    out_len = _integer(out_len, "out_len")
     s = kernel.stride
     if out_len < 1 or out_len % s != 0:
         raise ValueError(f"out_len must be a positive multiple of stride {s}")
@@ -231,9 +231,9 @@ def _axis_counts(k: int, s: int, out_len: int) -> np.ndarray:
     return np.tile([taps.size for taps, _ in _phases(k, s)], out_len // s)
 
 
-def _bands(n: int, workers: int) -> list[slice]:
-    """range(n) cut into min(n, workers) contiguous bands of near-equal size."""
-    m = min(n, workers)
+def _bands(n: int, count: int) -> list[slice]:
+    """range(n) cut into min(n, count) contiguous bands of near-equal size."""
+    m = min(n, count)
     return [slice(i * n // m, (i + 1) * n // m) for i in range(m)]
 
 
@@ -260,11 +260,12 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     raise ``ValueError`` or go on with a difference that overflowed.
 
     From _THREAD_MIN_SAMPLES (2^18) samples an input, all channels counted,
-    the stripes run on min(CPUs, 2) workers, the caller one of them; below
-    that, on the caller alone. One worker's time over two workers' (above 1:
-    threads faster), complex / magnitude mode, log on, 1 BLAS thread, 2-vCPU
-    Xeon VM, medians of 41 alternating calls, range over two runs each of
-    (H, W, C) arrays and of channel-first views:
+    each stage is cut into _MAX_WORKERS = 2 bands that :func:`_in_stripes`
+    runs on min(CPUs, 2) threads (on one CPU both on the caller, same
+    bytes); below that, into one band. One worker's time over two workers'
+    (above 1: threads faster), complex / magnitude mode, log on, 1 BLAS
+    thread, 2-vCPU Xeon VM, medians of 41 alternating calls, range over two
+    runs each of (H, W, C) arrays and of channel-first views:
 
     ===========  =========  =========  =========
     H x W x C    samples    complex    magnitude
@@ -293,8 +294,8 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     h, w, channels = p.shape
     spectrum = np.empty((h, w // 2 + 1), complex)
     out = np.empty((h, w))
-    workers = _worker_count() if p.size >= _THREAD_MIN_SAMPLES else 1
-    rows, cols = (_bands(n, workers) for n in spectrum.shape)
+    threaded = p.size >= _THREAD_MIN_SAMPLES
+    rows, cols = (_bands(n, _MAX_WORKERS if threaded else 1) for n in spectrum.shape)
 
     def row_stripe(i, group):
         # the stripe's channel mean is built in its rows of out, and each
@@ -317,8 +318,8 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
 
     groups = [range(channels)] if mode == "complex" else [(c,) for c in range(channels)]
     for k, group in enumerate(groups):
-        _in_stripes(lambda i: row_stripe(i, group), len(rows), [()] * workers)
-        _in_stripes(column_stripe, len(cols), [()] * workers)
+        _in_stripes(lambda i: row_stripe(i, group), len(rows), threaded)
+        _in_stripes(column_stripe, len(cols), threaded)
         if k == 0:
             half = np.abs(spectrum)
         else:

@@ -39,7 +39,6 @@ from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
     _in_stripes,
-    _worker_count,
     bed_of_nails,
     fourier_pad_upsample,
     linear,
@@ -278,12 +277,12 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     Each block is one job of :func:`upsamplers._in_stripes`: it applies its
     operators, scores them and writes their strips, and fills its own slot
     of rows. Once a row holds at least _ROW_THREAD_MIN_SAMPLES (2^12)
-    samples, the jobs run on min(CPUs, 2, blocks) workers, the caller one
-    of them, and below that on the caller alone; ``analyze`` and a compare
-    of one block never start a thread. Every row is computed with the same
-    operations in the same order on any thread, and the slots are joined in
-    block order before the stable sort, so CSV and PGM bytes do not depend
-    on the worker count. One worker's time over two workers' (above 1:
+    samples, :func:`_in_stripes` runs the jobs on min(CPUs, 2, blocks)
+    threads, the caller one of them, and below that on the caller alone;
+    ``analyze`` and a compare of one block never start a thread. Every row
+    is computed with the same operations in the same order on any thread,
+    and the slots are joined in block order before the stable sort, so CSV
+    and PGM bytes do not depend on the worker count. One worker's time over two workers' (above 1:
     threads faster), in-process ``compare --seed 1``, 2-vCPU Xeon VM,
     medians of 41 alternating calls, range over two to four runs:
 
@@ -335,8 +334,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
             for name, strip in zip(block, strips):
                 write_netpbm(bar_strip(strip), out_dir / f"spectrum_{name}.pgm")
 
-    workers = _worker_count() if reference.size >= _ROW_THREAD_MIN_SAMPLES else 1
-    _in_stripes(score, len(blocks), [()] * workers)
+    _in_stripes(score, len(blocks), reference.size >= _ROW_THREAD_MIN_SAMPLES)
     rows = [row for block in block_rows for row in block]
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:

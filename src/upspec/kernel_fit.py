@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .upsamplers import KernelSpec, fourier_pad_upsample, validate_factor
+from .upsamplers import KernelSpec, _integer, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
 
@@ -82,6 +82,8 @@ class FitProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", validate_factor(self.r))
+        object.__setattr__(self, "n", _integer(self.n, "input length"))
+        object.__setattr__(self, "k", _integer(self.k, "kernel size"))
         if self.n < 1:
             raise ValueError("input length must be >= 1")
         if self.k < 1:
@@ -93,6 +95,8 @@ class FitProblem:
         if self.objective == "operator_frobenius" and len(self.corpus) > 0:
             raise ValueError("operator_frobenius objective takes no corpus")
         if self.parallel_small is not None:
+            object.__setattr__(self, "parallel_small",
+                               _integer(self.parallel_small, "parallel kernel size"))
             if self.parallel_small < 1 or self.parallel_small > self.k:
                 raise ValueError("parallel kernel size must be in [1, k]")
         corpus = tuple(np.asarray(x, dtype=float) for x in self.corpus)
@@ -285,8 +289,8 @@ def residual_sweep(n: int, r: int, kernel_sizes) -> list[tuple[int, float]]:
     The fixed floor(K/2) anchor nests supports, so residuals are
     non-increasing in K and exactly zero from K = r*n on.
     """
-    sizes = [int(k) for k in kernel_sizes]
-    return [(k, fit_closed_form(FitProblem(n=n, r=r, k=k)).residual) for k in sizes]
+    problems = [FitProblem(n=n, r=r, k=k) for k in kernel_sizes]
+    return [(p.k, fit_closed_form(p).residual) for p in problems]
 
 
 def kernel_edge_profile(kernel: KernelSpec) -> EdgeProfile:

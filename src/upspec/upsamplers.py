@@ -35,6 +35,7 @@ two, with output bitwise equal to one thread's.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ _THREAD_MIN_SAMPLES = 1 << 18
 #: the peak-RSS figures were measured with two, each worker holding one
 #: complex and one real buffer of a channel's transform size.
 _MAX_WORKERS = 2
-#: ``running`` is true on a thread while it runs one of several stripes.
-_STRIPES = threading.local()
+#: True in a context that runs one of several stripes.
+_IN_STRIPE = contextvars.ContextVar("_IN_STRIPE", default=False)
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,10 @@ class KernelSpec:
             raise ValueError("kernel must have at least one tap")
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")
-        if int(self.stride) != self.stride:
-            raise ValueError(f"stride must be an integer, got {self.stride!r}")
-        if int(self.stride) < 1:
+        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
+        if self.stride < 1:
             raise ValueError("stride must be >= 1")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "stride", int(self.stride))
         if self.parallel_small is not None:
             small = np.asarray(self.parallel_small, dtype=float)
             if small.ndim != w.ndim:
@@ -126,12 +125,18 @@ class KernelSpec:
         return folded
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` if it is not integral."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_factor(r: int) -> int:
-    if int(r) != r:
-        raise ValueError(f"upsampling factor must be an integer, got {r!r}")
+    r = _integer(r, "upsampling factor")
     if r < 2:
         raise ValueError("upsampling factor must be >= 2")
-    return int(r)
+    return r
 
 
 def _validate_boundary(boundary: str) -> None:
@@ -363,16 +368,16 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
 
     The caller transforms the channels one after another. Then each output
     phase is a job: its sub-kernel spectrum and, per channel, the product,
-    the inverse transform and the write. The jobs run in stripes
-    (:func:`_in_stripes`) on min(CPUs, _MAX_WORKERS, phases) workers, the
-    caller one of them, once the output holds at least _THREAD_MIN_SAMPLES
-    samples, and on the caller alone below that. Each worker transforms in
-    one complex and one real buffer made here (the transforms write through
-    ``out=``, which numpy's FFT functions take from numpy 2.0 on); the only
-    channel-sized array a job makes is its phase's sub-kernel spectrum.
-    Every output sample is computed by one job with the same operations in
-    the same order whatever the worker count, so the output is bitwise the
-    same.
+    the inverse transform and the write. Once the output holds at least
+    _THREAD_MIN_SAMPLES samples, _MAX_WORKERS pairs of one complex and one
+    real buffer are made here, and :func:`_in_stripes` runs the jobs in as
+    many stripes as it picks, at most one per pair; below that, one pair
+    and the caller alone. Each stripe transforms in its own pair (the
+    transforms write through ``out=``, which numpy's FFT functions take
+    from numpy 2.0 on); the only channel-sized array a job makes is its
+    phase's sub-kernel spectrum. Every output sample is computed by one job
+    with the same operations in the same order whatever the stripe count,
+    so the output is bitwise the same.
     """
     turned = x.shape[0] > x.shape[1]
     if turned:
@@ -388,9 +393,9 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     phases = [(pa, rows, ua, pb, cols, ub)
               for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)) if rows.size
               for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)) if cols.size]
-    workers = min(_worker_count(), len(phases)) if out.size >= _THREAD_MIN_SAMPLES else 1
+    threaded = out.size >= _THREAD_MIN_SAMPLES
     buffers = [(np.empty(spectrum.shape[1:], complex), np.empty((la, lb)))
-               for _ in range(workers)]
+               for _ in range(_MAX_WORKERS if threaded else 1)]
 
     real = buffers[0][1]
     for c in range(nc):
@@ -414,7 +419,7 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
             np.fft.irfft(product, lb, out=real)
             np.ldexp(real[:h, :wd], ex + ew, out=out[c, pa::sa, pb::sb])
 
-    _in_stripes(phase, len(phases), buffers)
+    _in_stripes(phase, len(phases), threaded, buffers)
     return out.transpose((2, 1, 0) if turned else (1, 2, 0))
 
 
@@ -424,38 +429,37 @@ def _worker_count() -> int:
     return min(cpus or 1, _MAX_WORKERS)
 
 
-def _in_stripes(job, n: int, buffers) -> None:
+def _in_stripes(job, n: int, threaded: bool, buffers=None) -> None:
     """job(i, *buffers[k]) for i < n, stripe k taking i = k, k + m, ... of m stripes.
 
-    m is the lesser of n and the buffer count. Stripe 0 runs on the caller,
-    the others on threads started here and joined before return, on error
-    too. A call made inside a stripe of a call with more than one stripe
-    has m = 1, so nested calls never run more than _MAX_WORKERS threads at
-    once. A stripe stops at its first error, and the error of the lowest
-    job index is raised here: the one a loop over i would raise, whatever
-    the threads' timing.
+    m is min(n, CPUs up to _MAX_WORKERS, len(buffers)) if ``threaded``, and 1
+    if not or if this call runs inside a stripe of an m > 1 call, so threads
+    never exceed _MAX_WORKERS; no other code reads the CPU count. Without
+    buffers, the job is called as job(i). Stripe 0 runs on the caller, the
+    others on threads started here and joined before return, on error too,
+    each stripe in its own copy of the caller's context, so numpy's error
+    state holds in all. A stripe stops at its first error, and the lowest
+    job index's error is raised here, as a loop over i would raise it.
     """
-    nested = getattr(_STRIPES, "running", False)
-    m = 1 if nested else min(n, len(buffers))
+    nested = _IN_STRIPE.get()
+    m = min(n, _worker_count(), len(buffers or range(n))) if threaded and not nested else 1
     errors = {}
 
     def stripe(k):
-        _STRIPES.running = m > 1 or nested
+        _IN_STRIPE.set(nested or m > 1)
         try:
             for i in range(k, n, m):
-                job(i, *buffers[k])
+                job(i, *(buffers[k] if buffers else ()))
         except BaseException as error:  # raised again on the caller
             errors[i] = error
-        finally:
-            _STRIPES.running = nested
 
     threads = []
     try:
         for k in range(1, m):
-            thread = threading.Thread(target=stripe, args=(k,))
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(stripe, k))
             thread.start()
             threads.append(thread)
-        stripe(0)
+        contextvars.copy_context().run(stripe, 0)
     finally:
         for thread in threads:
             thread.join()

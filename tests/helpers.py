@@ -395,9 +395,9 @@ def literal_csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thread_spy(mp, module) -> list:
+def thread_spy(mp) -> list:
     """The threads that ``upsamplers._in_stripes`` starts while ``mp`` is
-    active, with ``module._worker_count`` at two CPUs whatever the machine has."""
+    active, with ``upsamplers._worker_count`` at two CPUs whatever the machine has."""
     started = []
 
     class Thread(threading.Thread):
@@ -406,5 +406,5 @@ def thread_spy(mp, module) -> list:
             super().start()
 
     mp.setattr(upsamplers, "threading", types.SimpleNamespace(Thread=Thread))
-    mp.setattr(module, "_worker_count", lambda: 2)
+    mp.setattr(upsamplers, "_worker_count", lambda: 2)
     return started

@@ -16,7 +16,7 @@ from helpers import (
     thread_spy,
     truncated_sinc_square_replicas,
 )
-from upspec import alias_analysis
+from upspec import alias_analysis, upsamplers
 from upspec.alias_analysis import FILTER_METHODS, _alias_reports
 from upspec.upsamplers import _pads, _phases
 from upspec import (
@@ -354,6 +354,16 @@ class TestContributionMap:
         with pytest.raises(ValueError):
             contribution_map(KernelSpec(weights=np.ones(3), stride=2), 7)
 
+    def test_out_len_must_be_integral(self):
+        # 8.5 would otherwise count 8 positions; 7.0 counts 7
+        for out_len, stride in ((7.5, 1), (8.5, 2)):
+            with pytest.raises(ValueError, match=f"^out_len must be an integer, got {out_len}$"):
+                contribution_map(KernelSpec(weights=np.ones(3), stride=stride), out_len)
+        kernel = KernelSpec(weights=np.ones(3), stride=7)
+        np.testing.assert_array_equal(contribution_map(kernel, 7.0).counts,
+                                      contribution_map(kernel, 7).counts)
+        assert contribution_map(kernel, 7.0).counts.shape == (7,)
+
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 40), s=st.integers(1, 8), periods=st.integers(1, 12))
     def test_counts_equal_literal_enumeration(self, k, s, periods):
@@ -514,7 +524,7 @@ class TestErrorSpectrumStripes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
             for workers in (1, 2, 3):
-                mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
 
     @pytest.mark.parametrize("shape, threads", [
@@ -532,7 +542,7 @@ class TestErrorSpectrumStripes:
         pred, gt = rng.normal(size=(2, *shape))
         for mode in ("complex", "magnitude"):
             with pytest.MonkeyPatch.context() as mp:
-                started = thread_spy(mp, alias_analysis)
+                started = thread_spy(mp)
                 got = error_spectrum(pred, gt, mode=mode)
             assert len(started) == threads[mode]
             assert not any(thread.is_alive() for thread in started)
@@ -551,7 +561,7 @@ class TestErrorSpectrumStripes:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
                 for workers in (1, 2, 3):
-                    mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                     with pytest.raises(ValueError, match="image samples must be finite"):
                         error_spectrum(pred, gt, mode=mode)
 
@@ -566,9 +576,22 @@ class TestErrorSpectrumStripes:
             expected = literal_error_spectrum(pred, gt, mode, False).tobytes()
             mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
             for workers in (1, 2):
-                mp.setattr(alias_analysis, "_worker_count", lambda n=workers: n)
+                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 got = error_spectrum(pred, gt, mode=mode, log=False)
                 assert got.tobytes() == expected and not np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("row", [10, 500])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callers_error_state_holds_in_every_stripe(self, row, workers):
+        # 512 x 512 x 3 runs its stripes on workers; row 10 is the caller's
+        # row stripe, row 500 the worker's, and the overflowing difference
+        # raises under np.errstate(over="raise") in either
+        pred, gt = np.zeros((2, 512, 512, 3))
+        pred[row, 7, 1], gt[row, 7, 1] = 1e308, -1e308
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_worker_count", lambda: workers)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                error_spectrum(pred, gt)
 
     @pytest.mark.parametrize("name", ["rfft", "fft"])
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
@@ -586,7 +609,7 @@ class TestErrorSpectrumStripes:
 
         before = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(alias_analysis, "_worker_count", lambda: 2)
+            mp.setattr(upsamplers, "_worker_count", lambda: 2)
             mp.setattr(np.fft, name, failing)
             with pytest.raises(RuntimeError, match=f"{name} failed"):
                 error_spectrum(pred, gt, mode=mode)

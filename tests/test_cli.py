@@ -268,7 +268,7 @@ class TestRowWorkers:
     ])
     def test_threads_started(self, tmp_path, argv, threads):
         with pytest.MonkeyPatch.context() as mp:
-            started = thread_spy(mp, cli)
+            started = thread_spy(mp)
             assert main([*argv, "--out-dir", str(tmp_path), "--seed", "1"]) == 0
         assert len(started) == threads
         assert not any(thread.is_alive() for thread in started)
@@ -300,7 +300,7 @@ class TestRowWorkers:
             try:
                 sys.setswitchinterval(1e-5)
                 for workers in (1, 2, 3):
-                    mp.setattr(cli, "_worker_count", lambda w=workers: w)
+                    mp.setattr(upsamplers, "_worker_count", lambda w=workers: w)
                     assert main(argv + ["--out-dir", str(out / str(workers))]) == 0
             finally:
                 sys.setswitchinterval(interval)
@@ -330,7 +330,6 @@ class TestRowWorkers:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.fft, "irfft", spy)
             for workers in (2, 1):
-                mp.setattr(cli, "_worker_count", lambda n=workers: n)
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert main([*argv, "--out-dir", str(tmp_path / str(workers))]) == 0
                 if workers == 2:
@@ -356,7 +355,7 @@ class TestRowWorkers:
             return apply_operator(name, x, args)
 
         monkeypatch.setattr(cli, "apply_operator", failing)
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
         for _ in range(3):
             assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
                          "--ops", "linear,nearest,fourier_pad"]) == code

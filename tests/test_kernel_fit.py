@@ -352,6 +352,25 @@ class TestFitInvariants:
         with pytest.raises(ValueError, match="factor must be an integer"):
             FitProblem(n=8, r=2.5, k=3)
 
+    @pytest.mark.parametrize("field, name", [("n", "input length"), ("k", "kernel size"),
+                                             ("parallel_small", "parallel kernel size")])
+    def test_sizes_must_be_integral(self, field, name):
+        # 7.5 is rejected before it reaches an index; 7.0 is stored as the int 7
+        sizes = {"n": 16, "k": 7, "parallel_small": 3}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 7.5$"):
+            FitProblem(r=2, **{**sizes, field: 7.5})
+        problem = FitProblem(r=2, **{**sizes, field: 7.0})
+        assert getattr(problem, field) == 7 and type(getattr(problem, field)) is int
+        np.testing.assert_array_equal(
+            fit_closed_form(problem).kernel.effective_weights(),
+            fit_closed_form(FitProblem(r=2, **{**sizes, field: 7})).kernel.effective_weights())
+
+    def test_sweep_sizes_must_be_integral(self):
+        with pytest.raises(ValueError, match="kernel size must be an integer"):
+            residual_sweep(16, 2, [3, 7.5])
+        assert residual_sweep(16, 2, [7.0]) == residual_sweep(16, 2, [7])
+        assert type(residual_sweep(16, 2, [7.0])[0][0]) is int
+
     def test_corpus_objective_requires_corpus(self):
         with pytest.raises(ValueError):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq")

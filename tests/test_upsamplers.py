@@ -37,6 +37,7 @@ from upspec import (
     transposed_conv2,
     upsamplers,
 )
+from upspec import alias_analysis, cli
 from upspec.cli import main as cli_main
 
 
@@ -205,6 +206,16 @@ class TestTransposedConv:
         expected = (transposed_conv(x, KernelSpec(weights=large, stride=2))
                     + transposed_conv(x, KernelSpec(weights=small, stride=2)))
         np.testing.assert_allclose(transposed_conv(x, combined), expected, atol=1e-12)
+
+    def test_factor_and_stride_must_be_integral(self):
+        # one rule for both: 7.5 is rejected, 7.0 is the int 7
+        with pytest.raises(ValueError, match="^upsampling factor must be an integer, got 7.5$"):
+            upsamplers.validate_factor(7.5)
+        with pytest.raises(ValueError, match="^stride must be an integer, got 7.5$"):
+            KernelSpec(weights=[1.0], stride=7.5)
+        assert type(upsamplers.validate_factor(7.0)) is int and upsamplers.validate_factor(7.0) == 7
+        stride = KernelSpec(weights=[1.0], stride=7.0).stride
+        assert type(stride) is int and stride == 7
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
@@ -569,45 +580,71 @@ class TestFftPlacement:
         before, interval = threading.active_count(), sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
-            for workers in (1, 2, 3, 4):
-                with pytest.raises(KeyError, match="low"):
-                    upsamplers._in_stripes(job, 8, [()] * workers)
-                assert threading.active_count() == before
+            with pytest.MonkeyPatch.context() as mp:
+                for workers in (1, 2, 3, 4):
+                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
+                    with pytest.raises(KeyError, match="low"):
+                        upsamplers._in_stripes(job, 8, True)
+                    assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
 
-
     def test_nested_calls_run_on_their_thread(self):
-        # a call inside a stripe of a two-stripe call runs its jobs on the
-        # thread that made it; inside a one-stripe call it may start its own
-        # threads; after an error the caller starts threads again
+        # a call inside a stripe of a call with several stripes runs its jobs
+        # on the thread that made it; inside a one-stripe call it may start
+        # its own threads; after an error the caller starts threads again; an
+        # unthreaded call starts none
         def inner(i):
             pass
 
         def outer(i):
             ran_on = []
             upsamplers._in_stripes(lambda j: ran_on.append(threading.current_thread()), 4,
-                                   [()] * 2)
+                                   True)
             assert ran_on == [threading.current_thread()] * 4
 
+        def failing(i):
+            upsamplers._in_stripes(inner, 4, True)
+            raise KeyError("outer")
+
+        for workers in (1, 2, 3, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                started = thread_spy(mp)
+                mp.setattr(upsamplers, "_worker_count", lambda: workers)
+                upsamplers._in_stripes(outer, 4, True)
+                assert len(started) == workers - 1
+                upsamplers._in_stripes(lambda i: upsamplers._in_stripes(inner, 4, True), 1,
+                                       True)
+                assert len(started) == 2 * (workers - 1)
+                with pytest.raises(KeyError, match="outer"):
+                    upsamplers._in_stripes(failing, 4, True)
+                assert len(started) == 3 * (workers - 1)
+                upsamplers._in_stripes(inner, 4, True)
+                assert len(started) == 4 * (workers - 1)
+                upsamplers._in_stripes(inner, 4, False)
+                assert len(started) == 4 * (workers - 1)
+            assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_stripe_keeps_the_callers_error_state(self, workers):
+        # a job that overflows on any one stripe raises FloatingPointError
+        # under the caller's np.errstate(over="raise"), whichever thread runs it
+        big = np.array([1e308])
         with pytest.MonkeyPatch.context() as mp:
-            started = thread_spy(mp, upsamplers)
-            upsamplers._in_stripes(outer, 2, [()] * 2)
-            assert len(started) == 1
-            upsamplers._in_stripes(lambda i: upsamplers._in_stripes(inner, 2, [()] * 2), 1,
-                                   [()] * 2)
-            assert len(started) == 2
+            mp.setattr(upsamplers, "_worker_count", lambda: workers)
+            for stripe in range(workers):
+                def job(i, stripe=stripe):
+                    if i % workers == stripe:
+                        big * 10.0
 
-            def failing(i):
-                upsamplers._in_stripes(inner, 2, [()] * 2)
-                raise KeyError("outer")
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                    upsamplers._in_stripes(job, 6, True)
+                with np.errstate(over="ignore"):
+                    upsamplers._in_stripes(job, 6, True)
 
-            with pytest.raises(KeyError, match="outer"):
-                upsamplers._in_stripes(failing, 2, [()] * 2)
-            assert len(started) == 3
-            upsamplers._in_stripes(inner, 2, [()] * 2)
-            assert len(started) == 4
-        assert not any(thread.is_alive() for thread in started)
+    def test_only_upsamplers_reads_the_cpu_count(self):
+        # the callers pass their size verdict; the stripe count is chosen in one place
+        assert not hasattr(cli, "_worker_count") and not hasattr(alias_analysis, "_worker_count")
 
 
 class TestPlacementRule:
@@ -665,7 +702,7 @@ class TestPlacementRule:
         threaded = [((131072,), 161), ((256, 256), (11, 11))]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
-            calls, threads = self._spy(mp), thread_spy(mp, upsamplers)
+            calls, threads = self._spy(mp), thread_spy(mp)
             for cases, started in ((fft + direct, 0), (threaded, len(threaded))):
                 for shape, k in cases:
                     op = transposed_conv if len(shape) == 1 else transposed_conv2
