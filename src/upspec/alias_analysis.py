@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import NonRealResultError, _image, _log_map, as_image, as_signal
-from .upsamplers import (_MAX_WORKERS, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _integer,
-                         _phases, bed_of_nails, linear, nearest, validate_factor)
+from .signal_core import NonRealResultError, _image, _integer, _log_map, as_image, as_signal
+from .upsamplers import (_MAX_WORKERS, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases,
+                         bed_of_nails, linear, nearest, validate_factor)
 
 #: The interpolation filters by name, each the operator that realizes it.
 FILTER_METHODS = {"bed_of_nails": bed_of_nails, "nearest": nearest, "linear": linear}

@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -112,39 +111,28 @@ def _cell(value) -> str:
     return "true" if value else "false"
 
 
-def write_csv(path: Path, header, columns, *, height: int | None = None) -> None:
-    """One or more columns formatted by one %-template for the whole file.
+def write_csv(path: Path, header, columns) -> None:
+    """One or more columns, all of one length, interleaved into one flat
+    list of values and formatted by one %-template for the whole file.
 
-    Columns share one length unless ``height`` is declared: then a shorter
-    column cycles, its length dividing ``height``, and is converted once into
-    a row template one period (the lcm of such lengths) long that repeats
-    down the file; only the full-height columns fill it. A full-height column
-    of one type is converted by the template; any other column, and one of
-    None or booleans, cell by cell first.
+    A column whose values share one type is converted by the template;
+    any other column, and one of None or booleans, cell by cell first.
     """
-    n_rows = len(columns[0]) if height is None else height
-    short = {len(column) for column in columns} - {n_rows}
-    if (short and height is None) or any(not 0 < n <= n_rows or n_rows % n for n in short):
-        raise ValueError(f"CSV columns of lengths {sorted(short)} do not fill {n_rows} rows")
-    period = math.lcm(*short)
-    cells, full = [], []  # template cells over one period; full-height columns
-    for column in columns:
-        if len(column) < n_rows:
-            cells.append([_cell(column[i % len(column)]).replace("%", "%%")
-                          for i in range(period)])
-            continue
-        kinds = {int} if isinstance(column, range) else set(map(type, column))
+    width, height = len(columns), len(columns[0])
+    if any(len(column) != height for column in columns):
+        raise ValueError(f"CSV columns of lengths {[len(c) for c in columns]} differ")
+    values = [None] * (width * height)
+    conversions = []
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
         conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
         if conversion is None:
             column = list(map(_cell, column))
             conversion = "%s"
-        cells.append([conversion] * period)
-        full.append(column)
-    values = [None] * (len(full) * n_rows)
-    for i, column in enumerate(full):
-        values[i::len(full)] = column
-    template = "".join(",".join(row) + "\n" for row in zip(*cells))
-    path.write_text(",".join(header) + "\n" + (template * (n_rows // period)) % tuple(values))
+        conversions.append(conversion)
+        values[i::width] = column
+    row_template = ",".join(conversions) + "\n"
+    path.write_text(",".join(header) + "\n" + (row_template * height) % tuple(values))
 
 
 def _sanitize(obj):
@@ -211,7 +199,11 @@ def build_signal(args) -> np.ndarray:
         x = step_signal(args.n)
     else:
         raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
-    return args.amplitude * x
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
+        x = args.amplitude * x
+    if not np.all(np.isfinite(x)):
+        raise UsageError(f"signal samples times --amplitude {args.amplitude:g} are not finite")
+    return x
 
 
 def build_image(args, seed) -> np.ndarray:
@@ -363,8 +355,8 @@ def cmd_compare(args, out_dir: Path, formats, config) -> None:
 
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: the
-    CSV cycles its first s counts and the strip tiles their bar strip. One
-    period holds the map's min and max, so the bytes are those of all counts."""
+    CSV repeats a template of its first s rows and the strip tiles their bar
+    strip. One period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
     if args.stride < 1:
@@ -377,8 +369,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     cmap = contribution_map(kernel, out_len)
     cycle = cmap.counts[:kernel.stride]
     if "csv" in formats:
-        write_csv(out_dir / "contribution_counts.csv", ("position", "count"),
-                  [range(out_len), cycle], height=out_len)
+        rows = "".join("%%d,%d\n" % count for count in cycle.tolist())
+        (out_dir / "contribution_counts.csv").write_text(
+            "position,count\n" + rows * (out_len // kernel.stride) % tuple(range(out_len)))
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,

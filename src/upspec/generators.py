@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .signal_core import _integer
+
 
 def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
                   phase: float = 0.0) -> np.ndarray:
     """amp * cos(2*pi*frequency*j/n + phase); frequency 0 gives a constant."""
+    n, frequency = _integer(n, "n"), _integer(frequency, "frequency")
     if n < 1:
         raise ValueError("signal length must be >= 1")
     j = np.arange(n)
@@ -21,12 +24,13 @@ def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
 
 def cosine_mixture(n: int, components) -> np.ndarray:
     """Sum of cosines given as (frequency, amplitude, phase) triples."""
+    n = _integer(n, "n")
     comps = list(components)
     if not comps:
         raise ValueError("cosine mixture needs at least one component")
     out = np.zeros(n)
     for frequency, amplitude, phase in comps:
-        out += cosine_signal(n, int(frequency), float(amplitude), float(phase))
+        out += cosine_signal(n, frequency, float(amplitude), float(phase))
     return out
 
 
@@ -37,6 +41,7 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
     conjugate symmetry; DC gets a real draw. cutoff must stay below n/2
     so the band excludes the Nyquist bin.
     """
+    n, cutoff = _integer(n, "n"), _integer(cutoff, "cutoff")
     if n < 2:
         raise ValueError("signal length must be >= 2")
     if cutoff < 0 or 2 * cutoff >= n:
@@ -52,6 +57,7 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
 
 def step_signal(n: int) -> np.ndarray:
     """Edge at n//2: zeros then ones."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("signal length must be >= 2")
     out = np.zeros(n)
@@ -60,6 +66,8 @@ def step_signal(n: int) -> np.ndarray:
 
 
 def checkerboard_image(height: int, width: int, period: int = 8) -> np.ndarray:
+    height, width = _integer(height, "height"), _integer(width, "width")
+    period = _integer(period, "period")
     if height < 1 or width < 1 or period < 1:
         raise ValueError("height, width and period must be positive")
     rows = np.arange(height)[:, None] // period
@@ -68,6 +76,7 @@ def checkerboard_image(height: int, width: int, period: int = 8) -> np.ndarray:
 
 
 def gaussian_blob_image(height: int, width: int, sigma: float | None = None) -> np.ndarray:
+    height, width = _integer(height, "height"), _integer(width, "width")
     if height < 1 or width < 1:
         raise ValueError("height and width must be positive")
     if sigma is None:
@@ -85,6 +94,7 @@ def composite_image(height: int, width: int, seed: int) -> np.ndarray:
     Each channel combines a vertical step edge, an oriented cosine with a
     channel-dependent frequency, and low-amplitude seeded noise.
     """
+    height, width = _integer(height, "height"), _integer(width, "width")
     if height < 2 or width < 2:
         raise ValueError("composite image must be at least 2x2")
     rng = np.random.default_rng(seed)

@@ -45,7 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .upsamplers import KernelSpec, _integer, fourier_pad_upsample, validate_factor
+from .signal_core import _integer
+from .upsamplers import KernelSpec, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
 

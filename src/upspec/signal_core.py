@@ -36,8 +36,8 @@ LOG_FLOOR = 1e-12
 
 
 class NonRealResultError(ValueError):
-    """An inverse transform overflowed, or produced a signal with
-    non-negligible imaginary part (a conjugate-symmetry violation)."""
+    """A transform overflowed, or an inverse transform produced a signal
+    with non-negligible imaginary part (a conjugate-symmetry violation)."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,13 @@ class RadialProfile(NamedTuple):
     radius: np.ndarray
     magnitude: np.ndarray
     empty: np.ndarray
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` if it is not integral."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_signal(x) -> np.ndarray:
@@ -108,10 +115,15 @@ def dft(signal) -> Spectrum:
     """Forward DFT of a real signal, unshifted convention.
 
     F_k = sum_{j=0}^{N-1} exp(-2*pi*i*j*k/N) * x_j. Evaluated with a fast
-    transform, but the contract is the plain sum (any N).
+    transform, but the contract is the plain sum (any N). An overflow
+    raises :class:`NonRealResultError`.
     """
     x = as_signal(signal)
-    return Spectrum(np.fft.fft(x), centered=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
+        values = np.fft.fft(x)
+    if not np.all(np.isfinite(values)):
+        raise NonRealResultError("forward transform overflowed: spectrum is not finite")
+    return Spectrum(values, centered=False)
 
 
 def idft(spectrum) -> np.ndarray:

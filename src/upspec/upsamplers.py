@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import as_image, as_signal, idft
+from .signal_core import _integer, as_image, as_signal, idft
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -123,13 +123,6 @@ class KernelSpec:
                        for big, small in zip(folded.shape, self.parallel_small.shape))
         folded[window] += self.parallel_small
         return folded
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` if it is not integral."""
-    if int(value) != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def validate_factor(r: int) -> int:
@@ -520,9 +513,9 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     m = r * n
     with np.errstate(over="ignore", invalid="ignore"):  # idft reports an overflow
         f = np.fft.fft(x)
-    g = np.zeros(m, dtype=complex)
-    g[:(n + 1) // 2] = f[:(n + 1) // 2]
-    g[m - n // 2:] = f[(n + 1) // 2:]
-    if n % 2 == 0:
-        g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
+        g = np.zeros(m, dtype=complex)
+        g[:(n + 1) // 2] = f[:(n + 1) // 2]
+        g[m - n // 2:] = f[(n + 1) // 2:]
+        if n % 2 == 0:
+            g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
     return r * idft(g)

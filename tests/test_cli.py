@@ -661,6 +661,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: numeric:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, code, start", [
+        pytest.param(["--n", "16", "--ops", "linear"], 3, "error: numeric: inverse transform",
+                     id="reference"),
+        pytest.param(["--n", "4096"], 1, "error: usage: signal samples times --amplitude",
+                     id="signal"),
+    ])
+    def test_overflowing_amplitude_prints_one_line(self, tmp_path, capsys, argv, code, start):
+        assert main(["compare", "--out-dir", str(tmp_path), "--signal", "noise", "--seed", "1",
+                     "--amplitude", "1e308", *argv]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(start)
+
     def test_non_real_result_is_3(self, tmp_path, capsys, monkeypatch):
         def non_real(x, r):
             raise NonRealResultError("imaginary residue")
@@ -830,44 +842,6 @@ class TestCsvFormatting:
         for columns in ([[1, 2], [3]], [[1], [2, 3]]):
             with pytest.raises(ValueError):
                 cli.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), width=st.integers(1, 4), height=st.integers(1, 12))
-    def test_cycling_columns_write_the_bytes_of_the_tiled_table(self, data, width, height,
-                                                               tmp_path_factory):
-        kinds = [st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
-                 st.floats(), st.none(), st.booleans(), st.booleans().map(np.bool_),
-                 st.text(alphabet="ab%,-", max_size=4)]
-        lengths = [n for n in range(1, height + 1) if height % n == 0]
-        columns = []
-        for _ in range(width):
-            kind = data.draw(st.sampled_from([st.one_of(kinds), *kinds]))
-            columns.append([data.draw(kind) for _ in range(data.draw(st.sampled_from(lengths)))])
-        header = [f"c{i}" for i in range(width)]
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
-        cli.write_csv(path, header, columns, height=height)
-        tiled = [column * (height // len(column)) for column in columns]
-        assert path.read_bytes() == literal_csv_text(header, list(zip(*tiled))).encode()
-
-    @pytest.mark.parametrize("cycle", [[3, -1], [np.int64(-7), np.int64(2**62)],
-                                       np.array([16, 16, 15]), [0.1, 1 / 3, float("nan")],
-                                       [None, None], [True, False, np.bool_(True)],
-                                       ["5%", "a,b", "%d%%"], [1, "x%s", None, 2.5, False]])
-    def test_cycling_column_of_each_kind(self, tmp_path, cycle):
-        height = 6 * len(cycle)
-        cli.write_csv(tmp_path / "t.csv", ["position", "value"], [range(height), cycle],
-                      height=height)
-        rows = list(zip(range(height), list(cycle) * 6))
-        assert (tmp_path / "t.csv").read_bytes() == \
-            literal_csv_text(["position", "value"], rows).encode()
-
-    @pytest.mark.parametrize("lengths, height", [((6, 4), 6), ((6, 0), 6), ((6, 7), 6),
-                                                 ((6, 6), 7), ((0, 2), 0)])
-    def test_cycling_length_must_divide_the_height(self, tmp_path, lengths, height):
-        with pytest.raises(ValueError):
-            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [list(range(n)) for n in lengths],
-                          height=height)
-        assert not (tmp_path / "t.csv").exists()
 
     def test_sanitize_spells_numpy_bools_as_json_bools(self):
         clean = cli._sanitize({"uniform": np.bool_(True), "flags": [np.bool_(False)]})

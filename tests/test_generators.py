@@ -56,6 +56,28 @@ class TestBandlimitedNoise:
 
 
 class TestOtherGenerators:
+    @pytest.mark.parametrize("make, name", [
+        pytest.param(make, name, id=id_) for id_, make, name in [
+            ("cosine_signal-n", lambda v: cosine_signal(v, 1), "n"),
+            ("cosine_signal-frequency", lambda v: cosine_signal(16, v), "frequency"),
+            ("cosine_mixture-n", lambda v: cosine_mixture(v, [(1, 1, 0)]), "n"),
+            ("cosine_mixture-frequency", lambda v: cosine_mixture(16, [(v, 1, 0)]), "frequency"),
+            ("bandlimited_noise-n", lambda v: bandlimited_noise(v, 0, 1), "n"),
+            ("bandlimited_noise-cutoff", lambda v: bandlimited_noise(16, v, 1), "cutoff"),
+            ("step_signal-n", step_signal, "n"),
+            ("checkerboard_image-height", lambda v: checkerboard_image(v, 4, 2), "height"),
+            ("checkerboard_image-width", lambda v: checkerboard_image(4, v, 2), "width"),
+            ("checkerboard_image-period", lambda v: checkerboard_image(4, 4, v), "period"),
+            ("gaussian_blob_image-height", lambda v: gaussian_blob_image(v, 4), "height"),
+            ("gaussian_blob_image-width", lambda v: gaussian_blob_image(4, v), "width"),
+            ("composite_image-height", lambda v: composite_image(v, 4, 1), "height"),
+            ("composite_image-width", lambda v: composite_image(4, v, 1), "width"),
+        ]])
+    def test_sizes_and_frequencies_must_be_integral(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            make(2.5)
+        np.testing.assert_array_equal(make(2.0), make(2))
+
     def test_step_edge(self):
         np.testing.assert_array_equal(step_signal(6), [0, 0, 0, 1, 1, 1])
 

@@ -46,6 +46,11 @@ class TestDft:
     def test_unshifted_convention(self):
         assert dft([1, 2, 3]).centered is False
 
+    def test_overflow_raises_non_real_result_error_without_a_warning(self):
+        # a warning would fail the test: pytest runs with filterwarnings = error
+        with pytest.raises(NonRealResultError, match="overflowed"):
+            dft(1e308 * np.ones(16))
+
 
 class TestIdft:
     def test_dc_only(self):

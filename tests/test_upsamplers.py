@@ -882,6 +882,11 @@ class TestOperatorInvariants:
         with pytest.raises((NonRealResultError, ValueError)):
             fourier_pad_upsample([1.0, np.inf], 2)
 
+    def test_fourier_pad_overflow_at_the_nyquist_split_raises_without_a_warning(self):
+        # 0.5 * f[n/2] of an overflowed spectrum; a warning would fail the test
+        with pytest.raises(NonRealResultError):
+            fourier_pad_upsample(1e308 * (-1.0) ** np.arange(16), 2)
+
     def test_fourier_pad_accepts_any_amplitude(self):
         # the imaginary residue grows with the amplitude; the bound must too
         x = 1e8 * np.cos(2 * np.pi * 7 * np.arange(1000) / 1000)
