@@ -84,25 +84,28 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     share ``low_rate``, the DFT of the reference; one row's overflow fails all."""
     m = ys.shape[1]
     n = m // r
+    h, q = m // 2, n // 2
+    magnitudes = np.empty(ys.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         spectra = np.fft.fft(ys, axis=1)
-        magnitudes = np.fft.fftshift(np.abs(spectra), axes=1)
+        np.abs(spectra[:, :m - h], out=magnitudes[:, h:])
+        np.abs(spectra[:, m - h:], out=magnitudes[:, :h])
     peaks = magnitudes.max(axis=1)
     if not np.all(np.isfinite(peaks)):
         raise NonRealResultError("transform of y overflowed: its spectrum is not finite")
-    kc = np.arange(m) - m // 2
-    passband = 2 * np.abs(kc) < n
-    nyquist = 2 * np.abs(kc) == n
-    alias = ~(passband | nyquist)
 
     # band sums of the unit-peak power neither over- nor underflow at any
-    # amplitude; the energies are those sums times peak^2. compress keeps
-    # each row's band contiguous, so a row sums as the 1D band would
+    # amplitude; the energies are those sums times peak^2. Each band is a
+    # slice of the centred columns, column h + k holding bin k: passband
+    # |k| < n/2, Nyquist k = -+n/2 for even n, and the alias band's two
+    # tails joined, so that each row sums its bands as the 1D band would
     peaks[peaks == 0.0] = 1.0
     power = magnitudes / peaks[:, np.newaxis]
     np.square(power, out=power)
-    s_pass, s_nyq, s_alias = (np.compress(band, power, axis=1).sum(axis=1)
-                              for band in (passband, nyquist, alias))
+    odd = n % 2
+    s_pass = power[:, h - q + 1 - odd:h + q + odd].sum(axis=1)
+    s_nyq = power[:, slice(0) if odd else slice(h - q, h + q + 1, n)].sum(axis=1)
+    s_alias = np.concatenate([power[:, :h - q], power[:, h + q + 1:]], axis=1).sum(axis=1)
     total = s_pass + s_nyq + s_alias
     ratios = np.divide(s_alias + s_nyq, total, out=np.zeros_like(total), where=total > 0.0)
     with np.errstate(over="ignore"):  # an energy outside the float range reads inf

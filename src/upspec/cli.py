@@ -32,7 +32,7 @@ from .kernel_fit import (
     fit_gradient_descent,
     kernel_edge_profile,
 )
-from .netpbm import minmax_rint, read_netpbm, write_netpbm
+from .netpbm import _HEADER, _finite_range, minmax_rint, read_netpbm, write_netpbm
 from .signal_core import NonRealResultError, log_magnitude, radial_average
 from .upsamplers import (
     BOUNDARY_MODES,
@@ -144,7 +144,7 @@ def _sanitize(obj):
         return obj.item()
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        return f if np.isfinite(f) else ("inf" if f > 0 else "-inf")
+        return f if np.isfinite(f) else str(f)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -161,17 +161,22 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
-def bar_strip(values) -> np.ndarray:
-    """Render a 1D array as a bar-chart mask of shape (BAR_HEIGHT, len(values)).
-
-    Row 0 is the top. Column j is True in its bottom rint(scaled_j * BAR_HEIGHT)
-    rows, with the values min-max scaled to [0, 1] (no row when constant).
-    ``write_netpbm`` turns the mask into 0/255 bytes.
-    """
+def write_bar_strip(values, path: Path, repeat: int = 1) -> None:
+    """Write a 1D array, tiled ``repeat`` times, as a P5 bar chart of BAR_HEIGHT
+    rows: column j is 255 in its bottom rint(scaled_j * BAR_HEIGHT) rows, the
+    values min-max scaled to [0, 1], and 0 above (all 0 when constant).
+    Non-finite values raise ``ValueError`` before the file is opened."""
     vals = np.asarray(values, dtype=float)
-    lo, hi = float(vals.min()), float(vals.max())
-    fill = np.zeros_like(vals) if hi == lo else minmax_rint(vals, lo, hi, BAR_HEIGHT)
-    return np.arange(BAR_HEIGHT)[:, np.newaxis] >= BAR_HEIGHT - fill
+    lo, hi = _finite_range(vals)
+    raster = np.zeros((BAR_HEIGHT, vals.size * repeat), np.uint8)
+    if hi != lo:  # the rows above a column's bar are empty
+        empty = BAR_HEIGHT - minmax_rint(vals, lo, hi, BAR_HEIGHT)
+        np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
+                         np.tile(empty.astype(np.uint8), repeat), out=raster.view(bool))
+        raster *= 255
+    with open(path, "wb") as fh:
+        fh.write(_HEADER % (b"P5", raster.shape[1], BAR_HEIGHT))
+        fh.write(raster)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +329,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
         if "pgm" in formats:
             strips = log_magnitude(np.stack([report.magnitude for report in reports]))
             for name, strip in zip(block, strips):
-                write_netpbm(bar_strip(strip), out_dir / f"spectrum_{name}.pgm")
+                write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
     _in_stripes(score, len(blocks), reference.size >= _ROW_THREAD_MIN_SAMPLES)
     rows = [row for block in block_rows for row in block]
@@ -355,8 +360,8 @@ def cmd_compare(args, out_dir: Path, formats, config) -> None:
 
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: the
-    CSV repeats a template of its first s rows and the strip tiles their bar
-    strip. One period holds the map's min and max, so the bytes are those of all counts."""
+    CSV repeats a template of its first s rows and the strip repeats their
+    bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
     if args.stride < 1:
@@ -369,9 +374,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     cmap = contribution_map(kernel, out_len)
     cycle = cmap.counts[:kernel.stride]
     if "csv" in formats:
-        rows = "".join("%%d,%d\n" % count for count in cycle.tolist())
-        (out_dir / "contribution_counts.csv").write_text(
-            "position,count\n" + rows * (out_len // kernel.stride) % tuple(range(out_len)))
+        rows = b"".join(b"%%d,%d\n" % count for count in cycle.tolist())
+        (out_dir / "contribution_counts.csv").write_bytes(
+            b"position,count\n" + rows * (out_len // kernel.stride) % tuple(range(out_len)))
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
@@ -382,8 +387,7 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
             "period": cmap.period,
         }, config)
     if "pgm" in formats:
-        write_netpbm(np.tile(bar_strip(cycle.astype(float)), out_len // kernel.stride),
-                     out_dir / "contribution_counts.pgm")
+        write_bar_strip(cycle, out_dir / "contribution_counts.pgm", out_len // kernel.stride)
 
 
 def _solve_fit(args, k: int):
@@ -410,7 +414,7 @@ def cmd_fit(args, out_dir: Path, formats, config) -> None:
             payload["edge_profile"] = kernel_edge_profile(kernel)._asdict()
         write_json(out_dir / "fit.json", payload, config)
     if "pgm" in formats:
-        write_netpbm(bar_strip(kernel.effective_weights()), out_dir / "kernel.pgm")
+        write_bar_strip(kernel.effective_weights(), out_dir / "kernel.pgm")
 
 
 def cmd_sweep(args, out_dir: Path, formats, config) -> None:
@@ -422,7 +426,7 @@ def cmd_sweep(args, out_dir: Path, formats, config) -> None:
         rows = [{"kernel_size": k, "residual": v} for k, v in zip(sizes, residuals)]
         write_json(out_dir / "sweep.json", {"residuals": rows}, config)
     if "pgm" in formats:
-        write_netpbm(bar_strip(np.array(residuals)), out_dir / "residuals.pgm")
+        write_bar_strip(residuals, out_dir / "residuals.pgm")
 
 
 def _read_input(path) -> np.ndarray:

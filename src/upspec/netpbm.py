@@ -1,11 +1,11 @@
 """Binary Netpbm (P5/P6) writing and reading.
 
 Arrays are min-max normalized to 0..255 on write (constant arrays map to
-0), with a single-space header "P5 <w> <h> 255\\n". A boolean array, such
-as a bar-strip mask, maps to {0, 255}, or to 0 when constant. A range
-too wide for ``hi - lo`` to be finite is scaled by halves instead of
-overflowing. Reading back yields the quantized bytes exactly, so
-write -> read -> write is byte-stable.
+0), with a single-space header "P5 <w> <h> 255\\n". A boolean array maps
+to {0, 255}, or to 0 when constant. A range too wide for ``hi - lo`` to
+be finite is scaled by halves instead of overflowing. Reading back
+yields the quantized bytes exactly, so write -> read -> write is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numpy as np
 
 #: Raster bytes quantized and written at a time by :func:`write_netpbm`.
 _BLOCK_BYTES = 1 << 16
+#: Header of a maxval-255 raster, filled with (magic, width, height).
+_HEADER = b"%s %d %d 255\n"
 
 
 def minmax_rint(arr: np.ndarray, lo: float, hi: float, top: float) -> np.ndarray:
@@ -43,9 +45,9 @@ def _minmax_rint(arr, lo: float, hi: float, top: float, out) -> np.ndarray:
 def quantize(array) -> np.ndarray:
     """Min-max normalize to uint8; constant input maps to all zeros.
 
-    Boolean input maps exactly to {0, 255} (all zeros when constant)
-    without a float pass. Any other input is read as float and must be
-    finite; a range whose width overflows is handled by ``minmax_rint``.
+    Input is read as float and must be finite, so booleans map to {0, 255}
+    (all zeros when constant); a range whose width overflows is handled by
+    ``minmax_rint``.
     """
     arr = np.asarray(array)
     return _quantize_block(arr, *_finite_range(arr), np.empty(arr.shape))
@@ -61,12 +63,10 @@ def _finite_range(arr: np.ndarray) -> tuple[float, float]:
 
 def _quantize_block(block: np.ndarray, lo: float, hi: float, scratch: np.ndarray) -> np.ndarray:
     """:func:`quantize` of any rows of an array whose range is [lo, hi], in
-    C order; a float block is scaled in ``scratch``, a C-order float array
-    of the block's shape."""
+    C order, scaled as floats in ``scratch``, a C-order float array of the
+    block's shape."""
     if hi == lo:
         return np.zeros(block.shape, dtype=np.uint8)
-    if block.dtype == bool:
-        return np.multiply(block.view(np.uint8), np.uint8(255), order="C")
     # with both axes reversed numpy reads a channel-first view, such as an
     # FFT-placed image, along its rows instead of across its channels
     _minmax_rint(np.asarray(block, dtype=float).T, lo, hi, 255.0, scratch.T)
@@ -92,7 +92,7 @@ def write_netpbm(array, path) -> None:
     rows = max(1, _BLOCK_BYTES // arr[0].size)
     scratch = np.empty((min(rows, h), *arr.shape[1:]))
     with open(path, "wb") as fh:
-        fh.write(b"%s %d %d 255\n" % (magic, w, h))
+        fh.write(_HEADER % (magic, w, h))
         for start in range(0, h, rows):
             block = arr[start:start + rows]
             fh.write(_quantize_block(block, lo, hi, scratch[:len(block)]))

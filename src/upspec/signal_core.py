@@ -69,8 +69,13 @@ class RadialProfile(NamedTuple):
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` if it is not integral."""
-    if int(value) != value:
+    """``value`` as an int; ValueError naming ``name`` if it is not a finite
+    integral number."""
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):  # inf and nan have no int
+        integral = False
+    if not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

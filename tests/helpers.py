@@ -259,6 +259,43 @@ def literal_quantize(array) -> np.ndarray:
     return np.rint((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
 
 
+def literal_strip_file(values, repeat: int = 1, height: int = 48) -> bytes:
+    """The P5 file of a bar strip: its header, then the literal quantisation
+    of ``literal_bar_strip(values)`` tiled ``repeat`` times."""
+    raster = literal_quantize(np.tile(literal_bar_strip(values, height), repeat))
+    return b"P5 %d %d 255\n" % (raster.shape[1], height) + raster.tobytes()
+
+
+def literal_alias_reports(ys, r: int, x=None) -> list[dict]:
+    """The fields of ``alias_energy(y, r, reference=x)`` of each row y of
+    ``ys`` and its ``magnitude``: fftshift(|fft(y)|), band sums of the
+    unit-peak power over boolean masks of the centred bins k (passband
+    2|k| < n, Nyquist 2|k| == n, alias the rest), each band gathered by
+    np.compress, and the replica gap against fft(x) tiled r times."""
+    reports = []
+    for y in np.asarray(ys, dtype=float):
+        m = y.size
+        n = m // r
+        magnitude = np.fft.fftshift(np.abs(np.fft.fft(y)))
+        k = np.arange(m) - m // 2
+        passband, nyquist = 2 * np.abs(k) < n, 2 * np.abs(k) == n
+        alias = ~(passband | nyquist)
+        peak = magnitude.max() or 1.0
+        power = (magnitude / peak) ** 2
+        s_pass, s_nyq, s_alias = (np.compress(band, power).sum()
+                                  for band in (passband, nyquist, alias))
+        total = s_pass + s_nyq + s_alias
+        with np.errstate(over="ignore"):
+            energies = [float(s * peak * peak) for s in (s_pass, s_alias, s_nyq)]
+        reports.append({
+            **dict(zip(("passband_energy", "alias_energy", "nyquist_energy"), energies)),
+            "alias_ratio": float((s_alias + s_nyq) / total) if total > 0 else 0.0,
+            "replica_deviation": None if x is None else literal_replica_deviation(x, y, r),
+            "magnitude": magnitude,
+        })
+    return reports
+
+
 def literal_replica_deviation(x, y, r: int) -> float:
     """max_k |DFT(y)[k] - DFT(x)[k mod N]| against DFT(x) tiled r times;
     an overflow on the way reads inf or nan."""

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_dft2,
     enumerate_contributions,
+    literal_alias_reports,
     literal_error_spectrum,
     literal_mirror,
     literal_replica_deviation,
@@ -17,7 +18,7 @@ from helpers import (
     truncated_sinc_square_replicas,
 )
 from upspec import alias_analysis, upsamplers
-from upspec.alias_analysis import FILTER_METHODS, _alias_reports
+from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _dft
 from upspec.upsamplers import _pads, _phases
 from upspec import (
     KernelSpec,
@@ -159,6 +160,31 @@ class TestOneSpectrum:
         coefficient_bound = np.abs(x).sum() + np.abs(y).sum()
         assert abs(scaled.replica_deviation - abs(c) * base.replica_deviation) <= \
             1e-12 * abs(c) * coefficient_bound
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 4), rows=st.integers(1, 4),
+           log10_amplitude=st.floats(-300, 300), zero_rows=st.integers(0, 15),
+           reference=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, r=2, rows=1, log10_amplitude=0.0, zero_rows=0, reference=True, seed=0)
+    @example(n=2, r=3, rows=2, log10_amplitude=300.0, zero_rows=0, reference=True, seed=1)
+    @example(n=33, r=4, rows=4, log10_amplitude=-300.0, zero_rows=2, reference=True, seed=2)
+    def test_stacked_rows_equal_literal_bands(self, n, r, rows, log10_amplitude, zero_rows,
+                                              reference, seed):
+        # the bands are slices of the centred spectrum, the alias tails joined
+        # into one run: every field and the magnitude equal the mask-and-compress
+        # oracle's exactly, at odd and even n (no Nyquist bin / two of them)
+        rng = np.random.default_rng(seed)
+        amplitude = 10.0 ** log10_amplitude
+        ys = rng.normal(size=(rows, r * n)) * amplitude
+        ys[[i for i in range(rows) if zero_rows >> i & 1]] = 0.0
+        x = rng.normal(size=n) * amplitude if reference else None
+        reports = _alias_reports(ys, r, None if x is None else _dft(x))
+        expected = literal_alias_reports(ys, r, x)
+        assert len(reports) == len(expected) == rows
+        for report, fields in zip(reports, expected):
+            assert np.array_equal(report.magnitude, fields.pop("magnitude"))
+            assert {name: getattr(report, name) for name in fields} == fields
 
 
 class TestAmplitudeInvariance:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import brute_dft
 from upspec import (
+    FitProblem,
+    KernelSpec,
     NonRealResultError,
     Spectrum,
     center_shift,
@@ -13,7 +15,10 @@ from upspec import (
     log_magnitude,
     radial_average,
 )
+from upspec.alias_analysis import contribution_map
+from upspec.generators import bandlimited_noise
 from upspec.signal_core import _radial_bins
+from upspec.upsamplers import bed_of_nails
 
 
 class TestDft:
@@ -210,3 +215,17 @@ class TestTransformInvariants:
             f = dft(rng.normal(size=n)).values
             mirrored = np.conj(f[(-np.arange(n)) % n])
             np.testing.assert_allclose(f, mirrored, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name, build", [
+    ("stride", lambda v: KernelSpec(np.ones(3), v)),
+    ("upsampling factor", lambda v: bed_of_nails(np.ones(4), v)),
+    ("input length", lambda v: FitProblem(n=v, r=2, k=3)),
+    ("kernel size", lambda v: FitProblem(n=16, r=2, k=v)),
+    ("n", lambda v: bandlimited_noise(v, 2, 0)),
+    ("out_len", lambda v: contribution_map(KernelSpec(np.ones(3), 2), v)),
+], ids=["stride", "factor", "fit-n", "fit-k", "generator-n", "out_len"])
+def test_non_finite_size_raises_value_error_naming_it(bad, name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        build(bad)
