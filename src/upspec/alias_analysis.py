@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import NonRealResultError, _image, _integer, _log_map, as_image, as_signal
+from .signal_core import NonRealResultError, _dft, _image, _integer, _log_map, as_image, as_signal
 from .upsamplers import (_MAX_WORKERS, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases,
                          bed_of_nails, linear, nearest, validate_factor)
 
@@ -125,12 +125,6 @@ def replica_deviation(x, y, r: int) -> float:
     return float(_replica_gaps(_dft(x), _dft(y), validate_factor(r)))
 
 
-def _dft(x) -> np.ndarray:
-    """DFT of a signal; an overflow is left for :func:`_replica_gaps` to report."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.fft(as_signal(x))
-
-
 def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int) -> np.ndarray:
     """``replica_deviation`` of each unshifted DFT of y along the last axis
     of ``fy``; an overflow on the way raises :class:`NonRealResultError`."""
@@ -163,6 +157,7 @@ def filter_response(method: str, r: int, n_points: int,
     if method not in FILTER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
+    n_points = _integer(n_points, "n_points")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     ell = np.linspace(0.0, r / 2.0, n_points)
@@ -197,6 +192,7 @@ def empirical_filter_response(method: str, r: int, n: int) -> tuple[np.ndarray, 
     if method not in FILTER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
+    n = _integer(n, "impulse length")
     if n < 4:
         raise ValueError("impulse length must be >= 4")
     impulse = np.zeros(n)
@@ -346,8 +342,8 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
 
 def psnr(pred, gt, peak: float) -> float:
     """Peak signal-to-noise ratio in dB; identical inputs report +inf."""
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    if not 0 < peak < np.inf:  # NaN fails too
+        raise ValueError(f"peak must be positive and finite, got {peak!r}")
     p = as_image(pred)
     g = as_image(gt)
     if p.shape != g.shape:

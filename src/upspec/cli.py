@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alias_analysis import _alias_reports, _dft, _psnr_rows, contribution_map, error_spectrum
+from .alias_analysis import _alias_reports, _psnr_rows, contribution_map, error_spectrum
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
@@ -32,8 +32,8 @@ from .kernel_fit import (
     fit_gradient_descent,
     kernel_edge_profile,
 )
-from .netpbm import _HEADER, _finite_range, minmax_rint, read_netpbm, write_netpbm
-from .signal_core import NonRealResultError, log_magnitude, radial_average
+from .netpbm import read_netpbm, write_bar_strip, write_netpbm
+from .signal_core import NonRealResultError, _dft, log_magnitude, radial_average
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -54,7 +54,6 @@ EXIT_NUMERIC = 3
 FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
-BAR_HEIGHT = 48
 ROW_BLOCK_SAMPLES = 2 ** 14  # see _write_operator_rows
 #: Row blocks run on worker threads from this many samples a row (r*N) on;
 #: the crossover table is in _write_operator_rows.
@@ -159,24 +158,6 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
         **_sanitize(payload),
     }
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
-
-
-def write_bar_strip(values, path: Path, repeat: int = 1) -> None:
-    """Write a 1D array, tiled ``repeat`` times, as a P5 bar chart of BAR_HEIGHT
-    rows: column j is 255 in its bottom rint(scaled_j * BAR_HEIGHT) rows, the
-    values min-max scaled to [0, 1], and 0 above (all 0 when constant).
-    Non-finite values raise ``ValueError`` before the file is opened."""
-    vals = np.asarray(values, dtype=float)
-    lo, hi = _finite_range(vals)
-    raster = np.zeros((BAR_HEIGHT, vals.size * repeat), np.uint8)
-    if hi != lo:  # the rows above a column's bar are empty
-        empty = BAR_HEIGHT - minmax_rint(vals, lo, hi, BAR_HEIGHT)
-        np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
-                         np.tile(empty.astype(np.uint8), repeat), out=raster.view(bool))
-        raster *= 255
-    with open(path, "wb") as fh:
-        fh.write(_HEADER % (b"P5", raster.shape[1], BAR_HEIGHT))
-        fh.write(raster)
 
 
 # ---------------------------------------------------------------------------

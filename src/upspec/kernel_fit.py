@@ -4,8 +4,8 @@
 Offset and fold view: a periodic stride-r transposed convolution maps x
 to g (*) z, the circular convolution of the zero-inserted signal z
 (length M = r*N) with a length-M kernel g. Tap j of a K-tap kernel sits
-at offset (j - floor(K/2)) mod M, the taps of a parallel small branch at
-their own anchored offsets, and g is the fold of all taps onto their
+at offset (j - floor(K/2)) mod M, a small branch's taps likewise
+(``upsamplers._tap_offsets``), and g is the fold of all taps onto their
 offsets (taps sharing an offset add). The ideal upsampler is h (*) z
 with h = fourier_pad_upsample(e_0, r).
 
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .signal_core import _integer
-from .upsamplers import KernelSpec, fourier_pad_upsample, validate_factor
+from .upsamplers import KernelSpec, _tap_offsets, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
 
@@ -138,8 +138,7 @@ class EdgeProfile(NamedTuple):
 def _offsets(problem: FitProblem) -> np.ndarray:
     """Output offset (mod r*n) of every tap, large branch first."""
     sizes = [problem.k] if problem.parallel_small is None else [problem.k, problem.parallel_small]
-    offsets = np.concatenate([np.arange(size) - size // 2 for size in sizes])
-    return offsets % (problem.r * problem.n)
+    return _tap_offsets(sizes, problem.r * problem.n)
 
 
 def _ideal_response(n: int, r: int) -> np.ndarray:
@@ -253,6 +252,7 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     """
     if lr is not None and not lr > 0:
         raise ValueError(f"learning rate must be positive, got lr={lr:g}")
+    max_iter = _integer(max_iter, "iteration cap")
     if max_iter < 0:
         raise ValueError("iteration cap must be >= 0")
     offsets = _offsets(problem)

@@ -5,7 +5,7 @@ Arrays are min-max normalized to 0..255 on write (constant arrays map to
 to {0, 255}, or to 0 when constant. A range too wide for ``hi - lo`` to
 be finite is scaled by halves instead of overflowing. Reading back
 yields the quantized bytes exactly, so write -> read -> write is
-byte-stable.
+byte-stable. Bar strips are rendered straight to their P5 raster.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ import numpy as np
 _BLOCK_BYTES = 1 << 16
 #: Header of a maxval-255 raster, filled with (magic, width, height).
 _HEADER = b"%s %d %d 255\n"
-
-
-def minmax_rint(arr: np.ndarray, lo: float, hi: float, top: float) -> np.ndarray:
-    """``rint((arr - lo) / (hi - lo) * top)`` as a new float array, for lo < hi.
-
-    Works in place on one temporary, in that order of operations, so
-    ties at .5 round as the expression does. When ``hi - lo`` overflows,
-    the same ratio is taken as ``(arr/2 - lo/2) / (hi/2 - lo/2)``.
-    """
-    return _minmax_rint(arr, lo, hi, top, None)
+#: Rows of a bar strip (:func:`write_bar_strip`).
+BAR_HEIGHT = 48
 
 
 def _minmax_rint(arr, lo: float, hi: float, top: float, out) -> np.ndarray:
-    """:func:`minmax_rint` into ``out``, an array of arr's shape, or a new one if None."""
+    """``rint((arr - lo) / (hi - lo) * top)`` for lo < hi, into ``out`` (arr's
+    shape) or a new float array if None, in place in that order of operations,
+    so ties at .5 round as the expression does. When ``hi - lo`` overflows,
+    the same ratio is taken as ``(arr/2 - lo/2) / (hi/2 - lo/2)``."""
     span = hi - lo
     if np.isfinite(span):
         out = np.subtract(arr, lo, out=out)
@@ -46,8 +41,8 @@ def quantize(array) -> np.ndarray:
     """Min-max normalize to uint8; constant input maps to all zeros.
 
     Input is read as float and must be finite, so booleans map to {0, 255}
-    (all zeros when constant); a range whose width overflows is handled by
-    ``minmax_rint``.
+    (all zeros when constant); a range whose width overflows is scaled by
+    halves.
     """
     arr = np.asarray(array)
     return _quantize_block(arr, *_finite_range(arr), np.empty(arr.shape))
@@ -96,6 +91,24 @@ def write_netpbm(array, path) -> None:
         for start in range(0, h, rows):
             block = arr[start:start + rows]
             fh.write(_quantize_block(block, lo, hi, scratch[:len(block)]))
+
+
+def write_bar_strip(values, path, repeat: int = 1) -> None:
+    """Write a 1D array, tiled ``repeat`` times, as a P5 bar chart of BAR_HEIGHT
+    rows: column j is 255 in its bottom rint(scaled_j * BAR_HEIGHT) rows, the
+    values min-max scaled to [0, 1], and 0 above (all 0 when constant).
+    Non-finite values raise ``ValueError`` before the file is opened."""
+    vals = np.asarray(values, dtype=float)
+    lo, hi = _finite_range(vals)
+    raster = np.zeros((BAR_HEIGHT, vals.size * repeat), np.uint8)
+    if hi != lo:  # the rows above a column's bar are empty
+        empty = BAR_HEIGHT - _minmax_rint(vals, lo, hi, BAR_HEIGHT, None)
+        np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
+                         np.tile(empty.astype(np.uint8), repeat), out=raster.view(bool))
+        raster *= 255
+    with open(path, "wb") as fh:
+        fh.write(_HEADER % (b"P5", raster.shape[1], BAR_HEIGHT))
+        fh.write(raster)
 
 
 def read_netpbm(path) -> np.ndarray:

@@ -123,12 +123,16 @@ def dft(signal) -> Spectrum:
     transform, but the contract is the plain sum (any N). An overflow
     raises :class:`NonRealResultError`.
     """
-    x = as_signal(signal)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
-        values = np.fft.fft(x)
+    values = _dft(signal)
     if not np.all(np.isfinite(values)):
         raise NonRealResultError("forward transform overflowed: spectrum is not finite")
     return Spectrum(values, centered=False)
+
+
+def _dft(signal) -> np.ndarray:
+    """:func:`dft` values, unchecked: an overflow is left for the caller to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft(as_signal(signal))
 
 
 def idft(spectrum) -> np.ndarray:
@@ -185,6 +189,7 @@ def radial_average(spectrum, n_bins: int) -> RadialProfile:
     W//2); n_bins uniform bins partition [0, r_max], the bin map is built
     once per (H, W, n_bins). Empty bins report magnitude 0 and are flagged.
     """
+    n_bins = _integer(n_bins, "n_bins")
     if n_bins < 1:
         raise ValueError("n_bins must be a positive integer")
     if isinstance(spectrum, Spectrum):

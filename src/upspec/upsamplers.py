@@ -317,6 +317,13 @@ def _pads(shape, strides) -> list[tuple[int, int]]:
     return [((k - 1 - k // 2) // s, (s - 1 + k // 2) // s) for k, s in zip(shape, strides)]
 
 
+def _tap_offsets(sizes, m: int) -> np.ndarray:
+    """Output offset (mod m) of every tap of kernels of the given sizes, in
+    order: tap j of a K-tap kernel writes j - floor(K/2) samples after the
+    zero-inserted sample it scales, the anchor that :func:`_phases` places by."""
+    return np.concatenate([np.arange(k) - k // 2 for k in sizes]) % m
+
+
 def _fullest_phase_taps(w: np.ndarray, strides) -> int:
     """Nonzero taps of the output phase that receives the most of them, the
     phases being those of :func:`_phases`."""

@@ -18,7 +18,8 @@ from helpers import (
     truncated_sinc_square_replicas,
 )
 from upspec import alias_analysis, upsamplers
-from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _dft
+from upspec.alias_analysis import FILTER_METHODS, _alias_reports
+from upspec.signal_core import _dft
 from upspec.upsamplers import _pads, _phases
 from upspec import (
     KernelSpec,
@@ -666,6 +667,9 @@ class TestPsnr:
             psnr(np.ones((2, 2)), np.ones((2, 3)), 1.0)
         with pytest.raises(ValueError):
             psnr(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+        for peak in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="peak"):
+                psnr(np.ones((2, 2)), np.zeros((2, 2)), peak)
 
 
 class TestAliasOrderingInvariant:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
                      literal_quantize, literal_strip_file, thread_spy)
-from upspec import __version__, cli, upsamplers
+from upspec import __version__, cli, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
@@ -211,7 +211,7 @@ class TestOperatorRows:
                                                    else contribution_map(kernel, y.size).variance),
                          "psnr_vs_ideal_db": psnr(y[np.newaxis], reference[np.newaxis], peak)})
             assert (out / "cli" / f"spectrum_{op}.pgm").read_bytes() == \
-                literal_strip_file(log_magnitude(report.magnitude), height=cli.BAR_HEIGHT)
+                literal_strip_file(log_magnitude(report.magnitude), height=netpbm.BAR_HEIGHT)
         rows.sort(key=lambda row: row["alias_ratio"])
         cli.write_csv(out / "rows.csv", cli.COMPARE_CSV_HEADER,
                       [[row[k] for row in rows] for k in cli.COMPARE_CSV_HEADER])
@@ -240,7 +240,7 @@ class TestOperatorRows:
         for op in OPERATORS:
             y, _ = cli.apply_operator(op, x, args)
             assert (tmp_path / "out" / f"spectrum_{op}.pgm").read_bytes() == \
-                literal_strip_file(log_magnitude(center_shift(dft(y))), height=cli.BAR_HEIGHT)
+                literal_strip_file(log_magnitude(center_shift(dft(y))), height=netpbm.BAR_HEIGHT)
 
 
 FIVE_UNFITTED = "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"
@@ -396,9 +396,9 @@ class TestContribution:
         counts = enumerate_contributions(k, s, out_len).tolist()
         assert (out / "contribution_counts.csv").read_bytes() == literal_csv_text(
             ["position", "count"], list(zip(range(out_len), counts))).encode()
-        raster = literal_quantize(literal_bar_strip(counts, cli.BAR_HEIGHT))
+        raster = literal_quantize(literal_bar_strip(counts, netpbm.BAR_HEIGHT))
         assert (out / "contribution_counts.pgm").read_bytes() == \
-            b"P5 %d %d 255\n" % (out_len, cli.BAR_HEIGHT) + raster.tobytes()
+            b"P5 %d %d 255\n" % (out_len, netpbm.BAR_HEIGHT) + raster.tobytes()
 
 
 class TestFitAndSweep:
@@ -756,51 +756,6 @@ class TestParserReuse:
         assert self._artifacts(tmp_path / "shared") == self._artifacts(tmp_path / "fresh")
         shared_run = [self._artifacts(tmp_path / "shared" / str(i)) for i in (0, 1, 4)]
         assert shared_run[1] == shared_run[2] != shared_run[0]
-
-
-@st.composite
-def half_step_ties(draw):
-    """Integers 0 .. 96 with both ends present, times a power of two: every
-    odd value scales to an exact half step of the 48 rows."""
-    values = draw(st.lists(st.integers(0, 96), max_size=298))
-    return [v * 2.0 ** draw(st.integers(-60, 60)) for v in [0, *values, 96]]
-
-
-class TestBarStrip:
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.floats(-1e300, 1e300) | st.integers(-1000, 1000)
-                           | st.integers(-10 ** 300, 10 ** 300), min_size=1, max_size=300)
-           | st.builds(lambda v, size: [v] * size, st.floats(-1e300, 1e300) | st.integers(),
-                       st.integers(1, 300))
-           | half_step_ties(),
-           repeat=st.integers(1, 5))
-    @example(values=[0, 2, 6, 10, 14, 64], repeat=3)
-    def test_equals_literal_column_fill(self, values, repeat, tmp_path_factory):
-        path = tmp_path_factory.mktemp("strip") / "strip.pgm"
-        cli.write_bar_strip(values, path, repeat)
-        assert path.read_bytes() == literal_strip_file(values, repeat, cli.BAR_HEIGHT)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_raise_and_create_no_file(self, tmp_path, bad):
-        with pytest.raises(ValueError, match="finite"):
-            cli.write_bar_strip([0.0, bad, 1.0], tmp_path / "bad.pgm", 2)
-        assert not (tmp_path / "bad.pgm").exists()
-
-    def test_overflowing_range_fills_by_halves(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cli.write_bar_strip([-1e308, 0.0, 1e308], tmp_path / "strip.pgm")
-        strip = read_netpbm(tmp_path / "strip.pgm")
-        np.testing.assert_array_equal(np.unique(strip), [0, 255])
-        np.testing.assert_array_equal((strip == 255).sum(axis=0), [0, 24, 48])
-
-    def test_half_steps_round_to_even(self, tmp_path):
-        # scaled values times 48 are 0, 1.5, 4.5, 7.5, 10.5 and 48, exactly
-        cli.write_bar_strip([0, 2, 6, 10, 14, 64], tmp_path / "strip.pgm")
-        img = read_netpbm(tmp_path / "strip.pgm")
-        assert img.shape == (48, 6)
-        np.testing.assert_array_equal((img == 255).sum(axis=0), [0, 2, 4, 8, 10, 48])
-        assert not img[:-2, 1].any() and (img[-2:, 1] == 255).all()
 
 
 class TestCsvFormatting:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import literal_quantize
+from helpers import literal_quantize, literal_strip_file
+from upspec import netpbm
 from upspec.netpbm import quantize, read_netpbm, write_netpbm
 from upspec.upsamplers import KernelSpec, transposed_conv2
 
@@ -210,3 +211,48 @@ class TestWriteRead:
         other.write_bytes(b"P2 1 1 255\n0")
         with pytest.raises(ValueError):
             read_netpbm(other)
+
+
+@st.composite
+def half_step_ties(draw):
+    """Integers 0 .. 96 with both ends present, times a power of two: every
+    odd value scales to an exact half step of the 48 rows."""
+    values = draw(st.lists(st.integers(0, 96), max_size=298))
+    return [v * 2.0 ** draw(st.integers(-60, 60)) for v in [0, *values, 96]]
+
+
+class TestBarStrip:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300) | st.integers(-1000, 1000)
+                           | st.integers(-10 ** 300, 10 ** 300), min_size=1, max_size=300)
+           | st.builds(lambda v, size: [v] * size, st.floats(-1e300, 1e300) | st.integers(),
+                       st.integers(1, 300))
+           | half_step_ties(),
+           repeat=st.integers(1, 5))
+    @example(values=[0, 2, 6, 10, 14, 64], repeat=3)
+    def test_equals_literal_column_fill(self, values, repeat, tmp_path_factory):
+        path = tmp_path_factory.mktemp("strip") / "strip.pgm"
+        netpbm.write_bar_strip(values, path, repeat)
+        assert path.read_bytes() == literal_strip_file(values, repeat, netpbm.BAR_HEIGHT)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise_and_create_no_file(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="finite"):
+            netpbm.write_bar_strip([0.0, bad, 1.0], tmp_path / "bad.pgm", 2)
+        assert not (tmp_path / "bad.pgm").exists()
+
+    def test_overflowing_range_fills_by_halves(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            netpbm.write_bar_strip([-1e308, 0.0, 1e308], tmp_path / "strip.pgm")
+        strip = read_netpbm(tmp_path / "strip.pgm")
+        np.testing.assert_array_equal(np.unique(strip), [0, 255])
+        np.testing.assert_array_equal((strip == 255).sum(axis=0), [0, 24, 48])
+
+    def test_half_steps_round_to_even(self, tmp_path):
+        # scaled values times 48 are 0, 1.5, 4.5, 7.5, 10.5 and 48, exactly
+        netpbm.write_bar_strip([0, 2, 6, 10, 14, 64], tmp_path / "strip.pgm")
+        img = read_netpbm(tmp_path / "strip.pgm")
+        assert img.shape == (48, 6)
+        np.testing.assert_array_equal((img == 255).sum(axis=0), [0, 2, 4, 8, 10, 48])
+        assert not img[:-2, 1].any() and (img[-2:, 1] == 255).all()

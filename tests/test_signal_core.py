@@ -11,6 +11,9 @@ from upspec import (
     Spectrum,
     center_shift,
     dft,
+    empirical_filter_response,
+    filter_response,
+    fit_gradient_descent,
     idft,
     log_magnitude,
     radial_average,
@@ -217,7 +220,7 @@ class TestTransformInvariants:
             np.testing.assert_allclose(f, mirrored, atol=1e-10)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5])
 @pytest.mark.parametrize("name, build", [
     ("stride", lambda v: KernelSpec(np.ones(3), v)),
     ("upsampling factor", lambda v: bed_of_nails(np.ones(4), v)),
@@ -225,7 +228,12 @@ class TestTransformInvariants:
     ("kernel size", lambda v: FitProblem(n=16, r=2, k=v)),
     ("n", lambda v: bandlimited_noise(v, 2, 0)),
     ("out_len", lambda v: contribution_map(KernelSpec(np.ones(3), 2), v)),
-], ids=["stride", "factor", "fit-n", "fit-k", "generator-n", "out_len"])
+    ("n_bins", lambda v: radial_average(np.ones((4, 4)), v)),
+    ("n_points", lambda v: filter_response("linear", 2, v)),
+    ("impulse length", lambda v: empirical_filter_response("linear", 2, v)),
+    ("iteration cap", lambda v: fit_gradient_descent(FitProblem(n=8, r=2, k=3), max_iter=v)),
+], ids=["stride", "factor", "fit-n", "fit-k", "generator-n", "out_len", "n_bins", "n_points",
+        "impulse-length", "max_iter"])
 def test_non_finite_size_raises_value_error_naming_it(bad, name, build):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
         build(bad)

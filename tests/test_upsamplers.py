@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -821,6 +821,60 @@ class TestFourierPad:
         kc = np.arange(64) - 32
         outside = np.abs(kc) > 16
         assert np.max(np.abs(f[outside]) ** 2) <= 1e-18
+
+
+#: Input lengths on both sides of FFT_MIN_SAMPLES, so that placements run
+#: tap by tap and by FFT, and exponents of 2 that scale x and w.
+SYMBOL_LENGTHS = st.integers(1, 40) | st.integers(1024, 2500)
+SYMBOL_SCALES = st.sampled_from([-480, 0, 480])
+
+
+@st.composite
+def symbol_cases(draw):
+    """(n, r, K, k or None): K up to 3*r*n, so offsets wrap, and an
+    optional small branch of any size up to K."""
+    n, r = draw(SYMBOL_LENGTHS), draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3 * r * n))
+    return n, r, k, draw(st.none() | st.integers(1, k))
+
+
+def assert_symbol_identity(y, x, impulse_response, r):
+    """DFT(y) = G * tile(DFT(x), r), G = DFT(impulse_response), to
+    1e-13 * max|G| * max|DFT(x)|."""
+    spectrum, symbol = np.fft.fft(x), np.fft.fft(impulse_response)
+    gap = np.abs(np.fft.fft(y) - symbol * np.tile(spectrum, r)).max()
+    assert gap <= 1e-13 * np.abs(symbol).max() * np.abs(spectrum).max()
+
+
+class TestSymbolIdentity:
+    """Under periodic placement every operator is a convolution of the
+    zero-inserted input with its impulse response g on the r*n grid, so
+    DFT(T x) = G * tile(DFT x, r) with G = DFT(g) (Sedghi et al. 2019)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=symbol_cases(), ex=SYMBOL_SCALES, ew=SYMBOL_SCALES,
+           seed=st.integers(0, 2**32 - 1))
+    @example(case=(8, 2, 20, 3), ex=0, ew=0, seed=0)
+    @example(case=(1024, 2, 5000, 7), ex=480, ew=480, seed=1)
+    def test_transposed_conv_symbol_is_its_taps_on_their_offsets(self, case, ex, ew, seed):
+        n, r, k, small = case
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.normal(size=n), ex)
+        taps = np.ldexp(rng.normal(size=k + (small or 0)), ew)
+        kernel = KernelSpec(taps[:k], r, None if small is None else taps[k:])
+        offsets = upsamplers._tap_offsets([k] if small is None else [k, small], r * n)
+        g = np.bincount(offsets, weights=taps, minlength=r * n)
+        assert_symbol_identity(transposed_conv(x, kernel), x, g, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=SYMBOL_LENGTHS, r=st.integers(2, 4), ex=SYMBOL_SCALES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_fixed_operator_symbol_is_its_impulse_response(self, n, r, ex, seed):
+        x = np.ldexp(np.random.default_rng(seed).normal(size=n), ex)
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        for op in (bed_of_nails, nearest, linear, fourier_pad_upsample):
+            assert_symbol_identity(op(x, r), x, op(impulse, r), r)
 
 
 class TestOperatorMatrix:
