@@ -339,9 +339,31 @@ def cmd_compare(args, out_dir: Path, formats, config) -> None:
         write_json(out_dir / "summary.json", {"metrics": rows}, config)
 
 
+def _position_rows(out_len: int, suffixes) -> np.ndarray:
+    """``b"%d" % p + suffixes[p % s]`` for p in range(out_len), s = len(suffixes)
+    dividing out_len, as uint8 bytes. A grid of one row a position, shape
+    (ceil(out_len / 10^(d-1)), 10, ..., 10, row width) for d digits, holds in
+    digit column k ``arange(48, 58)`` broadcast along axis k (no division); a
+    slice per column blanks its leading zeros to 0, the suffixes padded with 0
+    are tiled beside the digits, and one boolean compress drops the 0s."""
+    s, d = len(suffixes), len(str(out_len - 1))
+    width = max(map(len, suffixes))
+    grid = np.empty((-(-out_len // 10 ** (d - 1)), *[10] * (d - 1), d + width), np.uint8)
+    for k in range(d):
+        digits = np.arange(48, 48 + grid.shape[k], dtype=np.uint8)
+        grid[..., k] = digits.reshape([-1 if axis == k else 1 for axis in range(d)])
+        if k < d - 1:
+            grid[(0,) * (k + 1) + (..., k)] = 0
+    rows = grid.reshape(-1, d + width)[:out_len]
+    rows.reshape(-1, s, d + width)[:, :, d:] = np.frombuffer(
+        b"".join(suffix.ljust(width, b"\0") for suffix in suffixes), np.uint8).reshape(s, width)
+    flat = rows.reshape(-1)
+    return flat[flat != 0]
+
+
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: the
-    CSV repeats a template of its first s rows and the strip repeats their
+    CSV rows come from :func:`_position_rows` and the strip repeats their
     bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
@@ -355,9 +377,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     cmap = contribution_map(kernel, out_len)
     cycle = cmap.counts[:kernel.stride]
     if "csv" in formats:
-        rows = b"".join(b"%%d,%d\n" % count for count in cycle.tolist())
-        (out_dir / "contribution_counts.csv").write_bytes(
-            b"position,count\n" + rows * (out_len // kernel.stride) % tuple(range(out_len)))
+        with open(out_dir / "contribution_counts.csv", "wb") as fh:
+            fh.write(b"position,count\n")
+            fh.write(_position_rows(out_len, [b",%d\n" % count for count in cycle.tolist()]))
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
@@ -564,7 +586,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NonRealResultError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:  # too large a size is a usage error
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -96,16 +96,19 @@ def write_netpbm(array, path) -> None:
 def write_bar_strip(values, path, repeat: int = 1) -> None:
     """Write a 1D array, tiled ``repeat`` times, as a P5 bar chart of BAR_HEIGHT
     rows: column j is 255 in its bottom rint(scaled_j * BAR_HEIGHT) rows, the
-    values min-max scaled to [0, 1], and 0 above (all 0 when constant).
+    values min-max scaled to [0, 1], and 0 above (all 0 when constant). The
+    (BAR_HEIGHT, len(values)) raster is filled once, with no zero-fill, by a
+    compare into its bool view and ``np.negative`` (1 -> 255), then tiled.
     Non-finite values raise ``ValueError`` before the file is opened."""
     vals = np.asarray(values, dtype=float)
     lo, hi = _finite_range(vals)
-    raster = np.zeros((BAR_HEIGHT, vals.size * repeat), np.uint8)
-    if hi != lo:  # the rows above a column's bar are empty
-        empty = BAR_HEIGHT - _minmax_rint(vals, lo, hi, BAR_HEIGHT, None)
-        np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
-                         np.tile(empty.astype(np.uint8), repeat), out=raster.view(bool))
-        raster *= 255
+    filled = np.zeros(vals.size) if hi == lo else _minmax_rint(vals, lo, hi, BAR_HEIGHT, None)
+    raster = np.empty((BAR_HEIGHT, vals.size), np.uint8)
+    np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
+                     (BAR_HEIGHT - filled).astype(np.uint8), out=raster.view(bool))
+    np.negative(raster, out=raster)
+    if repeat != 1:
+        raster = np.tile(raster, (1, repeat))
     with open(path, "wb") as fh:
         fh.write(_HEADER % (b"P5", raster.shape[1], BAR_HEIGHT))
         fh.write(raster)

@@ -432,6 +432,14 @@ def literal_csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def literal_position_rows(out_len: int, suffixes) -> bytes:
+    """The rows ``b"%d" % p + suffixes[p % s]`` for p in range(out_len), by
+    one %-template of a period's s rows repeated out_len/s times and filled
+    with every position; the suffixes hold no ``%``."""
+    template = b"".join(b"%d" + suffix for suffix in suffixes)
+    return template * (out_len // len(suffixes)) % tuple(range(out_len))
+
+
 def thread_spy(mp) -> list:
     """The threads that ``upsamplers._in_stripes`` starts while ``mp`` is
     active, with ``upsamplers._worker_count`` at two CPUs whatever the machine has."""

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
-                     literal_quantize, literal_strip_file, thread_spy)
+                     literal_position_rows, literal_quantize, literal_strip_file, thread_spy)
 from upspec import __version__, cli, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, main
@@ -388,6 +388,9 @@ class TestContribution:
     @example(k=2, s=5, m=4)  # phases with no taps
     @example(k=7, s=1, m=8)  # period 1
     @example(k=5, s=3, m=1)  # one period: nothing cycles
+    @example(k=100, s=11, m=100)  # counts 9 and 10: suffixes of two widths
+    @example(k=1, s=1, m=10)  # positions 0 - 9 end where a second digit would start
+    @example(k=63, s=4, m=25_001)  # positions past 99,999: five and six digits
     def test_artifacts_equal_literal_rendering(self, k, s, m, tmp_path_factory):
         out, out_len = tmp_path_factory.mktemp("contribution"), s * m
         assert main(["contribution", "--out-dir", str(out), "--format", "csv,pgm",
@@ -399,6 +402,19 @@ class TestContribution:
         raster = literal_quantize(literal_bar_strip(counts, netpbm.BAR_HEIGHT))
         assert (out / "contribution_counts.pgm").read_bytes() == \
             b"P5 %d %d 255\n" % (out_len, netpbm.BAR_HEIGHT) + raster.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), s=st.integers(1, 12), j=st.integers(0, 6),
+           offset=st.sampled_from([-1, 0, 1]), up=st.booleans())
+    def test_position_rows_equal_the_template(self, data, s, j, offset, up):
+        # out_len = s*m at or next to 10^j - 1, 10^j or 10^j + 1, where the
+        # positions gain a digit; counts drawn apart give suffixes of many widths
+        target = 10 ** j + offset
+        m = max(1, -(-target // s) if up else target // s)
+        counts = data.draw(st.lists(st.integers(0, 10 ** 7), min_size=s, max_size=s))
+        suffixes = [b",%d\n" % count for count in counts]
+        assert cli._position_rows(s * m, suffixes).tobytes() == \
+            literal_position_rows(s * m, suffixes)
 
 
 class TestFitAndSweep:
@@ -613,6 +629,14 @@ class TestExitCodes:
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
                      *argv]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
+
+    def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
+        # 2^48 counts of 8 bytes are past the 2^47-byte user address space,
+        # so the allocation fails at once on any machine
+        assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
+                     "--stride", "2", "--out-len", str(2 ** 48)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage: ")
 
     def test_bad_format_is_1(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path), "--format", "bmp"]) == 1

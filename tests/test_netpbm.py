@@ -230,6 +230,8 @@ class TestBarStrip:
            | half_step_ties(),
            repeat=st.integers(1, 5))
     @example(values=[0, 2, 6, 10, 14, 64], repeat=3)
+    @example(values=[-2.5] * 4, repeat=5)  # constant: all 0, tiled
+    @example(values=[7.0], repeat=1)  # one value
     def test_equals_literal_column_fill(self, values, repeat, tmp_path_factory):
         path = tmp_path_factory.mktemp("strip") / "strip.pgm"
         netpbm.write_bar_strip(values, path, repeat)
