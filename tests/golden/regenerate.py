@@ -76,6 +76,12 @@ CONFIGS = [
     ("twowidths", "contribution --kernel-size 100 --stride 11 --out-len 1100"),
     ("digitcross", "contribution --kernel-size 1 --stride 1 --out-len 10"),
     ("sixdigits", "contribution --kernel-size 9 --stride 7 --out-len 700000"),
+    ("paper", "compare --seed 1 --n 128 --kernel-size 31 --parallel-small 3 --ops all"),
+    ("tinywrap", "compare --seed 1 --n 4 --kernel-size 31 --ops all"),
+    ("tinyzero", "compare --seed 1 --n 4 --kernel-size 31 --ops all --boundary zero-pad"),
+    ("analyze3zero", "analyze --seed 1 --n 16 --factor 3 --op linear --boundary zero-pad"),
+    ("analyze3nearest", "analyze --seed 1 --n 16 --factor 3 --op nearest"),
+    ("fitlctc", "fit --n 32 --kernel-size 11 --parallel-small 3"),
 ]
 
 
