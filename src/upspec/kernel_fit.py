@@ -41,6 +41,7 @@ lambda by 1 - 2*lr*lambda), which it checks before the first step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -141,11 +142,20 @@ def _offsets(problem: FitProblem) -> np.ndarray:
     return _tap_offsets(sizes, problem.r * problem.n)
 
 
+@lru_cache(maxsize=1)
 def _ideal_response(n: int, r: int) -> np.ndarray:
-    """Impulse response h of the ideal upsampler: U x = h (*) zero-inserted x."""
+    """Impulse response h of the ideal upsampler: U x = h (*) zero-inserted x.
+
+    Cached per (n, r) and read-only, as ``upsamplers._phases`` is, so the
+    fits of one command (``compare``'s two, a ``sweep``'s one per size)
+    transform the impulse once. One entry suffices, since a command fits at
+    one (n, r), and keeps no more than one r*n-sample h alive.
+    """
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    return fourier_pad_upsample(impulse, r)
+    h = fourier_pad_upsample(impulse, r)
+    h.flags.writeable = False
+    return h
 
 
 def _frequency_weights(problem: FitProblem) -> np.ndarray:

@@ -217,9 +217,10 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     Output phase (pa, pb) of the stride-(sa, sb) transposed convolution
     receives the taps that :func:`_phases` lists for pa on axis 0 and pb on
     axis 1; each adds w[a, b] times the un-inserted input shifted by the
-    tap's offsets. The input is padded once (wrapped or zero; not at all
-    when no tap reads past an edge) so every shift is a slice, and taps
-    are summed in ascending (a, b) order. 1D signals come in as rows.
+    tap's offsets. The input is padded once by :func:`_padded` (wrapped or
+    zero; not at all when no tap reads past an edge) so every shift is a
+    slice, and taps are summed in ascending (a, b) order. 1D signals come
+    in as rows.
 
     With H*W >= FFT_MIN_SAMPLES (1024) and enough nonzero taps in the
     fullest phase for the longest axis, max(H, W), :func:`_place_fft`
@@ -280,9 +281,7 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
             taps for bound, taps in FFT_MIN_TAPS if max(h, wd) < bound):
         return _place_fft(x, w, strides, boundary)
     pads = _pads(w.shape, strides)
-    padded = x
-    if any(pads[0] + pads[1]):
-        padded = np.pad(x, pads + [(0, 0)], mode="wrap" if boundary == "periodic" else "constant")
+    padded = _padded(x, pads, boundary) if any(pads[0] + pads[1]) else x
     (lo_a, _), (lo_b, _) = pads
     out = np.empty((sa * h, sb * wd, nc))
     for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
@@ -294,6 +293,30 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
                         ra, rb = lo_a - u, lo_b - v
                         acc += w[a, b] * padded[ra:ra + h, rb:rb + wd]
             out[pa::sa, pb::sb] = acc
+    return out
+
+
+def _padded(x: np.ndarray, pads, boundary: str) -> np.ndarray:
+    """x padded by ``pads`` on its first two axes, bitwise equal to
+    ``np.pad(x, pads + [(0, 0)], mode="wrap")`` under "periodic" and to
+    mode="constant" under "zero-pad".
+
+    x is copied into a fresh array once. Under "periodic" the rows before
+    and after it are read from x at their indices mod H, then the columns
+    before and after, corners included, from the padded array itself at
+    their indices mod W, so a pad longer than its axis wraps around it
+    more than once, as np.pad's does.
+    """
+    (h, wd, nc), ((ta, ba), (tb, bb)) = x.shape, pads
+    periodic = boundary == "periodic"
+    out = (np.empty if periodic else np.zeros)((ta + h + ba, tb + wd + bb, nc))
+    out[ta:ta + h, tb:tb + wd] = x
+    if periodic and ta + ba:
+        out[:ta, tb:tb + wd] = x[np.arange(-ta, 0) % h]
+        out[ta + h:, tb:tb + wd] = x[np.arange(ba) % h]
+    if periodic and tb + bb:
+        out[:, :tb] = out[:, tb + np.arange(-tb, 0) % wd]
+        out[:, tb + wd:] = out[:, tb + np.arange(bb) % wd]
     return out
 
 

@@ -262,6 +262,24 @@ class TestResidualSweep:
         for k, residual in results:
             assert residual == fit_closed_form(FitProblem(n=16, r=2, k=k)).residual
 
+    def test_sizes_share_one_ideal_response(self, monkeypatch):
+        # h is cached per (n, r) and read-only, so a sweep transforms the
+        # impulse once whatever the number of sizes
+        kernel_fit._ideal_response.cache_clear()
+        h = kernel_fit._ideal_response(16, 2)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 0.0
+        assert kernel_fit._ideal_response(16, 2) is h
+        kernel_fit._ideal_response.cache_clear()
+        lengths = []
+        original = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
+                            or original(a, *rest, **kw))
+        sizes = [2, 3, 7, 11, 15, 32]
+        assert [k for k, _ in residual_sweep(16, 2, sizes)] == sizes
+        assert lengths.count(16) == 1
+
 
 class TestKernelEdgeProfile:
     def test_triangle_decays(self):

@@ -436,6 +436,22 @@ class TestPolyphasePlacement:
             np.testing.assert_allclose(transposed_conv2(x[:, :, c], kernel), expected,
                                        rtol=0, atol=1e-12 * scale)
 
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+           pads=st.lists(st.integers(0, 40), min_size=4, max_size=4),
+           boundary=st.sampled_from(["periodic", "zero-pad"]), seed=st.integers(0, 2**32 - 1))
+    def test_padded_equals_np_pad_bitwise(self, shape, pads, boundary, seed):
+        # np.pad is the oracle, pads longer than the axis and signed zeros
+        # included; the comparison is of the bits
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        x[::2, ::3] = -0.0
+        pads = [(pads[0], pads[1]), (pads[2], pads[3])]
+        expected = np.pad(x, pads + [(0, 0)], mode="wrap" if boundary == "periodic" else "constant")
+        got = upsamplers._padded(x, pads, boundary)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 def _place_by_fft(x, kernel, boundary):
     """The FFT placement of a kernel's effective weights, called directly."""
