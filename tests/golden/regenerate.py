@@ -82,6 +82,9 @@ CONFIGS = [
     ("analyze3zero", "analyze --seed 1 --n 16 --factor 3 --op linear --boundary zero-pad"),
     ("analyze3nearest", "analyze --seed 1 --n 16 --factor 3 --op nearest"),
     ("fitlctc", "fit --n 32 --kernel-size 11 --parallel-small 3"),
+    ("atrule", "compare --seed 1 --n 2048 --ops all"),
+    ("belowrule3", "compare --seed 1 --n 1365 --factor 3 --ops all"),
+    ("oneblock", "analyze --seed 1 --n 16384 --op fourier_pad"),
 ]
 
 
