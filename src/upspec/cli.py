@@ -15,6 +15,7 @@ import hashlib
 import json
 import platform
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from .upsamplers import (
     nearest,
     pixel_shuffle,
     transposed_conv,
+    validate_factor,
 )
 
 EXIT_OK = 0
@@ -55,8 +57,8 @@ FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
 ROW_BLOCK_SAMPLES = 2 ** 14  # see _write_operator_rows
-#: Row blocks run on worker threads from this many samples a row (r*N) on;
-#: the crossover table is in _write_operator_rows.
+#: Two or more row blocks run on worker threads from this many samples a row
+#: (r*N) on; the crossover table is in _write_operator_rows.
 _ROW_THREAD_MIN_SAMPLES = 4096
 REPORT_FIELDS = ("passband_energy", "alias_energy", "nyquist_energy", "alias_ratio",
                  "replica_deviation")
@@ -252,53 +254,80 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     one-row ``alias_energy(y, r, reference=x)`` and ``psnr`` byte for byte.
     Writes ``spectrum_<op>.pgm`` per row and ``alias_metrics.csv``.
 
-    Each block is one job of :func:`upsamplers._in_stripes`: it applies its
-    operators, scores them and writes their strips, and fills its own slot
-    of rows. Once a row holds at least _ROW_THREAD_MIN_SAMPLES (2^12)
-    samples, :func:`_in_stripes` runs the jobs on min(CPUs, 2, blocks)
-    threads, the caller one of them, and below that on the caller alone;
-    ``analyze`` and a compare of one block never start a thread. Every row
-    is computed with the same operations in the same order on any thread,
-    and the slots are joined in block order before the stable sort, so CSV
-    and PGM bytes do not depend on the worker count. One worker's time over two workers' (above 1:
-    threads faster), in-process ``compare --seed 1``, 2-vCPU Xeon VM,
-    medians of 41 alternating calls, range over two to four runs:
+    The ideal reference (Fourier zero-padding, and its peak-to-peak for
+    PSNR) is job 0 of one :func:`upsamplers._in_stripes` call, and block i
+    is job i + 1: it applies its operators, scores them and writes their
+    strips, and fills its own slot of rows. Job 0 sets a one-shot event when
+    it ends, failed or not, and a block waits on it only where it reads the
+    reference: the ``fourier_pad`` row and the PSNR column, both before any
+    strip is written. If job 0 failed, the waiting block raises too, and
+    :func:`_in_stripes` raises job 0's error, the lowest index, first. The
+    wait cannot deadlock: job 0 is the first job of stripe 0, which runs on
+    the caller, so every job queued behind it on that stripe starts after
+    the event is set, and no stripe waits on a job it runs itself. With two
+    blocks or more and at least _ROW_THREAD_MIN_SAMPLES (2^12) samples a row,
+    :func:`_in_stripes` runs the jobs on min(CPUs, 2) threads, the caller one
+    of them, and otherwise on the caller alone; ``analyze`` and a compare of
+    one block never start a thread, since a reference beside a single block
+    measured slower (four rows at 4,096 samples, medians of 201 calls:
+    2.29 ms on the caller, 2.46 - 2.52 ms with the reference on a worker).
+    Every row is computed with the same operations in the same order on any
+    thread, and the slots are joined in block order before the stable sort,
+    so CSV and PGM bytes do not depend on the worker count. One worker's time over two workers'
+    (above 1: threads faster), in-process ``compare --seed 1`` with the size
+    rule lifted, 2-vCPU Xeon VM, one BLAS thread, medians of 41 alternating
+    calls, range over two runs; blocks are counted without the reference:
 
     =======  ====  =================================  ========  ===========
     r*N      r     rows                               blocks    ratio
     =======  ====  =================================  ========  ===========
-    2,342    2     all 7                              6+1       0.97 - 1.09
-    3,072    3     all 7                              5+2       1.02 - 1.03
-    4,096    2     all 7                              4+3       1.12 - 1.22
-    4,096    2     5 unfitted                         4+1       0.97 - 1.02
-    4,608    3     all 7                              3+3+1     1.16 - 1.23
-    8,192    2     all 7 / 5 unfitted                 2+2+2+1   1.14 - 1.15 / 1.07 - 1.17
-    8,194    2     bed_of_nails,nearest / linear,...  1+1       1.07 - 1.16
-    16,384   2     all 7 / 5 unfitted                 1 each    1.32 - 1.34 / 1.22 - 1.33
-    32,768   2     all 7 / 5 unfitted                 1 each    1.25 - 1.28 / 1.26
-    131,072  2     all 7 / 5 unfitted                 1 each    1.47 - 1.48 / 1.36 - 1.38
+    2,342    2     all 7                              6+1       0.85 - 0.98
+    3,072    3     all 7                              5+2       0.93 - 0.97
+    4,096    2     all 7                              4+3       1.15
+    4,096    2     5 unfitted                         4+1       1.00 - 1.02
+    4,608    3     all 7                              3+3+1     1.16 - 1.18
+    8,192    2     all 7 / 5 unfitted                 2+2+2+1   1.16 - 1.17 / 1.21 - 1.27
+    8,194    2     bed_of_nails,nearest / linear,...  1+1       1.24 - 1.26 / 1.31 - 1.38
+    16,384   2     all 7 / 5 unfitted                 1 each    1.23 - 1.33 / 1.28 - 1.29
+    32,768   2     all 7 / 5 unfitted                 1 each    1.40 - 1.43 / 1.41 - 1.43
+    131,072  2     all 7 / 5 unfitted                 1 each    1.57 - 1.61 / 1.53 - 1.54
     =======  ====  =================================  ========  ===========
 
     (5 unfitted: bed_of_nails, nearest, linear, pixel_shuffle, fourier_pad;
-    their 8,192 split is 2+2+1.) Below 2^12 the gain stays within 1.1 while
-    the second worker adds 15 - 26% CPU time; from 2^12 on no case is slower
-    by more than 3%, and the seven-row compare gains 1.12 - 1.22.
+    their 8,192 split is 2+2+1; "linear,..." is linear,fourier_pad.) Below
+    2^12 two workers are slower while the second adds 24 - 34% CPU time;
+    from 2^12 on no case is slower, and the seven-row compare gains
+    1.15 - 1.18.
     """
     x = build_signal(args)
     low_rate = _dft(x)
-    reference = fourier_pad_upsample(x, args.factor)
-    peak = float(np.ptp(reference)) or 1.0
-    per_block = max(1, ROW_BLOCK_SAMPLES // reference.size)
+    size = validate_factor(args.factor) * x.size
+    per_block = max(1, ROW_BLOCK_SAMPLES // size)
     blocks = [names[start:start + per_block] for start in range(0, len(names), per_block)]
     block_rows = [None] * len(blocks)
+    ideal, ready = [], threading.Event()
 
-    def score(i):
-        block = blocks[i]
-        ys, kernels = zip(*[(reference, None) if name == "fourier_pad"
+    def reference():
+        """(reference, peak) once job 0 has ended; raises if it failed."""
+        ready.wait()
+        if not ideal:
+            raise RuntimeError("the ideal reference was not computed")
+        return ideal
+
+    def score(job):
+        if job == 0:
+            try:
+                y = fourier_pad_upsample(x, args.factor)
+                ideal.extend((y, float(np.ptp(y)) or 1.0))
+            finally:
+                ready.set()
+            return
+        block = blocks[job - 1]
+        ys, kernels = zip(*[(reference()[0], None) if name == "fourier_pad"
                             else apply_operator(name, x, args) for name in block])
         ys = np.stack(ys)
         reports = _alias_reports(ys, args.factor, low_rate)
-        block_rows[i] = [{
+        block_rows[job - 1] = [{
             "operator": name,
             "kernel_size": None if kernel is None else kernel.size,
             **{field: getattr(report, field) for field in REPORT_FIELDS},
@@ -306,13 +335,14 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
                                       else contribution_map(kernel, ys.shape[1]).variance),
             "psnr_vs_ideal_db": db,
         } for name, kernel, report, db in zip(block, kernels, reports,
-                                              _psnr_rows(ys, reference, peak).tolist())]
+                                              _psnr_rows(ys, *reference()).tolist())]
         if "pgm" in formats:
             strips = log_magnitude(np.stack([report.magnitude for report in reports]))
             for name, strip in zip(block, strips):
                 write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
-    _in_stripes(score, len(blocks), reference.size >= _ROW_THREAD_MIN_SAMPLES)
+    _in_stripes(score, 1 + len(blocks),
+                len(blocks) > 1 and size >= _ROW_THREAD_MIN_SAMPLES)
     rows = [row for block in block_rows for row in block]
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:

@@ -341,7 +341,8 @@ class TestRowWorkers:
     def test_lowest_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys,
                                                      first, code):
         # each operator is a block of its own at 2^15 samples a row; the first
-        # block fails late on the caller, the second at once on the worker
+        # block fails late on the worker, the second at once on the caller,
+        # after the reference
         second = cli.UsageError if first is NonRealResultError else NonRealResultError
         apply_operator = cli.apply_operator
 
@@ -359,6 +360,50 @@ class TestRowWorkers:
             assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
                          "--ops", "linear,nearest,fourier_pad"]) == code
             assert "first block" in capsys.readouterr().err
+
+    @staticmethod
+    def _main_in_time(argv, workers) -> int:
+        """main(argv) with the size rule lifted on ``workers`` workers, run on
+        a thread joined with a timeout, so a stripe that hangs fails the test."""
+        codes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_ROW_THREAD_MIN_SAMPLES", 0)
+            mp.setattr(upsamplers, "_worker_count", lambda: workers)
+            thread = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive(), "compare did not return"
+        return codes[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_reference_stops_every_block(self, tmp_path, monkeypatch, capsys, workers):
+        # the reference is job 0, on the caller; it fails after the worker's
+        # blocks have started, which then stop where they read it, unwritten
+        def failing(x, r):
+            time.sleep(0.01)
+            raise NonRealResultError("no reference")
+
+        monkeypatch.setattr(cli, "fourier_pad_upsample", failing)
+        out = tmp_path / "out"
+        assert self._main_in_time(["compare", "--out-dir", str(out), "--seed", "1", "--n",
+                                   "16384", "--ops", FIVE_UNFITTED], workers) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: numeric: no reference"]
+        assert not list(out.glob("*.pgm"))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_block_beside_the_reference_sets_the_exit_code(self, tmp_path, monkeypatch,
+                                                                   capsys, workers):
+        apply_operator = cli.apply_operator
+
+        def failing(name, x, args):
+            if name == "nearest":
+                raise cli.DataError("nearest block")
+            return apply_operator(name, x, args)
+
+        monkeypatch.setattr(cli, "apply_operator", failing)
+        assert self._main_in_time(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n",
+                                   "16384", "--ops", FIVE_UNFITTED], workers) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: io: nearest block"]
 
 
 class TestContribution:
