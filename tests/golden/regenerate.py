@@ -85,6 +85,10 @@ CONFIGS = [
     ("atrule", "compare --seed 1 --n 2048 --ops all"),
     ("belowrule3", "compare --seed 1 --n 1365 --factor 3 --ops all"),
     ("oneblock", "analyze --seed 1 --n 16384 --op fourier_pad"),
+    ("long3zero", "compare --seed 1 --n 16384 --factor 3 --boundary zero-pad "
+                  "--ops bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"),
+    ("errorspectall", "errorspec --signal composite --height 1024 --width 768 --seed 3 "
+                      "--mode magnitude"),
 ]
 
 
