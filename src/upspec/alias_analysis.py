@@ -260,28 +260,32 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
 
     From _THREAD_MIN_SAMPLES (2^18) samples an input, all channels counted,
     each stage is cut into _MAX_WORKERS = 2 bands that :func:`_in_stripes`
-    runs on min(CPUs, 2) threads (on one CPU both on the caller, same
-    bytes); below that, into one band. One worker's time over two workers'
-    (above 1: threads faster), complex / magnitude mode, log on, 1 BLAS
-    thread, 2-vCPU Xeon VM, medians of 41 alternating calls, range over two
-    runs each of (H, W, C) arrays and of channel-first views:
+    runs as min(CPUs, 2) stripes, the caller's and one on its reused worker
+    thread (on one CPU both on the caller, same bytes); below that, into one
+    band. One worker's time over two workers' (above 1: two faster),
+    complex / magnitude mode, log on, size rule lifted, 1 BLAS thread, 2-vCPU
+    Xeon VM, medians of 41 alternating calls, range over two runs each of
+    (H, W, C) arrays and of channel-first views:
 
     ===========  =========  =========  =========
     H x W x C    samples    complex    magnitude
     ===========  =========  =========  =========
-    64x64x3      12,288     0.22-0.25  0.16-0.22
-    128x128x1    16,384     0.33-0.44  0.34-0.40
-    128x128x3    49,152     0.34-0.45  0.29-0.37
-    256x256x1    65,536     0.59-0.69  0.58-0.75
-    256x256x3    196,608    0.80-0.95  0.71-0.84
-    301x257x3    232,071    1.05-1.42  1.08-1.41
-    512x512x1    262,144    1.17-1.22  1.12-1.22
-    512x512x3    786,432    1.26-1.43  1.16-1.24
-    1024x768x3   2,359,296  1.23-1.61  1.26-1.54
+    64x64x3      12,288     0.47-0.48  0.38-0.39
+    128x128x1    16,384     0.65-0.70  0.59-0.71
+    128x128x3    49,152     0.72-0.77  0.61-0.64
+    256x256x1    65,536     0.87-1.00  0.82-0.92
+    256x256x3    196,608    1.01-1.21  0.91-1.17
+    301x257x3    232,071    1.32-1.38  1.48-1.55
+    512x512x1    262,144    1.08-1.15  1.06-1.17
+    512x512x3    786,432    1.30-1.41  1.20-1.26
+    1024x768x3   2,359,296  1.32-1.62  1.21-1.49
     ===========  =========  =========  =========
 
     The transforms of a prime width (257) cost more per sample, so 301x257x3
     would gain below the rule; it counts samples only, as placement's does.
+    With a new thread started and joined per call, 256x256x3 read 0.80-0.95
+    / 0.71-0.84 and the crossover sat just below 2^18; with the reused worker
+    it sits near 2^17.5, and the rule still reads 2^18.
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")

@@ -57,8 +57,9 @@ FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
 ROW_BLOCK_SAMPLES = 2 ** 14  # see _write_operator_rows
-#: Two or more row blocks run on worker threads from this many samples a row
-#: (r*N) on; the crossover table is in _write_operator_rows.
+#: Two or more row blocks run in two stripes, the caller's and the worker
+#: thread's, from this many samples a row (r*N) on; the crossover table is in
+#: _write_operator_rows.
 _ROW_THREAD_MIN_SAMPLES = 4096
 REPORT_FIELDS = ("passband_energy", "alias_energy", "nyquist_energy", "alias_ratio",
                  "replica_deviation")
@@ -266,38 +267,41 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     the caller, so every job queued behind it on that stripe starts after
     the event is set, and no stripe waits on a job it runs itself. With two
     blocks or more and at least _ROW_THREAD_MIN_SAMPLES (2^12) samples a row,
-    :func:`_in_stripes` runs the jobs on min(CPUs, 2) threads, the caller one
-    of them, and otherwise on the caller alone; ``analyze`` and a compare of
-    one block never start a thread, since a reference beside a single block
-    measured slower (four rows at 4,096 samples, medians of 201 calls:
-    2.29 ms on the caller, 2.46 - 2.52 ms with the reference on a worker).
-    Every row is computed with the same operations in the same order on any
-    thread, and the slots are joined in block order before the stable sort,
-    so CSV and PGM bytes do not depend on the worker count. One worker's time over two workers'
-    (above 1: threads faster), in-process ``compare --seed 1`` with the size
-    rule lifted, 2-vCPU Xeon VM, one BLAS thread, medians of 41 alternating
-    calls, range over two runs; blocks are counted without the reference:
+    :func:`_in_stripes` runs the jobs in min(CPUs, 2) stripes, the caller's
+    and one handed to its reused worker thread, and otherwise on the caller
+    alone; ``analyze`` and a compare of one block never hand a stripe to the
+    worker, since a reference beside a single block measured slower (four
+    rows at 4,096 samples, medians of 201 calls: 2.29 ms on the caller,
+    2.46 - 2.52 ms with the reference on a new thread per call). Every row
+    is computed with the same operations in the same order on any thread,
+    and the slots are joined in block order before the stable sort, so CSV
+    and PGM bytes do not depend on the worker count. One worker's time over
+    two workers' (above 1: two faster), in-process ``compare --seed 1`` with
+    the size rule lifted, 2-vCPU Xeon VM, one BLAS thread, medians of 41
+    alternating calls, range over two runs; blocks are counted without the
+    reference:
 
     =======  ====  =================================  ========  ===========
     r*N      r     rows                               blocks    ratio
     =======  ====  =================================  ========  ===========
-    2,342    2     all 7                              6+1       0.85 - 0.98
-    3,072    3     all 7                              5+2       0.93 - 0.97
-    4,096    2     all 7                              4+3       1.15
-    4,096    2     5 unfitted                         4+1       1.00 - 1.02
-    4,608    3     all 7                              3+3+1     1.16 - 1.18
-    8,192    2     all 7 / 5 unfitted                 2+2+2+1   1.16 - 1.17 / 1.21 - 1.27
-    8,194    2     bed_of_nails,nearest / linear,...  1+1       1.24 - 1.26 / 1.31 - 1.38
-    16,384   2     all 7 / 5 unfitted                 1 each    1.23 - 1.33 / 1.28 - 1.29
-    32,768   2     all 7 / 5 unfitted                 1 each    1.40 - 1.43 / 1.41 - 1.43
-    131,072  2     all 7 / 5 unfitted                 1 each    1.57 - 1.61 / 1.53 - 1.54
+    2,342    2     all 7                              6+1       1.05 - 1.06
+    3,072    3     all 7                              5+2       1.01 - 1.03
+    4,096    2     all 7                              4+3       1.18 - 1.23
+    4,096    2     5 unfitted                         4+1       0.99 - 1.05
+    4,608    3     all 7                              3+3+1     1.19 - 1.20
+    8,192    2     all 7 / 5 unfitted                 2+2+2+1   1.25 - 1.38 / 1.19 - 1.35
+    8,194    2     bed_of_nails,nearest / linear,...  1+1       1.27 - 1.31 / 1.35
+    16,384   2     all 7 / 5 unfitted                 1 each    1.34 - 1.38 / 1.31 - 1.35
+    32,768   2     all 7 / 5 unfitted                 1 each    1.54 - 1.55 / 1.43 - 1.46
+    131,072  2     all 7 / 5 unfitted                 1 each    1.66 - 1.67 / 1.57 - 1.62
     =======  ====  =================================  ========  ===========
 
     (5 unfitted: bed_of_nails, nearest, linear, pixel_shuffle, fourier_pad;
     their 8,192 split is 2+2+1; "linear,..." is linear,fourier_pad.) Below
-    2^12 two workers are slower while the second adds 24 - 34% CPU time;
-    from 2^12 on no case is slower, and the seven-row compare gains
-    1.15 - 1.18.
+    2^12 two workers now break even (1.01 - 1.06); with a new thread started
+    and joined per call they read 0.85 - 0.98 there, which set the rule at
+    2^12. From 2^12 on only the 4+1 split of the five unfitted rows does not
+    gain, and the seven-row compare gains 1.18 - 1.23.
     """
     x = build_signal(args)
     low_rate = _dft(x)

@@ -29,8 +29,9 @@ one real FFT convolution per output phase (to round-off, O(rN log N)
 whatever K). A fixed rule on the input size and the kernel picks the path
 (see ``FFT_MIN_SAMPLES`` and ``FFT_MIN_TAPS``); the fixed upsamplers and
 every placement below the rule's threshold stay on the first. Large FFT
-placements run their output phases on worker threads, one per CPU up to
-two, with output bitwise equal to one thread's.
+placements run their output phases in stripes, one per CPU up to two: the
+caller's, and one on a long-lived worker thread, with output bitwise equal
+to one thread's.
 """
 
 from __future__ import annotations
@@ -53,13 +54,15 @@ BOUNDARY_MODES = ("periodic", "zero-pad")
 #: crossover table is in :func:`_place`).
 FFT_MIN_SAMPLES = 1024
 FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
-#: An FFT placement runs its phases on worker threads when it writes at least
-#: this many output samples (all channels), and ``error_spectrum`` its stripes
-#: when each input holds this many samples; smaller ones run on the caller.
+#: An FFT placement runs its phases in stripes on the caller and a worker thread
+#: when it writes at least this many output samples (all channels), and
+#: ``error_spectrum`` its stripes when each input holds this many samples;
+#: smaller ones run on the caller alone.
 _THREAD_MIN_SAMPLES = 1 << 18
-#: Workers are at most this many: the crossover table in :func:`_place` and
-#: the peak-RSS figures were measured with two, each worker holding one
-#: complex and one real buffer of a channel's transform size.
+#: Stripes are at most this many, the caller's and one worker thread's: the
+#: crossover table in :func:`_place` and the peak-RSS figures were measured
+#: with two, each stripe holding one complex and one real buffer of a
+#: channel's transform size.
 _MAX_WORKERS = 2
 #: True in a context that runs one of several stripes.
 _IN_STRIPE = contextvars.ContextVar("_IN_STRIPE", default=False)
@@ -249,32 +252,35 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     25 taps and up to 1.2x on 1D ones at the lower edge of a step.
 
     An FFT placement that writes at least _THREAD_MIN_SAMPLES (2^18) output
-    samples, all channels counted, runs its phases on worker threads, one
-    per CPU up to _MAX_WORKERS = 2, the count measured below; the bytes are
+    samples, all channels counted, runs its phases in stripes, one per CPU
+    up to _MAX_WORKERS = 2, the count measured below: the caller's, and one
+    handed to the reused worker thread of :func:`_in_stripes`; the bytes are
     the same either way (see :func:`_place_fft`).
-    One worker's time over two workers' (above 1: threads faster),
-    periodic / zero-pad, 2-vCPU Xeon VM, medians of 41 alternating calls,
-    two runs:
+    One worker's time over two workers' (above 1: two faster), periodic /
+    zero-pad, size rule lifted, 1 BLAS thread, 2-vCPU Xeon VM, medians of 41
+    alternating calls, two runs:
 
     ==========================  ===========  =========  =========
     placement                   out samples  periodic   zero-pad
     ==========================  ===========  =========  =========
-    2D 32x32x1, K=11, s=2       4,096        0.42-0.44  0.44-0.51
-    2D 64x64x1, K=11, s=2       16,384       0.51-0.55  0.52-0.55
-    2D 64x64x3, K=11, s=2       49,152       0.52-0.60  0.57-0.66
-    2D 128x128x1, K=11, s=2     65,536       0.80-0.95  0.82-0.91
-    1D 16,384, K=255, s=4       65,536       1.08-1.29  1.27-1.30
-    1D 65,536, K=161, s=2       131,072      1.38-1.45  1.29-1.44
-    2D 128x128x3, K=11, s=2     196,608      1.03-1.04  1.01-1.14
-    2D 256x256x1, K=11, s=2     262,144      1.15-1.22  1.19-1.24
-    1D 131,072, K=161, s=2      262,144      1.52-1.57  1.41-1.51
-    2D 256x256x3, K=11, s=2     786,432      1.56       1.50-1.53
-    2D 512x512x3, K=11, s=2     3,145,728    1.65       1.60-1.69
+    2D 32x32x1, K=11, s=2       4,096        0.62-0.64  0.58-0.59
+    2D 64x64x1, K=11, s=2       16,384       0.71-0.72  0.76-0.78
+    2D 64x64x3, K=11, s=2       49,152       0.69-0.70  0.78-0.80
+    2D 128x128x1, K=11, s=2     65,536       1.02-1.09  1.03-1.12
+    1D 16,384, K=255, s=4       65,536       1.18-1.35  1.17-1.20
+    1D 65,536, K=161, s=2       131,072      1.34-1.41  1.33-1.36
+    2D 128x128x3, K=11, s=2     196,608      1.00-1.03  1.08
+    2D 256x256x1, K=11, s=2     262,144      1.15-1.20  1.24-1.25
+    1D 131,072, K=161, s=2      262,144      1.45-1.48  1.47
+    2D 256x256x3, K=11, s=2     786,432      1.40-1.43  1.46-1.47
+    2D 512x512x3, K=11, s=2     3,145,728    1.59-1.62  1.58-1.60
     ==========================  ===========  =========  =========
 
-    Handing phases to a thread (start, join, GIL hand-offs) cost 0.5-0.9 ms
-    there, so 2D placements below 2^17 samples lose up to 2.4x; 1D ones win
-    from 2^16 on, but one rule on the output size serves both.
+    Handing phases to the worker (two semaphore signals and GIL hand-offs)
+    costs about 0.1-0.15 ms, so 2D placements below 2^16 samples lose up to
+    1.7x; from 2^16 on no case loses. When a new thread was started and
+    joined per call (0.5-0.9 ms), 2D placements lost up to 2.4x below 2^17
+    and the crossover was near 2^17; the rule still reads 2^18.
     """
     (h, wd, nc), (sa, sb) = x.shape, strides
     if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= next(
@@ -452,20 +458,72 @@ def _worker_count() -> int:
     return min(cpus or 1, _MAX_WORKERS)
 
 
+class _Worker:
+    """A daemon thread that runs the stripes handed to it, one at a time:
+    ``ready`` is released when ``task`` is set, and ``done`` when the stripe
+    has returned (a stripe never raises)."""
+
+    def __init__(self):
+        self.task, self.ready, self.done = None, threading.Semaphore(0), threading.Semaphore(0)
+        self.thread = threading.Thread(target=self._serve, name="upspec-stripes", daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            self.ready.acquire()
+            (context, stripe, k), self.task = self.task, None
+            context.run(stripe, k)
+            del context, stripe  # an idle worker holds nothing of the last call
+            self.done.release()
+
+    def hand(self, stripe, k: int) -> None:
+        """Run stripe(k) on this worker in a copy of the caller's context."""
+        self.task = (contextvars.copy_context(), stripe, k)
+        self.ready.release()
+
+
+#: The workers of :func:`_in_stripes`, started on first need and reused, and
+#: the lock that the call handing them stripes holds.
+_WORKERS: list[_Worker] = []
+_WORKERS_LOCK = threading.Lock()
+
+
+def _drop_workers() -> None:
+    """Forget the parent's workers in a forked child, which runs none of
+    their threads; the child starts its own on first need."""
+    global _WORKERS, _WORKERS_LOCK
+    _WORKERS, _WORKERS_LOCK = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_workers)
+
+
 def _in_stripes(job, n: int, threaded: bool, buffers=None) -> None:
     """job(i, *buffers[k]) for i < n, stripe k taking i = k, k + m, ... of m stripes.
 
     m is min(n, CPUs up to _MAX_WORKERS, len(buffers)) if ``threaded``, and 1
     if not or if this call runs inside a stripe of an m > 1 call, so threads
     never exceed _MAX_WORKERS; no other code reads the CPU count. Without
-    buffers, the job is called as job(i). Stripe 0 runs on the caller, the
-    others on threads started here and joined before return, on error too,
-    each stripe in its own copy of the caller's context, so numpy's error
-    state holds in all. A stripe stops at its first error, and the lowest
-    job index's error is raised here, as a loop over i would raise it.
+    buffers, the job is called as job(i). Stripe 0 runs on the caller and
+    stripe k on worker k - 1, a daemon thread started by the first call that
+    needs it and reused by every later one, so there are never more than
+    the largest m - 1 (one on two CPUs). The call waits for each worker's
+    stripe before return, on error too, and each stripe runs in its own copy
+    of the caller's context, so numpy's error state holds in all. A stripe
+    stops at its first error, and the lowest job index's error is raised
+    here, as a loop over i would raise it; the worker stays in service.
+    A call that finds the workers held by another thread's call runs all its
+    jobs itself (m = 1): it never waits for them, and the bytes are the same
+    on any m. A forked child forgets the parent's workers and lock
+    (``os.register_at_fork``), so it starts its own instead of waiting on
+    threads it does not run.
     """
     nested = _IN_STRIPE.get()
     m = min(n, _worker_count(), len(buffers or range(n))) if threaded and not nested else 1
+    lock = _WORKERS_LOCK
+    if m > 1 and not lock.acquire(blocking=False):
+        m = 1
     errors = {}
 
     def stripe(k):
@@ -476,16 +534,19 @@ def _in_stripes(job, n: int, threaded: bool, buffers=None) -> None:
         except BaseException as error:  # raised again on the caller
             errors[i] = error
 
-    threads = []
+    handed = []
     try:
         for k in range(1, m):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(stripe, k))
-            thread.start()
-            threads.append(thread)
+            if len(_WORKERS) < k:
+                _WORKERS.append(_Worker())
+            _WORKERS[k - 1].hand(stripe, k)
+            handed.append(_WORKERS[k - 1])
         contextvars.copy_context().run(stripe, 0)
     finally:
-        for thread in threads:
-            thread.join()
+        for worker in handed:
+            worker.done.acquire()
+        if m > 1:
+            lock.release()
     if errors:
         raise errors[min(errors)]
 

@@ -6,7 +6,6 @@ library implementations they check.
 """
 
 import threading
-import types
 
 import numpy as np
 
@@ -440,16 +439,55 @@ def literal_position_rows(out_len: int, suffixes) -> bytes:
     return template * (out_len // len(suffixes)) % tuple(range(out_len))
 
 
-def thread_spy(mp) -> list:
-    """The threads that ``upsamplers._in_stripes`` starts while ``mp`` is
-    active, with ``upsamplers._worker_count`` at two CPUs whatever the machine has."""
-    started = []
+def handoff_spy(mp) -> list:
+    """The stripes that ``upsamplers._in_stripes`` hands to its worker threads
+    while ``mp`` is active, as (worker, k) pairs, with
+    ``upsamplers._worker_count`` at two CPUs whatever the machine has."""
+    handed, hand = [], upsamplers._Worker.hand
 
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def spy(worker, stripe, k):
+        handed.append((worker, k))
+        hand(worker, stripe, k)
 
-    mp.setattr(upsamplers, "threading", types.SimpleNamespace(Thread=Thread))
+    mp.setattr(upsamplers._Worker, "hand", spy)
     mp.setattr(upsamplers, "_worker_count", lambda: 2)
-    return started
+    return handed
+
+
+def threads_besides_workers() -> set:
+    """The live threads other than the workers of ``upsamplers._in_stripes``."""
+    return set(threading.enumerate()) - {worker.thread for worker in upsamplers._WORKERS}
+
+
+def assert_workers_idle(timeout: float = 60.0) -> None:
+    """Every worker of ``upsamplers._in_stripes`` is alive and idle: no stripe
+    waits for it, none has ended unawaited, and a stripe handed to it now
+    runs and ends within ``timeout`` seconds."""
+    for worker in upsamplers._WORKERS:
+        assert worker.thread.is_alive() and worker.task is None
+        assert not worker.done.acquire(blocking=False)
+        ran = []
+        worker.hand(ran.append, 1)
+        assert worker.done.acquire(timeout=timeout) and ran == [1]
+
+
+def in_time(call, timeout: float = 60.0):
+    """call() on a daemon thread joined with a timeout, so that a stripe that
+    hangs fails the test instead of the run; returns its result or raises its
+    error here."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, call()))
+        except BaseException as error:  # raised again on the test's thread
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the call did not return within {timeout} s"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value

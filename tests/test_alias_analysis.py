@@ -13,8 +13,10 @@ from helpers import (
     literal_error_spectrum,
     literal_mirror,
     literal_replica_deviation,
+    assert_workers_idle,
+    handoff_spy,
     random_bandlimited,
-    thread_spy,
+    threads_besides_workers,
     truncated_sinc_square_replicas,
 )
 from upspec import alias_analysis, upsamplers
@@ -534,9 +536,9 @@ class TestErrorSpectrum:
 
 
 class TestErrorSpectrumStripes:
-    """The real 2D FFT runs as row stripes, then column stripes, on worker
-    threads from _THREAD_MIN_SAMPLES input samples on; the bytes are those
-    of ``np.fft.rfft2`` on any worker count."""
+    """The real 2D FFT runs as row stripes, then column stripes, the second of
+    each stage handed to a worker thread from _THREAD_MIN_SAMPLES input
+    samples on; the bytes are those of ``np.fft.rfft2`` on any worker count."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.integers(1, 70), w=st.integers(1, 70), channels=st.integers(1, 4),
@@ -554,7 +556,7 @@ class TestErrorSpectrumStripes:
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
 
-    @pytest.mark.parametrize("shape, threads", [
+    @pytest.mark.parametrize("shape, handoffs", [
         # one side of the size rule each: 2^18 - 1 and 2^18 samples
         ((511, 513, 1), {"complex": 0, "magnitude": 0}),
         ((512, 512, 1), {"complex": 2, "magnitude": 2}),
@@ -564,15 +566,17 @@ class TestErrorSpectrumStripes:
         # a single row is one row stripe
         ((1, 1 << 18, 1), {"complex": 1, "magnitude": 1}),
     ])
-    def test_threads_started(self, shape, threads):
+    def test_stripes_handed_to_a_worker(self, shape, handoffs):
         rng = np.random.default_rng(23)
         pred, gt = rng.normal(size=(2, *shape))
+        before = threads_besides_workers()
         for mode in ("complex", "magnitude"):
             with pytest.MonkeyPatch.context() as mp:
-                started = thread_spy(mp)
+                handed = handoff_spy(mp)
                 got = error_spectrum(pred, gt, mode=mode)
-            assert len(started) == threads[mode]
-            assert not any(thread.is_alive() for thread in started)
+            assert len(handed) == handoffs[mode]
+            assert threads_besides_workers() == before
+            assert_workers_idle()
             assert got.tobytes() == literal_error_spectrum(pred, gt, mode, True).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -634,13 +638,14 @@ class TestErrorSpectrumStripes:
                 raise RuntimeError(f"{name} failed")
             return transform(*args, **kwargs)
 
-        before = threading.active_count()
+        before = threads_besides_workers()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(upsamplers, "_worker_count", lambda: 2)
             mp.setattr(np.fft, name, failing)
             with pytest.raises(RuntimeError, match=f"{name} failed"):
                 error_spectrum(pred, gt, mode=mode)
-        assert threading.active_count() == before
+        assert threads_besides_workers() == before
+        assert_workers_idle()
         assert len(failed_on) == 1 and caller not in failed_on
 
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
-                     literal_position_rows, literal_quantize, literal_strip_file, thread_spy)
+from helpers import (assert_workers_idle, enumerate_contributions, handoff_spy, in_time,
+                     literal_bar_strip, literal_csv_cell, literal_csv_text, literal_position_rows,
+                     literal_quantize, literal_strip_file, threads_besides_workers)
 from upspec import __version__, cli, kernel_fit, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, main
@@ -249,11 +250,12 @@ FIVE_UNFITTED = "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"
 
 
 class TestRowWorkers:
-    """Row blocks are jobs of ``upsamplers._in_stripes``: on two workers once
-    a row holds _ROW_THREAD_MIN_SAMPLES samples and there are two blocks,
-    with the same bytes on any worker count."""
+    """Row blocks are jobs of ``upsamplers._in_stripes``: in two stripes, one
+    of them handed to a worker thread, once a row holds
+    _ROW_THREAD_MIN_SAMPLES samples and there are two blocks, with the same
+    bytes on any worker count."""
 
-    @pytest.mark.parametrize("argv, threads", [
+    @pytest.mark.parametrize("argv, handoffs", [
         # the paper-compare and long-signal benchmark shapes
         (["compare", "--n", "128", "--kernel-size", "31", "--parallel-small", "3"], 0),
         (["compare", "--n", "16384", "--ops", FIVE_UNFITTED], 1),
@@ -265,12 +267,14 @@ class TestRowWorkers:
         (["compare", "--n", "16384", "--ops", "linear"], 0),
         (["compare", "--n", "2048", "--ops", "bed_of_nails,nearest,linear,fourier_pad"], 0),
     ])
-    def test_threads_started(self, tmp_path, argv, threads):
+    def test_stripes_handed_to_a_worker(self, tmp_path, argv, handoffs):
+        before = threads_besides_workers()
         with pytest.MonkeyPatch.context() as mp:
-            started = thread_spy(mp)
+            handed = handoff_spy(mp)
             assert main([*argv, "--out-dir", str(tmp_path), "--seed", "1"]) == 0
-        assert len(started) == threads
-        assert not any(thread.is_alive() for thread in started)
+        assert len(handed) == handoffs
+        assert threads_besides_workers() == before
+        assert_workers_idle()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -315,25 +319,28 @@ class TestRowWorkers:
 
     def test_nested_stripes_use_one_worker_thread(self, tmp_path):
         # both row blocks place by FFT on 2^18 output samples, each of which
-        # would run its phases on two workers; inside a block they run on its
-        # thread, so one worker thread runs besides the caller, and the bytes
-        # are those of one worker
+        # would run its phases in two stripes; inside a block they run on its
+        # thread, so the caller and the first worker run every transform, and
+        # the bytes are those of one worker
         argv = ["compare", "--seed", "1", "--n", "131072", "--kernel-size", "161",
                 "--ops", "transposed_conv,lctc", "--format", "csv,pgm"]
-        irfft, peak, before = np.fft.irfft, [0], threading.active_count()
+        irfft, ran_on, caller = np.fft.irfft, set(), threading.current_thread()
+        before = threads_besides_workers()
 
         def spy(*args, **kwargs):
-            peak[0] = max(peak[0], threading.active_count())
+            ran_on.add(threading.current_thread())
             return irfft(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.fft, "irfft", spy)
             for workers in (2, 1):
+                ran_on.clear()
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert main([*argv, "--out-dir", str(tmp_path / str(workers))]) == 0
-                if workers == 2:
-                    assert peak[0] == before + 1
-        assert threading.active_count() == before
+                assert ran_on == ({caller, upsamplers._WORKERS[0].thread} if workers == 2
+                                  else {caller})
+        assert threads_besides_workers() == before
+        assert_workers_idle()
         for name in ("alias_metrics.csv", "spectrum_transposed_conv.pgm", "spectrum_lctc.pgm"):
             assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
@@ -365,15 +372,10 @@ class TestRowWorkers:
     def _main_in_time(argv, workers) -> int:
         """main(argv) with the size rule lifted on ``workers`` workers, run on
         a thread joined with a timeout, so a stripe that hangs fails the test."""
-        codes = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_ROW_THREAD_MIN_SAMPLES", 0)
             mp.setattr(upsamplers, "_worker_count", lambda: workers)
-            thread = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-            thread.start()
-            thread.join(timeout=60)
-        assert not thread.is_alive(), "compare did not return"
-        return codes[0]
+            return in_time(lambda: main(argv))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failed_reference_stops_every_block(self, tmp_path, monkeypatch, capsys, workers):

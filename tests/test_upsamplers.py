@@ -1,7 +1,10 @@
 import itertools
+import os
+import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_workers_idle,
     brute_dft,
     dirichlet_matrix,
     literal_bed_of_nails,
@@ -19,15 +23,18 @@ from helpers import (
     literal_nearest,
     literal_transposed_conv,
     literal_transposed_conv2,
+    handoff_spy,
+    in_time,
     operator_matrix,
     random_bandlimited,
-    thread_spy,
+    threads_besides_workers,
 )
 from upspec import (
     KernelSpec,
     NonRealResultError,
     bed_of_nails,
     dft,
+    error_spectrum,
     fourier_pad_upsample,
     linear,
     nearest,
@@ -572,20 +579,22 @@ class TestFftPlacement:
                 raise RuntimeError("irfft failed")
             return irfft(*args, **kwargs)
 
-        before = threading.active_count()
+        before = threads_besides_workers()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(upsamplers, "_worker_count", lambda: 2)
             mp.setattr(np.fft, "irfft", failing_irfft)
             with pytest.raises(RuntimeError, match="irfft failed"):
                 transposed_conv2(image, kernel)
-        assert threading.active_count() == before
+        assert threads_besides_workers() == before
+        assert_workers_idle()
         assert failed_on and (not on_worker or caller not in failed_on)
 
     @pytest.mark.parametrize("low, high", [(0, 1), (1, 2), (2, 3), (1, 4), (0, 7)])
     def test_lowest_failing_job_wins_whatever_the_timing(self, low, high):
         # the lower index fails late and the higher one at once, on another
         # stripe whenever there are two; the error raised is the one a loop
-        # over the jobs meets first, and no thread outlives the call
+        # over the jobs meets first, no thread but the workers is left, and
+        # they are idle
         def job(i):
             if i == low:
                 time.sleep(0.005)
@@ -593,7 +602,7 @@ class TestFftPlacement:
             if i == high:
                 raise ZeroDivisionError("high")
 
-        before, interval = threading.active_count(), sys.getswitchinterval()
+        before, interval = threads_besides_workers(), sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
             with pytest.MonkeyPatch.context() as mp:
@@ -601,15 +610,16 @@ class TestFftPlacement:
                     mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                     with pytest.raises(KeyError, match="low"):
                         upsamplers._in_stripes(job, 8, True)
-                    assert threading.active_count() == before
+                    assert threads_besides_workers() == before
+                    assert_workers_idle()
         finally:
             sys.setswitchinterval(interval)
 
     def test_nested_calls_run_on_their_thread(self):
         # a call inside a stripe of a call with several stripes runs its jobs
-        # on the thread that made it; inside a one-stripe call it may start
-        # its own threads; after an error the caller starts threads again; an
-        # unthreaded call starts none
+        # on the thread that made it; inside a one-stripe call it may hand
+        # stripes to workers; after an error the caller hands stripes to them
+        # again; an unthreaded call hands none
         def inner(i):
             pass
 
@@ -625,21 +635,21 @@ class TestFftPlacement:
 
         for workers in (1, 2, 3, 4):
             with pytest.MonkeyPatch.context() as mp:
-                started = thread_spy(mp)
+                handed = handoff_spy(mp)
                 mp.setattr(upsamplers, "_worker_count", lambda: workers)
                 upsamplers._in_stripes(outer, 4, True)
-                assert len(started) == workers - 1
+                assert len(handed) == workers - 1
                 upsamplers._in_stripes(lambda i: upsamplers._in_stripes(inner, 4, True), 1,
                                        True)
-                assert len(started) == 2 * (workers - 1)
+                assert len(handed) == 2 * (workers - 1)
                 with pytest.raises(KeyError, match="outer"):
                     upsamplers._in_stripes(failing, 4, True)
-                assert len(started) == 3 * (workers - 1)
+                assert len(handed) == 3 * (workers - 1)
                 upsamplers._in_stripes(inner, 4, True)
-                assert len(started) == 4 * (workers - 1)
+                assert len(handed) == 4 * (workers - 1)
                 upsamplers._in_stripes(inner, 4, False)
-                assert len(started) == 4 * (workers - 1)
-            assert not any(thread.is_alive() for thread in started)
+                assert len(handed) == 4 * (workers - 1)
+            assert_workers_idle()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_stripe_keeps_the_callers_error_state(self, workers):
@@ -661,6 +671,142 @@ class TestFftPlacement:
     def test_only_upsamplers_reads_the_cpu_count(self):
         # the callers pass their size verdict; the stripe count is chosen in one place
         assert not hasattr(cli, "_worker_count") and not hasattr(alias_analysis, "_worker_count")
+
+
+class TestWorkers:
+    """``_in_stripes`` hands stripes 1, 2, ... to long-lived daemon workers:
+    no more of them than the largest m - 1 of any call, reused after a
+    stripe raises, forgotten in a forked child, and never waited for by a
+    second caller, which runs its stripes itself. Each call runs under a
+    timeout, so a hand-off that hangs fails the test."""
+
+    @staticmethod
+    def _placement():
+        # 256 x 256 x 3 by 11 x 11 at stride 2 places by FFT and writes
+        # 3 * 2^18 samples, so its phases run in two stripes
+        rng = np.random.default_rng(26)
+        return rng.normal(size=(256, 256, 3)), KernelSpec(rng.normal(size=(11, 11)), 2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+    def test_forked_child_places_on_its_own_worker(self, monkeypatch):
+        image, kernel = self._placement()
+        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
+        expected = in_time(lambda: transposed_conv2(image, kernel)).tobytes()
+        assert upsamplers._WORKERS
+        with warnings.catch_warnings():
+            if sys.version_info >= (3, 12):  # the workers make this process multi-threaded
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child leaves only by os._exit: 0 if it placed the same bytes
+            code = 1
+            try:
+                if not upsamplers._WORKERS:
+                    code = 0 if transposed_conv2(image, kernel).tobytes() == expected else 2
+                    code = code if len(upsamplers._WORKERS) == 1 else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's placement did not return within 60 s")
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    def test_callers_at_once_get_the_one_worker_bytes(self):
+        # three callers on two CPUs place and take an error spectrum, three
+        # times each, the interpreter switching threads often; whichever
+        # holds the workers, the others run their stripes themselves
+        image, kernel = self._placement()
+        pred, gt = np.random.default_rng(27).normal(size=(2, 512, 512, 3))
+
+        def both():
+            return (transposed_conv2(image, kernel).tobytes(),
+                    error_spectrum(pred, gt).tobytes())
+
+        results, start = [], threading.Barrier(3, timeout=60)
+
+        def caller():
+            start.wait()
+            results.extend(both() for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_worker_count", lambda: 1)
+            expected = in_time(both)
+            mp.setattr(upsamplers, "_worker_count", lambda: 2)
+            callers = [threading.Thread(target=caller, daemon=True) for _ in range(3)]
+            try:
+                sys.setswitchinterval(1e-5)
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [expected] * 9
+        assert_workers_idle()
+
+    def test_call_that_finds_the_workers_held_runs_its_stripes_itself(self):
+        image, kernel = self._placement()
+        with pytest.MonkeyPatch.context() as mp:
+            handed = handoff_spy(mp)
+            expected = in_time(lambda: transposed_conv2(image, kernel))
+            assert len(handed) == 1
+            with upsamplers._WORKERS_LOCK:
+                got = in_time(lambda: transposed_conv2(image, kernel))
+            assert len(handed) == 1
+        np.testing.assert_array_equal(got, expected)
+        assert_workers_idle()
+
+    def test_worker_is_reused_after_a_stripe_raises(self, monkeypatch):
+        # job 1 is stripe 1's, on the first worker; it fails in the first call only
+        ran_on = []
+
+        def job(i):
+            if i == 1:
+                ran_on.append(threading.current_thread())
+                if len(ran_on) == 1:
+                    raise KeyError("first call")
+
+        def calls():
+            with pytest.raises(KeyError, match="first call"):
+                upsamplers._in_stripes(job, 2, True)
+            upsamplers._in_stripes(job, 2, True)
+
+        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
+        in_time(calls)
+        first, second = ran_on
+        assert first is second is upsamplers._WORKERS[0].thread and first.is_alive()
+        assert_workers_idle()
+
+    @settings(max_examples=60, deadline=None)
+    @given(workers=st.integers(1, 4), n=st.integers(1, 8), pairs=st.none() | st.integers(1, 4))
+    def test_workers_never_exceed_the_largest_stripe_count(self, workers, n, pairs):
+        # the workers grow to the largest m - 1 of any call so far and no
+        # further, so a call that needs no more than there are starts no
+        # thread; stripe 0 runs on the caller and stripe k on worker k - 1
+        buffers = None if pairs is None else [()] * pairs
+        m = min(n, workers, pairs or n)
+        pool, before, ran_on = list(upsamplers._WORKERS), set(threading.enumerate()), [None] * n
+
+        def call():
+            upsamplers._in_stripes(lambda i: ran_on.__setitem__(i, threading.current_thread()),
+                                   n, True, buffers)
+            return threading.current_thread()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_worker_count", lambda: workers)
+            caller = in_time(call)
+        workers_now = upsamplers._WORKERS
+        assert workers_now[:len(pool)] == pool and len(workers_now) == max(len(pool), m - 1)
+        assert set(threading.enumerate()) - before == {w.thread for w in workers_now[len(pool):]}
+        assert set(ran_on) == {caller, *(worker.thread for worker in workers_now[:m - 1])}
+        assert_workers_idle()
 
 
 class TestPlacementRule:
@@ -708,8 +854,8 @@ class TestPlacementRule:
         # at stride 2 the fullest phase has ceil(K/2) taps a side; each
         # FFT_MIN_TAPS step switches to FFT at its count and stays direct one
         # tap below it, and 1023 samples stay direct; an FFT placement that
-        # writes fewer than 2^18 samples starts no thread, and from 2^18 on
-        # one of its two stripes of phases runs on a worker thread
+        # writes fewer than 2^18 samples hands no stripe to a worker, and from
+        # 2^18 on one of its two stripes of phases runs on a worker thread
         fft = [((32, 32), (9, 9)), ((1023, 2), (9, 9)), ((1024,), 65), ((4095,), 65),
                ((4096,), 95), ((16383,), 95), ((16384,), 159), ((131071,), 161),
                ((255, 256), (11, 11))]
@@ -718,13 +864,13 @@ class TestPlacementRule:
         threaded = [((131072,), 161), ((256, 256), (11, 11))]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
-            calls, threads = self._spy(mp), thread_spy(mp)
-            for cases, started in ((fft + direct, 0), (threaded, len(threaded))):
+            calls, handed = self._spy(mp), handoff_spy(mp)
+            for cases, handoffs in ((fft + direct, 0), (threaded, len(threaded))):
                 for shape, k in cases:
                     op = transposed_conv if len(shape) == 1 else transposed_conv2
                     op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
-                assert len(threads) == started
-        assert not any(thread.is_alive() for thread in threads)
+                assert len(handed) == handoffs
+        assert_workers_idle()
         assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1)
                          for shape, _ in fft + threaded]
 
