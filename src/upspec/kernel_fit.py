@@ -208,10 +208,10 @@ def _error_gains(g: np.ndarray, h: np.ndarray, n: int, r: int) -> np.ndarray:
 
 def _fit_residual(problem: FitProblem, weights: np.ndarray, offsets: np.ndarray,
                   h: np.ndarray) -> float:
-    """Residual sqrt(sum_q c_q sigma_q^2 / S) of the fitted operator, from
-    its folded kernel g; S is the corpus size, 1 for the operator norm."""
+    """Residual sqrt(sum_q c_q sigma_q^2 / S) of the fitted operator's folded kernel
+    g, S the corpus size (1 for the operator norm); no BLAS dot, whose threads spin."""
     g = np.bincount(offsets, weights=weights, minlength=problem.r * problem.n)
-    spread = _frequency_weights(problem) @ _error_gains(g, h, problem.n, problem.r) ** 2
+    spread = np.sum(_frequency_weights(problem) * _error_gains(g, h, problem.n, problem.r) ** 2)
     return float(np.sqrt(spread / max(len(problem.corpus), 1)))
 
 

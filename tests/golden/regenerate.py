@@ -13,8 +13,10 @@ are kept beside them: the sha256 values are pinned there only.
 ``tests/test_golden.py`` reruns the configs against the manifest; the diff
 of this file after a rerun lists the files whose bytes moved.
 
-The configs are those of the byte-identity loop in
-``.github/workflows/tests.yml``, in its order.
+``CONFIGS`` is the one list of pinned configs: pinning one more is one line
+here. CI records the list twice, in two separate processes, and compares
+the two manifests, so every file's bytes must also be the same across
+processes.
 """
 
 from __future__ import annotations
@@ -47,48 +49,83 @@ CONFIGS = [
     ("contribution", "contribution --kernel-size 63 --stride 4 --out-len 32768"),
     ("zeropad", "compare --seed 1 --n 128 --kernel-size 31 --parallel-small 3 "
                 "--boundary zero-pad"),
+    # a constant strip over many write blocks; multi-block P5/P6 with a
+    # ragged last block
     ("contribution64", "contribution --kernel-size 64 --stride 4 --out-len 65536"),
     ("blocks", "errorspec --signal composite --height 301 --width 257 --seed 2 "
                "--format csv,json,pgm,ppm"),
+    # 2^18 output samples: the FFT placement runs its phases on worker threads
     ("threaded", "compare --seed 1 --n 131072 --kernel-size 161 --ops transposed_conv"),
     ("fft1dzero", "compare --seed 1 --n 4096 --kernel-size 127 --ops transposed_conv,lctc "
                   "--boundary zero-pad"),
+    # reads back the PPM pair written by the blocks config
     ("readback", "errorspec --pred {root}/blocks/pred.ppm --gt {root}/blocks/gt.ppm"),
+    # row blocks on worker threads: four blocks with the fitted rows; r = 3,
+    # zero-pad
     ("rowblocks", "compare --seed 1 --n 4096 --ops all"),
     ("rowblocks3", "compare --seed 1 --n 3000 --factor 3 --ops all --boundary zero-pad"),
+    # contribution artifacts from one period: phases with no taps, period 1,
+    # one period
     ("notaps", "contribution --kernel-size 2 --stride 5 --out-len 20"),
     ("period1", "contribution --kernel-size 7 --stride 1"),
     ("oneperiod", "contribution --kernel-size 5 --stride 3 --out-len 3"),
+    # 2^18 samples an input: the error spectrum runs its row and column
+    # stripes on workers
     ("errorspec512-complex", "errorspec --signal composite --height 512 --width 512 --seed 3 "
                              "--mode complex"),
     ("errorspec512-magnitude", "errorspec --signal composite --height 512 --width 512 "
                                "--seed 3 --mode magnitude"),
+    # each row block's FFT placement runs its phases on the block's own thread
     ("nested", "compare --seed 1 --n 131072 --kernel-size 161 --ops transposed_conv,lctc"),
+    # strips written as uint8 rasters: a one-tap constant kernel, one residual,
+    # uniform counts, and an odd n with no Nyquist bin
     ("fitconst", "fit --n 8 --kernel-size 1"),
     ("sweepone", "sweep --n 16 --sizes 16"),
     ("uniform", "contribution --kernel-size 4 --stride 2 --out-len 64"),
     ("oddn", "compare --seed 1 --n 33 --factor 3 --ops all"),
+    # kernels longer than r*N with a small branch: tap offsets wrap
     ("fitwrap", "fit --n 8 --kernel-size 20 --parallel-small 3 --method gradient"),
     ("sweepwrap", "sweep --n 13 --sizes 1,2,3,7,26,27,40 --parallel-small 1"),
     ("sweepwrapgd", "sweep --n 12 --sizes 3,7,25,30 --parallel-small 3 --method gradient"),
     ("comparewrap", "compare --seed 2 --n 13 --factor 3 --kernel-size 45 --parallel-small 7 "
                     "--ops transposed_conv,lctc"),
+    # contribution rows from the digit grid: count suffixes of two widths,
+    # positions that end at a digit boundary, six-digit positions
     ("twowidths", "contribution --kernel-size 100 --stride 11 --out-len 1100"),
     ("digitcross", "contribution --kernel-size 1 --stride 1 --out-len 10"),
     ("sixdigits", "contribution --kernel-size 9 --stride 7 --out-len 700000"),
+    # direct placement pads: the paper's periodic config, pads longer than a
+    # 4-sample signal under both boundaries, r = 3, and a closed-form LCTC fit
     ("paper", "compare --seed 1 --n 128 --kernel-size 31 --parallel-small 3 --ops all"),
     ("tinywrap", "compare --seed 1 --n 4 --kernel-size 31 --ops all"),
     ("tinyzero", "compare --seed 1 --n 4 --kernel-size 31 --ops all --boundary zero-pad"),
     ("analyze3zero", "analyze --seed 1 --n 16 --factor 3 --op linear --boundary zero-pad"),
     ("analyze3nearest", "analyze --seed 1 --n 16 --factor 3 --op nearest"),
     ("fitlctc", "fit --n 32 --kernel-size 11 --parallel-small 3"),
+    # the ideal reference beside the row blocks: two blocks at the size rule
+    # (threaded), two just below it at r = 3 (serial), one block above it
     ("atrule", "compare --seed 1 --n 2048 --ops all"),
     ("belowrule3", "compare --seed 1 --n 1365 --factor 3 --ops all"),
     ("oneblock", "analyze --seed 1 --n 16384 --op fourier_pad"),
+    # stripes on a worker thread: five row blocks at r = 3, zero-pad, and the
+    # error spectrum of a non-square image above the size rule
     ("long3zero", "compare --seed 1 --n 16384 --factor 3 --boundary zero-pad "
                   "--ops bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"),
     ("errorspectall", "errorspec --signal composite --height 1024 --width 768 --seed 3 "
                       "--mode magnitude"),
+    # analyze for the operators not pinned above; the rest of compare --ops all
+    # at n = 16 and 128, r = 2 and 3, both boundaries; fit residuals summed
+    # over 16,384 frequencies
+    ("analyzenails", "analyze --seed 1 --n 64 --op bed_of_nails"),
+    ("analyzeshufflezero", "analyze --seed 1 --n 64 --op pixel_shuffle --boundary zero-pad"),
+    ("analyzeconv", "analyze --seed 1 --n 64 --op transposed_conv --kernel-size 15"),
+    ("small", "compare --seed 1 --n 16 --ops all"),
+    ("smallzero", "compare --seed 1 --n 16 --ops all --boundary zero-pad"),
+    ("small3", "compare --seed 1 --n 16 --factor 3 --ops all"),
+    ("small3zero", "compare --seed 1 --n 16 --factor 3 --ops all --boundary zero-pad"),
+    ("paper3", "compare --seed 1 --n 128 --factor 3 --ops all"),
+    ("paper3zero", "compare --seed 1 --n 128 --factor 3 --ops all --boundary zero-pad"),
+    ("sweeplong", "sweep --n 16384 --sizes 7,63,255,1023"),
 ]
 
 
