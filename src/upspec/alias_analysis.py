@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_core import NonRealResultError, _dft, _image, _integer, _log_map, as_image, as_signal
-from .upsamplers import (_MAX_WORKERS, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases,
+from .upsamplers import (_STRIPES, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases,
                          bed_of_nails, linear, nearest, validate_factor)
 
 #: The interpolation filters by name, each the operator that realizes it.
@@ -259,13 +259,13 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     raise ``ValueError`` or go on with a difference that overflowed.
 
     From _THREAD_MIN_SAMPLES (2^18) samples an input, all channels counted,
-    each stage is cut into _MAX_WORKERS = 2 bands that :func:`_in_stripes`
-    runs as min(CPUs, 2) stripes, the caller's and one on its reused worker
-    thread (on one CPU both on the caller, same bytes); below that, into one
-    band. One worker's time over two workers' (above 1: two faster),
-    complex / magnitude mode, log on, size rule lifted, 1 BLAS thread, 2-vCPU
-    Xeon VM, medians of 41 alternating calls, range over two runs each of
-    (H, W, C) arrays and of channel-first views:
+    each stage is cut into _STRIPES = 2 bands that :func:`_in_stripes` runs
+    on the caller and its one reused worker thread (on one CPU both on the
+    caller, same bytes); below that, into one band. One worker's time over
+    two workers' (above 1: two faster), complex / magnitude mode, log on,
+    size rule lifted, 1 BLAS thread, 2-vCPU Xeon VM, medians of 41
+    alternating calls, range over two runs each of (H, W, C) arrays and of
+    channel-first views:
 
     ===========  =========  =========  =========
     H x W x C    samples    complex    magnitude
@@ -298,7 +298,7 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     spectrum = np.empty((h, w // 2 + 1), complex)
     out = np.empty((h, w))
     threaded = p.size >= _THREAD_MIN_SAMPLES
-    rows, cols = (_bands(n, _MAX_WORKERS if threaded else 1) for n in spectrum.shape)
+    rows, cols = (_bands(n, _STRIPES if threaded else 1) for n in spectrum.shape)
 
     def row_stripe(i, group):
         # the stripe's channel mean is built in its rows of out, and each

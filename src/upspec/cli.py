@@ -57,10 +57,6 @@ FORMATS = ("csv", "json", "pgm", "ppm")
 OPERATORS = ("bed_of_nails", "nearest", "linear", "pixel_shuffle",
              "transposed_conv", "lctc", "fourier_pad")
 ROW_BLOCK_SAMPLES = 2 ** 14  # see _write_operator_rows
-#: Two or more row blocks run in two stripes, the caller's and the worker
-#: thread's, from this many samples a row (r*N) on; the crossover table is in
-#: _write_operator_rows.
-_ROW_THREAD_MIN_SAMPLES = 4096
 REPORT_FIELDS = ("passband_energy", "alias_energy", "nyquist_energy", "alias_ratio",
                  "replica_deviation")
 COMPARE_CSV_HEADER = ("operator", "kernel_size", *REPORT_FIELDS, "contribution_variance",
@@ -266,42 +262,33 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     wait cannot deadlock: job 0 is the first job of stripe 0, which runs on
     the caller, so every job queued behind it on that stripe starts after
     the event is set, and no stripe waits on a job it runs itself. With two
-    blocks or more and at least _ROW_THREAD_MIN_SAMPLES (2^12) samples a row,
-    :func:`_in_stripes` runs the jobs in min(CPUs, 2) stripes, the caller's
-    and one handed to its reused worker thread, and otherwise on the caller
-    alone; ``analyze`` and a compare of one block never hand a stripe to the
-    worker, since a reference beside a single block measured slower (four
-    rows at 4,096 samples, medians of 201 calls: 2.29 ms on the caller,
-    2.46 - 2.52 ms with the reference on a new thread per call). Every row
-    is computed with the same operations in the same order on any thread,
-    and the slots are joined in block order before the stable sort, so CSV
-    and PGM bytes do not depend on the worker count. One worker's time over
-    two workers' (above 1: two faster), in-process ``compare --seed 1`` with
-    the size rule lifted, 2-vCPU Xeon VM, one BLAS thread, medians of 41
-    alternating calls, range over two runs; blocks are counted without the
-    reference:
+    blocks or more, :func:`_in_stripes` runs the jobs on the caller and its
+    one reused worker thread (on one CPU, on the caller alone); ``analyze``
+    and a compare of one block run on the caller alone, since a reference
+    beside a single block measured slower (four rows at 4,096 samples,
+    medians of 201 calls: 2.29 ms on the caller, 2.46 - 2.52 ms with the
+    reference on a new thread per call). Every row is computed with the
+    same operations in the same order on any thread, and the slots are
+    joined in block order before the stable sort, so CSV and PGM bytes do
+    not depend on the worker count. One worker's time over two workers'
+    (above 1: two faster), in-process ``compare --seed 1``, 2-vCPU Xeon VM,
+    one BLAS thread, medians of 41 alternating calls, range over two runs;
+    blocks are counted without the reference:
 
     =======  ====  =================================  ========  ===========
     r*N      r     rows                               blocks    ratio
     =======  ====  =================================  ========  ===========
     2,342    2     all 7                              6+1       1.05 - 1.06
     3,072    3     all 7                              5+2       1.01 - 1.03
-    4,096    2     all 7                              4+3       1.18 - 1.23
     4,096    2     5 unfitted                         4+1       0.99 - 1.05
-    4,608    3     all 7                              3+3+1     1.19 - 1.20
-    8,192    2     all 7 / 5 unfitted                 2+2+2+1   1.25 - 1.38 / 1.19 - 1.35
     8,194    2     bed_of_nails,nearest / linear,...  1+1       1.27 - 1.31 / 1.35
-    16,384   2     all 7 / 5 unfitted                 1 each    1.34 - 1.38 / 1.31 - 1.35
-    32,768   2     all 7 / 5 unfitted                 1 each    1.54 - 1.55 / 1.43 - 1.46
     131,072  2     all 7 / 5 unfitted                 1 each    1.66 - 1.67 / 1.57 - 1.62
     =======  ====  =================================  ========  ===========
 
     (5 unfitted: bed_of_nails, nearest, linear, pixel_shuffle, fourier_pad;
-    their 8,192 split is 2+2+1; "linear,..." is linear,fourier_pad.) Below
-    2^12 two workers now break even (1.01 - 1.06); with a new thread started
-    and joined per call they read 0.85 - 0.98 there, which set the rule at
-    2^12. From 2^12 on only the 4+1 split of the five unfitted rows does not
-    gain, and the seven-row compare gains 1.18 - 1.23.
+    "linear,..." is linear,fourier_pad.) Two blocks or more break even at
+    the fewest samples a row that makes two (2,342) and where the second
+    holds a single row (4+1), and gain from two single-row blocks on.
     """
     x = build_signal(args)
     low_rate = _dft(x)
@@ -345,8 +332,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
             for name, strip in zip(block, strips):
                 write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
-    _in_stripes(score, 1 + len(blocks),
-                len(blocks) > 1 and size >= _ROW_THREAD_MIN_SAMPLES)
+    _in_stripes(score, 1 + len(blocks), len(blocks) > 1)
     rows = [row for block in block_rows for row in block]
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:

@@ -29,9 +29,9 @@ one real FFT convolution per output phase (to round-off, O(rN log N)
 whatever K). A fixed rule on the input size and the kernel picks the path
 (see ``FFT_MIN_SAMPLES`` and ``FFT_MIN_TAPS``); the fixed upsamplers and
 every placement below the rule's threshold stay on the first. Large FFT
-placements run their output phases in stripes, one per CPU up to two: the
-caller's, and one on a long-lived worker thread, with output bitwise equal
-to one thread's.
+placements run their output phases in two stripes on two CPUs, on the
+caller and one long-lived worker thread, with output bitwise equal to one
+thread's.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
 #: ``error_spectrum`` its stripes when each input holds this many samples;
 #: smaller ones run on the caller alone.
 _THREAD_MIN_SAMPLES = 1 << 18
-#: Stripes are at most this many, the caller's and one worker thread's: the
+#: Stripes of a threaded call, on the caller and the one worker thread: the
 #: crossover table in :func:`_place` and the peak-RSS figures were measured
 #: with two, each stripe holding one complex and one real buffer of a
 #: channel's transform size.
-_MAX_WORKERS = 2
-#: True in a context that runs one of several stripes.
-_IN_STRIPE = contextvars.ContextVar("_IN_STRIPE", default=False)
+_STRIPES = 2
 
 
 @dataclass(frozen=True)
@@ -252,10 +250,10 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     25 taps and up to 1.2x on 1D ones at the lower edge of a step.
 
     An FFT placement that writes at least _THREAD_MIN_SAMPLES (2^18) output
-    samples, all channels counted, runs its phases in stripes, one per CPU
-    up to _MAX_WORKERS = 2, the count measured below: the caller's, and one
-    handed to the reused worker thread of :func:`_in_stripes`; the bytes are
-    the same either way (see :func:`_place_fft`).
+    samples, all channels counted, runs its phases in two stripes on two
+    CPUs, the count measured below: on the caller and the one reused worker
+    thread of :func:`_in_stripes`; the bytes are the same either way (see
+    :func:`_place_fft`).
     One worker's time over two workers' (above 1: two faster), periodic /
     zero-pad, size rule lifted, 1 BLAS thread, 2-vCPU Xeon VM, medians of 41
     alternating calls, two runs:
@@ -398,10 +396,10 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     The caller transforms the channels one after another. Then each output
     phase is a job: its sub-kernel spectrum and, per channel, the product,
     the inverse transform and the write. Once the output holds at least
-    _THREAD_MIN_SAMPLES samples, _MAX_WORKERS pairs of one complex and one
-    real buffer are made here, and :func:`_in_stripes` runs the jobs in as
-    many stripes as it picks, at most one per pair; below that, one pair
-    and the caller alone. Each stripe transforms in its own pair (the
+    _THREAD_MIN_SAMPLES samples, _STRIPES pairs of one complex and one
+    real buffer are made here, and :func:`_in_stripes` runs the jobs on the
+    caller and one worker, or on the caller alone; below that, one pair and
+    the caller alone. Each stripe transforms in its own pair (the
     transforms write through ``out=``, which numpy's FFT functions take
     from numpy 2.0 on); the only channel-sized array a job makes is its
     phase's sub-kernel spectrum. Every output sample is computed by one job
@@ -424,7 +422,7 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
               for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)) if cols.size]
     threaded = out.size >= _THREAD_MIN_SAMPLES
     buffers = [(np.empty(spectrum.shape[1:], complex), np.empty((la, lb)))
-               for _ in range(_MAX_WORKERS if threaded else 1)]
+               for _ in range(_STRIPES if threaded else 1)]
 
     real = buffers[0][1]
     for c in range(nc):
@@ -453,9 +451,9 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on, at most _MAX_WORKERS."""
+    """CPUs this process may run on, at most _STRIPES."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, _MAX_WORKERS)
+    return min(cpus or 1, _STRIPES)
 
 
 class _Worker:
@@ -471,28 +469,28 @@ class _Worker:
     def _serve(self):
         while True:
             self.ready.acquire()
-            (context, stripe, k), self.task = self.task, None
-            context.run(stripe, k)
+            (context, stripe), self.task = self.task, None
+            context.run(stripe)
             del context, stripe  # an idle worker holds nothing of the last call
             self.done.release()
 
-    def hand(self, stripe, k: int) -> None:
-        """Run stripe(k) on this worker in a copy of the caller's context."""
-        self.task = (contextvars.copy_context(), stripe, k)
+    def hand(self, stripe) -> None:
+        """Run stripe() on this worker in a copy of the caller's context."""
+        self.task = (contextvars.copy_context(), stripe)
         self.ready.release()
 
 
-#: The workers of :func:`_in_stripes`, started on first need and reused, and
-#: the lock that the call handing them stripes holds.
-_WORKERS: list[_Worker] = []
-_WORKERS_LOCK = threading.Lock()
+#: The worker of :func:`_in_stripes`, started on first need and reused, and
+#: the lock that the call handing it a stripe holds.
+_WORKER: _Worker | None = None
+_WORKER_LOCK = threading.Lock()
 
 
 def _drop_workers() -> None:
-    """Forget the parent's workers in a forked child, which runs none of
-    their threads; the child starts its own on first need."""
-    global _WORKERS, _WORKERS_LOCK
-    _WORKERS, _WORKERS_LOCK = [], threading.Lock()
+    """Forget the parent's worker in a forked child, which does not run its
+    thread; the child starts its own on first need."""
+    global _WORKER, _WORKER_LOCK
+    _WORKER, _WORKER_LOCK = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -502,50 +500,46 @@ if hasattr(os, "register_at_fork"):
 def _in_stripes(job, n: int, threaded: bool, buffers=None) -> None:
     """job(i, *buffers[k]) for i < n, stripe k taking i = k, k + m, ... of m stripes.
 
-    m is min(n, CPUs up to _MAX_WORKERS, len(buffers)) if ``threaded``, and 1
-    if not or if this call runs inside a stripe of an m > 1 call, so threads
-    never exceed _MAX_WORKERS; no other code reads the CPU count. Without
-    buffers, the job is called as job(i). Stripe 0 runs on the caller and
-    stripe k on worker k - 1, a daemon thread started by the first call that
-    needs it and reused by every later one, so there are never more than
-    the largest m - 1 (one on two CPUs). The call waits for each worker's
-    stripe before return, on error too, and each stripe runs in its own copy
-    of the caller's context, so numpy's error state holds in all. A stripe
-    stops at its first error, and the lowest job index's error is raised
-    here, as a loop over i would raise it; the worker stays in service.
-    A call that finds the workers held by another thread's call runs all its
-    jobs itself (m = 1): it never waits for them, and the bytes are the same
-    on any m. A forked child forgets the parent's workers and lock
-    (``os.register_at_fork``), so it starts its own instead of waiting on
-    threads it does not run.
+    Without buffers, the job is called as job(i). m is 2 if ``threaded``,
+    n > 1 and the process may run on two CPUs (no other code reads the CPU
+    count): stripe 0 runs on the caller and stripe 1 on the one worker, a
+    daemon thread started by the first call that needs it and reused by
+    every later one. Such a call holds ``_WORKER_LOCK`` until the worker's
+    stripe has returned, on error too. A call that cannot take the lock at
+    once, made by another thread or inside either stripe of an m = 2 call,
+    runs all its jobs on its own thread (m = 1), as does one whose worker
+    cannot start; it never waits, and the bytes are the same on any m. The
+    worker's stripe runs in a copy of the caller's context, so numpy's
+    error state holds in both. A stripe stops at its first error, and the
+    lowest job index's error is raised here, as a loop over i would raise
+    it; the worker stays in service. A forked child forgets the parent's
+    worker and lock (``os.register_at_fork``), so it starts its own instead
+    of waiting on a thread it does not run.
     """
-    nested = _IN_STRIPE.get()
-    m = min(n, _worker_count(), len(buffers or range(n))) if threaded and not nested else 1
-    lock = _WORKERS_LOCK
-    if m > 1 and not lock.acquire(blocking=False):
-        m = 1
+    global _WORKER
+    lock, worker = _WORKER_LOCK, None
+    if threaded and n > 1 and _worker_count() > 1 and lock.acquire(blocking=False):
+        try:
+            worker = _WORKER = _WORKER or _Worker()
+        except RuntimeError:  # the thread cannot start (at the process's thread limit, say)
+            lock.release()
+    m = 2 if worker else 1
     errors = {}
 
     def stripe(k):
-        _IN_STRIPE.set(nested or m > 1)
         try:
             for i in range(k, n, m):
                 job(i, *(buffers[k] if buffers else ()))
         except BaseException as error:  # raised again on the caller
             errors[i] = error
 
-    handed = []
+    if worker:
+        worker.hand(lambda: stripe(1))
     try:
-        for k in range(1, m):
-            if len(_WORKERS) < k:
-                _WORKERS.append(_Worker())
-            _WORKERS[k - 1].hand(stripe, k)
-            handed.append(_WORKERS[k - 1])
-        contextvars.copy_context().run(stripe, 0)
+        stripe(0)
     finally:
-        for worker in handed:
+        if worker:
             worker.done.acquire()
-        if m > 1:
             lock.release()
     if errors:
         raise errors[min(errors)]

@@ -102,8 +102,9 @@ CONFIGS = [
     ("analyze3zero", "analyze --seed 1 --n 16 --factor 3 --op linear --boundary zero-pad"),
     ("analyze3nearest", "analyze --seed 1 --n 16 --factor 3 --op nearest"),
     ("fitlctc", "fit --n 32 --kernel-size 11 --parallel-small 3"),
-    # the ideal reference beside the row blocks: two blocks at the size rule
-    # (threaded), two just below it at r = 3 (serial), one block above it
+    # the ideal reference beside the row blocks: two blocks of 4 + 3 rows at
+    # r = 2 and at r = 3, both on the caller and the worker (the names recall
+    # a row size rule since removed), and one block
     ("atrule", "compare --seed 1 --n 2048 --ops all"),
     ("belowrule3", "compare --seed 1 --n 1365 --factor 3 --ops all"),
     ("oneblock", "analyze --seed 1 --n 16384 --op fourier_pad"),

@@ -440,14 +440,14 @@ def literal_position_rows(out_len: int, suffixes) -> bytes:
 
 
 def handoff_spy(mp) -> list:
-    """The stripes that ``upsamplers._in_stripes`` hands to its worker threads
-    while ``mp`` is active, as (worker, k) pairs, with
-    ``upsamplers._worker_count`` at two CPUs whatever the machine has."""
+    """The worker of ``upsamplers._in_stripes`` once per stripe handed to it
+    while ``mp`` is active, with ``upsamplers._worker_count`` at two CPUs
+    whatever the machine has."""
     handed, hand = [], upsamplers._Worker.hand
 
-    def spy(worker, stripe, k):
-        handed.append((worker, k))
-        hand(worker, stripe, k)
+    def spy(worker, stripe):
+        handed.append(worker)
+        hand(worker, stripe)
 
     mp.setattr(upsamplers._Worker, "hand", spy)
     mp.setattr(upsamplers, "_worker_count", lambda: 2)
@@ -455,19 +455,24 @@ def handoff_spy(mp) -> list:
 
 
 def threads_besides_workers() -> set:
-    """The live threads other than the workers of ``upsamplers._in_stripes``."""
-    return set(threading.enumerate()) - {worker.thread for worker in upsamplers._WORKERS}
+    """The live threads other than the worker of ``upsamplers._in_stripes``."""
+    worker = upsamplers._WORKER
+    return set(threading.enumerate()) - ({worker.thread} if worker else set())
 
 
 def assert_workers_idle(timeout: float = 60.0) -> None:
-    """Every worker of ``upsamplers._in_stripes`` is alive and idle: no stripe
-    waits for it, none has ended unawaited, and a stripe handed to it now
-    runs and ends within ``timeout`` seconds."""
-    for worker in upsamplers._WORKERS:
+    """The worker of ``upsamplers._in_stripes``, if started, is the one
+    ``upspec-stripes`` thread, alive and idle: no stripe waits for it, none
+    has ended unawaited, and a stripe handed to it now runs and ends within
+    ``timeout`` seconds."""
+    worker = upsamplers._WORKER
+    assert [thread for thread in threading.enumerate() if thread.name == "upspec-stripes"] == \
+        ([worker.thread] if worker else [])
+    if worker:
         assert worker.thread.is_alive() and worker.task is None
         assert not worker.done.acquire(blocking=False)
         ran = []
-        worker.hand(ran.append, 1)
+        worker.hand(lambda: ran.append(1))
         assert worker.done.acquire(timeout=timeout) and ran == [1]
 
 

@@ -546,13 +546,14 @@ class TestErrorSpectrumStripes:
            mode=st.sampled_from(["complex", "magnitude"]), log=st.booleans())
     def test_bytes_equal_rfft2_oracle_on_any_worker_count(self, h, w, channels, exponent,
                                                           seed, mode, log):
-        # the size rule is lifted, so every draw runs its stripes on workers
+        # the size rule is lifted, so every draw of two rows or columns runs
+        # a stripe on the worker
         rng = np.random.default_rng(seed)
         pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
         expected = literal_error_spectrum(pred, gt, mode, log).tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
-            for workers in (1, 2, 3):
+            for workers in (1, 2):
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
 
@@ -591,7 +592,7 @@ class TestErrorSpectrumStripes:
                 (pred if side == "p" else gt)[pixel] = bad
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
-                for workers in (1, 2, 3):
+                for workers in (1, 2):
                     mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                     with pytest.raises(ValueError, match="image samples must be finite"):
                         error_spectrum(pred, gt, mode=mode)
@@ -614,7 +615,7 @@ class TestErrorSpectrumStripes:
     @pytest.mark.parametrize("row", [10, 500])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_callers_error_state_holds_in_every_stripe(self, row, workers):
-        # 512 x 512 x 3 runs its stripes on workers; row 10 is the caller's
+        # 512 x 512 x 3 runs a stripe on the worker; row 10 is the caller's
         # row stripe, row 500 the worker's, and the overflowing difference
         # raises under np.errstate(over="raise") in either
         pred, gt = np.zeros((2, 512, 512, 3))

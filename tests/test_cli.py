@@ -251,18 +251,17 @@ FIVE_UNFITTED = "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"
 
 class TestRowWorkers:
     """Row blocks are jobs of ``upsamplers._in_stripes``: in two stripes, one
-    of them handed to a worker thread, once a row holds
-    _ROW_THREAD_MIN_SAMPLES samples and there are two blocks, with the same
-    bytes on any worker count."""
+    of them handed to the worker thread, once there are two blocks, with the
+    same bytes on any worker count."""
 
     @pytest.mark.parametrize("argv, handoffs", [
         # the paper-compare and long-signal benchmark shapes
         (["compare", "--n", "128", "--kernel-size", "31", "--parallel-small", "3"], 0),
         (["compare", "--n", "16384", "--ops", FIVE_UNFITTED], 1),
-        # one side of the size rule each: r*N = 4,095 and 4,096, two blocks
-        (["compare", "--n", "1365", "--factor", "3"], 0),
+        # two blocks of 4 + 3 rows: r*N = 4,095 at r = 3 and 4,096 at r = 2
+        (["compare", "--n", "1365", "--factor", "3"], 1),
         (["compare", "--n", "2048"], 1),
-        # above the size rule, one block: a single row, or four rows stacked
+        # one block: a single row, or four rows stacked
         (["analyze", "--n", "16384", "--op", "pixel_shuffle"], 0),
         (["compare", "--n", "16384", "--ops", "linear"], 0),
         (["compare", "--n", "2048", "--ops", "bed_of_nails,nearest,linear,fourier_pad"], 0),
@@ -279,9 +278,9 @@ class TestRowWorkers:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_bytes_equal_across_worker_counts(self, data, tmp_path_factory):
-        # the size rule is lifted, so every draw of two or more blocks runs
-        # them on workers, more of them than CPUs and switching often;
-        # lengths split all seven rows from 6 + 1 blocks on
+        # every draw of two or more blocks runs them on the caller and the
+        # worker, switching often; lengths split all seven rows from 6 + 1
+        # blocks on
         r = data.draw(st.sampled_from([2, 3]), label="r")
         limit = cli.ROW_BLOCK_SAMPLES // r
         n = data.draw(st.integers(2, 64) | st.sampled_from(
@@ -299,29 +298,27 @@ class TestRowWorkers:
             "--format", data.draw(st.sampled_from(["csv", "csv,pgm", "csv,json,pgm"]), label="f")]
         out, interval = tmp_path_factory.mktemp("workers"), sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_ROW_THREAD_MIN_SAMPLES", 0)
             try:
                 sys.setswitchinterval(1e-5)
-                for workers in (1, 2, 3):
+                for workers in (1, 2):
                     mp.setattr(upsamplers, "_worker_count", lambda w=workers: w)
                     assert main(argv + ["--out-dir", str(out / str(workers))]) == 0
             finally:
                 sys.setswitchinterval(interval)
         files = sorted(path.name for path in (out / "1").iterdir())
-        for workers in ("2", "3"):
-            assert sorted(path.name for path in (out / workers).iterdir()) == files
-            for name in files:
-                if name.endswith(".json"):  # carries a timestamp; its rows must agree
-                    assert (json.loads((out / workers / name).read_text())["metrics"] ==
-                            json.loads((out / "1" / name).read_text())["metrics"])
-                else:
-                    assert (out / workers / name).read_bytes() == (out / "1" / name).read_bytes()
+        assert sorted(path.name for path in (out / "2").iterdir()) == files
+        for name in files:
+            if name.endswith(".json"):  # carries a timestamp; its rows must agree
+                assert (json.loads((out / "2" / name).read_text())["metrics"] ==
+                        json.loads((out / "1" / name).read_text())["metrics"])
+            else:
+                assert (out / "2" / name).read_bytes() == (out / "1" / name).read_bytes()
 
     def test_nested_stripes_use_one_worker_thread(self, tmp_path):
         # both row blocks place by FFT on 2^18 output samples, each of which
         # would run its phases in two stripes; inside a block they run on its
-        # thread, so the caller and the first worker run every transform, and
-        # the bytes are those of one worker
+        # thread, as the row call holds the worker's lock, so the caller and
+        # the worker run every transform, and the bytes are those of one worker
         argv = ["compare", "--seed", "1", "--n", "131072", "--kernel-size", "161",
                 "--ops", "transposed_conv,lctc", "--format", "csv,pgm"]
         irfft, ran_on, caller = np.fft.irfft, set(), threading.current_thread()
@@ -337,7 +334,7 @@ class TestRowWorkers:
                 ran_on.clear()
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 assert main([*argv, "--out-dir", str(tmp_path / str(workers))]) == 0
-                assert ran_on == ({caller, upsamplers._WORKERS[0].thread} if workers == 2
+                assert ran_on == ({caller, upsamplers._WORKER.thread} if workers == 2
                                   else {caller})
         assert threads_besides_workers() == before
         assert_workers_idle()
@@ -370,14 +367,13 @@ class TestRowWorkers:
 
     @staticmethod
     def _main_in_time(argv, workers) -> int:
-        """main(argv) with the size rule lifted on ``workers`` workers, run on
-        a thread joined with a timeout, so a stripe that hangs fails the test."""
+        """main(argv) on ``workers`` CPUs, run on a thread joined with a
+        timeout, so a stripe that hangs fails the test."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_ROW_THREAD_MIN_SAMPLES", 0)
             mp.setattr(upsamplers, "_worker_count", lambda: workers)
             return in_time(lambda: main(argv))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_reference_stops_every_block(self, tmp_path, monkeypatch, capsys, workers):
         # the reference is job 0, on the caller; it fails after the worker's
         # blocks have started, which then stop where they read it, unwritten
@@ -392,7 +388,7 @@ class TestRowWorkers:
         assert capsys.readouterr().err.splitlines() == ["error: numeric: no reference"]
         assert not list(out.glob("*.pgm"))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_block_beside_the_reference_sets_the_exit_code(self, tmp_path, monkeypatch,
                                                                    capsys, workers):
         apply_operator = cli.apply_operator

@@ -530,13 +530,13 @@ class TestFftPlacement:
            boundary=st.sampled_from(["periodic", "zero-pad"]))
     def test_bitwise_equal_across_worker_counts(self, data, ndim, exponent, boundary):
         # each output sample is computed by one job in the same way on any
-        # thread; the size rule is lifted so that small draws run on workers
+        # thread; the size rule is lifted so that small draws run on the worker
         x, kernel, _ = data.draw(placement_cases(ndim=ndim, min_stride=2))
         x = x / np.abs(x).max() * 10.0 ** exponent
         outputs = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(upsamplers, "_THREAD_MIN_SAMPLES", 0)
-            for workers in (1, 2, 3, kernel.stride ** ndim + 1):
+            for workers in (1, 2):
                 mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                 outputs.append(_place_by_fft(x, kernel, boundary))
         for out in outputs[1:]:
@@ -547,15 +547,15 @@ class TestFftPlacement:
                                                        ((1, 131072, 1), (1, 161), (1, 2))])
     def test_threaded_sizes_bitwise_equal_across_worker_counts(self, shape, ksize, strides,
                                                                boundary):
-        # above the size rule, where the workers' transforms overlap in time;
-        # more workers than phases, and the interpreter switching threads often
+        # above the size rule, where the caller's and the worker's transforms
+        # overlap in time, the interpreter switching threads often
         rng = np.random.default_rng(22)
         x, w = rng.normal(size=shape), rng.normal(size=ksize)
         outputs, interval = [], sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
             try:
                 sys.setswitchinterval(1e-5)
-                for workers in (1, 2, 5):
+                for workers in (1, 2):
                     mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                     outputs.append(upsamplers._place_fft(x, w, strides, boundary))
             finally:
@@ -565,8 +565,9 @@ class TestFftPlacement:
 
     @pytest.mark.parametrize("on_worker", [False, True], ids=["second-call", "worker-call"])
     def test_worker_error_reaches_the_caller(self, on_worker):
-        # 256 x 256 at stride 2 writes 2^18 samples, so the phases run on two
-        # workers; irfft fails on its second call, or on every worker call
+        # 256 x 256 at stride 2 writes 2^18 samples, so the phases run on the
+        # caller and the worker; irfft fails on its second call, or on every
+        # worker call
         rng = np.random.default_rng(21)
         image, kernel = rng.normal(size=(256, 256)), KernelSpec(rng.normal(size=(11, 11)), 2)
         irfft, counter, caller = np.fft.irfft, itertools.count(1), threading.current_thread()
@@ -591,10 +592,10 @@ class TestFftPlacement:
 
     @pytest.mark.parametrize("low, high", [(0, 1), (1, 2), (2, 3), (1, 4), (0, 7)])
     def test_lowest_failing_job_wins_whatever_the_timing(self, low, high):
-        # the lower index fails late and the higher one at once, on another
-        # stripe whenever there are two; the error raised is the one a loop
-        # over the jobs meets first, no thread but the workers is left, and
-        # they are idle
+        # the lower index fails late and the higher one at once, on the other
+        # stripe when there are two; the error raised is the one a loop over
+        # the jobs meets first, no thread but the worker is left, and it is
+        # idle
         def job(i):
             if i == low:
                 time.sleep(0.005)
@@ -606,7 +607,7 @@ class TestFftPlacement:
         try:
             sys.setswitchinterval(1e-5)
             with pytest.MonkeyPatch.context() as mp:
-                for workers in (1, 2, 3, 4):
+                for workers in (1, 2):
                     mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
                     with pytest.raises(KeyError, match="low"):
                         upsamplers._in_stripes(job, 8, True)
@@ -616,10 +617,10 @@ class TestFftPlacement:
             sys.setswitchinterval(interval)
 
     def test_nested_calls_run_on_their_thread(self):
-        # a call inside a stripe of a call with several stripes runs its jobs
-        # on the thread that made it; inside a one-stripe call it may hand
-        # stripes to workers; after an error the caller hands stripes to them
-        # again; an unthreaded call hands none
+        # a call inside either stripe of a two-stripe call runs its jobs on
+        # the thread that made it, as the outer call holds the worker's lock;
+        # inside a one-stripe call it may hand a stripe to the worker; after
+        # an error the caller hands it one again; an unthreaded call hands none
         def inner(i):
             pass
 
@@ -633,7 +634,7 @@ class TestFftPlacement:
             upsamplers._in_stripes(inner, 4, True)
             raise KeyError("outer")
 
-        for workers in (1, 2, 3, 4):
+        for workers in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 handed = handoff_spy(mp)
                 mp.setattr(upsamplers, "_worker_count", lambda: workers)
@@ -651,7 +652,7 @@ class TestFftPlacement:
                 assert len(handed) == 4 * (workers - 1)
             assert_workers_idle()
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_every_stripe_keeps_the_callers_error_state(self, workers):
         # a job that overflows on any one stripe raises FloatingPointError
         # under the caller's np.errstate(over="raise"), whichever thread runs it
@@ -674,11 +675,12 @@ class TestFftPlacement:
 
 
 class TestWorkers:
-    """``_in_stripes`` hands stripes 1, 2, ... to long-lived daemon workers:
-    no more of them than the largest m - 1 of any call, reused after a
-    stripe raises, forgotten in a forked child, and never waited for by a
-    second caller, which runs its stripes itself. Each call runs under a
-    timeout, so a hand-off that hangs fails the test."""
+    """``_in_stripes`` runs stripe 0 on the caller and hands stripe 1 to one
+    long-lived daemon worker: started once, reused after a stripe raises,
+    forgotten in a forked child, and never waited for by a second caller,
+    which runs its stripes itself, as does a caller whose worker cannot
+    start. Each call runs under a timeout, so a hand-off that hangs fails
+    the test."""
 
     @staticmethod
     def _placement():
@@ -692,9 +694,9 @@ class TestWorkers:
         image, kernel = self._placement()
         monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
         expected = in_time(lambda: transposed_conv2(image, kernel)).tobytes()
-        assert upsamplers._WORKERS
+        assert upsamplers._WORKER
         with warnings.catch_warnings():
-            if sys.version_info >= (3, 12):  # the workers make this process multi-threaded
+            if sys.version_info >= (3, 12):  # the worker makes this process multi-threaded
                 warnings.filterwarnings(
                     "ignore", r"This process .* is multi-threaded, use of fork\(\)",
                     DeprecationWarning)
@@ -702,9 +704,9 @@ class TestWorkers:
         if pid == 0:  # the child leaves only by os._exit: 0 if it placed the same bytes
             code = 1
             try:
-                if not upsamplers._WORKERS:
+                if upsamplers._WORKER is None:
                     code = 0 if transposed_conv2(image, kernel).tobytes() == expected else 2
-                    code = code if len(upsamplers._WORKERS) == 1 else 3
+                    code = code if upsamplers._WORKER else 3
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -719,7 +721,7 @@ class TestWorkers:
     def test_callers_at_once_get_the_one_worker_bytes(self):
         # three callers on two CPUs place and take an error spectrum, three
         # times each, the interpreter switching threads often; whichever
-        # holds the workers, the others run their stripes themselves
+        # holds the worker, the others run their stripes themselves
         image, kernel = self._placement()
         pred, gt = np.random.default_rng(27).normal(size=(2, 512, 512, 3))
 
@@ -757,14 +759,14 @@ class TestWorkers:
             handed = handoff_spy(mp)
             expected = in_time(lambda: transposed_conv2(image, kernel))
             assert len(handed) == 1
-            with upsamplers._WORKERS_LOCK:
+            with upsamplers._WORKER_LOCK:
                 got = in_time(lambda: transposed_conv2(image, kernel))
             assert len(handed) == 1
         np.testing.assert_array_equal(got, expected)
         assert_workers_idle()
 
     def test_worker_is_reused_after_a_stripe_raises(self, monkeypatch):
-        # job 1 is stripe 1's, on the first worker; it fails in the first call only
+        # job 1 is stripe 1's, on the worker; it fails in the first call only
         ran_on = []
 
         def job(i):
@@ -781,31 +783,59 @@ class TestWorkers:
         monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
         in_time(calls)
         first, second = ran_on
-        assert first is second is upsamplers._WORKERS[0].thread and first.is_alive()
+        assert first is second is upsamplers._WORKER.thread and first.is_alive()
         assert_workers_idle()
 
     @settings(max_examples=60, deadline=None)
-    @given(workers=st.integers(1, 4), n=st.integers(1, 8), pairs=st.none() | st.integers(1, 4))
-    def test_workers_never_exceed_the_largest_stripe_count(self, workers, n, pairs):
-        # the workers grow to the largest m - 1 of any call so far and no
-        # further, so a call that needs no more than there are starts no
-        # thread; stripe 0 runs on the caller and stripe k on worker k - 1
-        buffers = None if pairs is None else [()] * pairs
-        m = min(n, workers, pairs or n)
-        pool, before, ran_on = list(upsamplers._WORKERS), set(threading.enumerate()), [None] * n
+    @given(workers=st.integers(1, 2), n=st.integers(1, 8), threaded=st.booleans())
+    def test_one_worker_started_once_and_reused(self, workers, n, threaded):
+        # the first call that hands a stripe starts the worker and every later
+        # call reuses it, so no call starts a thread once it exists; stripe 0
+        # runs on the caller and stripe 1, the odd jobs, on the worker
+        m = 2 if threaded and n > 1 and workers > 1 else 1
+        worker, before, ran_on = upsamplers._WORKER, set(threading.enumerate()), [None] * n
 
         def call():
             upsamplers._in_stripes(lambda i: ran_on.__setitem__(i, threading.current_thread()),
-                                   n, True, buffers)
+                                   n, threaded)
             return threading.current_thread()
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(upsamplers, "_worker_count", lambda: workers)
             caller = in_time(call)
-        workers_now = upsamplers._WORKERS
-        assert workers_now[:len(pool)] == pool and len(workers_now) == max(len(pool), m - 1)
-        assert set(threading.enumerate()) - before == {w.thread for w in workers_now[len(pool):]}
-        assert set(ran_on) == {caller, *(worker.thread for worker in workers_now[:m - 1])}
+        now = upsamplers._WORKER
+        assert now is worker or (worker is None and m == 2)
+        assert set(threading.enumerate()) - before == ({now.thread} if now is not worker
+                                                       else set())
+        assert ran_on == [now.thread if i % m else caller for i in range(n)]
+        assert_workers_idle()
+
+    def test_worker_that_cannot_start_leaves_every_stripe_to_the_caller(self, tmp_path):
+        # at the process's thread limit Thread.start raises RuntimeError: a
+        # placement and a compare of five row blocks then run on the caller
+        # alone, with the one-worker bytes, and leave the lock free
+        image, kernel = self._placement()
+        argv = ["compare", "--seed", "1", "--n", "16384", "--format", "csv,pgm",
+                "--ops", "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"]
+
+        def run(out):
+            assert cli_main([*argv, "--out-dir", str(out)]) == 0
+            return (transposed_conv2(image, kernel).tobytes(),
+                    {path.name: path.read_bytes() for path in out.iterdir()})
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsamplers, "_worker_count", lambda: 1)
+            expected = run(tmp_path / "one")
+            mp.setattr(upsamplers, "_worker_count", lambda: 2)
+            mp.setattr(upsamplers, "_WORKER", None)
+            mp.setattr(threading.Thread, "start", start)
+            assert run(tmp_path / "none") == expected
+            assert upsamplers._WORKER is None
+            assert upsamplers._WORKER_LOCK.acquire(blocking=False)
+            upsamplers._WORKER_LOCK.release()
         assert_workers_idle()
 
 
