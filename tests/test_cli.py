@@ -373,10 +373,11 @@ class TestRowWorkers:
             mp.setattr(upsamplers, "_worker_count", lambda: workers)
             return in_time(lambda: main(argv))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failed_reference_stops_every_block(self, tmp_path, monkeypatch, capsys, workers):
         # the reference is job 0, on the caller; it fails after the worker's
-        # blocks have started, which then stop where they read it, unwritten
+        # blocks have started, which then stop where they read it, unwritten;
+        # three CPUs run the same two stripes as two
         def failing(x, r):
             time.sleep(0.01)
             raise NonRealResultError("no reference")
@@ -388,9 +389,10 @@ class TestRowWorkers:
         assert capsys.readouterr().err.splitlines() == ["error: numeric: no reference"]
         assert not list(out.glob("*.pgm"))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failing_block_beside_the_reference_sets_the_exit_code(self, tmp_path, monkeypatch,
                                                                    capsys, workers):
+        # three CPUs run the same two stripes as two
         apply_operator = cli.apply_operator
 
         def failing(name, x, args):
