@@ -81,13 +81,16 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
 
 def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[AliasReport]:
     """:func:`alias_energy` of each row of a finite (R, r*N) stack, whose rows
-    share ``low_rate``, the DFT of the reference; one row's overflow fails all."""
+    share ``low_rate``, the DFT of the reference; one row's overflow fails all.
+    The replica gaps are taken in place in the spectra and their magnitudes in
+    ``power``, so at r = 2 the arrays peak at 4.5 times the stack's size."""
     m = ys.shape[1]
     n = m // r
     h, q = m // 2, n // 2
     magnitudes = np.empty(ys.shape)
+    spectra = ys.astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        spectra = np.fft.fft(ys, axis=1)
+        np.fft.fft(spectra, axis=1, out=spectra)
         np.abs(spectra[:, :m - h], out=magnitudes[:, h:])
         np.abs(spectra[:, m - h:], out=magnitudes[:, :h])
     peaks = magnitudes.max(axis=1)
@@ -111,7 +114,7 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     with np.errstate(over="ignore"):  # an energy outside the float range reads inf
         energies = [(s * peaks * peaks).tolist() for s in (s_pass, s_alias, s_nyq)]
     deviations = ([None] * len(ys) if low_rate is None
-                  else _replica_gaps(low_rate, spectra, r).tolist())
+                  else _replica_gaps(low_rate, spectra, r, out=power).tolist())
     return [AliasReport(*fields, magnitude=magnitude)
             for *fields, magnitude in zip(*energies, ratios.tolist(), deviations, magnitudes)]
 
@@ -125,13 +128,18 @@ def replica_deviation(x, y, r: int) -> float:
     return float(_replica_gaps(_dft(x), _dft(y), validate_factor(r)))
 
 
-def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int) -> np.ndarray:
+def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int, out=None) -> np.ndarray:
     """``replica_deviation`` of each unshifted DFT of y along the last axis
-    of ``fy``; an overflow on the way raises :class:`NonRealResultError`."""
+    of ``fy``; an overflow on the way raises :class:`NonRealResultError`.
+    The differences overwrite ``fy`` and their magnitudes ``out``, a float
+    array of fy's shape, or a new one if None."""
     if fy.shape[-1] != r * fx.size:
         raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):  # bins mN + k of y against bin k of x
-        gaps = np.abs(fy.reshape(*fy.shape[:-1], r, fx.size) - fx).max(axis=(-2, -1))
+        diffs = fy.reshape(*fy.shape[:-1], r, fx.size)
+        diffs -= fx
+        magnitudes = None if out is None else out.reshape(diffs.shape)
+        gaps = np.abs(diffs, out=magnitudes).max(axis=(-2, -1))
     if not np.all(np.isfinite(gaps)):
         raise NonRealResultError("replica deviation overflowed: it is not finite")
     return gaps
@@ -214,20 +222,26 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     if out_len < 1 or out_len % s != 0:
         raise ValueError(f"out_len must be a positive multiple of stride {s}")
 
-    counts = functools.reduce(np.multiply.outer,
-                              [_axis_counts(k, s, out_len) for k in kernel.weights.shape])
-    variance = float(np.var(counts))
-    return ContributionMap(
-        counts=counts,
-        period=s,
-        uniform=bool(np.all(counts == counts.flat[0])),
-        variance=variance,
-    )
+    period, uniform, variance = _contribution_period(kernel)
+    return ContributionMap(counts=np.tile(period, [out_len // s] * period.ndim), period=s,
+                           uniform=uniform, variance=variance)
 
 
-def _axis_counts(k: int, s: int, out_len: int) -> np.ndarray:
-    """Output p gets one contribution per tap that placement gives phase p mod s."""
-    return np.tile([taps.size for taps, _ in _phases(k, s)], out_len // s)
+def _contribution_period(kernel: KernelSpec) -> tuple[np.ndarray, bool, float]:
+    """One period of the contribution map, counts[p] for 0 <= p < s on each
+    axis, and whether the map is uniform and its variance.
+
+    Output p gets one contribution per tap that placement gives phase p mod s.
+    Over the N cells of the period the variance is (N*sum(c^2) - sum(c)^2) / N^2
+    in Python integers, rounded once; any whole number of periods has the
+    same sums up to a common factor, so this is the variance of every map."""
+    s = kernel.stride
+    axes = [np.array([taps.size for taps, _ in _phases(k, s)]) for k in kernel.weights.shape]
+    period = functools.reduce(np.multiply.outer, axes)
+    counts = period.ravel().tolist()
+    n = len(counts)
+    spread = n * sum(c * c for c in counts) - sum(counts) ** 2
+    return period, spread == 0, spread / (n * n)
 
 
 def _bands(n: int, count: int) -> list[slice]:
@@ -359,12 +373,14 @@ def _psnr_rows(preds: np.ndarray, gt: np.ndarray, peak: float) -> np.ndarray:
     """:func:`psnr` of each validated ``preds[i]`` against ``gt``."""
     # the difference at half scale cannot overflow; halving is exact, so the
     # ratios below are those of the full-scale difference
+    scratch = np.multiply(gt, 0.5)
     half = 0.5 * preds
-    half -= 0.5 * gt
+    half -= scratch
     axes = tuple(range(1, half.ndim))
-    top = np.abs(half).max(axis=axes, keepdims=True)
+    top = np.array([np.abs(row, out=scratch).max() for row in half])
     # a row with top 0 reads +inf; peak / top overflows to inf as a float would
     with np.errstate(all="ignore"):
-        mse = np.mean((half / top) ** 2, axis=axes)  # scaled by its max: no over- or underflow
-        db = 20.0 * np.log10(peak / top.ravel() * 0.5) - 10.0 * np.log10(mse)
-    return np.where(top.ravel() == 0.0, np.inf, db)
+        half /= top.reshape(-1, *[1] * len(axes))  # scaled by its max: no over- or underflow
+        mse = np.mean(np.square(half, out=half), axis=axes)
+        db = 20.0 * np.log10(peak / top * 0.5) - 10.0 * np.log10(mse)
+    return np.where(top == 0.0, np.inf, db)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alias_analysis import _alias_reports, _psnr_rows, contribution_map, error_spectrum
+from .alias_analysis import _alias_reports, _contribution_period, _psnr_rows, error_spectrum
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
@@ -34,7 +34,7 @@ from .kernel_fit import (
     kernel_edge_profile,
 )
 from .netpbm import read_netpbm, write_bar_strip, write_netpbm
-from .signal_core import NonRealResultError, _dft, log_magnitude, radial_average
+from .signal_core import NonRealResultError, _dft, _log_map, log_magnitude, radial_average
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -185,7 +185,7 @@ def build_signal(args) -> np.ndarray:
     else:
         raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
-        x = args.amplitude * x
+        x *= args.amplitude
     if not np.all(np.isfinite(x)):
         raise UsageError(f"signal samples times --amplitude {args.amplitude:g} are not finite")
     return x
@@ -316,19 +316,19 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
         block = blocks[job - 1]
         ys, kernels = zip(*[(reference()[0], None) if name == "fourier_pad"
                             else apply_operator(name, x, args) for name in block])
-        ys = np.stack(ys)
+        ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
         reports = _alias_reports(ys, args.factor, low_rate)
         block_rows[job - 1] = [{
             "operator": name,
             "kernel_size": None if kernel is None else kernel.size,
             **{field: getattr(report, field) for field in REPORT_FIELDS},
             "contribution_variance": (None if kernel is None
-                                      else contribution_map(kernel, ys.shape[1]).variance),
+                                      else _contribution_period(kernel)[2]),
             "psnr_vs_ideal_db": db,
         } for name, kernel, report, db in zip(block, kernels, reports,
                                               _psnr_rows(ys, *reference()).tolist())]
         if "pgm" in formats:
-            strips = log_magnitude(np.stack([report.magnitude for report in reports]))
+            strips = _log_map(np.stack([report.magnitude for report in reports]))
             for name, strip in zip(block, strips):
                 write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
@@ -382,8 +382,9 @@ def _position_rows(out_len: int, suffixes) -> np.ndarray:
 
 
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
-    """Tap counts per output position, whose map repeats with period s: the
-    CSV rows come from :func:`_position_rows` and the strip repeats their
+    """Tap counts per output position, whose map repeats with period s: every
+    artifact comes from one period, so no array of out_len counts is built.
+    The CSV rows come from :func:`_position_rows` and the strip repeats their
     bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
@@ -394,8 +395,7 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
         raise UsageError(f"--out-len must be a positive multiple of --stride {args.stride}, "
                          f"got {out_len}")
     kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
-    cmap = contribution_map(kernel, out_len)
-    cycle = cmap.counts[:kernel.stride]
+    cycle, uniform, variance = _contribution_period(kernel)
     if "csv" in formats:
         with open(out_dir / "contribution_counts.csv", "wb") as fh:
             fh.write(b"position,count\n")
@@ -405,9 +405,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
             "kernel_size": args.kernel_size,
             "stride": args.stride,
             "out_len": out_len,
-            "uniform": cmap.uniform,
-            "variance": cmap.variance,
-            "period": cmap.period,
+            "uniform": uniform,
+            "variance": variance,
+            "period": kernel.stride,
         }, config)
     if "pgm" in formats:
         write_bar_strip(cycle, out_dir / "contribution_counts.pgm", out_len // kernel.stride)

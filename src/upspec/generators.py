@@ -50,9 +50,12 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
     spec = np.zeros(n, dtype=complex)
     spec[0] = rng.normal()
     re, im = rng.normal(size=(cutoff, 2)).T
-    spec[1:cutoff + 1] = re + 1j * im
-    spec[n - cutoff:] = (re - 1j * im)[::-1]
-    return np.fft.ifft(spec).real * np.sqrt(n)
+    spec.real[1:cutoff + 1] = re
+    spec.imag[1:cutoff + 1] = im
+    spec.real[n - cutoff:] = re[::-1]
+    np.negative(im[::-1], out=spec.imag[n - cutoff:])
+    np.fft.ifft(spec, out=spec)
+    return spec.real * np.sqrt(n)
 
 
 def step_signal(n: int) -> np.ndarray:

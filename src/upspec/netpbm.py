@@ -103,9 +103,10 @@ def write_bar_strip(values, path, repeat: int = 1) -> None:
     vals = np.asarray(values, dtype=float)
     lo, hi = _finite_range(vals)
     filled = np.zeros(vals.size) if hi == lo else _minmax_rint(vals, lo, hi, BAR_HEIGHT, None)
+    empty = np.subtract(BAR_HEIGHT, filled, out=filled)
     raster = np.empty((BAR_HEIGHT, vals.size), np.uint8)
     np.greater_equal(np.arange(BAR_HEIGHT, dtype=np.uint8)[:, np.newaxis],
-                     (BAR_HEIGHT - filled).astype(np.uint8), out=raster.view(bool))
+                     empty.astype(np.uint8), out=raster.view(bool))
     np.negative(raster, out=raster)
     if repeat != 1:
         raster = np.tile(raster, (1, repeat))

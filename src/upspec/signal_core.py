@@ -131,8 +131,9 @@ def dft(signal) -> Spectrum:
 
 def _dft(signal) -> np.ndarray:
     """:func:`dft` values, unchecked: an overflow is left for the caller to report."""
+    values = as_signal(signal).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.fft(as_signal(signal))
+        return np.fft.fft(values, out=values)
 
 
 def idft(spectrum) -> np.ndarray:
@@ -146,8 +147,18 @@ def idft(spectrum) -> np.ndarray:
     values = _unshifted_values(spectrum)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.fft.ifft(values)
-    residue = float(np.max(np.abs(out.imag)))
-    scale = float(np.max(np.abs(out)))
+    _check_real(out)
+    return out.real
+
+
+def _check_real(out: np.ndarray) -> np.ndarray:
+    """Raise :class:`NonRealResultError` if the inverse transform ``out``
+    overflowed or has an imaginary residue beyond ``IMAG_RESIDUE_TOL`` of its
+    largest magnitude. Both maxima are taken in one float scratch array of
+    ``out``'s shape, returned for the caller to reuse."""
+    scratch = np.abs(out.imag)
+    residue = float(scratch.max())
+    scale = float(np.abs(out, out=scratch).max())
     if not np.isfinite(scale):  # an overflow, reported here instead of as a warning
         raise NonRealResultError("inverse transform overflowed: output is not finite")
     if residue > IMAG_RESIDUE_TOL * scale:
@@ -155,7 +166,7 @@ def idft(spectrum) -> np.ndarray:
             f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.1e} of the "
             f"output scale {scale:.3e}; spectrum is not conjugate-symmetric"
         )
-    return out.real
+    return scratch
 
 
 def center_shift(spectrum: Spectrum) -> Spectrum:

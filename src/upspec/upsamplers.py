@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import _integer, as_image, as_signal, idft
+from .signal_core import _check_real, _integer, as_image, as_signal
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -591,16 +591,21 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     half-and-half into the +N/2 and -N/2 bins, the unique choice that
     keeps the output real and the implied kernel symmetric; an imaginary
     residue beyond round-off, or an overflow, raises :class:`NonRealResultError`.
+    Both transforms run in place and the output is scaled into the real
+    check's scratch array: ``r * idft(g)`` in three output sizes of memory.
     """
     x = as_signal(x)
     r = validate_factor(r)
     n = x.size
     m = r * n
-    with np.errstate(over="ignore", invalid="ignore"):  # idft reports an overflow
-        f = np.fft.fft(x)
+    f = x.astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_real reports an overflow
+        np.fft.fft(f, out=f)
         g = np.zeros(m, dtype=complex)
         g[:(n + 1) // 2] = f[:(n + 1) // 2]
         g[m - n // 2:] = f[(n + 1) // 2:]
         if n % 2 == 0:
             g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
-    return r * idft(g)
+        del f  # freed before the inverse transform
+        np.fft.ifft(g, out=g)
+    return np.multiply(g.real, r, out=_check_real(g))

@@ -2,14 +2,17 @@
 
 Everything here is deliberately written the slow, literal way (direct
 sums and enumerations) so the tests never share a code path with the
-library implementations they check.
+library implementations they check. The ``copying_*`` oracles are the
+out-of-place expressions of steps that the library runs in place.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 
-from upspec import KernelSpec, fourier_pad_upsample, transposed_conv, upsamplers
+from upspec import (KernelSpec, fourier_pad_upsample, idft, log_magnitude, transposed_conv,
+                    upsamplers)
 from upspec.signal_core import LOG_FLOOR
 
 
@@ -300,6 +303,78 @@ def literal_replica_deviation(x, y, r: int) -> float:
     an overflow on the way reads inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.abs(np.fft.fft(y) - np.tile(np.fft.fft(x), r)).max())
+
+
+# Out-of-place forms of the steps that now transform and score in arrays the
+# call owns: each builds its own temporaries, and the in-place step must
+# match it bit for bit.
+
+
+def copying_fft_rows(ys) -> np.ndarray:
+    """``np.fft.fft`` of real rows along the last axis, cast by the transform."""
+    return np.fft.fft(np.asarray(ys, dtype=float), axis=-1)
+
+
+def copying_replica_gaps(fx, fy, r: int) -> np.ndarray:
+    """Replica gap of each spectrum row of ``fy`` through one complex difference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(fy.reshape(*fy.shape[:-1], r, fx.size) - fx).max(axis=(-2, -1))
+
+
+def copying_fourier_pad(x, r: int) -> np.ndarray:
+    """Ideal upsampling as ``r * idft(g)`` of the padded spectrum g of fft(x)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    m = r * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.fft.fft(x)
+        g = np.zeros(m, dtype=complex)
+        g[:(n + 1) // 2] = f[:(n + 1) // 2]
+        g[m - n // 2:] = f[(n + 1) // 2:]
+        if n % 2 == 0:
+            g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
+    return r * idft(g)
+
+
+def copying_log_strips(magnitudes) -> np.ndarray:
+    """``log_magnitude`` of the stacked magnitude rows, through its |.| copy."""
+    return log_magnitude(np.stack(magnitudes))
+
+
+def copying_psnr_rows(preds, gt, peak: float) -> np.ndarray:
+    """PSNR of each row of ``preds`` against ``gt`` from full-size temporaries:
+    the half-scale difference, its |.| and its scaled squares."""
+    half = 0.5 * preds
+    half -= 0.5 * gt
+    axes = tuple(range(1, half.ndim))
+    top = np.abs(half).max(axis=axes, keepdims=True)
+    with np.errstate(all="ignore"):
+        mse = np.mean((half / top) ** 2, axis=axes)
+        db = 20.0 * np.log10(peak / top.ravel() * 0.5) - 10.0 * np.log10(mse)
+    return np.where(top.ravel() == 0.0, np.inf, db)
+
+
+def copying_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
+    """``bandlimited_noise`` through complex temporaries: ``re + 1j * im`` and
+    its mirrored conjugate, inverted into a new array."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(n, dtype=complex)
+    spec[0] = rng.normal()
+    re, im = rng.normal(size=(cutoff, 2)).T
+    spec[1:cutoff + 1] = re + 1j * im
+    spec[n - cutoff:] = (re - 1j * im)[::-1]
+    return np.fft.ifft(spec).real * np.sqrt(n)
+
+
+def traced_peak(call, *args) -> int:
+    """Most bytes traced at once while ``call(*args)`` runs; numpy reports
+    its data buffers to tracemalloc, so this counts the call's arrays."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def literal_fold(kernel) -> KernelSpec:

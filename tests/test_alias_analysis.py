@@ -1,5 +1,6 @@
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_dft2,
+    copying_fft_rows,
+    copying_fourier_pad,
+    copying_log_strips,
+    copying_psnr_rows,
+    copying_replica_gaps,
     enumerate_contributions,
     literal_alias_reports,
     literal_error_spectrum,
@@ -17,11 +23,12 @@ from helpers import (
     handoff_spy,
     random_bandlimited,
     threads_besides_workers,
+    traced_peak,
     truncated_sinc_square_replicas,
 )
 from upspec import alias_analysis, upsamplers
-from upspec.alias_analysis import FILTER_METHODS, _alias_reports
-from upspec.signal_core import _dft
+from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _psnr_rows
+from upspec.signal_core import Spectrum, _dft, _log_map, dft, idft
 from upspec.upsamplers import _pads, _phases
 from upspec import (
     KernelSpec,
@@ -188,6 +195,70 @@ class TestOneSpectrum:
         for report, fields in zip(reports, expected):
             assert np.array_equal(report.magnitude, fields.pop("magnitude"))
             assert {name: getattr(report, name) for name in fields} == fields
+
+
+class TestOwnedArrays:
+    """compare's 1D steps transform and score in arrays the call owns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 4), rows=st.integers(1, 4),
+           log10_amplitude=st.floats(-300, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=64, r=4, rows=4, log10_amplitude=300.0, seed=0)
+    @example(n=63, r=3, rows=1, log10_amplitude=-300.0, seed=1)
+    def test_bytes_equal_the_copying_expressions(self, n, r, rows, log10_amplitude, seed):
+        # bit for bit, signed zeros included, at odd and even n
+        def same(a, b):
+            return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        rng = np.random.default_rng(seed)
+        amplitude = 10.0 ** log10_amplitude
+        x = rng.normal(size=n) * amplitude
+        ys = rng.normal(size=(rows, r * n)) * amplitude
+        ys[0] = fourier_pad_upsample(x, r)
+        assert same(ys[0], copying_fourier_pad(x, r))
+        assert same(_dft(x), copying_fft_rows(x))
+
+        reports = _alias_reports(ys, r, _dft(x))
+        spectra = copying_fft_rows(ys)
+        magnitudes = [report.magnitude for report in reports]
+        assert same(np.stack(magnitudes), np.fft.fftshift(np.abs(spectra), axes=-1))
+        gaps = copying_replica_gaps(copying_fft_rows(x), spectra, r).tolist()
+        assert [report.replica_deviation for report in reports] == gaps
+        assert [replica_deviation(x, y, r) for y in ys] == gaps
+        assert same(_log_map(np.stack(magnitudes)), copying_log_strips(magnitudes))
+        assert same(_psnr_rows(ys, ys[0], 1.0), copying_psnr_rows(ys, ys[0], 1.0))
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_read_only_inputs_are_left_as_they_were(self, n):
+        rng = np.random.default_rng(n)
+        x, y, other = rng.normal(size=n), rng.normal(size=3 * n), rng.normal(size=3 * n)
+        spectrum = np.fft.fft(x)
+        inputs = [x, y, other, spectrum]
+        before = [a.tobytes() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        dft(x)
+        idft(spectrum)
+        idft(Spectrum(spectrum))
+        fourier_pad_upsample(x, 3)
+        alias_energy(y, 3, reference=x)
+        replica_deviation(x, y, 3)
+        psnr(y.reshape(3, n), other.reshape(3, n), 1.0)
+        assert [a.tobytes() for a in inputs] == before
+
+    # numpy reports its buffers to tracemalloc, so these peaks are byte counts
+    # that repeat exactly; one more full-size temporary breaks either budget
+    def test_alias_reports_of_a_long_row_stay_within_five_row_sizes(self):
+        x = np.random.default_rng(0).normal(size=16384)
+        ys = linear(x, 2)[np.newaxis]
+        low_rate = _dft(x)
+        rows = traced_peak(_alias_reports, ys, 2, low_rate) / ys.nbytes
+        assert rows <= 5.0, f"{rows:.2f} row sizes"
+
+    def test_fourier_pad_upsample_stays_within_four_and_a_half_output_sizes(self):
+        x = np.random.default_rng(0).normal(size=16384)
+        outputs = traced_peak(fourier_pad_upsample, x, 2) / (2 * x.nbytes)
+        assert outputs <= 4.5, f"{outputs:.2f} output sizes"
 
 
 class TestAmplitudeInvariance:
@@ -420,6 +491,21 @@ class TestContributionMap:
                                       np.arange(k))
         ((lo, hi),) = _pads((k,), (s,))
         assert all(np.all((-hi <= u) & (u <= lo)) for _, u in phases)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 200), k2=st.none() | st.integers(1, 200), s=st.integers(1, 12),
+           periods=st.integers(1, 2))
+    @example(k=2, k2=None, s=5, periods=1)  # phases with no taps
+    @example(k=200, k2=199, s=12, periods=2)
+    def test_variance_is_the_exact_variance_rounded_once(self, k, k2, s, periods):
+        # the mean square deviation over every cell of the map, in fractions
+        weights = np.ones(k) if k2 is None else np.ones((k, k2))
+        cmap = contribution_map(KernelSpec(weights, s), s * periods)
+        counts = cmap.counts.ravel().tolist()
+        mean = Fraction(sum(counts), len(counts))
+        exact = sum((c - mean) ** 2 for c in counts) / len(counts)
+        assert cmap.variance == float(exact)
+        assert cmap.uniform == (exact == 0) == (cmap.variance == 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(ka=st.integers(1, 9), kb=st.integers(1, 9), s=st.integers(1, 4),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import (assert_workers_idle, enumerate_contributions, handoff_spy, in_time,
                      literal_bar_strip, literal_csv_cell, literal_csv_text, literal_position_rows,
                      literal_quantize, literal_strip_file, threads_besides_workers)
-from upspec import __version__, cli, kernel_fit, netpbm, upsamplers
+from upspec import KernelSpec, __version__, cli, kernel_fit, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
@@ -418,6 +418,15 @@ class TestContribution:
         assert payload["uniform"] is False
         assert payload["period"] == 2
 
+    def test_json_comes_from_one_period(self, tmp_path):
+        # 2^48 counts would not fit in memory; the JSON needs only one period
+        assert main(["contribution", "--out-dir", str(tmp_path), "--format", "json",
+                     "--kernel-size", "3", "--stride", "2", "--out-len", str(2 ** 48)]) == 0
+        payload = json.loads((tmp_path / "contribution.json").read_text())
+        cmap = contribution_map(KernelSpec(weights=np.ones(3), stride=2), 2)
+        assert (payload["uniform"], payload["variance"], payload["period"]) == \
+            (cmap.uniform, cmap.variance, cmap.period) == (False, 0.25, 2)
+
     def test_long_counts_csv_equals_csv_module_rendering(self, tmp_path):
         k, s, out_len = 63, 4, 32768
         assert main(["contribution", "--out-dir", str(tmp_path), "--format", "csv",
@@ -678,8 +687,8 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: usage: {message}\n"
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
-        # 2^48 counts of 8 bytes are past the 2^47-byte user address space,
-        # so the allocation fails at once on any machine
+        # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,
+        # so the digit grid's allocation fails at once on any machine
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
                      "--stride", "2", "--out-len", str(2 ** 48)]) == 1
         err = capsys.readouterr().err.splitlines()

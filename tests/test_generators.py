@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_bandlimited_noise
+from helpers import copying_noise, literal_bandlimited_noise
 from upspec.generators import (
     bandlimited_noise,
     checkerboard_image,
@@ -53,6 +53,14 @@ class TestBandlimitedNoise:
         cutoff = data.draw(st.integers(0, (n - 1) // 2))
         np.testing.assert_array_equal(bandlimited_noise(n, cutoff, seed),
                                       literal_bandlimited_noise(n, cutoff, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_the_complex_temporary_recipe(self, data, n, seed):
+        # the draws go through the spectrum's real and imaginary views
+        cutoff = data.draw(st.integers(0, (n - 1) // 2))
+        assert bandlimited_noise(n, cutoff, seed).tobytes() == \
+            copying_noise(n, cutoff, seed).tobytes()
 
 
 class TestOtherGenerators:
