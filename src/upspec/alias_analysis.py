@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_core import NonRealResultError, _dft, _image, _integer, _log_map, as_image, as_signal
-from .upsamplers import (_STRIPES, _THREAD_MIN_SAMPLES, KernelSpec, _in_stripes, _phases,
-                         bed_of_nails, linear, nearest, validate_factor)
+from .upsamplers import KernelSpec, _phases, bed_of_nails, linear, nearest, validate_factor
 
 #: The interpolation filters by name, each the operator that realizes it.
 FILTER_METHODS = {"bed_of_nails": bed_of_nails, "nearest": nearest, "linear": linear}
@@ -244,12 +243,6 @@ def _contribution_period(kernel: KernelSpec) -> tuple[np.ndarray, bool, float]:
     return period, spread == 0, spread / (n * n)
 
 
-def _bands(n: int, count: int) -> list[slice]:
-    """range(n) cut into min(n, count) contiguous bands of near-equal size."""
-    m = min(n, count)
-    return [slice(i * n // m, (i + 1) * n // m) for i in range(m)]
-
-
 def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndarray:
     """Centered log-magnitude spectrum of the channel-mean prediction error.
 
@@ -262,44 +255,14 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     below 8 channels. Only the half spectrum of a real FFT is computed; the
     rest is its mirror |F[-k]| = |F[k]|, exactly point-symmetric about DC.
 
-    The real 2D FFT runs in two stages of stripes (:func:`_in_stripes`) over
-    one complex (H, W//2 + 1) array: row stripes build the channel mean of
-    their rows and write their real FFTs, then column stripes transform their
-    columns in place. These are the two passes of ``np.fft.rfft2``, so the
-    bytes are its bytes on any worker count. Magnitude mode runs both stages
-    once per channel and adds |F_c| in channel order. A non-finite sample
-    makes its pixel's mean non-finite, so the inputs are checked through the
-    means: only a stripe whose mean is not finite reads its samples again, to
-    raise ``ValueError`` or go on with a difference that overflowed.
-
-    From _THREAD_MIN_SAMPLES (2^18) samples an input, all channels counted,
-    each stage is cut into _STRIPES = 2 bands that :func:`_in_stripes` runs
-    on the caller and its one reused worker thread (on one CPU both on the
-    caller, same bytes); below that, into one band. One worker's time over
-    two workers' (above 1: two faster), complex / magnitude mode, log on,
-    size rule lifted, 1 BLAS thread, 2-vCPU Xeon VM, medians of 41
-    alternating calls, range over two runs each of (H, W, C) arrays and of
-    channel-first views:
-
-    ===========  =========  =========  =========
-    H x W x C    samples    complex    magnitude
-    ===========  =========  =========  =========
-    64x64x3      12,288     0.47-0.48  0.38-0.39
-    128x128x1    16,384     0.65-0.70  0.59-0.71
-    128x128x3    49,152     0.72-0.77  0.61-0.64
-    256x256x1    65,536     0.87-1.00  0.82-0.92
-    256x256x3    196,608    1.01-1.21  0.91-1.17
-    301x257x3    232,071    1.32-1.38  1.48-1.55
-    512x512x1    262,144    1.08-1.15  1.06-1.17
-    512x512x3    786,432    1.30-1.41  1.20-1.26
-    1024x768x3   2,359,296  1.32-1.62  1.21-1.49
-    ===========  =========  =========  =========
-
-    The transforms of a prime width (257) cost more per sample, so 301x257x3
-    would gain below the rule; it counts samples only, as placement's does.
-    With a new thread started and joined per call, 256x256x3 read 0.80-0.95
-    / 0.71-0.84 and the crossover sat just below 2^18; with the reused worker
-    it sits near 2^17.5, and the rule still reads 2^18.
+    The real 2D FFT is the two passes of ``np.fft.rfft2`` over one complex
+    (H, W//2 + 1) array, so the bytes are its bytes: the channel mean is
+    built and its rows take a real FFT, then the columns are transformed in
+    place. Magnitude mode runs both passes once per channel and adds |F_c|
+    in channel order. A non-finite sample makes its pixel's mean
+    non-finite, so the inputs are checked through the means: only a mean
+    that is not finite reads the samples again, to raise ``ValueError`` or
+    go on with a difference that overflowed.
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")
@@ -310,33 +273,21 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
 
     h, w, channels = p.shape
     spectrum = np.empty((h, w // 2 + 1), complex)
-    out = np.empty((h, w))
-    threaded = p.size >= _THREAD_MIN_SAMPLES
-    rows, cols = (_bands(n, _STRIPES if threaded else 1) for n in spectrum.shape)
-
-    def row_stripe(i, group):
-        # the stripe's channel mean is built in its rows of out, and each
-        # further channel's difference in the spectrum rows it transforms into
-        band = rows[i]
-        mean, diff = out[band], spectrum[band].view(float)[:, :w]
-        with np.errstate(invalid="ignore"):  # a non-finite input is reported below
-            np.subtract(p[band, :, group[0]], g[band, :, group[0]], out=mean)
-            for c in group[1:]:
-                mean += np.subtract(p[band, :, c], g[band, :, c], out=diff)
-        if len(group) > 1:
-            mean /= len(group)
-        if not np.all(np.isfinite(mean)):  # a non-finite sample, or an overflow
-            as_image(p[band]), as_image(g[band])  # raises for the first only
-        np.fft.rfft(mean, axis=1, out=spectrum[band])
-
-    def column_stripe(i):
-        band = spectrum[:, cols[i]]
-        np.fft.fft(band, axis=0, out=band)
-
+    # the channel mean is built in out, and each further channel's difference
+    # in the spectrum it is transformed into
+    out, diff = np.empty((h, w)), spectrum.view(float)[:, :w]
     groups = [range(channels)] if mode == "complex" else [(c,) for c in range(channels)]
     for k, group in enumerate(groups):
-        _in_stripes(lambda i: row_stripe(i, group), len(rows), threaded)
-        _in_stripes(column_stripe, len(cols), threaded)
+        with np.errstate(invalid="ignore"):  # a non-finite input is reported below
+            np.subtract(p[:, :, group[0]], g[:, :, group[0]], out=out)
+            for c in group[1:]:
+                out += np.subtract(p[:, :, c], g[:, :, c], out=diff)
+        if len(group) > 1:
+            out /= len(group)
+        if not np.all(np.isfinite(out)):  # a non-finite sample, or an overflow
+            as_image(p), as_image(g)  # raises for the first only
+        np.fft.rfft(out, axis=1, out=spectrum)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
         if k == 0:
             half = np.abs(spectrum)
         else:

@@ -15,7 +15,6 @@ import hashlib
 import json
 import platform
 import sys
-import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,7 +37,6 @@ from .signal_core import NonRealResultError, _dft, _log_map, log_magnitude, radi
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
-    _in_stripes,
     bed_of_nails,
     fourier_pad_upsample,
     linear,
@@ -249,76 +247,25 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     ``ROW_BLOCK_SAMPLES`` and at least one, are stacked and scored by one
     ``_alias_reports`` and one ``_psnr_rows`` call; every row equals its
     one-row ``alias_energy(y, r, reference=x)`` and ``psnr`` byte for byte.
-    Writes ``spectrum_<op>.pgm`` per row and ``alias_metrics.csv``.
-
     The ideal reference (Fourier zero-padding, and its peak-to-peak for
-    PSNR) is job 0 of one :func:`upsamplers._in_stripes` call, and block i
-    is job i + 1: it applies its operators, scores them and writes their
-    strips, and fills its own slot of rows. Job 0 sets a one-shot event when
-    it ends, failed or not, and a block waits on it only where it reads the
-    reference: the ``fourier_pad`` row and the PSNR column, both before any
-    strip is written. If job 0 failed, the waiting block raises too, and
-    :func:`_in_stripes` raises job 0's error, the lowest index, first. The
-    wait cannot deadlock: job 0 is the first job of stripe 0, which runs on
-    the caller, so every job queued behind it on that stripe starts after
-    the event is set, and no stripe waits on a job it runs itself. With two
-    blocks or more, :func:`_in_stripes` runs the jobs on the caller and its
-    one reused worker thread (on one CPU, on the caller alone); ``analyze``
-    and a compare of one block run on the caller alone, since a reference
-    beside a single block measured slower (four rows at 4,096 samples,
-    medians of 201 calls: 2.29 ms on the caller, 2.46 - 2.52 ms with the
-    reference on a new thread per call). Every row is computed with the
-    same operations in the same order on any thread, and the slots are
-    joined in block order before the stable sort, so CSV and PGM bytes do
-    not depend on the worker count. One worker's time over two workers'
-    (above 1: two faster), in-process ``compare --seed 1``, 2-vCPU Xeon VM,
-    one BLAS thread, medians of 41 alternating calls, range over two runs;
-    blocks are counted without the reference:
-
-    =======  ====  =================================  ========  ===========
-    r*N      r     rows                               blocks    ratio
-    =======  ====  =================================  ========  ===========
-    2,342    2     all 7                              6+1       1.05 - 1.06
-    3,072    3     all 7                              5+2       1.01 - 1.03
-    4,096    2     5 unfitted                         4+1       0.99 - 1.05
-    8,194    2     bed_of_nails,nearest / linear,...  1+1       1.27 - 1.31 / 1.35
-    131,072  2     all 7 / 5 unfitted                 1 each    1.66 - 1.67 / 1.57 - 1.62
-    =======  ====  =================================  ========  ===========
-
-    (5 unfitted: bed_of_nails, nearest, linear, pixel_shuffle, fourier_pad;
-    "linear,..." is linear,fourier_pad.) Two blocks or more break even at
-    the fewest samples a row that makes two (2,342) and where the second
-    holds a single row (4+1), and gain from two single-row blocks on.
+    PSNR) is computed first; then each block in turn applies its operators,
+    scores them and writes their strips. Writes ``spectrum_<op>.pgm`` per
+    row and ``alias_metrics.csv``.
     """
     x = build_signal(args)
     low_rate = _dft(x)
     size = validate_factor(args.factor) * x.size
     per_block = max(1, ROW_BLOCK_SAMPLES // size)
-    blocks = [names[start:start + per_block] for start in range(0, len(names), per_block)]
-    block_rows = [None] * len(blocks)
-    ideal, ready = [], threading.Event()
-
-    def reference():
-        """(reference, peak) once job 0 has ended; raises if it failed."""
-        ready.wait()
-        if not ideal:
-            raise RuntimeError("the ideal reference was not computed")
-        return ideal
-
-    def score(job):
-        if job == 0:
-            try:
-                y = fourier_pad_upsample(x, args.factor)
-                ideal.extend((y, float(np.ptp(y)) or 1.0))
-            finally:
-                ready.set()
-            return
-        block = blocks[job - 1]
-        ys, kernels = zip(*[(reference()[0], None) if name == "fourier_pad"
+    ideal = fourier_pad_upsample(x, args.factor)
+    peak = float(np.ptp(ideal)) or 1.0
+    rows = []
+    for start in range(0, len(names), per_block):
+        block = names[start:start + per_block]
+        ys, kernels = zip(*[(ideal, None) if name == "fourier_pad"
                             else apply_operator(name, x, args) for name in block])
         ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
         reports = _alias_reports(ys, args.factor, low_rate)
-        block_rows[job - 1] = [{
+        rows += [{
             "operator": name,
             "kernel_size": None if kernel is None else kernel.size,
             **{field: getattr(report, field) for field in REPORT_FIELDS},
@@ -326,14 +273,12 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
                                       else _contribution_period(kernel)[2]),
             "psnr_vs_ideal_db": db,
         } for name, kernel, report, db in zip(block, kernels, reports,
-                                              _psnr_rows(ys, *reference()).tolist())]
+                                              _psnr_rows(ys, ideal, peak).tolist())]
         if "pgm" in formats:
             strips = _log_map(np.stack([report.magnitude for report in reports]))
             for name, strip in zip(block, strips):
                 write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
-    _in_stripes(score, 1 + len(blocks), len(blocks) > 1)
-    rows = [row for block in block_rows for row in block]
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
@@ -385,7 +330,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: every
     artifact comes from one period, so no array of out_len counts is built.
     The CSV rows come from :func:`_position_rows` and the strip repeats their
-    bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
+    bar columns. One period holds the map's min and max, so the bytes are those of all counts.
+    The rows are built before the CSV is opened and the JSON is written last,
+    so an out_len too large to allocate leaves no file behind."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
     if args.stride < 1:
@@ -397,9 +344,12 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
     cycle, uniform, variance = _contribution_period(kernel)
     if "csv" in formats:
+        rows = _position_rows(out_len, [b",%d\n" % count for count in cycle.tolist()])
         with open(out_dir / "contribution_counts.csv", "wb") as fh:
             fh.write(b"position,count\n")
-            fh.write(_position_rows(out_len, [b",%d\n" % count for count in cycle.tolist()]))
+            fh.write(rows)
+    if "pgm" in formats:
+        write_bar_strip(cycle, out_dir / "contribution_counts.pgm", out_len // kernel.stride)
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
@@ -409,8 +359,6 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
             "variance": variance,
             "period": kernel.stride,
         }, config)
-    if "pgm" in formats:
-        write_bar_strip(cycle, out_dir / "contribution_counts.pgm", out_len // kernel.stride)
 
 
 def _solve_fit(args, k: int):

@@ -28,17 +28,12 @@ sums in a fixed order) or, for large inputs with many taps per phase, as
 one real FFT convolution per output phase (to round-off, O(rN log N)
 whatever K). A fixed rule on the input size and the kernel picks the path
 (see ``FFT_MIN_SAMPLES`` and ``FFT_MIN_TAPS``); the fixed upsamplers and
-every placement below the rule's threshold stay on the first. Large FFT
-placements run their output phases in two stripes on two CPUs, on the
-caller and one long-lived worker thread, with output bitwise equal to one
-thread's.
+every placement below the rule's threshold stay on the first. Every
+placement runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,16 +49,6 @@ BOUNDARY_MODES = ("periodic", "zero-pad")
 #: crossover table is in :func:`_place`).
 FFT_MIN_SAMPLES = 1024
 FFT_MIN_TAPS = ((1024, 25), (4096, 33), (16384, 48), (float("inf"), 80))
-#: An FFT placement runs its phases in stripes on the caller and a worker thread
-#: when it writes at least this many output samples (all channels), and
-#: ``error_spectrum`` its stripes when each input holds this many samples;
-#: smaller ones run on the caller alone.
-_THREAD_MIN_SAMPLES = 1 << 18
-#: Stripes of a threaded call, on the caller and the one worker thread: the
-#: crossover table in :func:`_place` and the peak-RSS figures were measured
-#: with two, each stripe holding one complex and one real buffer of a
-#: channel's transform size.
-_STRIPES = 2
 
 
 @dataclass(frozen=True)
@@ -248,37 +233,6 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     keeps 1D kernels of up to 32 taps a phase (K = 63 at stride 2) direct
     at every length, and loses up to 1.5x on 2D zero-pad placements with
     25 taps and up to 1.2x on 1D ones at the lower edge of a step.
-
-    An FFT placement that writes at least _THREAD_MIN_SAMPLES (2^18) output
-    samples, all channels counted, runs its phases in two stripes on two
-    CPUs, the count measured below: on the caller and the one reused worker
-    thread of :func:`_in_stripes`; the bytes are the same either way (see
-    :func:`_place_fft`).
-    One worker's time over two workers' (above 1: two faster), periodic /
-    zero-pad, size rule lifted, 1 BLAS thread, 2-vCPU Xeon VM, medians of 41
-    alternating calls, two runs:
-
-    ==========================  ===========  =========  =========
-    placement                   out samples  periodic   zero-pad
-    ==========================  ===========  =========  =========
-    2D 32x32x1, K=11, s=2       4,096        0.62-0.64  0.58-0.59
-    2D 64x64x1, K=11, s=2       16,384       0.71-0.72  0.76-0.78
-    2D 64x64x3, K=11, s=2       49,152       0.69-0.70  0.78-0.80
-    2D 128x128x1, K=11, s=2     65,536       1.02-1.09  1.03-1.12
-    1D 16,384, K=255, s=4       65,536       1.18-1.35  1.17-1.20
-    1D 65,536, K=161, s=2       131,072      1.34-1.41  1.33-1.36
-    2D 128x128x3, K=11, s=2     196,608      1.00-1.03  1.08
-    2D 256x256x1, K=11, s=2     262,144      1.15-1.20  1.24-1.25
-    1D 131,072, K=161, s=2      262,144      1.45-1.48  1.47
-    2D 256x256x3, K=11, s=2     786,432      1.40-1.43  1.46-1.47
-    2D 512x512x3, K=11, s=2     3,145,728    1.59-1.62  1.58-1.60
-    ==========================  ===========  =========  =========
-
-    Handing phases to the worker (two semaphore signals and GIL hand-offs)
-    costs about 0.1-0.15 ms, so 2D placements below 2^16 samples lose up to
-    1.7x; from 2^16 on no case loses. When a new thread was started and
-    joined per call (0.5-0.9 ms), 2D placements lost up to 2.4x below 2^17
-    and the crossover was near 2^17; the rule still reads 2^18.
     """
     (h, wd, nc), (sa, sb) = x.shape, strides
     if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= next(
@@ -393,18 +347,12 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     of two to peak in [0.5, 1), so no transform over- or underflows, and
     scaled back on write.
 
-    The caller transforms the channels one after another. Then each output
-    phase is a job: its sub-kernel spectrum and, per channel, the product,
-    the inverse transform and the write. Once the output holds at least
-    _THREAD_MIN_SAMPLES samples, _STRIPES pairs of one complex and one
-    real buffer are made here, and :func:`_in_stripes` runs the jobs on the
-    caller and one worker, or on the caller alone; below that, one pair and
-    the caller alone. Each stripe transforms in its own pair (the
-    transforms write through ``out=``, which numpy's FFT functions take
-    from numpy 2.0 on); the only channel-sized array a job makes is its
-    phase's sub-kernel spectrum. Every output sample is computed by one job
-    with the same operations in the same order whatever the stripe count,
-    so the output is bitwise the same.
+    The channels are transformed one after another, then each output phase:
+    its sub-kernel spectrum and, per channel, the product, the inverse
+    transform and the write. Every transform runs in one complex and one
+    real buffer of a channel's transform size (through ``out=``, which
+    numpy's FFT functions take from numpy 2.0 on); the only channel-sized
+    array a phase makes is its sub-kernel spectrum.
     """
     turned = x.shape[0] > x.shape[1]
     if turned:
@@ -416,15 +364,8 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     ex, ew = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (x, w))
     w = np.ldexp(w, -ew)
     spectrum = np.empty((nc, la, lb // 2 + 1), complex)
+    product, real = np.empty(spectrum.shape[1:], complex), np.empty((la, lb))
     out = np.zeros((nc, sa * h, sb * wd))
-    phases = [(pa, rows, ua, pb, cols, ub)
-              for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)) if rows.size
-              for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)) if cols.size]
-    threaded = out.size >= _THREAD_MIN_SAMPLES
-    buffers = [(np.empty(spectrum.shape[1:], complex), np.empty((la, lb)))
-               for _ in range(_STRIPES if threaded else 1)]
-
-    real = buffers[0][1]
     for c in range(nc):
         np.ldexp(x[:, :, c], -ex, out=real[:h, :wd])
         np.fft.rfft(real[:h, :wd], lb, out=spectrum[c, :h])
@@ -432,117 +373,22 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
             spectrum[c, h:] = 0.0
             np.fft.fft(spectrum[c], axis=0, out=spectrum[c])
 
-    def phase(i, product, real):
-        pa, rows, ua, pb, cols, ub = phases[i]
-        ea = np.exp(-2j * np.pi / la * (np.outer(ua, np.arange(la)) % la))
-        bins = np.arange(rows.size)[:, None] * lb + ub % lb
-        taps = np.bincount(bins.ravel(), weights=w[np.ix_(rows, cols)].ravel(),
-                           minlength=rows.size * lb).reshape(rows.size, lb)
-        kernel = ea.T @ np.fft.rfft(taps)
-        for c in range(nc):
-            np.multiply(spectrum[c], kernel, out=product)
-            if la > 1:
-                np.fft.ifft(product, axis=0, out=product)
-            np.fft.irfft(product, lb, out=real)
-            np.ldexp(real[:h, :wd], ex + ew, out=out[c, pa::sa, pb::sb])
-
-    _in_stripes(phase, len(phases), threaded, buffers)
+    for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
+        for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)):
+            if not (rows.size and cols.size):  # a phase with no tap stays 0
+                continue
+            ea = np.exp(-2j * np.pi / la * (np.outer(ua, np.arange(la)) % la))
+            bins = np.arange(rows.size)[:, None] * lb + ub % lb
+            taps = np.bincount(bins.ravel(), weights=w[np.ix_(rows, cols)].ravel(),
+                               minlength=rows.size * lb).reshape(rows.size, lb)
+            kernel = ea.T @ np.fft.rfft(taps)
+            for c in range(nc):
+                np.multiply(spectrum[c], kernel, out=product)
+                if la > 1:
+                    np.fft.ifft(product, axis=0, out=product)
+                np.fft.irfft(product, lb, out=real)
+                np.ldexp(real[:h, :wd], ex + ew, out=out[c, pa::sa, pb::sb])
     return out.transpose((2, 1, 0) if turned else (1, 2, 0))
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on, at most _STRIPES."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, _STRIPES)
-
-
-class _Worker:
-    """A daemon thread that runs the stripes handed to it, one at a time:
-    ``ready`` is released when ``task`` is set, and ``done`` when the stripe
-    has returned (a stripe never raises)."""
-
-    def __init__(self):
-        self.task, self.ready, self.done = None, threading.Semaphore(0), threading.Semaphore(0)
-        self.thread = threading.Thread(target=self._serve, name="upspec-stripes", daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            self.ready.acquire()
-            (context, stripe), self.task = self.task, None
-            context.run(stripe)
-            del context, stripe  # an idle worker holds nothing of the last call
-            self.done.release()
-
-    def hand(self, stripe) -> None:
-        """Run stripe() on this worker in a copy of the caller's context."""
-        self.task = (contextvars.copy_context(), stripe)
-        self.ready.release()
-
-
-#: The worker of :func:`_in_stripes`, started on first need and reused, and
-#: the lock that the call handing it a stripe holds.
-_WORKER: _Worker | None = None
-_WORKER_LOCK = threading.Lock()
-
-
-def _drop_workers() -> None:
-    """Forget the parent's worker in a forked child, which does not run its
-    thread; the child starts its own on first need."""
-    global _WORKER, _WORKER_LOCK
-    _WORKER, _WORKER_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_workers)
-
-
-def _in_stripes(job, n: int, threaded: bool, buffers=None) -> None:
-    """job(i, *buffers[k]) for i < n, stripe k taking i = k, k + m, ... of m stripes.
-
-    Without buffers, the job is called as job(i). m is 2 if ``threaded``,
-    n > 1 and the process may run on two CPUs (no other code reads the CPU
-    count): stripe 0 runs on the caller and stripe 1 on the one worker, a
-    daemon thread started by the first call that needs it and reused by
-    every later one. Such a call holds ``_WORKER_LOCK`` until the worker's
-    stripe has returned, on error too. A call that cannot take the lock at
-    once, made by another thread or inside either stripe of an m = 2 call,
-    runs all its jobs on its own thread (m = 1), as does one whose worker
-    cannot start; it never waits, and the bytes are the same on any m. The
-    worker's stripe runs in a copy of the caller's context, so numpy's
-    error state holds in both. A stripe stops at its first error, and the
-    lowest job index's error is raised here, as a loop over i would raise
-    it; the worker stays in service. A forked child forgets the parent's
-    worker and lock (``os.register_at_fork``), so it starts its own instead
-    of waiting on a thread it does not run.
-    """
-    global _WORKER
-    lock, worker = _WORKER_LOCK, None
-    if threaded and n > 1 and _worker_count() > 1 and lock.acquire(blocking=False):
-        try:
-            worker = _WORKER = _WORKER or _Worker()
-        except RuntimeError:  # the thread cannot start (at the process's thread limit, say)
-            lock.release()
-    m = 2 if worker else 1
-    errors = {}
-
-    def stripe(k):
-        try:
-            for i in range(k, n, m):
-                job(i, *(buffers[k] if buffers else ()))
-        except BaseException as error:  # raised again on the caller
-            errors[i] = error
-
-    if worker:
-        worker.hand(lambda: stripe(1))
-    try:
-        stripe(0)
-    finally:
-        if worker:
-            worker.done.acquire()
-            lock.release()
-    if errors:
-        raise errors[min(errors)]
 
 
 def _place1(x: np.ndarray, w: np.ndarray, s: int, boundary: str) -> np.ndarray:

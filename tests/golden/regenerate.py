@@ -54,14 +54,14 @@ CONFIGS = [
     ("contribution64", "contribution --kernel-size 64 --stride 4 --out-len 65536"),
     ("blocks", "errorspec --signal composite --height 301 --width 257 --seed 2 "
                "--format csv,json,pgm,ppm"),
-    # 2^18 output samples: the FFT placement runs its phases on worker threads
+    # 2^18 output samples by FFT placement (this name and "nested" recall a
+    # stripe worker thread since removed)
     ("threaded", "compare --seed 1 --n 131072 --kernel-size 161 --ops transposed_conv"),
     ("fft1dzero", "compare --seed 1 --n 4096 --kernel-size 127 --ops transposed_conv,lctc "
                   "--boundary zero-pad"),
     # reads back the PPM pair written by the blocks config
     ("readback", "errorspec --pred {root}/blocks/pred.ppm --gt {root}/blocks/gt.ppm"),
-    # row blocks on worker threads: four blocks with the fitted rows; r = 3,
-    # zero-pad
+    # four row blocks with the fitted rows; r = 3, zero-pad
     ("rowblocks", "compare --seed 1 --n 4096 --ops all"),
     ("rowblocks3", "compare --seed 1 --n 3000 --factor 3 --ops all --boundary zero-pad"),
     # contribution artifacts from one period: phases with no taps, period 1,
@@ -69,13 +69,12 @@ CONFIGS = [
     ("notaps", "contribution --kernel-size 2 --stride 5 --out-len 20"),
     ("period1", "contribution --kernel-size 7 --stride 1"),
     ("oneperiod", "contribution --kernel-size 5 --stride 3 --out-len 3"),
-    # 2^18 samples an input: the error spectrum runs its row and column
-    # stripes on workers
+    # 2^18 samples an input: the error spectrum's row and column transforms
     ("errorspec512-complex", "errorspec --signal composite --height 512 --width 512 --seed 3 "
                              "--mode complex"),
     ("errorspec512-magnitude", "errorspec --signal composite --height 512 --width 512 "
                                "--seed 3 --mode magnitude"),
-    # each row block's FFT placement runs its phases on the block's own thread
+    # two row blocks, each an FFT placement of 2^18 output samples
     ("nested", "compare --seed 1 --n 131072 --kernel-size 161 --ops transposed_conv,lctc"),
     # strips written as uint8 rasters: a one-tap constant kernel, one residual,
     # uniform counts, and an odd n with no Nyquist bin
@@ -103,13 +102,13 @@ CONFIGS = [
     ("analyze3nearest", "analyze --seed 1 --n 16 --factor 3 --op nearest"),
     ("fitlctc", "fit --n 32 --kernel-size 11 --parallel-small 3"),
     # the ideal reference beside the row blocks: two blocks of 4 + 3 rows at
-    # r = 2 and at r = 3, both on the caller and the worker (the names recall
-    # a row size rule since removed), and one block
+    # r = 2 and at r = 3 (the names recall a row size rule since removed), and
+    # one block
     ("atrule", "compare --seed 1 --n 2048 --ops all"),
     ("belowrule3", "compare --seed 1 --n 1365 --factor 3 --ops all"),
     ("oneblock", "analyze --seed 1 --n 16384 --op fourier_pad"),
-    # stripes on a worker thread: five row blocks at r = 3, zero-pad, and the
-    # error spectrum of a non-square image above the size rule
+    # five row blocks at r = 3, zero-pad, and the error spectrum of a
+    # 1024 x 768 image
     ("long3zero", "compare --seed 1 --n 16384 --factor 3 --boundary zero-pad "
                   "--ops bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"),
     ("errorspectall", "errorspec --signal composite --height 1024 --width 768 --seed 3 "

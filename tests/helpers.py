@@ -6,13 +6,11 @@ library implementations they check. The ``copying_*`` oracles are the
 out-of-place expressions of steps that the library runs in place.
 """
 
-import threading
 import tracemalloc
 
 import numpy as np
 
-from upspec import (KernelSpec, fourier_pad_upsample, idft, log_magnitude, transposed_conv,
-                    upsamplers)
+from upspec import KernelSpec, fourier_pad_upsample, idft, log_magnitude, transposed_conv
 from upspec.signal_core import LOG_FLOOR
 
 
@@ -512,62 +510,3 @@ def literal_position_rows(out_len: int, suffixes) -> bytes:
     with every position; the suffixes hold no ``%``."""
     template = b"".join(b"%d" + suffix for suffix in suffixes)
     return template * (out_len // len(suffixes)) % tuple(range(out_len))
-
-
-def handoff_spy(mp) -> list:
-    """The worker of ``upsamplers._in_stripes`` once per stripe handed to it
-    while ``mp`` is active, with ``upsamplers._worker_count`` at two CPUs
-    whatever the machine has."""
-    handed, hand = [], upsamplers._Worker.hand
-
-    def spy(worker, stripe):
-        handed.append(worker)
-        hand(worker, stripe)
-
-    mp.setattr(upsamplers._Worker, "hand", spy)
-    mp.setattr(upsamplers, "_worker_count", lambda: 2)
-    return handed
-
-
-def threads_besides_workers() -> set:
-    """The live threads other than the worker of ``upsamplers._in_stripes``."""
-    worker = upsamplers._WORKER
-    return set(threading.enumerate()) - ({worker.thread} if worker else set())
-
-
-def assert_workers_idle(timeout: float = 60.0) -> None:
-    """The worker of ``upsamplers._in_stripes``, if started, is the one
-    ``upspec-stripes`` thread, alive and idle: no stripe waits for it, none
-    has ended unawaited, and a stripe handed to it now runs and ends within
-    ``timeout`` seconds."""
-    worker = upsamplers._WORKER
-    assert [thread for thread in threading.enumerate() if thread.name == "upspec-stripes"] == \
-        ([worker.thread] if worker else [])
-    if worker:
-        assert worker.thread.is_alive() and worker.task is None
-        assert not worker.done.acquire(blocking=False)
-        ran = []
-        worker.hand(lambda: ran.append(1))
-        assert worker.done.acquire(timeout=timeout) and ran == [1]
-
-
-def in_time(call, timeout: float = 60.0):
-    """call() on a daemon thread joined with a timeout, so that a stripe that
-    hangs fails the test instead of the run; returns its result or raises its
-    error here."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((True, call()))
-        except BaseException as error:  # raised again on the test's thread
-            outcome.append((False, error))
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"the call did not return within {timeout} s"
-    returned, value = outcome[0]
-    if not returned:
-        raise value
-    return value

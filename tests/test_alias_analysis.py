@@ -1,4 +1,3 @@
-import threading
 import warnings
 from fractions import Fraction
 
@@ -19,14 +18,10 @@ from helpers import (
     literal_error_spectrum,
     literal_mirror,
     literal_replica_deviation,
-    assert_workers_idle,
-    handoff_spy,
     random_bandlimited,
-    threads_besides_workers,
     traced_peak,
     truncated_sinc_square_replicas,
 )
-from upspec import alias_analysis, upsamplers
 from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _psnr_rows
 from upspec.signal_core import Spectrum, _dft, _log_map, dft, idft
 from upspec.upsamplers import _pads, _phases
@@ -621,67 +616,33 @@ class TestErrorSpectrum:
             error_spectrum(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
-class TestErrorSpectrumStripes:
-    """The real 2D FFT runs as row stripes, then column stripes, the second of
-    each stage handed to a worker thread from _THREAD_MIN_SAMPLES input
-    samples on; the bytes are those of ``np.fft.rfft2`` on any worker count."""
+class TestErrorSpectrumTransforms:
+    """The real 2D FFT is the two passes of ``np.fft.rfft2``, rows then
+    columns, so the bytes are its bytes; the inputs are checked through the
+    channel means."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.integers(1, 70), w=st.integers(1, 70), channels=st.integers(1, 4),
            exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1),
            mode=st.sampled_from(["complex", "magnitude"]), log=st.booleans())
-    def test_bytes_equal_rfft2_oracle_on_any_worker_count(self, h, w, channels, exponent,
-                                                          seed, mode, log):
-        # the size rule is lifted, so every draw of two rows or columns runs
-        # a stripe on the worker
+    def test_bytes_equal_rfft2_oracle(self, h, w, channels, exponent, seed, mode, log):
         rng = np.random.default_rng(seed)
         pred, gt = rng.normal(size=(2, h, w, channels)) * 10.0 ** exponent
         expected = literal_error_spectrum(pred, gt, mode, log).tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
-            for workers in (1, 2):
-                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
-
-    @pytest.mark.parametrize("shape, handoffs", [
-        # one side of the size rule each: 2^18 - 1 and 2^18 samples
-        ((511, 513, 1), {"complex": 0, "magnitude": 0}),
-        ((512, 512, 1), {"complex": 2, "magnitude": 2}),
-        # magnitude mode runs both stages once per channel
-        ((256, 256, 4), {"complex": 2, "magnitude": 8}),
-        ((301, 257, 3), {"complex": 0, "magnitude": 0}),
-        # a single row is one row stripe
-        ((1, 1 << 18, 1), {"complex": 1, "magnitude": 1}),
-    ])
-    def test_stripes_handed_to_a_worker(self, shape, handoffs):
-        rng = np.random.default_rng(23)
-        pred, gt = rng.normal(size=(2, *shape))
-        before = threads_besides_workers()
-        for mode in ("complex", "magnitude"):
-            with pytest.MonkeyPatch.context() as mp:
-                handed = handoff_spy(mp)
-                got = error_spectrum(pred, gt, mode=mode)
-            assert len(handed) == handoffs[mode]
-            assert threads_besides_workers() == before
-            assert_workers_idle()
-            assert got.tobytes() == literal_error_spectrum(pred, gt, mode, True).tobytes()
+        assert error_spectrum(pred, gt, mode=mode, log=log).tobytes() == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
-    def test_non_finite_input_is_rejected_on_any_worker_count(self, bad, mode):
+    def test_non_finite_input_is_rejected(self, bad, mode):
         # the finiteness check reads the channel means, which a non-finite
         # sample makes non-finite, inf - inf included; the first and the last
-        # row stripe, the first and the last channel
+        # row, the first and the last channel
         for pixel, sides in (((8, 7, 2), "p"), ((0, 0, 0), "g"), ((4, 3, 1), "pg")):
             pred, gt = np.random.default_rng(25).normal(size=(2, 9, 8, 3))
             for side in sides:
                 (pred if side == "p" else gt)[pixel] = bad
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
-                for workers in (1, 2):
-                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                    with pytest.raises(ValueError, match="image samples must be finite"):
-                        error_spectrum(pred, gt, mode=mode)
+            with pytest.raises(ValueError, match="image samples must be finite"):
+                error_spectrum(pred, gt, mode=mode)
 
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
     def test_overflowing_difference_of_finite_inputs_is_not_rejected(self, mode):
@@ -689,51 +650,47 @@ class TestErrorSpectrumStripes:
         # then not finite, as the literal one is
         pred, gt = np.zeros((2, 9, 8, 3))
         pred[4, 3, 1], gt[4, 3, 1] = 1e308, -1e308
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow in subtract
             expected = literal_error_spectrum(pred, gt, mode, False).tobytes()
-            mp.setattr(alias_analysis, "_THREAD_MIN_SAMPLES", 0)
-            for workers in (1, 2):
-                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                got = error_spectrum(pred, gt, mode=mode, log=False)
-                assert got.tobytes() == expected and not np.all(np.isfinite(got))
-
-    @pytest.mark.parametrize("row", [10, 500])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_callers_error_state_holds_in_every_stripe(self, row, workers):
-        # 512 x 512 x 3 runs a stripe on the worker; row 10 is the caller's
-        # row stripe, row 500 the worker's, and the overflowing difference
-        # raises under np.errstate(over="raise") in either
-        pred, gt = np.zeros((2, 512, 512, 3))
-        pred[row, 7, 1], gt[row, 7, 1] = 1e308, -1e308
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: workers)
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                error_spectrum(pred, gt)
+            got = error_spectrum(pred, gt, mode=mode, log=False)
+        assert got.tobytes() == expected and not np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("name", ["rfft", "fft"])
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
-    def test_worker_error_reaches_the_caller(self, name, mode):
-        # the row stage (rfft) or the column stage (fft) fails on the worker
-        rng = np.random.default_rng(24)
-        pred, gt = rng.normal(size=(2, 512, 512, 3))
-        transform, caller, failed_on = getattr(np.fft, name), threading.current_thread(), []
+    def test_transform_error_reaches_the_caller(self, name, mode):
+        # the row pass (rfft) or the column pass (fft) fails on its first call
+        pred, gt = np.random.default_rng(24).normal(size=(2, 64, 48, 3))
+        calls = []
 
         def failing(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                failed_on.append(threading.current_thread())
-                raise RuntimeError(f"{name} failed")
-            return transform(*args, **kwargs)
+            calls.append(name)
+            raise RuntimeError(f"{name} failed")
 
-        before = threads_besides_workers()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: 2)
             mp.setattr(np.fft, name, failing)
             with pytest.raises(RuntimeError, match=f"{name} failed"):
                 error_spectrum(pred, gt, mode=mode)
-        assert threads_besides_workers() == before
-        assert_workers_idle()
-        assert len(failed_on) == 1 and caller not in failed_on
+        assert calls == [name]
+
+    @pytest.mark.parametrize("mode", ["complex", "magnitude"])
+    @pytest.mark.parametrize("shape", [(511, 513, 1), (512, 512, 1), (256, 256, 4),
+                                       (301, 257, 3), (1, 1 << 18, 1)])
+    def test_bytes_equal_rfft2_oracle_at_large_sizes(self, shape, mode):
+        # odd and even sides, four channels, and a single row of 2^18 samples
+        pred, gt = np.random.default_rng(23).normal(size=(2, *shape))
+        assert error_spectrum(pred, gt, mode=mode).tobytes() == \
+            literal_error_spectrum(pred, gt, mode, True).tobytes()
+
+    @pytest.mark.parametrize("mode", ["complex", "magnitude"])
+    @pytest.mark.parametrize("row", [10, 500])
+    def test_callers_error_state_holds(self, row, mode):
+        # the overflowing difference of finite inputs raises under the
+        # caller's np.errstate(over="raise"), in any row and either mode
+        pred, gt = np.zeros((2, 512, 512, 3))
+        pred[row, 7, 1], gt[row, 7, 1] = 1e308, -1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            error_spectrum(pred, gt, mode=mode)
 
 
 class TestPsnr:

@@ -2,9 +2,7 @@ import csv
 import io
 import json
 import platform
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -12,10 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_workers_idle, enumerate_contributions, handoff_spy, in_time,
-                     literal_bar_strip, literal_csv_cell, literal_csv_text, literal_position_rows,
-                     literal_quantize, literal_strip_file, threads_besides_workers)
-from upspec import KernelSpec, __version__, cli, kernel_fit, netpbm, upsamplers
+from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
+                     literal_position_rows, literal_quantize, literal_strip_file)
+from upspec import KernelSpec, __version__, cli, error_spectrum, kernel_fit, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
@@ -249,150 +246,51 @@ class TestOperatorRows:
 FIVE_UNFITTED = "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"
 
 
-class TestRowWorkers:
-    """Row blocks are jobs of ``upsamplers._in_stripes``: in two stripes, one
-    of them handed to the worker thread, once there are two blocks, with the
-    same bytes on any worker count."""
+class TestRowBlocks:
+    """The ideal reference is computed first, then the row blocks in order,
+    all on the calling thread; a failure sets the exit code and prints one
+    line."""
 
-    @pytest.mark.parametrize("argv, handoffs", [
-        # the paper-compare and long-signal benchmark shapes
-        (["compare", "--n", "128", "--kernel-size", "31", "--parallel-small", "3"], 0),
-        (["compare", "--n", "16384", "--ops", FIVE_UNFITTED], 1),
-        # two blocks of 4 + 3 rows: r*N = 4,095 at r = 3 and 4,096 at r = 2
-        (["compare", "--n", "1365", "--factor", "3"], 1),
-        (["compare", "--n", "2048"], 1),
-        # one block: a single row, or four rows stacked
-        (["analyze", "--n", "16384", "--op", "pixel_shuffle"], 0),
-        (["compare", "--n", "16384", "--ops", "linear"], 0),
-        (["compare", "--n", "2048", "--ops", "bed_of_nails,nearest,linear,fourier_pad"], 0),
-    ])
-    def test_stripes_handed_to_a_worker(self, tmp_path, argv, handoffs):
-        before = threads_besides_workers()
-        with pytest.MonkeyPatch.context() as mp:
-            handed = handoff_spy(mp)
-            assert main([*argv, "--out-dir", str(tmp_path), "--seed", "1"]) == 0
-        assert len(handed) == handoffs
-        assert threads_besides_workers() == before
-        assert_workers_idle()
+    def test_no_stage_starts_a_thread(self, tmp_path):
+        # the long-signal compare, a 256 x 256 x 3 FFT placement under both
+        # boundaries and a 512 x 512 x 3 error spectrum in both modes: every
+        # transform runs on the caller, and no thread is left behind
+        rng = np.random.default_rng(26)
+        image, kernel = rng.normal(size=(256, 256, 3)), KernelSpec(rng.normal(size=(11, 11)), 2)
+        pred, gt = rng.normal(size=(2, 512, 512, 3))
+        caller, before, ran_on = threading.current_thread(), threading.enumerate(), set()
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_bytes_equal_across_worker_counts(self, data, tmp_path_factory):
-        # every draw of two or more blocks runs them on the caller and the
-        # worker, switching often; lengths split all seven rows from 6 + 1
-        # blocks on
-        r = data.draw(st.sampled_from([2, 3]), label="r")
-        limit = cli.ROW_BLOCK_SAMPLES // r
-        n = data.draw(st.integers(2, 64) | st.sampled_from(
-            [limit // 7 + 1, limit // 4, limit // 3, limit // 2 + 1, limit + 1]), label="n")
-        ops = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=7, unique=True),
-                        label="ops")
-        command = ["compare", "--ops", ",".join(ops)]
-        if len(ops) == 1 and data.draw(st.booleans(), label="analyze"):
-            command = ["analyze", "--op", ops[0]]
-        argv = command + [
-            "--seed", str(data.draw(st.integers(0, 99), label="seed")), "--n", str(n),
-            "--factor", str(r),
-            "--boundary", data.draw(st.sampled_from(["periodic", "zero-pad"]), label="b"),
-            "--kernel-size", str(data.draw(st.sampled_from([3, 7, 31]), label="k")),
-            "--format", data.draw(st.sampled_from(["csv", "csv,pgm", "csv,json,pgm"]), label="f")]
-        out, interval = tmp_path_factory.mktemp("workers"), sys.getswitchinterval()
-        with pytest.MonkeyPatch.context() as mp:
-            try:
-                sys.setswitchinterval(1e-5)
-                for workers in (1, 2):
-                    mp.setattr(upsamplers, "_worker_count", lambda w=workers: w)
-                    assert main(argv + ["--out-dir", str(out / str(workers))]) == 0
-            finally:
-                sys.setswitchinterval(interval)
-        files = sorted(path.name for path in (out / "1").iterdir())
-        assert sorted(path.name for path in (out / "2").iterdir()) == files
-        for name in files:
-            if name.endswith(".json"):  # carries a timestamp; its rows must agree
-                assert (json.loads((out / "2" / name).read_text())["metrics"] ==
-                        json.loads((out / "1" / name).read_text())["metrics"])
-            else:
-                assert (out / "2" / name).read_bytes() == (out / "1" / name).read_bytes()
-
-    def test_nested_stripes_use_one_worker_thread(self, tmp_path):
-        # both row blocks place by FFT on 2^18 output samples, each of which
-        # would run its phases in two stripes; inside a block they run on its
-        # thread, as the row call holds the worker's lock, so the caller and
-        # the worker run every transform, and the bytes are those of one worker
-        argv = ["compare", "--seed", "1", "--n", "131072", "--kernel-size", "161",
-                "--ops", "transposed_conv,lctc", "--format", "csv,pgm"]
-        irfft, ran_on, caller = np.fft.irfft, set(), threading.current_thread()
-        before = threads_besides_workers()
-
-        def spy(*args, **kwargs):
-            ran_on.add(threading.current_thread())
-            return irfft(*args, **kwargs)
+        def on_caller(transform):
+            def spy(*args, **kwargs):
+                ran_on.add(threading.current_thread())
+                return transform(*args, **kwargs)
+            return spy
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.fft, "irfft", spy)
-            for workers in (2, 1):
-                ran_on.clear()
-                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                assert main([*argv, "--out-dir", str(tmp_path / str(workers))]) == 0
-                assert ran_on == ({caller, upsamplers._WORKER.thread} if workers == 2
-                                  else {caller})
-        assert threads_besides_workers() == before
-        assert_workers_idle()
-        for name in ("alias_metrics.csv", "spectrum_transposed_conv.pgm", "spectrum_lctc.pgm"):
-            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
-
-    @pytest.mark.parametrize("first, code", [(NonRealResultError, 3), (cli.UsageError, 1)])
-    def test_lowest_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys,
-                                                     first, code):
-        # each operator is a block of its own at 2^15 samples a row; the first
-        # block fails late on the worker, the second at once on the caller,
-        # after the reference
-        second = cli.UsageError if first is NonRealResultError else NonRealResultError
-        apply_operator = cli.apply_operator
-
-        def failing(name, x, args):
-            if name == "linear":
-                time.sleep(0.01)
-                raise first("first block")
-            if name == "nearest":
-                raise second("second block")
-            return apply_operator(name, x, args)
-
-        monkeypatch.setattr(cli, "apply_operator", failing)
-        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
-        for _ in range(3):
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                mp.setattr(np.fft, name, on_caller(getattr(np.fft, name)))
             assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
-                         "--ops", "linear,nearest,fourier_pad"]) == code
-            assert "first block" in capsys.readouterr().err
+                         "--ops", FIVE_UNFITTED]) == 0
+            for boundary in upsamplers.BOUNDARY_MODES:
+                upsamplers.transposed_conv2(image, kernel, boundary)
+            for mode in ("complex", "magnitude"):
+                error_spectrum(pred, gt, mode=mode)
+        assert ran_on == {caller}
+        assert threading.enumerate() == before
 
-    @staticmethod
-    def _main_in_time(argv, workers) -> int:
-        """main(argv) on ``workers`` CPUs, run on a thread joined with a
-        timeout, so a stripe that hangs fails the test."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: workers)
-            return in_time(lambda: main(argv))
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failed_reference_stops_every_block(self, tmp_path, monkeypatch, capsys, workers):
-        # the reference is job 0, on the caller; it fails after the worker's
-        # blocks have started, which then stop where they read it, unwritten;
-        # three CPUs run the same two stripes as two
+    def test_failed_reference_sets_the_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the reference is computed before any block, so no strip is written
         def failing(x, r):
-            time.sleep(0.01)
             raise NonRealResultError("no reference")
 
         monkeypatch.setattr(cli, "fourier_pad_upsample", failing)
         out = tmp_path / "out"
-        assert self._main_in_time(["compare", "--out-dir", str(out), "--seed", "1", "--n",
-                                   "16384", "--ops", FIVE_UNFITTED], workers) == 3
+        assert main(["compare", "--out-dir", str(out), "--seed", "1", "--n", "16384",
+                     "--ops", FIVE_UNFITTED]) == 3
         assert capsys.readouterr().err.splitlines() == ["error: numeric: no reference"]
-        assert not list(out.glob("*.pgm"))
+        assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failing_block_beside_the_reference_sets_the_exit_code(self, tmp_path, monkeypatch,
-                                                                   capsys, workers):
-        # three CPUs run the same two stripes as two
+    def test_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys):
         apply_operator = cli.apply_operator
 
         def failing(name, x, args):
@@ -401,9 +299,85 @@ class TestRowWorkers:
             return apply_operator(name, x, args)
 
         monkeypatch.setattr(cli, "apply_operator", failing)
-        assert self._main_in_time(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n",
-                                   "16384", "--ops", FIVE_UNFITTED], workers) == 2
+        assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
+                     "--ops", FIVE_UNFITTED]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: io: nearest block"]
+
+    @pytest.mark.parametrize("argv", [
+        # the paper-compare and long-signal benchmark shapes
+        ["compare", "--n", "128", "--kernel-size", "31", "--parallel-small", "3"],
+        ["compare", "--n", "16384", "--ops", FIVE_UNFITTED],
+        # two blocks of 4 + 3 rows: r*N = 4,095 at r = 3 and 4,096 at r = 2
+        ["compare", "--n", "1365", "--factor", "3"],
+        ["compare", "--n", "2048"],
+        # one block: a single row, or four rows stacked
+        ["analyze", "--n", "16384", "--op", "pixel_shuffle"],
+        ["compare", "--n", "16384", "--ops", "linear"],
+        ["compare", "--n", "2048", "--ops", "bed_of_nails,nearest,linear,fourier_pad"],
+    ])
+    def test_bytes_equal_across_block_sizes(self, tmp_path, argv):
+        # one row a block, the default blocks, and every row in one block
+        # write the same files
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for samples in (1, cli.ROW_BLOCK_SAMPLES, 1 << 40):
+                mp.setattr(cli, "ROW_BLOCK_SAMPLES", samples)
+                out[samples] = tmp_path / str(samples)
+                assert main([*argv, "--out-dir", str(out[samples]), "--seed", "1"]) == 0
+        files = sorted(path.name for path in out[1].iterdir())
+        for samples in (cli.ROW_BLOCK_SAMPLES, 1 << 40):
+            assert sorted(path.name for path in out[samples].iterdir()) == files
+            for name in files:
+                if name.endswith(".json"):  # carries a timestamp; its rows must agree
+                    assert (json.loads((out[samples] / name).read_text())["metrics"] ==
+                            json.loads((out[1] / name).read_text())["metrics"])
+                else:
+                    assert (out[samples] / name).read_bytes() == (out[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("error, code, kind", [(NonRealResultError, 3, "numeric"),
+                                                   (cli.UsageError, 1, "usage"),
+                                                   (cli.DataError, 2, "io")])
+    @pytest.mark.parametrize("op", ["bed_of_nails", "nearest", "linear", "pixel_shuffle"])
+    def test_any_failing_block_writes_no_table(self, tmp_path, monkeypatch, capsys, op, error,
+                                               code, kind):
+        # each operator is a block of its own at 2^15 samples a row; whichever
+        # fails, its error sets the exit code and prints one line, and neither
+        # the CSV table nor the JSON summary is written
+        apply_operator = cli.apply_operator
+
+        def failing(name, x, args):
+            if name == op:
+                raise error(f"{op} block")
+            return apply_operator(name, x, args)
+
+        monkeypatch.setattr(cli, "apply_operator", failing)
+        assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
+                     "--ops", FIVE_UNFITTED]) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {kind}: {op} block"]
+        assert not (tmp_path / "alias_metrics.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("first, code", [(NonRealResultError, 3), (cli.UsageError, 1)])
+    def test_lowest_failing_block_sets_the_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                     first, code):
+        # the blocks run in order, so the first failing one stops the run and
+        # the next, which would fail another way, is never applied
+        second = cli.UsageError if first is NonRealResultError else NonRealResultError
+        apply_operator, applied = cli.apply_operator, []
+
+        def failing(name, x, args):
+            applied.append(name)
+            if name == "linear":
+                raise first("first block")
+            if name == "nearest":
+                raise second("second block")
+            return apply_operator(name, x, args)
+
+        monkeypatch.setattr(cli, "apply_operator", failing)
+        assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16384",
+                     "--ops", "linear,nearest,fourier_pad"]) == code
+        assert "first block" in capsys.readouterr().err
+        assert applied == ["linear"]
 
 
 class TestContribution:
@@ -685,6 +659,16 @@ class TestExitCodes:
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
                      *argv]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
+
+    @pytest.mark.parametrize("formats", [[], ["--format", "json,pgm"]],
+                             ids=["default", "json-pgm"])
+    def test_allocation_failure_leaves_no_file(self, tmp_path, formats):
+        # the CSV rows are built before the file is opened, and the strip
+        # before the JSON is written
+        out = tmp_path / "out"
+        assert main(["contribution", "--out-dir", str(out), "--kernel-size", "3", "--stride",
+                     "2", "--out-len", "281474976710656", *formats]) == 1
+        assert not list(out.iterdir())
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
         # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,

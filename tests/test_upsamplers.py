@@ -1,10 +1,4 @@
 import itertools
-import os
-import signal
-import sys
-import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    assert_workers_idle,
     brute_dft,
     dirichlet_matrix,
     literal_bed_of_nails,
@@ -23,18 +16,14 @@ from helpers import (
     literal_nearest,
     literal_transposed_conv,
     literal_transposed_conv2,
-    handoff_spy,
-    in_time,
     operator_matrix,
     random_bandlimited,
-    threads_besides_workers,
 )
 from upspec import (
     KernelSpec,
     NonRealResultError,
     bed_of_nails,
     dft,
-    error_spectrum,
     fourier_pad_upsample,
     linear,
     nearest,
@@ -44,7 +33,6 @@ from upspec import (
     transposed_conv2,
     upsamplers,
 )
-from upspec import alias_analysis, cli
 from upspec.cli import main as cli_main
 
 
@@ -525,319 +513,79 @@ class TestFftPlacement:
                                    literal_transposed_conv2(x, kernel, boundary),
                                    rtol=0, atol=1e-12 * 2e307 * np.abs(kernel.weights).sum())
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), ndim=st.sampled_from([1, 2]), exponent=st.integers(-300, 300),
-           boundary=st.sampled_from(["periodic", "zero-pad"]))
-    def test_bitwise_equal_across_worker_counts(self, data, ndim, exponent, boundary):
-        # each output sample is computed by one job in the same way on any
-        # thread; the size rule is lifted so that small draws run on the worker
-        x, kernel, _ = data.draw(placement_cases(ndim=ndim, min_stride=2))
-        x = x / np.abs(x).max() * 10.0 ** exponent
-        outputs = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_THREAD_MIN_SAMPLES", 0)
-            for workers in (1, 2):
-                mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                outputs.append(_place_by_fft(x, kernel, boundary))
-        for out in outputs[1:]:
-            np.testing.assert_array_equal(out, outputs[0])
-
-    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
-    @pytest.mark.parametrize("shape, ksize, strides", [((256, 256, 3), (11, 11), (2, 2)),
-                                                       ((1, 131072, 1), (1, 161), (1, 2))])
-    def test_threaded_sizes_bitwise_equal_across_worker_counts(self, shape, ksize, strides,
-                                                               boundary):
-        # above the size rule, where the caller's and the worker's transforms
-        # overlap in time, the interpreter switching threads often
-        rng = np.random.default_rng(22)
-        x, w = rng.normal(size=shape), rng.normal(size=ksize)
-        outputs, interval = [], sys.getswitchinterval()
-        with pytest.MonkeyPatch.context() as mp:
-            try:
-                sys.setswitchinterval(1e-5)
-                for workers in (1, 2):
-                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                    outputs.append(upsamplers._place_fft(x, w, strides, boundary))
-            finally:
-                sys.setswitchinterval(interval)
-        for out in outputs[1:]:
-            np.testing.assert_array_equal(out, outputs[0])
-
-    @pytest.mark.parametrize("on_worker", [False, True], ids=["second-call", "worker-call"])
-    def test_worker_error_reaches_the_caller(self, on_worker):
-        # 256 x 256 at stride 2 writes 2^18 samples, so the phases run on the
-        # caller and the worker; irfft fails on its second call, or on every
-        # worker call
+    def test_transform_error_reaches_the_caller(self):
+        # 256 x 256 at stride 2 places by FFT; irfft fails on its second call
         rng = np.random.default_rng(21)
         image, kernel = rng.normal(size=(256, 256)), KernelSpec(rng.normal(size=(11, 11)), 2)
-        irfft, counter, caller = np.fft.irfft, itertools.count(1), threading.current_thread()
-        failed_on = []
+        irfft, calls = np.fft.irfft, itertools.count(1)
 
         def failing_irfft(*args, **kwargs):
-            thread = threading.current_thread()
-            if (thread is not caller) if on_worker else (next(counter) == 2):
-                failed_on.append(thread)
+            if next(calls) == 2:
                 raise RuntimeError("irfft failed")
             return irfft(*args, **kwargs)
 
-        before = threads_besides_workers()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: 2)
             mp.setattr(np.fft, "irfft", failing_irfft)
             with pytest.raises(RuntimeError, match="irfft failed"):
                 transposed_conv2(image, kernel)
-        assert threads_besides_workers() == before
-        assert_workers_idle()
-        assert failed_on and (not on_worker or caller not in failed_on)
+        assert next(calls) == 3
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    @pytest.mark.parametrize("shape, ksize, stride", [((256, 256, 3), (11, 11), 2),
+                                                      ((131072,), (161,), 2),
+                                                      ((300, 200, 2), (13, 13), 3)])
+    def test_large_placements_equal_literal_placement(self, shape, ksize, stride, boundary):
+        # the benchmark's image placement, a long 1D signal and a tall input,
+        # which is placed turned
+        rng = np.random.default_rng(22)
+        x, kernel = rng.normal(size=shape), KernelSpec(rng.normal(size=ksize), stride)
+        literal = literal_transposed_conv if len(shape) == 1 else literal_transposed_conv2
+        np.testing.assert_allclose(_place_by_fft(x, kernel, boundary),
+                                   literal(x, kernel, boundary),
+                                   rtol=0, atol=1e-12 * np.abs(x).max()
+                                   * np.abs(kernel.weights).sum())
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
+    @pytest.mark.parametrize("phase", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_every_phase_keeps_the_callers_error_state(self, phase, boundary):
+        # a 3 x 3 kernel at stride 2 puts tap 1 in phase 0 and taps 0, 2 in
+        # phase 1 of each axis; the taps of one output phase are 4 and the
+        # rest 1e-3, so that phase alone overflows when scaled back on write:
+        # FloatingPointError under np.errstate(over="raise"), inf otherwise
+        taps = [np.array([1]), np.array([0, 2])]
+        w = np.full((3, 3), 1e-3)
+        w[np.ix_(taps[phase[0]], taps[phase[1]])] = 4.0
+        x, kernel = np.full((8, 8, 2), 1e308), KernelSpec(w, 2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _place_by_fft(x, kernel, boundary)
+        with np.errstate(over="ignore"):
+            got = _place_by_fft(x, kernel, boundary)
+        for pa, pb in itertools.product(range(2), range(2)):
+            assert (np.isinf(got[pa::2, pb::2]).all() if (pa, pb) == phase
+                    else np.isfinite(got[pa::2, pb::2]).all())
 
     @pytest.mark.parametrize("low, high", [(0, 1), (1, 2), (2, 3), (1, 4), (0, 7)])
-    def test_lowest_failing_job_wins_whatever_the_timing(self, low, high):
-        # the lower index fails late and the higher one at once, on the other
-        # stripe when there are two; the error raised is the one a loop over
-        # the jobs meets first, no thread but the worker is left, and it is
-        # idle
-        def job(i):
-            if i == low:
-                time.sleep(0.005)
+    def test_first_failing_transform_wins(self, low, high):
+        # 4 phases x 2 channels make 8 inverse transforms, in order; the
+        # lower call fails with one error and the higher with another: the
+        # lower one's is raised and no transform runs after it
+        rng = np.random.default_rng(21)
+        x, kernel = rng.normal(size=(16, 16, 2)), KernelSpec(rng.normal(size=(3, 3)), 2)
+        irfft, calls = np.fft.irfft, []
+
+        def failing_irfft(*args, **kwargs):
+            calls.append(len(calls))
+            if calls[-1] == low:
                 raise KeyError("low")
-            if i == high:
+            if calls[-1] == high:
                 raise ZeroDivisionError("high")
-
-        before, interval = threads_besides_workers(), sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with pytest.MonkeyPatch.context() as mp:
-                for workers in (1, 2):
-                    mp.setattr(upsamplers, "_worker_count", lambda n=workers: n)
-                    with pytest.raises(KeyError, match="low"):
-                        upsamplers._in_stripes(job, 8, True)
-                    assert threads_besides_workers() == before
-                    assert_workers_idle()
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_nested_calls_run_on_their_thread(self):
-        # a call inside either stripe of a two-stripe call runs its jobs on
-        # the thread that made it, as the outer call holds the worker's lock;
-        # inside a one-stripe call it may hand a stripe to the worker; after
-        # an error the caller hands it one again; an unthreaded call hands none
-        def inner(i):
-            pass
-
-        def outer(i):
-            ran_on = []
-            upsamplers._in_stripes(lambda j: ran_on.append(threading.current_thread()), 4,
-                                   True)
-            assert ran_on == [threading.current_thread()] * 4
-
-        def failing(i):
-            upsamplers._in_stripes(inner, 4, True)
-            raise KeyError("outer")
-
-        for workers in (1, 2):
-            with pytest.MonkeyPatch.context() as mp:
-                handed = handoff_spy(mp)
-                mp.setattr(upsamplers, "_worker_count", lambda: workers)
-                upsamplers._in_stripes(outer, 4, True)
-                assert len(handed) == workers - 1
-                upsamplers._in_stripes(lambda i: upsamplers._in_stripes(inner, 4, True), 1,
-                                       True)
-                assert len(handed) == 2 * (workers - 1)
-                with pytest.raises(KeyError, match="outer"):
-                    upsamplers._in_stripes(failing, 4, True)
-                assert len(handed) == 3 * (workers - 1)
-                upsamplers._in_stripes(inner, 4, True)
-                assert len(handed) == 4 * (workers - 1)
-                upsamplers._in_stripes(inner, 4, False)
-                assert len(handed) == 4 * (workers - 1)
-            assert_workers_idle()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_every_stripe_keeps_the_callers_error_state(self, workers):
-        # a job that overflows on any one stripe raises FloatingPointError
-        # under the caller's np.errstate(over="raise"), whichever thread runs
-        # it; three CPUs run the same two stripes as two
-        big, m = np.array([1e308]), min(workers, 2)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: workers)
-            for stripe in range(m):
-                def job(i, stripe=stripe):
-                    if i % m == stripe:
-                        big * 10.0
-
-                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                    upsamplers._in_stripes(job, 6, True)
-                with np.errstate(over="ignore"):
-                    upsamplers._in_stripes(job, 6, True)
-
-    def test_only_upsamplers_reads_the_cpu_count(self):
-        # the callers pass their size verdict; the stripe count is chosen in one place
-        assert not hasattr(cli, "_worker_count") and not hasattr(alias_analysis, "_worker_count")
-
-
-class TestWorkers:
-    """``_in_stripes`` runs stripe 0 on the caller and hands stripe 1 to one
-    long-lived daemon worker: started once, reused after a stripe raises,
-    forgotten in a forked child, and never waited for by a second caller,
-    which runs its stripes itself, as does a caller whose worker cannot
-    start. Each call runs under a timeout, so a hand-off that hangs fails
-    the test."""
-
-    @staticmethod
-    def _placement():
-        # 256 x 256 x 3 by 11 x 11 at stride 2 places by FFT and writes
-        # 3 * 2^18 samples, so its phases run in two stripes
-        rng = np.random.default_rng(26)
-        return rng.normal(size=(256, 256, 3)), KernelSpec(rng.normal(size=(11, 11)), 2)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
-    def test_forked_child_places_on_its_own_worker(self, monkeypatch):
-        image, kernel = self._placement()
-        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
-        expected = in_time(lambda: transposed_conv2(image, kernel)).tobytes()
-        assert upsamplers._WORKER
-        with warnings.catch_warnings():
-            if sys.version_info >= (3, 12):  # the worker makes this process multi-threaded
-                warnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:  # the child leaves only by os._exit: 0 if it placed the same bytes
-            code = 1
-            try:
-                if upsamplers._WORKER is None:
-                    code = 0 if transposed_conv2(image, kernel).tobytes() == expected else 2
-                    code = code if upsamplers._WORKER else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if waited[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's placement did not return within 60 s")
-        assert os.waitstatus_to_exitcode(waited[1]) == 0
-
-    def test_callers_at_once_get_the_one_worker_bytes(self):
-        # three callers on two CPUs place and take an error spectrum, three
-        # times each, the interpreter switching threads often; whichever
-        # holds the worker, the others run their stripes themselves
-        image, kernel = self._placement()
-        pred, gt = np.random.default_rng(27).normal(size=(2, 512, 512, 3))
-
-        def both():
-            return (transposed_conv2(image, kernel).tobytes(),
-                    error_spectrum(pred, gt).tobytes())
-
-        results, start = [], threading.Barrier(3, timeout=60)
-
-        def caller():
-            start.wait()
-            results.extend(both() for _ in range(3))
-
-        interval = sys.getswitchinterval()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: 1)
-            expected = in_time(both)
-            mp.setattr(upsamplers, "_worker_count", lambda: 2)
-            callers = [threading.Thread(target=caller, daemon=True) for _ in range(3)]
-            try:
-                sys.setswitchinterval(1e-5)
-                for thread in callers:
-                    thread.start()
-                for thread in callers:
-                    thread.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        assert results == [expected] * 9
-        assert_workers_idle()
-
-    def test_call_that_finds_the_workers_held_runs_its_stripes_itself(self):
-        image, kernel = self._placement()
-        with pytest.MonkeyPatch.context() as mp:
-            handed = handoff_spy(mp)
-            expected = in_time(lambda: transposed_conv2(image, kernel))
-            assert len(handed) == 1
-            with upsamplers._WORKER_LOCK:
-                got = in_time(lambda: transposed_conv2(image, kernel))
-            assert len(handed) == 1
-        np.testing.assert_array_equal(got, expected)
-        assert_workers_idle()
-
-    def test_worker_is_reused_after_a_stripe_raises(self, monkeypatch):
-        # job 1 is stripe 1's, on the worker; it fails in the first call only
-        ran_on = []
-
-        def job(i):
-            if i == 1:
-                ran_on.append(threading.current_thread())
-                if len(ran_on) == 1:
-                    raise KeyError("first call")
-
-        def calls():
-            with pytest.raises(KeyError, match="first call"):
-                upsamplers._in_stripes(job, 2, True)
-            upsamplers._in_stripes(job, 2, True)
-
-        monkeypatch.setattr(upsamplers, "_worker_count", lambda: 2)
-        in_time(calls)
-        first, second = ran_on
-        assert first is second is upsamplers._WORKER.thread and first.is_alive()
-        assert_workers_idle()
-
-    @settings(max_examples=60, deadline=None)
-    @given(workers=st.integers(1, 2), n=st.integers(1, 8), threaded=st.booleans())
-    def test_one_worker_started_once_and_reused(self, workers, n, threaded):
-        # the first call that hands a stripe starts the worker and every later
-        # call reuses it, so no call starts a thread once it exists; stripe 0
-        # runs on the caller and stripe 1, the odd jobs, on the worker
-        m = 2 if threaded and n > 1 and workers > 1 else 1
-        worker, before, ran_on = upsamplers._WORKER, set(threading.enumerate()), [None] * n
-
-        def call():
-            upsamplers._in_stripes(lambda i: ran_on.__setitem__(i, threading.current_thread()),
-                                   n, threaded)
-            return threading.current_thread()
+            return irfft(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: workers)
-            caller = in_time(call)
-        now = upsamplers._WORKER
-        assert now is worker or (worker is None and m == 2)
-        assert set(threading.enumerate()) - before == ({now.thread} if now is not worker
-                                                       else set())
-        assert ran_on == [now.thread if i % m else caller for i in range(n)]
-        assert_workers_idle()
-
-    def test_worker_that_cannot_start_leaves_every_stripe_to_the_caller(self, tmp_path):
-        # at the process's thread limit Thread.start raises RuntimeError: a
-        # placement and a compare of five row blocks then run on the caller
-        # alone, with the one-worker bytes, and leave the lock free
-        image, kernel = self._placement()
-        argv = ["compare", "--seed", "1", "--n", "16384", "--format", "csv,pgm",
-                "--ops", "bed_of_nails,nearest,linear,pixel_shuffle,fourier_pad"]
-
-        def run(out):
-            assert cli_main([*argv, "--out-dir", str(out)]) == 0
-            return (transposed_conv2(image, kernel).tobytes(),
-                    {path.name: path.read_bytes() for path in out.iterdir()})
-
-        def start(thread):
-            raise RuntimeError("can't start new thread")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upsamplers, "_worker_count", lambda: 1)
-            expected = run(tmp_path / "one")
-            mp.setattr(upsamplers, "_worker_count", lambda: 2)
-            mp.setattr(upsamplers, "_WORKER", None)
-            mp.setattr(threading.Thread, "start", start)
-            assert run(tmp_path / "none") == expected
-            assert upsamplers._WORKER is None
-            assert upsamplers._WORKER_LOCK.acquire(blocking=False)
-            upsamplers._WORKER_LOCK.release()
-        assert_workers_idle()
+            mp.setattr(np.fft, "irfft", failing_irfft)
+            with pytest.raises(KeyError, match="low"):
+                _place_by_fft(x, kernel, "periodic")
+        assert calls == list(range(low + 1))
 
 
 class TestPlacementRule:
@@ -884,26 +632,19 @@ class TestPlacementRule:
     def test_threshold(self):
         # at stride 2 the fullest phase has ceil(K/2) taps a side; each
         # FFT_MIN_TAPS step switches to FFT at its count and stays direct one
-        # tap below it, and 1023 samples stay direct; an FFT placement that
-        # writes fewer than 2^18 samples hands no stripe to a worker, and from
-        # 2^18 on one of its two stripes of phases runs on a worker thread
+        # tap below it, and 1023 samples stay direct
         fft = [((32, 32), (9, 9)), ((1023, 2), (9, 9)), ((1024,), 65), ((4095,), 65),
                ((4096,), 95), ((16383,), 95), ((16384,), 159), ((131071,), 161),
-               ((255, 256), (11, 11))]
+               ((131072,), 161), ((255, 256), (11, 11)), ((256, 256), (11, 11))]
         direct = [((32, 32), (8, 11)), ((31, 33), (9, 9)), ((1024, 2), (9, 9)),
                   ((1024,), 63), ((1023,), 65), ((4096,), 93), ((16384,), 157)]
-        threaded = [((131072,), 161), ((256, 256), (11, 11))]
         rng = np.random.default_rng(12)
         with pytest.MonkeyPatch.context() as mp:
-            calls, handed = self._spy(mp), handoff_spy(mp)
-            for cases, handoffs in ((fft + direct, 0), (threaded, len(threaded))):
-                for shape, k in cases:
-                    op = transposed_conv if len(shape) == 1 else transposed_conv2
-                    op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
-                assert len(handed) == handoffs
-        assert_workers_idle()
-        assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1)
-                         for shape, _ in fft + threaded]
+            calls = self._spy(mp)
+            for shape, k in fft + direct:
+                op = transposed_conv if len(shape) == 1 else transposed_conv2
+                op(rng.normal(size=shape), KernelSpec(rng.normal(size=k), 2))
+        assert calls == [(1, *shape, 1) if len(shape) == 1 else (*shape, 1) for shape, _ in fft]
 
     @settings(max_examples=200, deadline=None)
     @given(ka=st.integers(1, 12), kb=st.integers(1, 12), sa=st.integers(1, 8),
@@ -917,15 +658,6 @@ class TestPlacementRule:
         for strides in ((sa, sb), (1, sb)):
             assert upsamplers._fullest_phase_taps(w, strides) == \
                 literal_fullest_phase_taps(w, strides)
-
-    def test_workers_are_capped_at_the_measured_count(self):
-        # the size rule and the peak-RSS figures hold for two workers; a host
-        # with more CPUs must not start one buffer pair and thread per CPU
-        with pytest.MonkeyPatch.context() as mp:
-            for cpus, workers in ((1, 1), (2, 2), (64, 2)):
-                mp.setattr(upsamplers.os, "sched_getaffinity", lambda _, n=cpus: set(range(n)),
-                           raising=False)
-                assert upsamplers._worker_count() == workers
 
 
 #: Scale factors c = 2^k, by which every operator commutes exactly.
