@@ -7,8 +7,10 @@ Run from the repository root, on the tree whose bytes are to be pinned:
 Every config runs in process through ``upspec.cli.main`` into its own
 directory under one temporary root; ``{root}`` in an argv names that root,
 so a config can read what an earlier one wrote. For each file but the JSON
-summaries (they carry timestamps) the manifest keeps its size and sha256,
-and for a CSV its header and row count. The numpy version and the machine
+summaries the manifest keeps its size and sha256, and for a CSV its header
+and row count. A JSON summary is hashed alone, without its timestamp and
+versions, and without its config and config hash too when the argv names
+``{root}`` (they hold the temporary path). The numpy version and the machine
 are kept beside them: the sha256 values are pinned there only.
 ``tests/test_golden.py`` reruns the configs against the manifest; the diff
 of this file after a rerun lists the files whose bytes moved.
@@ -138,12 +140,19 @@ def run_config(name: str, argv, root: Path) -> Path:
     return out
 
 
-def describe(directory: Path) -> dict:
-    """Size and sha256 of each file but the JSON, and a CSV's header and
-    row count, keyed by file name."""
+def describe(directory: Path, argv) -> dict:
+    """Size and sha256 of each file, and a CSV's header and row count, keyed
+    by file name; a JSON file has the sha256 of its fields that do not vary
+    from run to run for the config ``argv`` alone."""
+    dropped = {"generated_at", "versions"}
+    if any("{root}" in arg for arg in argv):
+        dropped |= {"config", "config_hash"}
     files = {}
     for path in sorted(directory.iterdir()):
         if path.suffix == ".json":
+            body = {k: v for k, v in json.loads(path.read_text()).items() if k not in dropped}
+            data = json.dumps(body, sort_keys=True, indent=2).encode()
+            files[path.name] = {"sha256": hashlib.sha256(data).hexdigest()}
             continue
         data = path.read_bytes()
         entry = {"size": len(data), "sha256": hashlib.sha256(data).hexdigest()}
@@ -159,7 +168,7 @@ def record(root: Path) -> dict:
     for name, text in CONFIGS:
         argv = text.split()
         configs.append({"name": name, "argv": argv,
-                        "files": describe(run_config(name, argv, root))})
+                        "files": describe(run_config(name, argv, root), argv)})
     return {"numpy": np.__version__, "machine": platform.machine(), "configs": configs}
 
 

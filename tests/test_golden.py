@@ -2,7 +2,7 @@
 
 On the numpy version and machine the manifest was recorded on, every file's
 sha256 must match; anywhere else the test compares file names, sizes, CSV
-headers and row counts. The test id names the mode that ran. After an
+headers and row counts, and a JSON summary by its name alone. The test id names the mode that ran. After an
 intended byte change, rerun ``tests/golden/regenerate.py`` and list the
 manifest diff in CHANGES.md.
 """
@@ -28,7 +28,7 @@ def _portable(files: dict) -> dict:
 def test_every_config_writes_the_recorded_files(exact, tmp_path):
     moved = []
     for config in RECORDED["configs"]:
-        files = describe(run_config(config["name"], config["argv"], tmp_path))
+        files = describe(run_config(config["name"], config["argv"], tmp_path), config["argv"])
         expected = config["files"]
         if not exact:
             files, expected = _portable(files), _portable(expected)
