@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import NonRealResultError, _dft, _image, _integer, _log_map, as_image, as_signal
+from .signal_core import NonRealResultError, _image, _integer, _log_map, _rdft, as_image, as_signal
 from .upsamplers import KernelSpec, _phases, bed_of_nails, linear, nearest, validate_factor
 
 #: The interpolation filters by name, each the operator that realizes it.
@@ -65,7 +65,7 @@ class ContributionMap:
 def alias_energy(y, r: int, reference=None) -> AliasReport:
     """Split the spectrum of an upsampled signal into band energies.
 
-    ``y`` must have length r*N. One transform of y gives the band
+    ``y`` must have length r*N. One real transform of y gives the band
     energies, the centered magnitude carried by the report and, if
     ``reference`` (the low-rate input) is given, its replica deviation. A
     transform that overflows raises :class:`NonRealResultError`.
@@ -74,24 +74,37 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     r = validate_factor(r)
     if y.size % r != 0:
         raise ValueError(f"length {y.size} is not divisible by r={r}")
-    (report,) = _alias_reports(y[np.newaxis], r, None if reference is None else _dft(reference))
+    low_rate = None if reference is None else _rdft(_reference(reference, y.size, r))
+    (report,) = _alias_reports(y[np.newaxis], r, low_rate)
     return report
+
+
+def _reference(x, m: int, r: int) -> np.ndarray:
+    """``x`` as a signal, which must have m / r samples."""
+    x = as_signal(x)
+    if m != r * x.size:
+        raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {m}")
+    return x
 
 
 def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[AliasReport]:
     """:func:`alias_energy` of each row of a finite (R, r*N) stack, whose rows
-    share ``low_rate``, the DFT of the reference; one row's overflow fails all.
-    The replica gaps are taken in place in the spectra and their magnitudes in
-    ``power``, so at r = 2 the arrays peak at 4.5 times the stack's size."""
+    share ``low_rate``, the half spectrum of the reference; one row's overflow
+    fails all. Each row's half spectrum gives the centred columns from DC on,
+    and their reversed copy the columns below DC, so the magnitude is exactly
+    symmetric about DC. The replica gaps are taken in place in the half
+    spectra and their magnitudes in ``power``, so at r = 2 the arrays peak at
+    3.5 times the stack's size."""
     m = ys.shape[1]
     n = m // r
     h, q = m // 2, n // 2
+    even = 1 - m % 2
     magnitudes = np.empty(ys.shape)
-    spectra = ys.astype(complex)
+    spectra = _rdft(ys)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        np.fft.fft(spectra, axis=1, out=spectra)
         np.abs(spectra[:, :m - h], out=magnitudes[:, h:])
-        np.abs(spectra[:, m - h:], out=magnitudes[:, :h])
+        np.abs(spectra[:, m - h:], out=magnitudes[:, :even])  # bin h = -h of an even m
+    magnitudes[:, even:h] = magnitudes[:, :h:-1]
     peaks = magnitudes.max(axis=1)
     if not np.all(np.isfinite(peaks)):
         raise NonRealResultError("transform of y overflowed: its spectrum is not finite")
@@ -113,7 +126,7 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     with np.errstate(over="ignore"):  # an energy outside the float range reads inf
         energies = [(s * peaks * peaks).tolist() for s in (s_pass, s_alias, s_nyq)]
     deviations = ([None] * len(ys) if low_rate is None
-                  else _replica_gaps(low_rate, spectra, r, out=power).tolist())
+                  else _replica_gaps(low_rate, spectra, n, out=power[:, :h + 1]).tolist())
     return [AliasReport(*fields, magnitude=magnitude)
             for *fields, magnitude in zip(*energies, ratios.tolist(), deviations, magnitudes)]
 
@@ -124,21 +137,28 @@ def replica_deviation(x, y, r: int) -> float:
     max_k |DFT(y)[k] - DFT(x)[k mod N]|; zero exactly when y is the
     zero-inserted upsampling of x.
     """
-    return float(_replica_gaps(_dft(x), _dft(y), validate_factor(r)))
+    y = as_signal(y)
+    r = validate_factor(r)
+    return float(_replica_gaps(_rdft(_reference(x, y.size, r)), _rdft(y), y.size // r))
 
 
-def _replica_gaps(fx: np.ndarray, fy: np.ndarray, r: int, out=None) -> np.ndarray:
-    """``replica_deviation`` of each unshifted DFT of y along the last axis
-    of ``fy``; an overflow on the way raises :class:`NonRealResultError`.
-    The differences overwrite ``fy`` and their magnitudes ``out``, a float
-    array of fy's shape, or a new one if None."""
-    if fy.shape[-1] != r * fx.size:
-        raise ValueError(f"expected len(y) = r*len(x) = {r * fx.size}, got {fy.shape[-1]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # bins mN + k of y against bin k of x
-        diffs = fy.reshape(*fy.shape[:-1], r, fx.size)
-        diffs -= fx
-        magnitudes = None if out is None else out.reshape(diffs.shape)
-        gaps = np.abs(diffs, out=magnitudes).max(axis=(-2, -1))
+def _replica_gaps(fx: np.ndarray, fy: np.ndarray, n: int, out=None) -> np.ndarray:
+    """``replica_deviation`` of each half spectrum of y along the last axis of
+    ``fy`` against ``fx``, that of the n samples of x; an overflow on the way
+    raises :class:`NonRealResultError`. Both signals are real, so bins k and
+    -k differ by the same amount and bins 0..rN/2 of y suffice; bin k > N/2
+    of x is read as the conjugate of bin N - k, in place through the real and
+    imaginary views. The differences overwrite ``fy`` and their magnitudes
+    ``out``, a float array of fy's shape, or a new one if None."""
+    half = fx.size
+    with np.errstate(over="ignore", invalid="ignore"):  # bins jN + k of y against bin k of x
+        for start in range(0, fy.shape[-1], n):
+            low, high = np.split(fy[..., start:start + n], [half], axis=-1)
+            low -= fx[:low.shape[-1]]
+            mirror = fx[n - half:n - half - high.shape[-1]:-1]
+            high.real -= mirror.real
+            high.imag += mirror.imag
+        gaps = np.abs(fy, out=out).max(axis=-1)
     if not np.all(np.isfinite(gaps)):
         raise NonRealResultError("replica deviation overflowed: it is not finite")
     return gaps
@@ -204,9 +224,8 @@ def empirical_filter_response(method: str, r: int, n: int) -> tuple[np.ndarray, 
         raise ValueError("impulse length must be >= 4")
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    mags = np.abs(np.fft.fft(FILTER_METHODS[method](impulse, r)))
-    k = np.arange(r * n // 2 + 1)
-    return k / n, mags[: k.size]
+    mags = np.abs(_rdft(FILTER_METHODS[method](impulse, r)))
+    return np.arange(mags.size) / n, mags
 
 
 def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:

@@ -33,7 +33,7 @@ from .kernel_fit import (
     kernel_edge_profile,
 )
 from .netpbm import read_netpbm, write_bar_strip, write_netpbm
-from .signal_core import NonRealResultError, _dft, _log_map, log_magnitude, radial_average
+from .signal_core import NonRealResultError, _log_map, _rdft, log_magnitude, radial_average
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -250,34 +250,41 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     The ideal reference (Fourier zero-padding, and its peak-to-peak for
     PSNR) is computed first; then each block in turn applies its operators,
     scores them and writes their strips. Writes ``spectrum_<op>.pgm`` per
-    row and ``alias_metrics.csv``.
+    row and ``alias_metrics.csv``; if a block fails, the strips written so
+    far are removed before the error propagates.
     """
     x = build_signal(args)
-    low_rate = _dft(x)
+    low_rate = _rdft(x)
     size = validate_factor(args.factor) * x.size
     per_block = max(1, ROW_BLOCK_SAMPLES // size)
     ideal = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(ideal)) or 1.0
-    rows = []
-    for start in range(0, len(names), per_block):
-        block = names[start:start + per_block]
-        ys, kernels = zip(*[(ideal, None) if name == "fourier_pad"
-                            else apply_operator(name, x, args) for name in block])
-        ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
-        reports = _alias_reports(ys, args.factor, low_rate)
-        rows += [{
-            "operator": name,
-            "kernel_size": None if kernel is None else kernel.size,
-            **{field: getattr(report, field) for field in REPORT_FIELDS},
-            "contribution_variance": (None if kernel is None
-                                      else _contribution_period(kernel)[2]),
-            "psnr_vs_ideal_db": db,
-        } for name, kernel, report, db in zip(block, kernels, reports,
-                                              _psnr_rows(ys, ideal, peak).tolist())]
-        if "pgm" in formats:
-            strips = _log_map(np.stack([report.magnitude for report in reports]))
-            for name, strip in zip(block, strips):
-                write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
+    rows, written = [], []
+    try:
+        for start in range(0, len(names), per_block):
+            block = names[start:start + per_block]
+            ys, kernels = zip(*[(ideal, None) if name == "fourier_pad"
+                                else apply_operator(name, x, args) for name in block])
+            ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
+            reports = _alias_reports(ys, args.factor, low_rate)
+            rows += [{
+                "operator": name,
+                "kernel_size": None if kernel is None else kernel.size,
+                **{field: getattr(report, field) for field in REPORT_FIELDS},
+                "contribution_variance": (None if kernel is None
+                                          else _contribution_period(kernel)[2]),
+                "psnr_vs_ideal_db": db,
+            } for name, kernel, report, db in zip(block, kernels, reports,
+                                                  _psnr_rows(ys, ideal, peak).tolist())]
+            if "pgm" in formats:
+                strips = _log_map(np.stack([report.magnitude for report in reports]))
+                for name, strip in zip(block, strips):
+                    written.append(out_dir / f"spectrum_{name}.pgm")
+                    write_bar_strip(strip, written[-1])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:

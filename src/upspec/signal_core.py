@@ -136,6 +136,13 @@ def _dft(signal) -> np.ndarray:
         return np.fft.fft(values, out=values)
 
 
+def _rdft(signals: np.ndarray) -> np.ndarray:
+    """Bins 0..N//2 of the :func:`dft` of each finite real row along the last
+    axis, the rest being their conjugates; unchecked, like :func:`_dft`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(signals)
+
+
 def idft(spectrum) -> np.ndarray:
     """Inverse DFT, returning a real signal.
 
@@ -151,11 +158,11 @@ def idft(spectrum) -> np.ndarray:
     return out.real
 
 
-def _check_real(out: np.ndarray) -> np.ndarray:
+def _check_real(out: np.ndarray) -> None:
     """Raise :class:`NonRealResultError` if the inverse transform ``out``
     overflowed or has an imaginary residue beyond ``IMAG_RESIDUE_TOL`` of its
     largest magnitude. Both maxima are taken in one float scratch array of
-    ``out``'s shape, returned for the caller to reuse."""
+    ``out``'s shape."""
     scratch = np.abs(out.imag)
     residue = float(scratch.max())
     scale = float(np.abs(out, out=scratch).max())
@@ -166,7 +173,6 @@ def _check_real(out: np.ndarray) -> np.ndarray:
             f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.1e} of the "
             f"output scale {scale:.3e}; spectrum is not conjugate-symmetric"
         )
-    return scratch
 
 
 def center_shift(spectrum: Spectrum) -> Spectrum:

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import _check_real, _integer, as_image, as_signal
+from .signal_core import NonRealResultError, _integer, _rdft, as_image, as_signal
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -435,23 +435,23 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     transformed and scaled by r so the original samples are reproduced on
     the coarse grid. For even N the single Nyquist coefficient is split
     half-and-half into the +N/2 and -N/2 bins, the unique choice that
-    keeps the output real and the implied kernel symmetric; an imaginary
-    residue beyond round-off, or an overflow, raises :class:`NonRealResultError`.
-    Both transforms run in place and the output is scaled into the real
-    check's scratch array: ``r * idft(g)`` in three output sizes of memory.
+    keeps the output real and the implied kernel symmetric. Both
+    transforms are real, over half spectra: the output is real by
+    construction, and an overflow raises :class:`NonRealResultError`.
     """
     x = as_signal(x)
     r = validate_factor(r)
     n = x.size
     m = r * n
-    f = x.astype(complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_real reports an overflow
-        np.fft.fft(f, out=f)
-        g = np.zeros(m, dtype=complex)
-        g[:(n + 1) // 2] = f[:(n + 1) // 2]
-        g[m - n // 2:] = f[(n + 1) // 2:]
-        if n % 2 == 0:
-            g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
-        del f  # freed before the inverse transform
-        np.fft.ifft(g, out=g)
-    return np.multiply(g.real, r, out=_check_real(g))
+    f = _rdft(x)
+    g = np.zeros(m // 2 + 1, dtype=complex)
+    g[:f.size] = f
+    del f  # freed before the inverse transform
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if n % 2 == 0:  # the mirror bin m - n/2 holds the conjugate half
+            g[n // 2] *= 0.5
+        out = np.fft.irfft(g, m)
+        out *= r
+    if not np.isfinite(out.max()) or not np.isfinite(out.min()):
+        raise NonRealResultError("inverse transform overflowed: output is not finite")
+    return out

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from upspec import KernelSpec, fourier_pad_upsample, idft, log_magnitude, transposed_conv
+from upspec import KernelSpec, fourier_pad_upsample, log_magnitude, transposed_conv
 from upspec.signal_core import LOG_FLOOR
 
 
@@ -268,32 +268,43 @@ def literal_strip_file(values, repeat: int = 1, height: int = 48) -> bytes:
 
 def literal_alias_reports(ys, r: int, x=None) -> list[dict]:
     """The fields of ``alias_energy(y, r, reference=x)`` of each row y of
-    ``ys`` and its ``magnitude``: fftshift(|fft(y)|), band sums of the
-    unit-peak power over boolean masks of the centred bins k (passband
-    2|k| < n, Nyquist 2|k| == n, alias the rest), each band gathered by
-    np.compress, and the replica gap against fft(x) tiled r times."""
+    ``ys`` and its ``magnitude``: fftshift(|fft(y)|), its ``literal_bands``,
+    and the replica gap against fft(x) tiled r times."""
     reports = []
     for y in np.asarray(ys, dtype=float):
-        m = y.size
-        n = m // r
         magnitude = np.fft.fftshift(np.abs(np.fft.fft(y)))
-        k = np.arange(m) - m // 2
-        passband, nyquist = 2 * np.abs(k) < n, 2 * np.abs(k) == n
-        alias = ~(passband | nyquist)
-        peak = magnitude.max() or 1.0
-        power = (magnitude / peak) ** 2
-        s_pass, s_nyq, s_alias = (np.compress(band, power).sum()
-                                  for band in (passband, nyquist, alias))
-        total = s_pass + s_nyq + s_alias
-        with np.errstate(over="ignore"):
-            energies = [float(s * peak * peak) for s in (s_pass, s_alias, s_nyq)]
         reports.append({
-            **dict(zip(("passband_energy", "alias_energy", "nyquist_energy"), energies)),
-            "alias_ratio": float((s_alias + s_nyq) / total) if total > 0 else 0.0,
+            **literal_bands(magnitude, y.size // r),
             "replica_deviation": None if x is None else literal_replica_deviation(x, y, r),
             "magnitude": magnitude,
         })
     return reports
+
+
+def literal_bands(magnitude, n: int) -> dict:
+    """The band energies and alias ratio of one centred magnitude row: sums
+    of the unit-peak power over boolean masks of the centred bins k
+    (passband 2|k| < n, Nyquist 2|k| == n, alias the rest), each band
+    gathered by np.compress."""
+    m = magnitude.size
+    k = np.arange(m) - m // 2
+    passband, nyquist = 2 * np.abs(k) < n, 2 * np.abs(k) == n
+    alias = ~(passband | nyquist)
+    peak = magnitude.max() or 1.0
+    power = (magnitude / peak) ** 2
+    s_pass, s_nyq, s_alias = (np.compress(band, power).sum()
+                              for band in (passband, nyquist, alias))
+    total = s_pass + s_nyq + s_alias
+    with np.errstate(over="ignore"):
+        energies = [float(s * peak * peak) for s in (s_pass, s_alias, s_nyq)]
+    return {**dict(zip(("passband_energy", "alias_energy", "nyquist_energy"), energies)),
+            "alias_ratio": float((s_alias + s_nyq) / total) if total > 0 else 0.0}
+
+
+def mirrored_half(half, m: int) -> np.ndarray:
+    """The centred row of m bins whose bins 0..m//2 are the magnitudes
+    ``half`` and bins -1, -2, ... their mirror, built by one concatenation."""
+    return np.concatenate([half[..., m - m // 2:0:-1], half[..., :m - m // 2]], axis=-1)
 
 
 def literal_replica_deviation(x, y, r: int) -> float:
@@ -309,29 +320,32 @@ def literal_replica_deviation(x, y, r: int) -> float:
 
 
 def copying_fft_rows(ys) -> np.ndarray:
-    """``np.fft.fft`` of real rows along the last axis, cast by the transform."""
-    return np.fft.fft(np.asarray(ys, dtype=float), axis=-1)
+    """``np.fft.rfft`` of real rows along the last axis."""
+    return np.fft.rfft(np.asarray(ys, dtype=float), axis=-1)
 
 
-def copying_replica_gaps(fx, fy, r: int) -> np.ndarray:
-    """Replica gap of each spectrum row of ``fy`` through one complex difference."""
+def copying_replica_gaps(fx, fy, n: int) -> np.ndarray:
+    """Replica gap of each half spectrum row of ``fy`` against the half
+    spectrum ``fx`` of n samples, through one complex difference with the
+    full spectrum of x, conjugates appended, tiled by np.resize."""
+    full = np.concatenate([fx, np.conj(fx[1:(n + 1) // 2][::-1])])
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(fy.reshape(*fy.shape[:-1], r, fx.size) - fx).max(axis=(-2, -1))
+        return np.abs(fy - np.resize(full, fy.shape[-1])).max(axis=-1)
 
 
 def copying_fourier_pad(x, r: int) -> np.ndarray:
-    """Ideal upsampling as ``r * idft(g)`` of the padded spectrum g of fft(x)."""
+    """Ideal upsampling as ``r * irfft(g)`` of the padded half spectrum g of
+    rfft(x), its Nyquist bin halved for even n."""
     x = np.asarray(x, dtype=float)
     n = x.size
     m = r * n
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.fft.fft(x)
-        g = np.zeros(m, dtype=complex)
-        g[:(n + 1) // 2] = f[:(n + 1) // 2]
-        g[m - n // 2:] = f[(n + 1) // 2:]
+        f = np.fft.rfft(x)
+        g = np.zeros(m // 2 + 1, dtype=complex)
+        g[:f.size] = f
         if n % 2 == 0:
-            g[n // 2] = g[m - n // 2] = 0.5 * f[n // 2]
-    return r * idft(g)
+            g[n // 2] = 0.5 * f[n // 2]
+        return r * np.fft.irfft(g, m)
 
 
 def copying_log_strips(magnitudes) -> np.ndarray:

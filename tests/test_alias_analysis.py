@@ -15,15 +15,17 @@ from helpers import (
     copying_replica_gaps,
     enumerate_contributions,
     literal_alias_reports,
+    literal_bands,
     literal_error_spectrum,
     literal_mirror,
     literal_replica_deviation,
+    mirrored_half,
     random_bandlimited,
     traced_peak,
     truncated_sinc_square_replicas,
 )
 from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _psnr_rows
-from upspec.signal_core import Spectrum, _dft, _log_map, dft, idft
+from upspec.signal_core import Spectrum, _log_map, _rdft, dft, idft
 from upspec.upsamplers import _pads, _phases
 from upspec import (
     KernelSpec,
@@ -138,15 +140,30 @@ def _draw_pair(case):
             rng.normal(size=case["r"] * case["n"]) * scale)
 
 
+ENERGIES = ("passband_energy", "alias_energy", "nyquist_energy")
+
+
+def _near(value, expected, scale) -> bool:
+    """``value`` is within 1e-13 of ``scale`` of a finite ``expected``, or
+    equals a non-finite one."""
+    if not np.isfinite(expected):
+        return value == expected
+    return abs(value - expected) <= 1e-13 * scale
+
+
 class TestOneSpectrum:
     @settings(max_examples=100, deadline=None)
     @given(case=signal_pairs)
     def test_report_reads_one_dft_of_y(self, case):
+        # the magnitude is the mirrored |rfft(y)| bit for bit, and the full
+        # complex transform's to round-off
         x, y = _draw_pair(case)
         report = alias_energy(y, case["r"], reference=x)
         assert report.replica_deviation == replica_deviation(x, y, case["r"])
         np.testing.assert_array_equal(report.magnitude,
-                                      np.abs(np.fft.fftshift(np.fft.fft(y))))
+                                      mirrored_half(np.abs(np.fft.rfft(y)), y.size))
+        full = np.abs(np.fft.fftshift(np.fft.fft(y)))
+        np.testing.assert_allclose(report.magnitude, full, rtol=0, atol=1e-13 * full.max())
 
     @settings(max_examples=100, deadline=None)
     @given(case=signal_pairs, c_exponent=st.integers(-6, 6), sign=st.sampled_from([-1, 1]))
@@ -177,19 +194,49 @@ class TestOneSpectrum:
     def test_stacked_rows_equal_literal_bands(self, n, r, rows, log10_amplitude, zero_rows,
                                               reference, seed):
         # the bands are slices of the centred spectrum, the alias tails joined
-        # into one run: every field and the magnitude equal the mask-and-compress
-        # oracle's exactly, at odd and even n (no Nyquist bin / two of them)
+        # into one run: the band fields equal the mask-and-compress sums of the
+        # report's own magnitude exactly, at odd and even n (no Nyquist bin /
+        # two of them), and every field and the magnitude equal the complex
+        # oracle's to 1e-13 of their scale
         rng = np.random.default_rng(seed)
         amplitude = 10.0 ** log10_amplitude
         ys = rng.normal(size=(rows, r * n)) * amplitude
         ys[[i for i in range(rows) if zero_rows >> i & 1]] = 0.0
         x = rng.normal(size=n) * amplitude if reference else None
-        reports = _alias_reports(ys, r, None if x is None else _dft(x))
+        reports = _alias_reports(ys, r, None if x is None else _rdft(x))
         expected = literal_alias_reports(ys, r, x)
         assert len(reports) == len(expected) == rows
         for report, fields in zip(reports, expected):
-            assert np.array_equal(report.magnitude, fields.pop("magnitude"))
-            assert {name: getattr(report, name) for name in fields} == fields
+            bands = literal_bands(report.magnitude, n)
+            assert {name: getattr(report, name) for name in bands} == bands
+            magnitude = fields.pop("magnitude")
+            assert np.abs(report.magnitude - magnitude).max() <= 1e-13 * magnitude.max()
+            energy = sum(fields[name] for name in ENERGIES)
+            for name in ENERGIES:
+                assert _near(getattr(report, name), fields[name], energy)
+            assert _near(report.alias_ratio, fields["alias_ratio"], 1.0)
+            if x is not None:
+                assert _near(report.replica_deviation, fields["replica_deviation"],
+                             np.abs(x).sum() + np.abs(ys).sum())
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(2, 4), rows=st.integers(1, 4),
+           log10_amplitude=st.floats(-300, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, r=3, rows=1, log10_amplitude=300.0, seed=0)
+    @example(n=33, r=2, rows=4, log10_amplitude=-300.0, seed=1)
+    def test_magnitudes_are_mirror_symmetric_about_dc(self, n, r, rows, log10_amplitude,
+                                                      seed):
+        # the centred column h - k is the reversed copy of column h + k, bit for
+        # bit, in alias_energy's magnitude and in compare's stacked rows and
+        # their log strips, at odd and even r*n
+        m, h = r * n, r * n // 2
+        ys = np.random.default_rng(seed).normal(size=(rows, m)) * 10.0 ** log10_amplitude
+        magnitudes = [alias_energy(y, r).magnitude for y in ys]
+        stacked = np.stack([report.magnitude for report in _alias_reports(ys, r, None)])
+        k = np.arange(1, m - h)
+        for row in [*magnitudes, *stacked, *_log_map(stacked)]:
+            assert row[h - k].tobytes() == row[h + k].tobytes()
 
 
 class TestOwnedArrays:
@@ -211,13 +258,13 @@ class TestOwnedArrays:
         ys = rng.normal(size=(rows, r * n)) * amplitude
         ys[0] = fourier_pad_upsample(x, r)
         assert same(ys[0], copying_fourier_pad(x, r))
-        assert same(_dft(x), copying_fft_rows(x))
+        assert same(_rdft(x), copying_fft_rows(x))
 
-        reports = _alias_reports(ys, r, _dft(x))
+        reports = _alias_reports(ys, r, _rdft(x))
         spectra = copying_fft_rows(ys)
         magnitudes = [report.magnitude for report in reports]
-        assert same(np.stack(magnitudes), np.fft.fftshift(np.abs(spectra), axes=-1))
-        gaps = copying_replica_gaps(copying_fft_rows(x), spectra, r).tolist()
+        assert same(np.stack(magnitudes), mirrored_half(np.abs(spectra), r * n))
+        gaps = copying_replica_gaps(copying_fft_rows(x), spectra, n).tolist()
         assert [report.replica_deviation for report in reports] == gaps
         assert [replica_deviation(x, y, r) for y in ys] == gaps
         assert same(_log_map(np.stack(magnitudes)), copying_log_strips(magnitudes))
@@ -242,18 +289,19 @@ class TestOwnedArrays:
         assert [a.tobytes() for a in inputs] == before
 
     # numpy reports its buffers to tracemalloc, so these peaks are byte counts
-    # that repeat exactly; one more full-size temporary breaks either budget
-    def test_alias_reports_of_a_long_row_stay_within_five_row_sizes(self):
+    # that repeat exactly; one more full-size temporary, or a full complex
+    # spectrum in place of a half one, breaks either budget
+    def test_alias_reports_of_a_long_row_stay_within_four_row_sizes(self):
         x = np.random.default_rng(0).normal(size=16384)
         ys = linear(x, 2)[np.newaxis]
-        low_rate = _dft(x)
+        low_rate = _rdft(x)
         rows = traced_peak(_alias_reports, ys, 2, low_rate) / ys.nbytes
-        assert rows <= 5.0, f"{rows:.2f} row sizes"
+        assert rows <= 4.0, f"{rows:.2f} row sizes"
 
-    def test_fourier_pad_upsample_stays_within_four_and_a_half_output_sizes(self):
+    def test_fourier_pad_upsample_stays_within_two_and_three_quarter_output_sizes(self):
         x = np.random.default_rng(0).normal(size=16384)
         outputs = traced_peak(fourier_pad_upsample, x, 2) / (2 * x.nbytes)
-        assert outputs <= 4.5, f"{outputs:.2f} output sizes"
+        assert outputs <= 2.75, f"{outputs:.2f} output sizes"
 
 
 class TestAmplitudeInvariance:
@@ -289,7 +337,7 @@ class TestAmplitudeInvariance:
     def test_one_overflowing_row_fails_the_stack(self):
         x = np.full(64, 2e306)  # its DFT, 1.28e308 at DC, is finite
         rows = np.stack([bed_of_nails(x, 2), np.ones(128), np.ones(128)])
-        assert [report.replica_deviation for report in _alias_reports(rows, 2, np.fft.fft(x))] \
+        assert [report.replica_deviation for report in _alias_reports(rows, 2, np.fft.rfft(x))] \
             == [replica_deviation(x, y, 2) for y in rows]
         for row, y, what in ((1, np.full(128, 1e307), "transform of y"),
                              (2, -np.full(128, 1e306), "replica deviation")):
@@ -297,7 +345,7 @@ class TestAmplitudeInvariance:
             stack = rows.copy()
             stack[row] = y
             with pytest.raises(NonRealResultError, match=f"{what} overflowed"):
-                _alias_reports(stack, 2, np.fft.fft(x))
+                _alias_reports(stack, 2, np.fft.rfft(x))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 64), r=st.integers(2, 4), rows=st.integers(1, 4),
@@ -307,10 +355,14 @@ class TestAmplitudeInvariance:
         x = rng.normal(size=n) * 10.0 ** k
         ys = rng.normal(size=(rows, r * n)) * 10.0 ** k
         ys[0] = bed_of_nails(x, r) + ys[0] * 2.0 ** -60
+        # the half spectra against the complex tiled reference, to 1e-13 of
+        # the bound sum |x| + sum |y| on every coefficient
         expected = [literal_replica_deviation(x, y, r) for y in ys]
-        assert [replica_deviation(x, y, r) for y in ys] == expected
+        scale = np.abs(x).sum() + np.abs(ys).sum(axis=1)
+        gaps = [replica_deviation(x, y, r) for y in ys]
         assert [report.replica_deviation
-                for report in _alias_reports(ys, r, np.fft.fft(x))] == expected
+                for report in _alias_reports(ys, r, np.fft.rfft(x))] == gaps
+        assert all(map(_near, gaps, expected, scale))
 
     @pytest.mark.parametrize("x, y", [
         (np.full(64, 2e306), bed_of_nails(np.full(64, 2e306), 2)),

@@ -273,8 +273,8 @@ class TestResidualSweep:
         assert kernel_fit._ideal_response(16, 2) is h
         kernel_fit._ideal_response.cache_clear()
         lengths = []
-        original = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
+        original = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *rest, **kw: lengths.append(np.shape(a)[-1])
                             or original(a, *rest, **kw))
         sizes = [2, 3, 7, 11, 15, 32]
         assert [k for k, _ in residual_sweep(16, 2, sizes)] == sizes

@@ -734,10 +734,12 @@ class TestFourierPad:
     @given(half=st.integers(0, 149), odd=st.booleans(), r=st.integers(2, 8),
            exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
     def test_bins_equal_literal_layout(self, half, odd, r, exponent, seed):
-        # one bin copy for both parities, then even n's halved Nyquist bin
+        # one bin copy for both parities, then even n's halved Nyquist bin: the
+        # half spectra equal the complex layout to 1e-13 of the input's scale
         n = 2 * half + 1 if odd else 2 * half + 2
         x = np.random.default_rng(seed).normal(size=n) * 10.0 ** exponent
-        assert np.array_equal(fourier_pad_upsample(x, r), literal_fourier_pad(x, r))
+        np.testing.assert_allclose(fourier_pad_upsample(x, r), literal_fourier_pad(x, r),
+                                   rtol=0, atol=1e-13 * np.abs(x).max())
 
     def test_no_energy_outside_passband(self):
         rng = np.random.default_rng(11)
