@@ -74,17 +74,14 @@ def alias_energy(y, r: int, reference=None) -> AliasReport:
     r = validate_factor(r)
     if y.size % r != 0:
         raise ValueError(f"length {y.size} is not divisible by r={r}")
-    low_rate = None if reference is None else _rdft(_reference(reference, y.size, r))
+    low_rate = None
+    if reference is not None:
+        x = as_signal(reference)
+        if y.size != r * x.size:
+            raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {y.size}")
+        low_rate = _rdft(x)
     (report,) = _alias_reports(y[np.newaxis], r, low_rate)
     return report
-
-
-def _reference(x, m: int, r: int) -> np.ndarray:
-    """``x`` as a signal, which must have m / r samples."""
-    x = as_signal(x)
-    if m != r * x.size:
-        raise ValueError(f"expected len(y) = r*len(x) = {r * x.size}, got {m}")
-    return x
 
 
 def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[AliasReport]:
@@ -135,11 +132,9 @@ def replica_deviation(x, y, r: int) -> float:
     """Max deviation of y's spectrum from r-fold replication of x's.
 
     max_k |DFT(y)[k] - DFT(x)[k mod N]|; zero exactly when y is the
-    zero-inserted upsampling of x.
+    zero-inserted upsampling of x. It is :func:`alias_energy`'s.
     """
-    y = as_signal(y)
-    r = validate_factor(r)
-    return float(_replica_gaps(_rdft(_reference(x, y.size, r)), _rdft(y), y.size // r))
+    return alias_energy(y, r, reference=x).replica_deviation
 
 
 def _replica_gaps(fx: np.ndarray, fy: np.ndarray, n: int, out=None) -> np.ndarray:

@@ -123,22 +123,18 @@ def dft(signal) -> Spectrum:
     transform, but the contract is the plain sum (any N). An overflow
     raises :class:`NonRealResultError`.
     """
-    values = _dft(signal)
+    values = as_signal(signal).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        np.fft.fft(values, out=values)
     if not np.all(np.isfinite(values)):
         raise NonRealResultError("forward transform overflowed: spectrum is not finite")
     return Spectrum(values, centered=False)
 
 
-def _dft(signal) -> np.ndarray:
-    """:func:`dft` values, unchecked: an overflow is left for the caller to report."""
-    values = as_signal(signal).astype(complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.fft(values, out=values)
-
-
 def _rdft(signals: np.ndarray) -> np.ndarray:
     """Bins 0..N//2 of the :func:`dft` of each finite real row along the last
-    axis, the rest being their conjugates; unchecked, like :func:`_dft`."""
+    axis, the rest being their conjugates; unchecked: an overflow is left
+    for the caller to report."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fft.rfft(signals)
 
@@ -154,15 +150,6 @@ def idft(spectrum) -> np.ndarray:
     values = _unshifted_values(spectrum)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.fft.ifft(values)
-    _check_real(out)
-    return out.real
-
-
-def _check_real(out: np.ndarray) -> None:
-    """Raise :class:`NonRealResultError` if the inverse transform ``out``
-    overflowed or has an imaginary residue beyond ``IMAG_RESIDUE_TOL`` of its
-    largest magnitude. Both maxima are taken in one float scratch array of
-    ``out``'s shape."""
     scratch = np.abs(out.imag)
     residue = float(scratch.max())
     scale = float(np.abs(out, out=scratch).max())
@@ -173,6 +160,7 @@ def _check_real(out: np.ndarray) -> None:
             f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.1e} of the "
             f"output scale {scale:.3e}; spectrum is not conjugate-symmetric"
         )
+    return out.real
 
 
 def center_shift(spectrum: Spectrum) -> Spectrum:

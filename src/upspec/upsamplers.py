@@ -443,10 +443,8 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     r = validate_factor(r)
     n = x.size
     m = r * n
-    f = _rdft(x)
     g = np.zeros(m // 2 + 1, dtype=complex)
-    g[:f.size] = f
-    del f  # freed before the inverse transform
+    g[:n // 2 + 1] = _rdft(x)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if n % 2 == 0:  # the mirror bin m - n/2 holds the conjugate half
             g[n // 2] *= 0.5
