@@ -148,8 +148,9 @@ def _replica_gaps(fx: np.ndarray, fy: np.ndarray, n: int, out=None) -> np.ndarra
     half = fx.size
     with np.errstate(over="ignore", invalid="ignore"):  # bins jN + k of y against bin k of x
         for start in range(0, fy.shape[-1], n):
-            low, high = np.split(fy[..., start:start + n], [half], axis=-1)
+            low = fy[..., start:start + half]
             low -= fx[:low.shape[-1]]
+            high = fy[..., start + half:start + n]
             mirror = fx[n - half:n - half - high.shape[-1]:-1]
             high.real -= mirror.real
             high.imag += mirror.imag
