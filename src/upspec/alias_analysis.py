@@ -123,7 +123,7 @@ def _alias_reports(ys: np.ndarray, r: int, low_rate: np.ndarray | None) -> list[
     with np.errstate(over="ignore"):  # an energy outside the float range reads inf
         energies = [(s * peaks * peaks).tolist() for s in (s_pass, s_alias, s_nyq)]
     deviations = ([None] * len(ys) if low_rate is None
-                  else _replica_gaps(low_rate, spectra, n, out=power[:, :h + 1]).tolist())
+                  else _replica_gaps(low_rate, spectra, n, power[:, :h + 1]).tolist())
     return [AliasReport(*fields, magnitude=magnitude)
             for *fields, magnitude in zip(*energies, ratios.tolist(), deviations, magnitudes)]
 
@@ -137,14 +137,14 @@ def replica_deviation(x, y, r: int) -> float:
     return alias_energy(y, r, reference=x).replica_deviation
 
 
-def _replica_gaps(fx: np.ndarray, fy: np.ndarray, n: int, out=None) -> np.ndarray:
+def _replica_gaps(fx: np.ndarray, fy: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """``replica_deviation`` of each half spectrum of y along the last axis of
     ``fy`` against ``fx``, that of the n samples of x; an overflow on the way
     raises :class:`NonRealResultError`. Both signals are real, so bins k and
     -k differ by the same amount and bins 0..rN/2 of y suffice; bin k > N/2
     of x is read as the conjugate of bin N - k, in place through the real and
     imaginary views. The differences overwrite ``fy`` and their magnitudes
-    ``out``, a float array of fy's shape, or a new one if None."""
+    ``out``, a float array of fy's shape."""
     half = fx.size
     with np.errstate(over="ignore", invalid="ignore"):  # bins jN + k of y against bin k of x
         for start in range(0, fy.shape[-1], n):
