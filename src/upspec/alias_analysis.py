@@ -132,7 +132,8 @@ def replica_deviation(x, y, r: int) -> float:
     """Max deviation of y's spectrum from r-fold replication of x's.
 
     max_k |DFT(y)[k] - DFT(x)[k mod N]|; zero exactly when y is the
-    zero-inserted upsampling of x. It is :func:`alias_energy`'s.
+    zero-inserted upsampling of x. Read from :func:`alias_energy` with x as
+    the reference.
     """
     return alias_energy(y, r, reference=x).replica_deviation
 
