@@ -2,9 +2,10 @@
 kernel fits, and deterministic CSV/JSON/Netpbm artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 I/O failure, 3 numerical failure.
-All error paths print a single machine-parsable line to stderr. CSV and
-Netpbm outputs are byte-deterministic for a fixed configuration;
-timestamps only ever appear in JSON metadata.
+All error paths print a single machine-parsable line to stderr, and a failed
+run removes the files it created in --out-dir, keeping those that were there
+before it. CSV and Netpbm outputs are byte-deterministic for a fixed
+configuration; timestamps only ever appear in JSON metadata.
 """
 
 from __future__ import annotations
@@ -250,41 +251,33 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     The ideal reference (Fourier zero-padding, and its peak-to-peak for
     PSNR) is computed first; then each block in turn applies its operators,
     scores them and writes their strips. Writes ``spectrum_<op>.pgm`` per
-    row and ``alias_metrics.csv``; if a block fails, the strips written so
-    far are removed before the error propagates.
-    """
+    row and ``alias_metrics.csv``."""
     x = build_signal(args)
     low_rate = _rdft(x)
     size = validate_factor(args.factor) * x.size
     per_block = max(1, ROW_BLOCK_SAMPLES // size)
     ideal = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(ideal)) or 1.0
-    rows, written = [], []
-    try:
-        for start in range(0, len(names), per_block):
-            block = names[start:start + per_block]
-            ys, kernels = zip(*[(ideal, None) if name == "fourier_pad"
-                                else apply_operator(name, x, args) for name in block])
-            ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
-            reports = _alias_reports(ys, args.factor, low_rate)
-            rows += [{
-                "operator": name,
-                "kernel_size": None if kernel is None else kernel.size,
-                **{field: getattr(report, field) for field in REPORT_FIELDS},
-                "contribution_variance": (None if kernel is None
-                                          else _contribution_period(kernel)[2]),
-                "psnr_vs_ideal_db": db,
-            } for name, kernel, report, db in zip(block, kernels, reports,
-                                                  _psnr_rows(ys, ideal, peak).tolist())]
-            if "pgm" in formats:
-                strips = _log_map(np.stack([report.magnitude for report in reports]))
-                for name, strip in zip(block, strips):
-                    written.append(out_dir / f"spectrum_{name}.pgm")
-                    write_bar_strip(strip, written[-1])
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    rows = []
+    for start in range(0, len(names), per_block):
+        block = names[start:start + per_block]
+        ys, kernels = zip(*[(ideal, None) if name == "fourier_pad"
+                            else apply_operator(name, x, args) for name in block])
+        ys = ys[0][np.newaxis] if len(ys) == 1 else np.stack(ys)
+        reports = _alias_reports(ys, args.factor, low_rate)
+        rows += [{
+            "operator": name,
+            "kernel_size": None if kernel is None else kernel.size,
+            **{field: getattr(report, field) for field in REPORT_FIELDS},
+            "contribution_variance": (None if kernel is None
+                                      else _contribution_period(kernel)[2]),
+            "psnr_vs_ideal_db": db,
+        } for name, kernel, report, db in zip(block, kernels, reports,
+                                              _psnr_rows(ys, ideal, peak).tolist())]
+        if "pgm" in formats:
+            strips = _log_map(np.stack([report.magnitude for report in reports]))
+            for name, strip in zip(block, strips):
+                write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
     rows.sort(key=lambda row: row["alias_ratio"])
     if "csv" in formats:
@@ -337,9 +330,7 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: every
     artifact comes from one period, so no array of out_len counts is built.
     The CSV rows come from :func:`_position_rows` and the strip repeats their
-    bar columns. One period holds the map's min and max, so the bytes are those of all counts.
-    The rows are built before the CSV is opened and the JSON is written last,
-    so an out_len too large to allocate leaves no file behind."""
+    bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
     if args.stride < 1:
@@ -553,16 +544,24 @@ def main(argv=None) -> int:
         formats = _parse_formats(args.format)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        before = set(out_dir.iterdir())
         # the hash identifies the experiment, not where it was written
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("func", "out_dir")}
-        args.func(args, out_dir, formats, config)
+        try:
+            args.func(args, out_dir, formats, config)
+        except BaseException:  # a failed run leaves only what was there before it
+            for path in set(out_dir.iterdir()) - before:
+                path.unlink()
+            raise
         return EXIT_OK
     except (DivergenceError, NonRealResultError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, ValueError, MemoryError) as exc:  # too large a size is a usage error
-        print(f"error: usage: {exc}", file=sys.stderr)
+        # numpy's MemoryError names the allocation; Python's own has no message
+        reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"error: usage: {reason}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

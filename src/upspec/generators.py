@@ -18,6 +18,9 @@ def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
     n, frequency = _integer(n, "n"), _integer(frequency, "frequency")
     if n < 1:
         raise ValueError("signal length must be >= 1")
+    for name, value in (("amplitude", amplitude), ("phase", phase)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value:g}")
     j = np.arange(n)
     return amplitude * np.cos(2.0 * np.pi * frequency * j / n + phase)
 
@@ -84,8 +87,8 @@ def gaussian_blob_image(height: int, width: int, sigma: float | None = None) -> 
         raise ValueError("height and width must be positive")
     if sigma is None:
         sigma = min(height, width) / 6.0
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma > 0:  # NaN fails this too
+        raise ValueError(f"sigma must be positive, got {sigma:g}")
     y = np.arange(height) - (height - 1) / 2.0
     x = np.arange(width) - (width - 1) / 2.0
     return np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / (2.0 * sigma * sigma))

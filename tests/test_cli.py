@@ -279,7 +279,7 @@ class TestRowBlocks:
         assert threading.enumerate() == before
 
     def test_failed_reference_sets_the_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the reference is computed before any block, so no strip is written
+        # the failed run removes the files it created, so no strip is left
         def failing(x, r):
             raise NonRealResultError("no reference")
 
@@ -662,12 +662,68 @@ class TestExitCodes:
     @pytest.mark.parametrize("formats", [[], ["--format", "json,pgm"]],
                              ids=["default", "json-pgm"])
     def test_allocation_failure_leaves_no_file(self, tmp_path, formats):
-        # the CSV rows are built before the file is opened, and the strip
-        # before the JSON is written
+        # the failed run removes the files it created, whatever their order
         out = tmp_path / "out"
         assert main(["contribution", "--out-dir", str(out), "--kernel-size", "3", "--stride",
                      "2", "--out-len", "281474976710656", *formats]) == 1
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv, last", [
+        (["compare", "--seed", "1", "--n", "16"], "summary.json"),
+        (["analyze", "--seed", "1", "--n", "16"], "summary.json"),
+        (["fit", "--n", "8", "--kernel-size", "3"], "kernel.pgm"),
+        (["sweep", "--n", "8", "--sizes", "1,3"], "residuals.pgm"),
+        (["contribution", "--kernel-size", "3", "--stride", "2"], "contribution.json"),
+        (["errorspec", "--seed", "1", "--format", "csv,json,pgm,ppm"], "radial_profile.csv"),
+    ], ids=["compare", "analyze", "fit", "sweep", "contribution", "errorspec"])
+    def test_failed_last_write_leaves_no_file(self, tmp_path, capsys, argv, last):
+        # a directory at the path of the command's last artifact fails that
+        # write after every other artifact is written; the run removes them
+        (tmp_path / last).mkdir()
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: io: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / last]
+
+    def test_failed_run_keeps_the_files_that_were_there(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "summary.json").mkdir()
+        assert main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16"]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["notes.txt", "summary.json"]
+        assert (tmp_path / "notes.txt").read_text() == "kept"
+
+    def test_interrupted_run_leaves_no_file(self, tmp_path, monkeypatch):
+        # an interrupt is no exit code of main's, so it propagates after the cleanup
+        def interrupted(path, payload, config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_json", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "16"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_without_a_message_is_named(self, tmp_path, capsys, monkeypatch):
+        # Python's own MemoryError carries no message, unlike numpy's
+        def out_of_memory(args, k):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_solve_fit", out_of_memory)
+        assert main(["fit", "--out-dir", str(tmp_path), "--kernel-size", "3"]) == 1
+        assert capsys.readouterr().err == "error: usage: out of memory\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--signal", "cosine-mix", "--components", "1:1:inf", "--n", "8",
+          "--seed", "1"], "phase must be finite, got inf"),
+        (["errorspec", "--signal", "gaussian", "--sigma", "nan", "--format", "csv,json"],
+         "sigma must be positive, got nan"),
+    ], ids=["phase", "sigma"])
+    def test_non_finite_generator_parameter_is_1(self, tmp_path, capsys, argv, message):
+        # named by the generator, before any sample is computed or warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
         # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,

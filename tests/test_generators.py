@@ -28,6 +28,18 @@ class TestCosine:
         expected = cosine_signal(16, 1) + cosine_signal(16, 2, 0.5, 0.3)
         np.testing.assert_allclose(cosine_mixture(16, comps), expected)
 
+    @pytest.mark.parametrize("amplitude, phase, message", [
+        (np.inf, 0.0, "amplitude must be finite, got inf"),
+        (np.nan, 0.0, "amplitude must be finite, got nan"),
+        (1.0, -np.inf, "phase must be finite, got -inf"),
+        (1.0, np.nan, "phase must be finite, got nan"),
+    ])
+    def test_non_finite_amplitude_or_phase_is_rejected(self, amplitude, phase, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cosine_signal(8, 1, amplitude, phase)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cosine_mixture(8, [(1, 1.0, 0.0), (2, amplitude, phase)])
+
 
 class TestBandlimitedNoise:
     def test_band_limit_respected(self):
@@ -98,6 +110,11 @@ class TestOtherGenerators:
         img = gaussian_blob_image(9, 9, sigma=2.0)
         assert img[4, 4] == pytest.approx(1.0)
         assert img.max() == img[4, 4]
+
+    @pytest.mark.parametrize("sigma", [np.nan, 0.0, -1.0])
+    def test_gaussian_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be positive, got {sigma:g}$"):
+            gaussian_blob_image(4, 4, sigma)
 
     def test_composite_shape_and_determinism(self):
         a = composite_image(16, 16, seed=3)
