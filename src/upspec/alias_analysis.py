@@ -228,35 +228,27 @@ def empirical_filter_response(method: str, r: int, n: int) -> tuple[np.ndarray, 
 def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     """Count tap contributions per output position (periodic placement).
 
-    counts[p] = #{(i, j) : p = (s*i + j - anchor) mod out_len}. For 2D
-    kernels the count matrix is the outer product of the per-axis counts.
-    The map is uniform exactly when the stride divides the kernel size.
+    counts[p] = #{(i, j) : p = (s*i + j - anchor) mod out_len}: output p gets
+    one contribution per tap that placement gives phase p mod s, so the map
+    repeats with period s and ``out_len = s`` is one period. For 2D kernels
+    the count matrix is the outer product of the per-axis counts. The map is
+    uniform exactly when the stride divides the kernel size. Over the N cells
+    of one period the variance is (N*sum(c^2) - sum(c)^2) / N^2 in Python
+    integers, rounded once; any whole number of periods has the same sums up
+    to a common factor, so this is the variance of every map.
     """
     out_len = _integer(out_len, "out_len")
     s = kernel.stride
     if out_len < 1 or out_len % s != 0:
         raise ValueError(f"out_len must be a positive multiple of stride {s}")
 
-    period, uniform, variance = _contribution_period(kernel)
-    return ContributionMap(counts=np.tile(period, [out_len // s] * period.ndim), period=s,
-                           uniform=uniform, variance=variance)
-
-
-def _contribution_period(kernel: KernelSpec) -> tuple[np.ndarray, bool, float]:
-    """One period of the contribution map, counts[p] for 0 <= p < s on each
-    axis, and whether the map is uniform and its variance.
-
-    Output p gets one contribution per tap that placement gives phase p mod s.
-    Over the N cells of the period the variance is (N*sum(c^2) - sum(c)^2) / N^2
-    in Python integers, rounded once; any whole number of periods has the
-    same sums up to a common factor, so this is the variance of every map."""
-    s = kernel.stride
     axes = [np.array([taps.size for taps, _ in _phases(k, s)]) for k in kernel.weights.shape]
     period = functools.reduce(np.multiply.outer, axes)
-    counts = period.ravel().tolist()
-    n = len(counts)
-    spread = n * sum(c * c for c in counts) - sum(counts) ** 2
-    return period, spread == 0, spread / (n * n)
+    cells = period.ravel().tolist()
+    n = len(cells)
+    spread = n * sum(c * c for c in cells) - sum(cells) ** 2
+    return ContributionMap(counts=np.tile(period, [out_len // s] * period.ndim), period=s,
+                           uniform=spread == 0, variance=spread / (n * n))
 
 
 def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndarray:
@@ -271,14 +263,13 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     below 8 channels. Only the half spectrum of a real FFT is computed; the
     rest is its mirror |F[-k]| = |F[k]|, exactly point-symmetric about DC.
 
-    The real 2D FFT is the two passes of ``np.fft.rfft2`` over one complex
-    (H, W//2 + 1) array, so the bytes are its bytes: the channel mean is
-    built and its rows take a real FFT, then the columns are transformed in
-    place. Magnitude mode runs both passes once per channel and adds |F_c|
-    in channel order. A non-finite sample makes its pixel's mean
-    non-finite, so the inputs are checked through the means: only a mean
-    that is not finite reads the samples again, to raise ``ValueError`` or
-    go on with a difference that overflowed.
+    Each channel group is transformed by one ``np.fft.rfft2`` call into one
+    complex (H, W//2 + 1) array: in complex mode the channel mean, in
+    magnitude mode each channel, whose |F_c| are added in channel order. A
+    non-finite sample makes its pixel's mean non-finite, so the inputs are
+    checked through the means: only a mean that is not finite reads the
+    samples again, to raise ``ValueError`` or go on with a difference that
+    overflowed.
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")
@@ -302,8 +293,7 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
             out /= len(group)
         if not np.all(np.isfinite(out)):  # a non-finite sample, or an overflow
             as_image(p), as_image(g)  # raises for the first only
-        np.fft.rfft(out, axis=1, out=spectrum)
-        np.fft.fft(spectrum, axis=0, out=spectrum)
+        np.fft.rfft2(out, out=spectrum)
         if k == 0:
             half = np.abs(spectrum)
         else:

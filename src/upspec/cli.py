@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alias_analysis import _alias_reports, _contribution_period, _psnr_rows, error_spectrum
+from .alias_analysis import _alias_reports, _psnr_rows, contribution_map, error_spectrum
 from .generators import (bandlimited_noise, checkerboard_image, composite_image, cosine_mixture,
                          cosine_signal, gaussian_blob_image, step_signal)
 from .kernel_fit import (
@@ -141,7 +142,7 @@ def _sanitize(obj):
         return obj.item()
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        return f if np.isfinite(f) else str(f)  # "inf", "-inf" or "nan"
+        return f if math.isfinite(f) else str(f)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -160,6 +161,17 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # input construction
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` or ``--seed-b`` value: an integer >= 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _require_seed(seed, why: str) -> int:
@@ -203,13 +215,12 @@ def build_image(args, seed) -> np.ndarray:
 
 
 def _parse_components(text: str):
-    comps = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise UsageError("--components must be k:amp:phase[,k:amp:phase...]")
-        comps.append((int(parts[0]), float(parts[1]), float(parts[2])))
-    return comps
+    try:  # a chunk of other than three fields fails to unpack
+        return [(int(k), float(amp), float(phase))
+                for k, amp, phase in (chunk.split(":") for chunk in text.split(","))]
+    except ValueError:
+        raise UsageError(f"--components must be k:amp:phase[,k:amp:phase...], "
+                         f"got {text!r}") from None
 
 
 def apply_operator(name: str, x: np.ndarray, args):
@@ -270,7 +281,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
             "kernel_size": None if kernel is None else kernel.size,
             **{field: getattr(report, field) for field in REPORT_FIELDS},
             "contribution_variance": (None if kernel is None
-                                      else _contribution_period(kernel)[2]),
+                                      else contribution_map(kernel, kernel.stride).variance),
             "psnr_vs_ideal_db": db,
         } for name, kernel, report, db in zip(block, kernels, reports,
                                               _psnr_rows(ys, ideal, peak).tolist())]
@@ -328,9 +339,10 @@ def _position_rows(out_len: int, suffixes) -> np.ndarray:
 
 def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     """Tap counts per output position, whose map repeats with period s: every
-    artifact comes from one period, so no array of out_len counts is built.
-    The CSV rows come from :func:`_position_rows` and the strip repeats their
-    bar columns. One period holds the map's min and max, so the bytes are those of all counts."""
+    artifact comes from one period, ``contribution_map(kernel, s)``, so no
+    array of out_len counts is built. The CSV rows come from
+    :func:`_position_rows` and the strip repeats their bar columns. One period
+    holds the map's min and max, so the bytes are those of all counts."""
     if args.kernel_size < 1:
         raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
     if args.stride < 1:
@@ -340,22 +352,22 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
         raise UsageError(f"--out-len must be a positive multiple of --stride {args.stride}, "
                          f"got {out_len}")
     kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
-    cycle, uniform, variance = _contribution_period(kernel)
+    cycle = contribution_map(kernel, kernel.stride)
     if "csv" in formats:
-        rows = _position_rows(out_len, [b",%d\n" % count for count in cycle.tolist()])
+        rows = _position_rows(out_len, [b",%d\n" % count for count in cycle.counts.tolist()])
         with open(out_dir / "contribution_counts.csv", "wb") as fh:
             fh.write(b"position,count\n")
             fh.write(rows)
     if "pgm" in formats:
-        write_bar_strip(cycle, out_dir / "contribution_counts.pgm", out_len // kernel.stride)
+        write_bar_strip(cycle.counts, out_dir / "contribution_counts.pgm", out_len // cycle.period)
     if "json" in formats:
         write_json(out_dir / "contribution.json", {
             "kernel_size": args.kernel_size,
             "stride": args.stride,
             "out_len": out_len,
-            "uniform": uniform,
-            "variance": variance,
-            "period": kernel.stride,
+            "uniform": cycle.uniform,
+            "variance": cycle.variance,
+            "period": cycle.period,
         }, config)
 
 
@@ -387,7 +399,10 @@ def cmd_fit(args, out_dir: Path, formats, config) -> None:
 
 
 def cmd_sweep(args, out_dir: Path, formats, config) -> None:
-    sizes = sorted({int(s) for s in args.sizes.split(",")})
+    try:
+        sizes = sorted({int(s) for s in args.sizes.split(",")})
+    except ValueError:
+        raise UsageError(f"--sizes must be a comma list of integers, got {args.sizes!r}") from None
     residuals = [_solve_fit(args, k).residual for k in sizes]
     if "csv" in formats:
         write_csv(out_dir / "residuals.csv", ("kernel_size", "residual"), [sizes, residuals])
@@ -455,7 +470,7 @@ def build_parser() -> _Parser:
     common.add_argument("--out-dir", required=True, help="directory for artifacts")
     common.add_argument("--format", default="csv,json,pgm",
                         help="comma list from csv,json,pgm,ppm")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=_seed, default=None)
 
     signal = _Parser(add_help=False)
     signal.add_argument("--signal", default="noise",
@@ -517,7 +532,7 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--period", type=int, default=8)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--seed-b", type=int, default=None)
+    p.add_argument("--seed-b", type=_seed, default=None)
     p.add_argument("--mode", choices=("complex", "magnitude"), default="complex")
     p.add_argument("--bins", type=int, default=16)
     p.set_defaults(func=cmd_errorspec)

@@ -26,14 +26,19 @@ def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
 
 
 def cosine_mixture(n: int, components) -> np.ndarray:
-    """Sum of cosines given as (frequency, amplitude, phase) triples."""
+    """Sum of cosines given as (frequency, amplitude, phase) triples; a sum
+    that is not finite raises ``ValueError``."""
     n = _integer(n, "n")
     comps = list(components)
     if not comps:
         raise ValueError("cosine mixture needs at least one component")
     out = np.zeros(n)
     for frequency, amplitude, phase in comps:
-        out += cosine_signal(n, frequency, float(amplitude), float(phase))
+        term = cosine_signal(n, frequency, float(amplitude), float(phase))
+        with np.errstate(over="ignore"):  # reported below
+            out += term
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the cosine mixture's sum is not finite")
     return out
 
 

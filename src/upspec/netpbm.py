@@ -37,17 +37,6 @@ def _minmax_rint(arr, lo: float, hi: float, top: float, out) -> np.ndarray:
     return np.rint(out, out=out)
 
 
-def quantize(array) -> np.ndarray:
-    """Min-max normalize to uint8; constant input maps to all zeros.
-
-    Input is read as float and must be finite, so booleans map to {0, 255}
-    (all zeros when constant); a range whose width overflows is scaled by
-    halves.
-    """
-    arr = np.asarray(array)
-    return _quantize_block(arr, *_finite_range(arr), np.empty(arr.shape))
-
-
 def _finite_range(arr: np.ndarray) -> tuple[float, float]:
     """min and max of the whole array as floats; a non-finite one raises."""
     lo, hi = float(arr.min()), float(arr.max())
@@ -57,9 +46,9 @@ def _finite_range(arr: np.ndarray) -> tuple[float, float]:
 
 
 def _quantize_block(block: np.ndarray, lo: float, hi: float, scratch: np.ndarray) -> np.ndarray:
-    """:func:`quantize` of any rows of an array whose range is [lo, hi], in
-    C order, scaled as floats in ``scratch``, a C-order float array of the
-    block's shape."""
+    """Min-max quantisation to uint8 of any rows of an array whose range is
+    [lo, hi], read as floats (booleans as 0 and 1), zeros when constant; in C
+    order, scaled in ``scratch``, a C-order float array of the block's shape."""
     if hi == lo:
         return np.zeros(block.shape, dtype=np.uint8)
     # with both axes reversed numpy reads a channel-first view, such as an

@@ -669,9 +669,8 @@ class TestErrorSpectrum:
 
 
 class TestErrorSpectrumTransforms:
-    """The real 2D FFT is the two passes of ``np.fft.rfft2``, rows then
-    columns, so the bytes are its bytes; the inputs are checked through the
-    channel means."""
+    """The real 2D FFT is one ``np.fft.rfft2`` call per channel group, so the
+    bytes are its bytes; the inputs are checked through the channel means."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.integers(1, 70), w=st.integers(1, 70), channels=st.integers(1, 4),
@@ -708,22 +707,38 @@ class TestErrorSpectrumTransforms:
             got = error_spectrum(pred, gt, mode=mode, log=False)
         assert got.tobytes() == expected and not np.all(np.isfinite(got))
 
-    @pytest.mark.parametrize("name", ["rfft", "fft"])
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
-    def test_transform_error_reaches_the_caller(self, name, mode):
-        # the row pass (rfft) or the column pass (fft) fails on its first call
+    def test_transform_error_reaches_the_caller(self, mode):
+        # the 2D transform (rfft2) fails on its first call
         pred, gt = np.random.default_rng(24).normal(size=(2, 64, 48, 3))
         calls = []
 
         def failing(*args, **kwargs):
-            calls.append(name)
-            raise RuntimeError(f"{name} failed")
+            calls.append("rfft2")
+            raise RuntimeError("rfft2 failed")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.fft, name, failing)
-            with pytest.raises(RuntimeError, match=f"{name} failed"):
+            mp.setattr(np.fft, "rfft2", failing)
+            with pytest.raises(RuntimeError, match="rfft2 failed"):
                 error_spectrum(pred, gt, mode=mode)
-        assert calls == [name]
+        assert calls == ["rfft2"]
+
+    @pytest.mark.parametrize("mode, transforms", [("complex", 1), ("magnitude", 3)])
+    def test_one_rfft2_per_channel_group(self, mode, transforms):
+        pred, gt = np.random.default_rng(24).normal(size=(2, 9, 8, 3))
+        calls = []
+
+        def counted(name, original):
+            def transform(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return transform
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("rfft2", "rfft", "fft"):
+                mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+            error_spectrum(pred, gt, mode=mode)
+        assert calls == ["rfft2"] * transforms
 
     @pytest.mark.parametrize("mode", ["complex", "magnitude"])
     @pytest.mark.parametrize("shape", [(511, 513, 1), (512, 512, 1), (256, 256, 4),

@@ -716,14 +716,30 @@ class TestExitCodes:
           "--seed", "1"], "phase must be finite, got inf"),
         (["errorspec", "--signal", "gaussian", "--sigma", "nan", "--format", "csv,json"],
          "sigma must be positive, got nan"),
-    ], ids=["phase", "sigma"])
+        (["compare", "--signal", "cosine-mix", "--components", "1:1e308:0,1:1e308:0", "--n", "8",
+          "--seed", "1"], "the cosine mixture's sum is not finite"),
+    ], ids=["phase", "sigma", "mixture"])
     def test_non_finite_generator_parameter_is_1(self, tmp_path, capsys, argv, message):
-        # named by the generator, before any sample is computed or warned about
+        # named by the generator, with no numpy warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--signal", "cosine-mix", "--components", "1:x:0", "--n", "8"],
+         "--components must be k:amp:phase[,k:amp:phase...], got '1:x:0'"),
+        (["sweep", "--n", "8", "--sizes", "3,,7"],
+         "--sizes must be a comma list of integers, got '3,,7'"),
+        (["compare", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["errorspec", "--seed", "1", "--seed-b", "-1"],
+         "argument --seed-b: must be a non-negative integer, got '-1'"),
+    ], ids=["components", "sizes", "seed", "seed-b"])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
         # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,

@@ -40,6 +40,12 @@ class TestCosine:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cosine_mixture(8, [(1, 1.0, 0.0), (2, amplitude, phase)])
 
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308])
+    def test_overflowing_mixture_is_rejected(self, amplitude):
+        # each term is finite; their sum overflows at samples 0 and 4
+        with pytest.raises(ValueError, match="^the cosine mixture's sum is not finite$"):
+            cosine_mixture(8, [(1, amplitude, 0.0), (1, amplitude, 0.0)])
+
 
 class TestBandlimitedNoise:
     def test_band_limit_respected(self):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import literal_quantize, literal_strip_file
 from upspec import netpbm
-from upspec.netpbm import quantize, read_netpbm, write_netpbm
+from upspec.netpbm import read_netpbm, write_netpbm
 from upspec.upsamplers import KernelSpec, transposed_conv2
 
 shapes = (st.tuples(st.integers(1, 6), st.integers(1, 6))
@@ -36,57 +36,71 @@ def tie_images(draw):
     return arr * 2.0 ** draw(st.integers(-60, 60))
 
 
+def quantized(arr, directory) -> np.ndarray:
+    """The raster that ``write_netpbm`` writes for ``arr``, read back."""
+    path = directory / "raster.pnm"
+    write_netpbm(arr, path)
+    return read_netpbm(path)
+
+
 class TestQuantize:
-    def test_constant_maps_to_zero(self):
-        np.testing.assert_array_equal(quantize(np.full((2, 3), 7.7)),
+    def test_constant_maps_to_zero(self, tmp_path):
+        np.testing.assert_array_equal(quantized(np.full((2, 3), 7.7), tmp_path),
                                       np.zeros((2, 3), dtype=np.uint8))
 
-    def test_endpoints(self):
-        np.testing.assert_array_equal(quantize(np.array([[0.0, 1.0]])), [[0, 255]])
+    def test_endpoints(self, tmp_path):
+        np.testing.assert_array_equal(quantized(np.array([[0.0, 1.0]]), tmp_path), [[0, 255]])
 
-    def test_rejects_nan(self):
+    def test_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
-            quantize(np.array([[np.nan]]))
+            write_netpbm(np.array([[np.nan]]), tmp_path / "bad.pgm")
 
     @pytest.mark.parametrize("values", [[np.inf], [-np.inf, 0.0], [1e308, np.inf, np.nan]])
-    def test_rejects_non_finite(self, values):
+    def test_rejects_non_finite(self, tmp_path, values):
         with pytest.raises(ValueError, match="finite"):
-            quantize(np.array([values]))
+            write_netpbm(np.array([values]), tmp_path / "bad.pgm")
 
     @settings(max_examples=250, deadline=None)
     @given(arr=float_images() | tie_images()
            | st.builds(np.full, shapes, st.floats(-1e300, 1e300)))
-    def test_floats_equal_literal_formula(self, arr):
-        np.testing.assert_array_equal(quantize(arr), literal_quantize(arr))
+    def test_floats_equal_literal_formula(self, arr, tmp_path_factory):
+        np.testing.assert_array_equal(quantized(arr, tmp_path_factory.mktemp("q")),
+                                      literal_quantize(arr))
 
-    def test_half_step_ties_round_to_even(self):
+    def test_half_step_ties_round_to_even(self, tmp_path):
         # 0, 1/2, 1 scale to 0, 127.5, 255; 127.5 rounds to the even 128
-        np.testing.assert_array_equal(quantize(np.array([[0.0, 1.0, 2.0]])), [[0, 128, 255]])
+        np.testing.assert_array_equal(quantized(np.array([[0.0, 1.0, 2.0]]), tmp_path),
+                                      [[0, 128, 255]])
 
     @settings(max_examples=100, deadline=None)
     @given(mask=hnp.arrays(bool, shapes) | shapes.map(lambda s: np.ones(s, dtype=bool))
            | shapes.map(lambda s: np.zeros(s, dtype=bool)))
-    def test_booleans_equal_float_cast(self, mask):
-        out = quantize(mask)
+    def test_booleans_equal_float_cast(self, mask, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("q")
+        out = quantized(mask, directory)
         assert out.dtype == np.uint8
-        np.testing.assert_array_equal(out, quantize(mask.astype(float)))
+        np.testing.assert_array_equal(out, quantized(mask.astype(float), directory))
         np.testing.assert_array_equal(out, literal_quantize(mask))
-        np.testing.assert_array_equal(quantize(mask.T), literal_quantize(mask.T))
+        transposed = mask.swapaxes(0, 1)
+        np.testing.assert_array_equal(quantized(transposed, directory),
+                                      literal_quantize(transposed))
 
     @settings(max_examples=100, deadline=None)
     @given(arr=hnp.arrays(np.int64, shapes, elements=st.integers(-2 ** 40, 2 ** 40))
            | hnp.arrays(np.uint8, shapes))
-    def test_integers_equal_literal_formula(self, arr):
-        np.testing.assert_array_equal(quantize(arr), literal_quantize(arr))
+    def test_integers_equal_literal_formula(self, arr, tmp_path_factory):
+        np.testing.assert_array_equal(quantized(arr, tmp_path_factory.mktemp("q")),
+                                      literal_quantize(arr))
 
-    def test_overflowing_range_is_scaled_by_halves(self):
+    def test_overflowing_range_is_scaled_by_halves(self, tmp_path):
         big = np.finfo(float).max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_array_equal(quantize(np.array([-1e308, 0.0, 1e308])),
-                                          [0, 128, 255])
-            np.testing.assert_array_equal(quantize(np.array([[-big, big], [0.0, big / 2]])),
-                                          [[0, 255], [128, 191]])
+            np.testing.assert_array_equal(
+                quantized(np.array([[-1e308, 0.0, 1e308]]), tmp_path), [[0, 128, 255]])
+            np.testing.assert_array_equal(
+                quantized(np.array([[-big, big], [0.0, big / 2]]), tmp_path),
+                [[0, 255], [128, 191]])
 
 
 @st.composite
@@ -180,7 +194,7 @@ class TestWriteRead:
         assert path.read_bytes().startswith(b"P6 7 5 255\n")
         back = read_netpbm(path)
         assert back.shape == (5, 7, 3)
-        np.testing.assert_array_equal(back, quantize(img))
+        np.testing.assert_array_equal(back, literal_quantize(img))
 
     @pytest.mark.parametrize("view", [lambda a: a[:, :, 0].T, lambda a: a[::-1, ::2, 0],
                                       lambda a: a.transpose(1, 0, 2)],
@@ -193,7 +207,7 @@ class TestWriteRead:
         write_netpbm(arr, tmp_path / "view.pnm")
         write_netpbm(np.ascontiguousarray(arr), tmp_path / "copy.pnm")
         assert (tmp_path / "view.pnm").read_bytes() == (tmp_path / "copy.pnm").read_bytes()
-        np.testing.assert_array_equal(read_netpbm(tmp_path / "view.pnm"), quantize(arr))
+        np.testing.assert_array_equal(read_netpbm(tmp_path / "view.pnm"), literal_quantize(arr))
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "d.pgm"
