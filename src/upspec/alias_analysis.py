@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_core import NonRealResultError, _image, _integer, _log_map, _rdft, as_image, as_signal
-from .upsamplers import KernelSpec, _phases, bed_of_nails, linear, nearest, validate_factor
+from .upsamplers import KernelSpec, _tap_offsets, bed_of_nails, linear, nearest, validate_factor
 
 #: The interpolation filters by name, each the operator that realizes it.
 FILTER_METHODS = {"bed_of_nails": bed_of_nails, "nearest": nearest, "linear": linear}
@@ -230,7 +230,8 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
 
     counts[p] = #{(i, j) : p = (s*i + j - anchor) mod out_len}: output p gets
     one contribution per tap that placement gives phase p mod s, so the map
-    repeats with period s and ``out_len = s`` is one period. For 2D kernels
+    repeats with period s and ``out_len = s`` is one period, counted per axis
+    as one ``np.bincount`` of the taps' offsets mod s in O(k + s). For 2D kernels
     the count matrix is the outer product of the per-axis counts. The map is
     uniform exactly when the stride divides the kernel size. Over the N cells
     of one period the variance is (N*sum(c^2) - sum(c)^2) / N^2 in Python
@@ -242,7 +243,7 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     if out_len < 1 or out_len % s != 0:
         raise ValueError(f"out_len must be a positive multiple of stride {s}")
 
-    axes = [np.array([taps.size for taps, _ in _phases(k, s)]) for k in kernel.weights.shape]
+    axes = [np.bincount(_tap_offsets([k], s), minlength=s) for k in kernel.weights.shape]
     period = functools.reduce(np.multiply.outer, axes)
     cells = period.ravel().tolist()
     n = len(cells)

@@ -573,15 +573,13 @@ def main(argv=None) -> int:
     except (DivergenceError, NonRealResultError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UsageError, ValueError, MemoryError) as exc:  # too large a size is a usage error
-        # numpy's MemoryError names the allocation; Python's own has no message
+    except (UsageError, ValueError, MemoryError, OverflowError) as exc:
+        # too large a size or value is a usage error; numpy's MemoryError names
+        # the allocation, Python's own has no message
         reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
         print(f"error: usage: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DataError, OSError) as exc:  # a DataError has no filename
         path = getattr(exc, "filename", None)
         print(f"error: io: {exc}" + (f" (path: {path})" if path else ""), file=sys.stderr)
         return EXIT_IO

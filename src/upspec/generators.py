@@ -14,10 +14,14 @@ from .signal_core import _integer
 
 def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
                   phase: float = 0.0) -> np.ndarray:
-    """amp * cos(2*pi*frequency*j/n + phase); frequency 0 gives a constant."""
+    """amp * cos(2*pi*frequency*j/n + phase); frequency 0 gives a constant.
+    A frequency with |frequency| >= n is taken modulo n, the same cosine on
+    the n samples."""
     n, frequency = _integer(n, "n"), _integer(frequency, "frequency")
     if n < 1:
         raise ValueError("signal length must be >= 1")
+    if abs(frequency) >= n:
+        frequency %= n
     for name, value in (("amplitude", amplitude), ("phase", phase)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value:g}")
@@ -92,11 +96,12 @@ def gaussian_blob_image(height: int, width: int, sigma: float | None = None) -> 
         raise ValueError("height and width must be positive")
     if sigma is None:
         sigma = min(height, width) / 6.0
-    if not sigma > 0:  # NaN fails this too
-        raise ValueError(f"sigma must be positive, got {sigma:g}")
+    if not (sigma > 0 and 2.0 * sigma * sigma > 0):  # NaN fails this too
+        raise ValueError(f"sigma must be positive, with 2*sigma^2 > 0, got {sigma:g}")
     y = np.arange(height) - (height - 1) / 2.0
     x = np.arange(width) - (width - 1) / 2.0
-    return np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # an infinite exponent is a sample of 0
+        return np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / (2.0 * sigma * sigma))
 
 
 def composite_image(height: int, width: int, seed: int) -> np.ndarray:

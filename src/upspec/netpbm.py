@@ -10,12 +10,16 @@ byte-stable. Bar strips are rendered straight to their P5 raster.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 #: Raster bytes quantized and written at a time by :func:`write_netpbm`.
 _BLOCK_BYTES = 1 << 16
 #: Header of a maxval-255 raster, filled with (magic, width, height).
 _HEADER = b"%s %d %d 255\n"
+#: Width, height and maxval after the magic, in :func:`read_netpbm`'s grammar.
+_HEADER_FIELDS = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
 #: Rows of a bar strip (:func:`write_bar_strip`).
 BAR_HEIGHT = 48
 
@@ -105,42 +109,29 @@ def write_bar_strip(values, path, repeat: int = 1) -> None:
 
 
 def read_netpbm(path) -> np.ndarray:
-    """Read a binary P5/P6 file; returns uint8 (H, W) or (H, W, 3)."""
+    """Read a binary P5/P6 file; returns uint8 (H, W) or (H, W, 3), a writable
+    view of the file's bytes, read once.
+
+    The header is the magic "P5" or "P6" at the first byte, then width,
+    height and maxval as decimal digits, each after whitespace or '#'
+    comments that run to the end of the line, then exactly one whitespace
+    byte; the raster follows it. Width and height must be at least 1 and
+    maxval 255; bytes after the raster are ignored."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    magic, pos = _token(data, 0)
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported Netpbm magic {magic!r}")
-    w, pos = _token(data, pos)
-    h, pos = _token(data, pos)
-    maxval, pos = _token(data, pos)
-    width, height, maxval = int(w), int(h), int(maxval)
+        data = bytearray(fh.read())  # writable, so the raster needs no copy of its own
+    if data[:2] not in (b"P5", b"P6"):
+        raise ValueError(f"unsupported Netpbm magic {bytes(data[:2])!r}")
+    header = _HEADER_FIELDS.match(data, 2)
+    if header is None:
+        raise ValueError("malformed Netpbm header")
+    width, height, maxval = map(int, header.groups())
+    if width < 1 or height < 1:
+        raise ValueError(f"width and height must be at least 1, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
-    channels = 1 if magic == b"P5" else 3
-    count = width * height * channels
-    raster = data[pos:pos + count]
-    if len(raster) != count:
-        raise ValueError(f"truncated raster: expected {count} bytes, got {len(raster)}")
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, 3).copy()
-
-
-def _token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    while pos < len(data):
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError("unexpected end of Netpbm header")
-    return data[start:pos], pos + 1
+    channels = 1 if data[:2] == b"P5" else 3
+    count, start = width * height * channels, header.end()
+    if len(data) - start < count:
+        raise ValueError(f"truncated raster: expected {count} bytes, got {len(data) - start}")
+    raster = np.frombuffer(data, np.uint8, count, start)
+    return raster.reshape(height, width) if channels == 1 else raster.reshape(height, width, 3)

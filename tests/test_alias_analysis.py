@@ -512,7 +512,8 @@ class TestContributionMap:
         assert contribution_map(kernel, 7.0).counts.shape == (7,)
 
     @settings(max_examples=200, deadline=None)
-    @given(k=st.integers(1, 40), s=st.integers(1, 8), periods=st.integers(1, 12))
+    @given(k=st.integers(1, 40), s=st.integers(1, 8) | st.integers(9, 44),
+           periods=st.integers(1, 12))
     def test_counts_equal_literal_enumeration(self, k, s, periods):
         # includes out_len < k, s | k and s = k
         counts = contribution_map(KernelSpec(weights=np.ones(k), stride=s), s * periods).counts

@@ -593,8 +593,9 @@ class TestErrorspec:
 
     @pytest.mark.parametrize("content", [b"P5 4 4 255\n" + bytes(10), b"P7 4 4 255\n",
                                          b"P5 4 4 65535\n" + bytes(32), b"P5 4 x 255\n",
-                                         b""],
-                             ids=["truncated", "magic-P7", "maxval-65535", "non-integer", "empty"])
+                                         b"", b"P5 0 4 255\n", b"P5 4 0 255\n"],
+                             ids=["truncated", "magic-P7", "maxval-65535", "non-integer", "empty",
+                                  "zero-width", "zero-height"])
     @pytest.mark.parametrize("flag", ["--pred", "--gt"])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, content, flag):
         good, bad = tmp_path / "good.pgm", tmp_path / "bad.pgm"
@@ -715,16 +716,49 @@ class TestExitCodes:
         (["compare", "--signal", "cosine-mix", "--components", "1:1:inf", "--n", "8",
           "--seed", "1"], "phase must be finite, got inf"),
         (["errorspec", "--signal", "gaussian", "--sigma", "nan", "--format", "csv,json"],
-         "sigma must be positive, got nan"),
+         "sigma must be positive, with 2*sigma^2 > 0, got nan"),
+        (["errorspec", "--signal", "gaussian", "--sigma", "1e-200", "--height", "33",
+          "--width", "33"], "sigma must be positive, with 2*sigma^2 > 0, got 1e-200"),
         (["compare", "--signal", "cosine-mix", "--components", "1:1e308:0,1:1e308:0", "--n", "8",
           "--seed", "1"], "the cosine mixture's sum is not finite"),
-    ], ids=["phase", "sigma", "mixture"])
+    ], ids=["phase", "sigma", "tiny-sigma", "mixture"])
     def test_non_finite_generator_parameter_is_1(self, tmp_path, capsys, argv, message):
         # named by the generator, with no numpy warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("frequency", [10 ** 307, 10 ** 400], ids=["1e307", "1e400"])
+    def test_huge_cosine_frequency_is_taken_modulo_n(self, tmp_path, frequency):
+        # the same cosine on the 8 samples, so the same CSV and PGM bytes
+        def run(k, out):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["compare", "--signal", "cosine", "--frequency", str(k), "--n", "8",
+                             "--seed", "1", "--format", "csv,pgm", "--out-dir", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        assert run(frequency, tmp_path / "huge") == run(frequency % 8, tmp_path / "reduced")
+
+    def test_gaussian_narrower_than_a_pixel_is_0(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["errorspec", "--signal", "gaussian", "--sigma", "1e-160", "--height",
+                         "33", "--width", "33", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--n", str(10 ** 23), "--kernel-size", "3"],
+        ["errorspec", "--signal", "checkerboard", "--period", str(10 ** 24)],
+        ["contribution", "--kernel-size", "3", "--stride", str(10 ** 23)],
+    ], ids=["fit-n", "checkerboard-period", "contribution-stride"])
+    def test_value_too_large_for_the_machine_is_1(self, tmp_path, capsys, argv):
+        # an OverflowError converting to a C integer, after no output
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,20 @@ class TestCosine:
             cosine_signal(8, 1, amplitude, phase)
         with pytest.raises(ValueError, match=f"^{message}$"):
             cosine_mixture(8, [(1, 1.0, 0.0), (2, amplitude, phase)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), frequency=st.integers(-200, 200) | st.integers()
+           | st.sampled_from([10 ** 307, 10 ** 400, -(10 ** 400) - 3]),
+           phase=st.floats(-4, 4))
+    def test_frequency_is_taken_modulo_n(self, n, frequency, phase):
+        # |frequency| < n keeps the formula's bytes; any other frequency gives
+        # the bytes of frequency % n, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cosine_signal(n, frequency, 1.5, phase)
+        f = frequency if abs(frequency) < n else frequency % n
+        expected = 1.5 * np.cos(2.0 * np.pi * f * np.arange(n) / n + phase)
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("amplitude", [1e308, -1e308])
     def test_overflowing_mixture_is_rejected(self, amplitude):
@@ -117,10 +134,22 @@ class TestOtherGenerators:
         assert img[4, 4] == pytest.approx(1.0)
         assert img.max() == img[4, 4]
 
-    @pytest.mark.parametrize("sigma", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [np.nan, 0.0, -1.0, 1e-200, -1e-200])
     def test_gaussian_sigma_must_be_positive(self, sigma):
-        with pytest.raises(ValueError, match=f"^sigma must be positive, got {sigma:g}$"):
+        # 2 * 1e-200**2 underflows to 0, and 0/0 would be the blob's peak
+        message = f"sigma must be positive, with 2*sigma^2 > 0, got {sigma:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gaussian_blob_image(4, 4, sigma)
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_gaussian_narrower_than_a_pixel_is_its_peak(self, size):
+        # the exponent overflows to inf off the center, a sample of 0, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            img = gaussian_blob_image(size, size, 1e-160)
+        expected = np.zeros((size, size))
+        expected[size // 2, size // 2] = size % 2  # an even size has no center pixel
+        np.testing.assert_array_equal(img, expected)
 
     def test_composite_shape_and_determinism(self):
         a = composite_image(16, 16, seed=3)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -213,6 +214,52 @@ class TestWriteRead:
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([4, 9]))
         np.testing.assert_array_equal(read_netpbm(path), [[4, 9]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=hnp.arrays(np.uint8, shapes), data=st.data())
+    def test_any_spacing_and_comments_read_the_same_raster(self, arr, data, tmp_path_factory):
+        # every field separator becomes a run of whitespace bytes and comments;
+        # the byte after maxval stays one whitespace byte
+        path = tmp_path_factory.mktemp("pnm") / "raster.pnm"
+        write_netpbm(arr, path)
+        expected = read_netpbm(path)
+        magic, w, h, rest = path.read_bytes().split(b" ", 3)
+        space = st.sampled_from([b"\t", b"\n", b"\v", b"\f", b"\r", b" "])
+        comment = st.binary(max_size=8).map(lambda c: b"#" + c.replace(b"\n", b"") + b"\n")
+        separator = st.lists(space | comment, min_size=1, max_size=4).map(b"".join)
+        header = magic + b"".join(data.draw(separator) + field for field in (w, h, b"255"))
+        path.write_bytes(header + data.draw(space) + rest[len(b"255\n"):])
+        np.testing.assert_array_equal(read_netpbm(path), expected)
+
+    @pytest.mark.parametrize("first", [9, 10, 11, 12, 13, 32])
+    def test_raster_starting_with_whitespace_values_reads_exactly(self, tmp_path, first):
+        # the raster begins right after the one whitespace byte behind maxval
+        raster = bytes([first, first, 32, 9, 7, 10])
+        path = tmp_path / "space.pgm"
+        path.write_bytes(b"P5 3 2 255\n" + raster)
+        out = read_netpbm(path)
+        np.testing.assert_array_equal(out, np.frombuffer(raster, np.uint8).reshape(2, 3))
+        assert out.flags.writeable and out.flags.c_contiguous
+
+    def test_comment_right_after_digits(self, tmp_path):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5 2# width\n1#height\n255\n" + bytes([4, 9]))
+        np.testing.assert_array_equal(read_netpbm(path), [[4, 9]])
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P5 +2 1 255\n\x00\x00", "malformed Netpbm header"),
+        (b"P5 2 1 255", "malformed Netpbm header"),
+        (b" P5 2 1 255\n\x00\x00", "unsupported Netpbm magic b' P'"),
+        (b"# c\nP5 2 1 255\n\x00\x00", "unsupported Netpbm magic b'# '"),
+        (b"P5 0 4 255\n", "width and height must be at least 1, got 0x4"),
+        (b"P6 4 0 255\n", "width and height must be at least 1, got 4x0"),
+    ], ids=["plus-sign", "no-byte-after-maxval", "space-before-magic",
+            "comment-before-magic", "zero-width", "zero-height"])
+    def test_rejects_headers_outside_the_grammar(self, tmp_path, content, message):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read_netpbm(path)
 
     def test_rejects_bad_inputs(self, tmp_path):
         with pytest.raises(ValueError):
