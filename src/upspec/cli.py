@@ -45,7 +45,6 @@ from .upsamplers import (
     nearest,
     pixel_shuffle,
     transposed_conv,
-    validate_factor,
 )
 
 EXIT_OK = 0
@@ -163,17 +162,6 @@ def write_json(path: Path, payload: dict, config: dict) -> None:
 # input construction
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` or ``--seed-b`` value: an integer >= 0, as numpy's generators take."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return seed
-
-
 def _require_seed(seed, why: str) -> int:
     if seed is None:
         raise UsageError(f"--seed is required {why}")
@@ -253,7 +241,8 @@ def apply_operator(name: str, x: np.ndarray, args):
 
 
 def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
-    """Alias metrics of each named operator, sorted by alias ratio.
+    """Alias metrics of each named operator, sorted stably by alias ratio, one
+    within round-off, (eps/2 * log2(r*N))**2, counting as 0 (so in --ops order).
 
     Runs of consecutive rows, as many of r*N samples as fit in
     ``ROW_BLOCK_SAMPLES`` and at least one, are stacked and scored by one
@@ -265,7 +254,7 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
     row and ``alias_metrics.csv``."""
     x = build_signal(args)
     low_rate = _rdft(x)
-    size = validate_factor(args.factor) * x.size
+    size = args.factor * x.size
     per_block = max(1, ROW_BLOCK_SAMPLES // size)
     ideal = fourier_pad_upsample(x, args.factor)
     peak = float(np.ptp(ideal)) or 1.0
@@ -290,7 +279,8 @@ def _write_operator_rows(names, args, out_dir: Path, formats) -> list[dict]:
             for name, strip in zip(block, strips):
                 write_bar_strip(strip, out_dir / f"spectrum_{name}.pgm")
 
-    rows.sort(key=lambda row: row["alias_ratio"])
+    floor = (np.finfo(float).eps / 2 * math.log2(size)) ** 2
+    rows.sort(key=lambda row: 0.0 if row["alias_ratio"] <= floor else row["alias_ratio"])
     if "csv" in formats:
         write_csv(out_dir / "alias_metrics.csv", COMPARE_CSV_HEADER,
                   [[row[k] for row in rows] for k in COMPARE_CSV_HEADER])
@@ -343,14 +333,9 @@ def cmd_contribution(args, out_dir: Path, formats, config) -> None:
     array of out_len counts is built. The CSV rows come from
     :func:`_position_rows` and the strip repeats their bar columns. One period
     holds the map's min and max, so the bytes are those of all counts."""
-    if args.kernel_size < 1:
-        raise UsageError(f"--kernel-size must be at least 1, got {args.kernel_size}")
-    if args.stride < 1:
-        raise UsageError(f"--stride must be at least 1, got {args.stride}")
     out_len = args.out_len if args.out_len is not None else 8 * args.stride
-    if out_len < 1 or out_len % args.stride:
-        raise UsageError(f"--out-len must be a positive multiple of --stride {args.stride}, "
-                         f"got {out_len}")
+    if out_len % args.stride:
+        raise UsageError(f"--out-len must be a multiple of --stride {args.stride}, got {out_len}")
     kernel = KernelSpec(weights=np.ones(args.kernel_size), stride=args.stride)
     cycle = contribution_map(kernel, kernel.stride)
     if "csv" in formats:
@@ -400,9 +385,9 @@ def cmd_fit(args, out_dir: Path, formats, config) -> None:
 
 def cmd_sweep(args, out_dir: Path, formats, config) -> None:
     try:
-        sizes = sorted({int(s) for s in args.sizes.split(",")})
-    except ValueError:
-        raise UsageError(f"--sizes must be a comma list of integers, got {args.sizes!r}") from None
+        sizes = sorted({_integer_flag(size, minimum=1) for size in args.sizes.split(",")})
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--sizes {args.sizes!r}: {exc}") from None
     residuals = [_solve_fit(args, k).residual for k in sizes]
     if "csv" in formats:
         write_csv(out_dir / "residuals.csv", ("kernel_size", "residual"), [sizes, residuals])
@@ -423,8 +408,6 @@ def _read_input(path) -> np.ndarray:
 def cmd_errorspec(args, out_dir: Path, formats, config) -> None:
     if (args.pred is None) != (args.gt is None):
         raise UsageError("--pred and --gt must be given together")
-    if args.bins < 1:
-        raise UsageError("--bins must be at least 1")
     if args.pred is not None:
         pred, gt = _read_input(args.pred), _read_input(args.gt)
     else:
@@ -460,31 +443,47 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> None:
 # parser
 
 
+def _integer_flag(text: str, minimum: int, maximum: float = 2 ** 63 - 1) -> int:
+    """The value of every integer flag but --frequency: what ``int`` reads, from
+    ``minimum`` to ``maximum``, else an ArgumentTypeError naming the range."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = minimum - 1
+    if not minimum <= value <= maximum:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from {minimum} to {maximum}, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="upspec",
                      description="Spectral analysis of upsampling operators.")
     parser.add_argument("--version", action="version", version=f"upspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    seed = functools.partial(_integer_flag, minimum=0, maximum=math.inf)  # numpy seeds any size
+    natural, count, factor = (functools.partial(_integer_flag, minimum=m) for m in (0, 1, 2))
+
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", required=True, help="directory for artifacts")
     common.add_argument("--format", default="csv,json,pgm",
                         help="comma list from csv,json,pgm,ppm")
-    common.add_argument("--seed", type=_seed, default=None)
+    common.add_argument("--seed", type=seed, default=None)
 
     signal = _Parser(add_help=False)
     signal.add_argument("--signal", default="noise",
                         help="cosine | cosine-mix | noise | step")
-    signal.add_argument("--n", type=int, default=64)
-    signal.add_argument("--cutoff", type=int, default=None,
+    signal.add_argument("--n", type=count, default=64)
+    signal.add_argument("--cutoff", type=natural, default=None,
                         help="band limit for noise (default n/2 - 1)")
     signal.add_argument("--frequency", type=int, default=1)
     signal.add_argument("--amplitude", type=float, default=1.0)
     signal.add_argument("--components", default="1:1:0")
-    signal.add_argument("--factor", "-r", type=int, default=2)
+    signal.add_argument("--factor", "-r", type=factor, default=2)
     signal.add_argument("--boundary", choices=BOUNDARY_MODES, default="periodic")
-    signal.add_argument("--kernel-size", type=int, default=7)
-    signal.add_argument("--parallel-small", type=int, default=0,
+    signal.add_argument("--kernel-size", type=count, default=7)
+    signal.add_argument("--parallel-small", type=natural, default=0,
                         help="parallel small-kernel size (lctc defaults to 3)")
 
     p = sub.add_parser("analyze", parents=[common, signal],
@@ -499,22 +498,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("contribution", parents=[common],
                        help="checkerboard contribution counts")
-    p.add_argument("--kernel-size", type=int, required=True)
-    p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--out-len", type=int, default=None)
+    p.add_argument("--kernel-size", type=count, required=True)
+    p.add_argument("--stride", type=count, required=True)
+    p.add_argument("--out-len", type=count, default=None)
     p.set_defaults(func=cmd_contribution)
 
     fit_common = _Parser(add_help=False)
-    fit_common.add_argument("--n", type=int, default=16)
-    fit_common.add_argument("--factor", "-r", type=int, default=2)
+    fit_common.add_argument("--n", type=count, default=16)
+    fit_common.add_argument("--factor", "-r", type=factor, default=2)
     fit_common.add_argument("--method", choices=("closed", "gradient"), default="closed")
     fit_common.add_argument("--lr", type=float, default=None)
-    fit_common.add_argument("--max-iter", type=int, default=GD_MAX_ITER)
-    fit_common.add_argument("--parallel-small", type=int, default=0)
+    fit_common.add_argument("--max-iter", type=natural, default=GD_MAX_ITER)
+    fit_common.add_argument("--parallel-small", type=natural, default=0)
 
     p = sub.add_parser("fit", parents=[common, fit_common],
                        help="fit one transposed-convolution kernel")
-    p.add_argument("--kernel-size", type=int, required=True)
+    p.add_argument("--kernel-size", type=count, required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", parents=[common, fit_common],
@@ -528,13 +527,13 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", default=None, help="Netpbm file (else generated)")
     p.add_argument("--signal", default="composite",
                    help="checkerboard | gaussian | composite")
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--period", type=int, default=8)
+    p.add_argument("--height", type=count, default=32)
+    p.add_argument("--width", type=count, default=32)
+    p.add_argument("--period", type=count, default=8)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--seed-b", type=_seed, default=None)
+    p.add_argument("--seed-b", type=seed, default=None)
     p.add_argument("--mode", choices=("complex", "magnitude"), default="complex")
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--bins", type=count, default=16)
     p.set_defaults(func=cmd_errorspec)
     return parser
 

@@ -195,8 +195,8 @@ def radial_average(spectrum, n_bins: int) -> RadialProfile:
     once per (H, W, n_bins). Empty bins report magnitude 0 and are flagged.
     """
     n_bins = _integer(n_bins, "n_bins")
-    if n_bins < 1:
-        raise ValueError("n_bins must be a positive integer")
+    if not 1 <= n_bins <= 2 ** 53:  # float64 holds every count up to 2**53 exactly
+        raise ValueError(f"n_bins must be from 1 to 2**53, got {n_bins}")
     if isinstance(spectrum, Spectrum):
         if not spectrum.centered:
             raise ValueError("radial_average requires a centered Spectrum")

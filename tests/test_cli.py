@@ -1,6 +1,9 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import platform
 import threading
 import warnings
@@ -14,9 +17,25 @@ from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cel
                      literal_position_rows, literal_quantize, literal_strip_file)
 from upspec import KernelSpec, __version__, cli, error_spectrum, kernel_fit, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
-from upspec.cli import OPERATORS, main
+from upspec.cli import OPERATORS, build_parser, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
 from upspec.netpbm import read_netpbm, write_netpbm
+
+
+INT64_MAX = 2 ** 63 - 1
+
+
+def _commands():
+    """{command: its subparser}, from build_parser()'s own actions."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands
+
+
+# {command: [(flag, its cli._integer_flag partial)]}
+INTEGER_FLAGS = {command: [(action.option_strings[0], action.type) for action in parser._actions
+                           if getattr(action.type, "func", None) is cli._integer_flag]
+                 for command, parser in _commands().items()}
 
 
 def read_csv(path):
@@ -82,6 +101,19 @@ class TestCompare:
                   for row in rows]
         assert [pair for pair in ratios if pair[0] in order] == [
             (name, "0.00353399364315") for name in order]
+
+    @pytest.mark.parametrize("ops", ["transposed_conv,lctc,fourier_pad",
+                                     "fourier_pad,lctc,transposed_conv"])
+    def test_round_off_ratios_keep_ops_order(self, tmp_path, ops):
+        # at n = 4 the 31-tap fits reproduce the ideal upsampler, so all three
+        # ratios are round-off (1e-33 to 1e-32), under (eps/2 * log2(r*N))**2
+        code = main(["compare", "--out-dir", str(tmp_path), "--seed", "1", "--n", "4",
+                     "--kernel-size", "31", "--ops", ops, "--format", "csv"])
+        assert code == 0
+        header, rows = read_csv(tmp_path / "alias_metrics.csv")
+        assert [row[header.index("operator")] for row in rows] == ops.split(",")
+        floor = (np.finfo(float).eps / 2 * math.log2(2 * 4)) ** 2
+        assert all(float(row[header.index("alias_ratio")]) <= floor for row in rows)
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero-pad"])
     def test_lctc_row_equals_transposed_conv_row(self, tmp_path, boundary):
@@ -212,7 +244,9 @@ class TestOperatorRows:
                          "psnr_vs_ideal_db": psnr(y[np.newaxis], reference[np.newaxis], peak)})
             assert (out / "cli" / f"spectrum_{op}.pgm").read_bytes() == \
                 literal_strip_file(log_magnitude(report.magnitude), height=netpbm.BAR_HEIGHT)
-        rows.sort(key=lambda row: row["alias_ratio"])
+        # ratios within round-off of 0 sort as 0, in --ops order
+        floor = (np.finfo(float).eps / 2 * math.log2(r * n)) ** 2
+        rows.sort(key=lambda row: 0.0 if row["alias_ratio"] <= floor else row["alias_ratio"])
         cli.write_csv(out / "rows.csv", cli.COMPARE_CSV_HEADER,
                       [[row[k] for row in rows] for k in cli.COMPARE_CSV_HEADER])
         assert (out / "cli" / "alias_metrics.csv").read_bytes() == (out / "rows.csv").read_bytes()
@@ -588,8 +622,9 @@ class TestErrorspec:
         code = main(["errorspec", "--out-dir", str(out), "--seed", "1", "--bins", bins,
                      "--format", format])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: usage: --bins")
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == (f"error: usage: argument --bins: must be an integer "
+                                           f"from 1 to {INT64_MAX}, got '{bins}'\n")
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("content", [b"P5 4 4 255\n" + bytes(10), b"P7 4 4 255\n",
                                          b"P5 4 4 65535\n" + bytes(32), b"P5 4 x 255\n",
@@ -641,19 +676,20 @@ class TestExitCodes:
     def test_contribution_kernel_size_below_one_is_1(self, tmp_path, capsys, size):
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", size,
                      "--stride", "2"]) == 1
-        assert capsys.readouterr().err == \
-            f"error: usage: --kernel-size must be at least 1, got {size}\n"
+        assert capsys.readouterr().err == (f"error: usage: argument --kernel-size: must be an "
+                                           f"integer from 1 to {INT64_MAX}, got '{size}'\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["--stride", "0"], "--stride must be at least 1, got 0"),
-        (["--stride", "-2"], "--stride must be at least 1, got -2"),
+        (["--stride", "0"],
+         f"argument --stride: must be an integer from 1 to {INT64_MAX}, got '0'"),
+        (["--stride", "-2"],
+         f"argument --stride: must be an integer from 1 to {INT64_MAX}, got '-2'"),
         (["--stride", "4", "--out-len", "0"],
-         "--out-len must be a positive multiple of --stride 4, got 0"),
+         f"argument --out-len: must be an integer from 1 to {INT64_MAX}, got '0'"),
         (["--stride", "4", "--out-len", "-4"],
-         "--out-len must be a positive multiple of --stride 4, got -4"),
-        (["--stride", "4", "--out-len", "6"],
-         "--out-len must be a positive multiple of --stride 4, got 6"),
-    ])
+         f"argument --out-len: must be an integer from 1 to {INT64_MAX}, got '-4'"),
+        (["--stride", "4", "--out-len", "6"], "--out-len must be a multiple of --stride 4, got 6"),
+    ], ids=["stride-0", "stride-negative", "out-len-0", "out-len-negative", "out-len-6"])
     def test_contribution_bad_stride_or_out_len_is_1(self, tmp_path, capsys, argv, message):
         # the messages name the flags, not the library's parameters
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", "3",
@@ -750,30 +786,70 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [
-        ["fit", "--n", str(10 ** 23), "--kernel-size", "3"],
+        ["fit", "--kernel-size", "3", "--n", str(10 ** 23)],
         ["errorspec", "--signal", "checkerboard", "--period", str(10 ** 24)],
         ["contribution", "--kernel-size", "3", "--stride", str(10 ** 23)],
-    ], ids=["fit-n", "checkerboard-period", "contribution-stride"])
+        ["errorspec", "--signal", "gaussian", "--bins", str(10 ** 23)],
+    ], ids=["fit-n", "checkerboard-period", "contribution-stride", "errorspec-bins"])
     def test_value_too_large_for_the_machine_is_1(self, tmp_path, capsys, argv):
-        # an OverflowError converting to a C integer, after no output
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        # past int64, so the parser names the flag (the last but one argument)
+        # before any numpy call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: usage: ")
+        assert len(err) == 1 and err[0].startswith(f"error: usage: argument {argv[-2]}: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["compare", "--signal", "cosine-mix", "--components", "1:x:0", "--n", "8"],
          "--components must be k:amp:phase[,k:amp:phase...], got '1:x:0'"),
         (["sweep", "--n", "8", "--sizes", "3,,7"],
-         "--sizes must be a comma list of integers, got '3,,7'"),
-        (["compare", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+         f"--sizes '3,,7': must be an integer from 1 to {INT64_MAX}, got ''"),
+        (["sweep", "--n", "16", "--sizes", "0,3"],
+         f"--sizes '0,3': must be an integer from 1 to {INT64_MAX}, got '0'"),
+        (["sweep", "--n", "16", "--sizes", f"3,{10 ** 23}"],
+         f"--sizes '3,{10 ** 23}': must be an integer from 1 to {INT64_MAX}, got '{10 ** 23}'"),
+        (["compare", "--seed", "-1"],
+         "argument --seed: must be an integer from 0 to inf, got '-1'"),
         (["errorspec", "--seed", "1", "--seed-b", "-1"],
-         "argument --seed-b: must be a non-negative integer, got '-1'"),
-    ], ids=["components", "sizes", "seed", "seed-b"])
+         "argument --seed-b: must be an integer from 0 to inf, got '-1'"),
+    ], ids=["components", "sizes", "sizes-0", "sizes-huge", "seed", "seed-b"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
         assert not list((tmp_path / "out").glob("*"))
+
+    def test_every_integer_flag_but_frequency_has_a_range(self):
+        plain = {action.option_strings[0] for parser in _commands().values()
+                 for action in parser._actions if action.type is int}
+        assert plain == {"--frequency"}
+        assert [flag for flag, _ in INTEGER_FLAGS["errorspec"]] == [
+            "--seed", "--height", "--width", "--period", "--seed-b", "--bins"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_out_of_range_integer_flag_prints_one_line(self, data, tmp_path_factory):
+        # every flag the parser reads by cli._integer_flag, at a value outside
+        # its range, fails at parse time: one line naming it, no warning, no file
+        command = data.draw(st.sampled_from(sorted(INTEGER_FLAGS)), label="command")
+        flag, bounds = data.draw(st.sampled_from(INTEGER_FLAGS[command]), label="flag")
+        minimum, maximum = bounds.keywords["minimum"], bounds.keywords.get("maximum", INT64_MAX)
+        values = [-1, "1.5", "x"] + ([] if maximum == math.inf else
+                                     [minimum - 1, 2 ** 63, 10 ** 23])
+        value = str(data.draw(st.sampled_from(values), label="value"))
+        required = {"contribution": ["--kernel-size", "3", "--stride", "2"],
+                    "fit": ["--kernel-size", "3"], "sweep": ["--sizes", "3"]}.get(command, [])
+        required += ["--seed", "1"]  # for the random generators
+        out = tmp_path_factory.mktemp("out")
+        (out / "sentinel").write_text("kept")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, *required, flag, value, "--out-dir", str(out)])
+        assert code == 1
+        assert err.getvalue().count("\n") == 1 and f"argument {flag}" in err.getvalue()
+        assert [path.name for path in out.iterdir()] == ["sentinel"]
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
         # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,

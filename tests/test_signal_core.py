@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,16 @@ class TestRadialAverage:
                 radial_average(values, 2)
         with pytest.raises(ValueError, match="2D"):
             radial_average(np.ones(3), 2)
+
+    @pytest.mark.parametrize("n_bins", [2 ** 53 + 1, 2 ** 63 - 1, 10 ** 23])
+    def test_bin_count_past_float64_integers_is_rejected(self, n_bins):
+        # checked before the bin map casts n_bins-scaled radii to int, which
+        # warns (invalid value in cast) from 2**63 - 2**9 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                radial_average(np.ones((4, 4)), n_bins)
+        assert str(raised.value) == f"n_bins must be from 1 to 2**53, got {n_bins}"
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.integers(1, 40), w=st.integers(1, 40), n_bins=st.integers(1, 300),
