@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import NonRealResultError, _image, _integer, _log_map, _rdft, as_image, as_signal
+from .signal_core import (_MAX_SAMPLES, NonRealResultError, _image, _integer, _log_map, _rdft,
+                          as_image, as_signal)
 from .upsamplers import KernelSpec, _tap_offsets, bed_of_nails, linear, nearest, validate_factor
 
 #: The interpolation filters by name, each the operator that realizes it.
@@ -181,9 +182,7 @@ def filter_response(method: str, r: int, n_points: int,
     if method not in FILTER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
-    n_points = _integer(n_points, "n_points")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    n_points = _integer(n_points, "n_points", 2, _MAX_SAMPLES)
     ell = np.linspace(0.0, r / 2.0, n_points)
     if method == "bed_of_nails":
         return ell, np.ones_like(ell)
@@ -216,9 +215,7 @@ def empirical_filter_response(method: str, r: int, n: int) -> tuple[np.ndarray, 
     if method not in FILTER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(FILTER_METHODS)}")
     r = validate_factor(r)
-    n = _integer(n, "impulse length")
-    if n < 4:
-        raise ValueError("impulse length must be >= 4")
+    n = _integer(n, "impulse length", 4, _MAX_SAMPLES)
     impulse = np.zeros(n)
     impulse[0] = 1.0
     mags = np.abs(_rdft(FILTER_METHODS[method](impulse, r)))
@@ -238,10 +235,10 @@ def contribution_map(kernel: KernelSpec, out_len: int) -> ContributionMap:
     integers, rounded once; any whole number of periods has the same sums up
     to a common factor, so this is the variance of every map.
     """
-    out_len = _integer(out_len, "out_len")
+    out_len = _integer(out_len, "out_len", 1)
     s = kernel.stride
-    if out_len < 1 or out_len % s != 0:
-        raise ValueError(f"out_len must be a positive multiple of stride {s}")
+    if out_len % s != 0:
+        raise ValueError(f"out_len must be a multiple of stride {s}")
 
     axes = [np.bincount(_tap_offsets([k], s), minlength=s) for k in kernel.weights.shape]
     period = functools.reduce(np.multiply.outer, axes)

@@ -35,7 +35,8 @@ from .kernel_fit import (
     kernel_edge_profile,
 )
 from .netpbm import read_netpbm, write_bar_strip, write_netpbm
-from .signal_core import NonRealResultError, _log_map, _rdft, log_magnitude, radial_average
+from .signal_core import (_INT_MAX, _MAX_BINS, NonRealResultError, _integer, _log_map, _rdft,
+                          log_magnitude, radial_average)
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -443,17 +444,14 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> None:
 # parser
 
 
-def _integer_flag(text: str, minimum: int, maximum: float = 2 ** 63 - 1) -> int:
-    """The value of every integer flag but --frequency: what ``int`` reads, from
-    ``minimum`` to ``maximum``, else an ArgumentTypeError naming the range."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = minimum - 1
-    if not minimum <= value <= maximum:
+def _integer_flag(text: str, minimum: int, maximum: float = _INT_MAX) -> int:
+    """The value of every integer flag but --frequency: what ``int`` reads, in
+    the range of :func:`_integer`, else an ArgumentTypeError naming the range."""
+    try:  # int reads no integer, or _integer finds it out of range
+        return _integer(int(text), "value", minimum, maximum)
+    except ValueError:  # argparse names the flag before this message
         raise argparse.ArgumentTypeError(
-            f"must be an integer from {minimum} to {maximum}, got {text!r}")
-    return value
+            f"must be an integer from {minimum} to {maximum}, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -533,7 +531,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--seed-b", type=seed, default=None)
     p.add_argument("--mode", choices=("complex", "magnitude"), default="complex")
-    p.add_argument("--bins", type=count, default=16)
+    p.add_argument("--bins", type=functools.partial(_integer_flag, minimum=1, maximum=_MAX_BINS),
+                   default=16)
     p.set_defaults(func=cmd_errorspec)
     return parser
 

@@ -7,9 +7,11 @@ identical parameters produce bit-identical arrays on every platform.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .signal_core import _integer
+from .signal_core import _MAX_SAMPLES, _integer
 
 
 def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
@@ -17,9 +19,8 @@ def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
     """amp * cos(2*pi*frequency*j/n + phase); frequency 0 gives a constant.
     A frequency with |frequency| >= n is taken modulo n, the same cosine on
     the n samples."""
-    n, frequency = _integer(n, "n"), _integer(frequency, "frequency")
-    if n < 1:
-        raise ValueError("signal length must be >= 1")
+    n = _integer(n, "n", 1, _MAX_SAMPLES)
+    frequency = _integer(frequency, "frequency", -math.inf, math.inf)
     if abs(frequency) >= n:
         frequency %= n
     for name, value in (("amplitude", amplitude), ("phase", phase)):
@@ -32,7 +33,7 @@ def cosine_signal(n: int, frequency: int, amplitude: float = 1.0,
 def cosine_mixture(n: int, components) -> np.ndarray:
     """Sum of cosines given as (frequency, amplitude, phase) triples; a sum
     that is not finite raises ``ValueError``."""
-    n = _integer(n, "n")
+    n = _integer(n, "n", 1, _MAX_SAMPLES)
     comps = list(components)
     if not comps:
         raise ValueError("cosine mixture needs at least one component")
@@ -53,11 +54,8 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
     conjugate symmetry; DC gets a real draw. cutoff must stay below n/2
     so the band excludes the Nyquist bin.
     """
-    n, cutoff = _integer(n, "n"), _integer(cutoff, "cutoff")
-    if n < 2:
-        raise ValueError("signal length must be >= 2")
-    if cutoff < 0 or 2 * cutoff >= n:
-        raise ValueError(f"cutoff must satisfy 0 <= cutoff < n/2, got {cutoff}")
+    n = _integer(n, "n", 2, _MAX_SAMPLES)
+    cutoff = _integer(cutoff, "cutoff", 0, (n - 1) // 2)
     rng = np.random.default_rng(seed)
     spec = np.zeros(n, dtype=complex)
     spec[0] = rng.normal()
@@ -72,28 +70,24 @@ def bandlimited_noise(n: int, cutoff: int, seed: int) -> np.ndarray:
 
 def step_signal(n: int) -> np.ndarray:
     """Edge at n//2: zeros then ones."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("signal length must be >= 2")
+    n = _integer(n, "n", 2, _MAX_SAMPLES)
     out = np.zeros(n)
     out[n // 2:] = 1.0
     return out
 
 
 def checkerboard_image(height: int, width: int, period: int = 8) -> np.ndarray:
-    height, width = _integer(height, "height"), _integer(width, "width")
-    period = _integer(period, "period")
-    if height < 1 or width < 1 or period < 1:
-        raise ValueError("height, width and period must be positive")
+    height = _integer(height, "height", 1, _MAX_SAMPLES)
+    width = _integer(width, "width", 1, _MAX_SAMPLES)
+    period = _integer(period, "period", 1)
     rows = np.arange(height)[:, None] // period
     cols = np.arange(width)[None, :] // period
     return ((rows + cols) % 2).astype(float)
 
 
 def gaussian_blob_image(height: int, width: int, sigma: float | None = None) -> np.ndarray:
-    height, width = _integer(height, "height"), _integer(width, "width")
-    if height < 1 or width < 1:
-        raise ValueError("height and width must be positive")
+    height = _integer(height, "height", 1, _MAX_SAMPLES)
+    width = _integer(width, "width", 1, _MAX_SAMPLES)
     if sigma is None:
         sigma = min(height, width) / 6.0
     if not (sigma > 0 and 2.0 * sigma * sigma > 0):  # NaN fails this too
@@ -110,9 +104,8 @@ def composite_image(height: int, width: int, seed: int) -> np.ndarray:
     Each channel combines a vertical step edge, an oriented cosine with a
     channel-dependent frequency, and low-amplitude seeded noise.
     """
-    height, width = _integer(height, "height"), _integer(width, "width")
-    if height < 2 or width < 2:
-        raise ValueError("composite image must be at least 2x2")
+    height = _integer(height, "height", 2, _MAX_SAMPLES)
+    width = _integer(width, "width", 2, _MAX_SAMPLES)
     rng = np.random.default_rng(seed)
     yy = np.arange(height)[:, None]
     xx = np.arange(width)[None, :]

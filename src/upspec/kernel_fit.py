@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signal_core import _integer
+from .signal_core import _MAX_SAMPLES, _integer
 from .upsamplers import KernelSpec, _tap_offsets, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
@@ -84,12 +84,9 @@ class FitProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", validate_factor(self.r))
-        object.__setattr__(self, "n", _integer(self.n, "input length"))
-        object.__setattr__(self, "k", _integer(self.k, "kernel size"))
-        if self.n < 1:
-            raise ValueError("input length must be >= 1")
-        if self.k < 1:
-            raise ValueError("kernel size must be >= 1")
+        object.__setattr__(self, "n", _integer(self.n, "input length", 1))
+        object.__setattr__(self, "k", _integer(self.k, "kernel size", 1, _MAX_SAMPLES))
+        _integer(self.r * self.n, "output length r*n", 1, _MAX_SAMPLES)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.objective == "corpus_lsq" and len(self.corpus) == 0:
@@ -98,9 +95,7 @@ class FitProblem:
             raise ValueError("operator_frobenius objective takes no corpus")
         if self.parallel_small is not None:
             object.__setattr__(self, "parallel_small",
-                               _integer(self.parallel_small, "parallel kernel size"))
-            if self.parallel_small < 1 or self.parallel_small > self.k:
-                raise ValueError("parallel kernel size must be in [1, k]")
+                               _integer(self.parallel_small, "parallel kernel size", 1, self.k))
         corpus = tuple(np.asarray(x, dtype=float) for x in self.corpus)
         shapes = sorted({x.shape for x in corpus} - {(self.n,)})
         if shapes:
@@ -262,9 +257,7 @@ def fit_gradient_descent(problem: FitProblem, lr: float | None = None,
     """
     if lr is not None and not lr > 0:
         raise ValueError(f"learning rate must be positive, got lr={lr:g}")
-    max_iter = _integer(max_iter, "iteration cap")
-    if max_iter < 0:
-        raise ValueError("iteration cap must be >= 0")
+    max_iter = _integer(max_iter, "iteration cap", 0)
     offsets = _offsets(problem)
     h = _ideal_response(problem.n, problem.r)
     gram, rhs, const = _quadratic(problem, offsets, h)
@@ -315,9 +308,7 @@ def kernel_edge_profile(kernel: KernelSpec) -> EdgeProfile:
     w = kernel.effective_weights()
     if w.ndim != 1:
         raise ValueError("edge profile is defined for 1D kernels")
-    k = w.shape[0]
-    if k < 3:
-        raise ValueError("kernel must have at least 3 taps")
+    k = _integer(w.shape[0], "kernel size", 3)
     third = max(1, k // 3)
     lo = (k - third) // 2
     center = float(np.mean(np.abs(w[lo:lo + third])))

@@ -14,6 +14,8 @@ import re
 
 import numpy as np
 
+from .signal_core import _integer
+
 #: Raster bytes quantized and written at a time by :func:`write_netpbm`.
 _BLOCK_BYTES = 1 << 16
 #: Header of a maxval-255 raster, filled with (magic, width, height).
@@ -115,8 +117,8 @@ def read_netpbm(path) -> np.ndarray:
     The header is the magic "P5" or "P6" at the first byte, then width,
     height and maxval as decimal digits, each after whitespace or '#'
     comments that run to the end of the line, then exactly one whitespace
-    byte; the raster follows it. Width and height must be at least 1 and
-    maxval 255; bytes after the raster are ignored."""
+    byte; the raster follows it. Width and height must be from 1 to 2**63 - 1
+    and maxval 255; bytes after the raster are ignored."""
     with open(path, "rb") as fh:
         data = bytearray(fh.read())  # writable, so the raster needs no copy of its own
     if data[:2] not in (b"P5", b"P6"):
@@ -125,8 +127,7 @@ def read_netpbm(path) -> np.ndarray:
     if header is None:
         raise ValueError("malformed Netpbm header")
     width, height, maxval = map(int, header.groups())
-    if width < 1 or height < 1:
-        raise ValueError(f"width and height must be at least 1, got {width}x{height}")
+    width, height = _integer(width, "width", 1), _integer(height, "height", 1)
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     channels = 1 if data[:2] == b"P5" else 3

@@ -68,16 +68,24 @@ class RadialProfile(NamedTuple):
     empty: np.ndarray
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` if it is not a finite
-    integral number."""
+#: int64's largest value, and the most float64 samples one numpy array
+#: holds: numpy caps an array's bytes at the largest int64 (intp).
+_INT_MAX = 2 ** 63 - 1
+_MAX_SAMPLES = _INT_MAX // 8
+#: float64 holds every count up to 2**53 exactly.
+_MAX_BINS = 2 ** 53
+
+
+def _integer(value, name: str, minimum: float, maximum: float = _INT_MAX) -> int:
+    """``value`` as an int, if it is an integral number from ``minimum`` to
+    ``maximum``; else a ValueError naming ``name`` and the range."""
     try:
-        integral = int(value) == value
+        number = int(value)
     except (OverflowError, ValueError):  # inf and nan have no int
-        integral = False
-    if not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        number = None
+    if number != value or not minimum <= number <= maximum:
+        raise ValueError(f"{name} must be an integer from {minimum} to {maximum}, got {value!r}")
+    return number
 
 
 def as_signal(x) -> np.ndarray:
@@ -194,9 +202,7 @@ def radial_average(spectrum, n_bins: int) -> RadialProfile:
     W//2); n_bins uniform bins partition [0, r_max], the bin map is built
     once per (H, W, n_bins). Empty bins report magnitude 0 and are flagged.
     """
-    n_bins = _integer(n_bins, "n_bins")
-    if not 1 <= n_bins <= 2 ** 53:  # float64 holds every count up to 2**53 exactly
-        raise ValueError(f"n_bins must be from 1 to 2**53, got {n_bins}")
+    n_bins = _integer(n_bins, "n_bins", 1, _MAX_BINS)
     if isinstance(spectrum, Spectrum):
         if not spectrum.centered:
             raise ValueError("radial_average requires a centered Spectrum")

@@ -75,9 +75,7 @@ class KernelSpec:
             raise ValueError("kernel must have at least one tap")
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")
-        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        object.__setattr__(self, "stride", _integer(self.stride, "stride", 1))
         object.__setattr__(self, "weights", w)
         if self.parallel_small is not None:
             small = np.asarray(self.parallel_small, dtype=float)
@@ -112,10 +110,7 @@ class KernelSpec:
 
 
 def validate_factor(r: int) -> int:
-    r = _integer(r, "upsampling factor")
-    if r < 2:
-        raise ValueError("upsampling factor must be >= 2")
-    return r
+    return _integer(r, "upsampling factor", 2)
 
 
 def _validate_boundary(boundary: str) -> None:

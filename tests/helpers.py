@@ -13,6 +13,10 @@ import numpy as np
 from upspec import KernelSpec, fourier_pad_upsample, log_magnitude, transposed_conv
 from upspec.signal_core import LOG_FLOOR
 
+#: The largest integer numpy takes as a C long, and the most samples one
+#: numpy float64 array holds: the tops of the integer parameters' ranges.
+INT64_MAX, MAX_SAMPLES = 2 ** 63 - 1, 2 ** 60 - 1
+
 
 def operator_matrix(op, n: int) -> np.ndarray:
     """Dense matrix of a linear signal operator on length-n inputs: column

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    INT64_MAX,
     brute_dft2,
     copying_fft_rows,
     copying_fourier_pad,
@@ -504,7 +505,8 @@ class TestContributionMap:
     def test_out_len_must_be_integral(self):
         # 8.5 would otherwise count 8 positions; 7.0 counts 7
         for out_len, stride in ((7.5, 1), (8.5, 2)):
-            with pytest.raises(ValueError, match=f"^out_len must be an integer, got {out_len}$"):
+            with pytest.raises(ValueError, match=f"^out_len must be an integer from 1 to "
+                                                 f"{INT64_MAX}, got {out_len}$"):
                 contribution_map(KernelSpec(weights=np.ones(3), stride=stride), out_len)
         kernel = KernelSpec(weights=np.ones(3), stride=7)
         np.testing.assert_array_equal(contribution_map(kernel, 7.0).counts,

@@ -13,16 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (enumerate_contributions, literal_bar_strip, literal_csv_cell, literal_csv_text,
-                     literal_position_rows, literal_quantize, literal_strip_file)
+from helpers import (INT64_MAX, MAX_SAMPLES, enumerate_contributions, literal_bar_strip,
+                     literal_csv_cell, literal_csv_text, literal_position_rows, literal_quantize,
+                     literal_strip_file)
 from upspec import KernelSpec, __version__, cli, error_spectrum, kernel_fit, netpbm, upsamplers
 from upspec.alias_analysis import alias_energy, contribution_map, psnr
 from upspec.cli import OPERATORS, build_parser, main
 from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnitude
 from upspec.netpbm import read_netpbm, write_netpbm
-
-
-INT64_MAX = 2 ** 63 - 1
 
 
 def _commands():
@@ -615,7 +613,7 @@ class TestErrorspec:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: io:")
 
-    @pytest.mark.parametrize("bins", ["0", "-3"])
+    @pytest.mark.parametrize("bins", ["0", "-3", str(2 ** 53 + 1)])
     @pytest.mark.parametrize("format", ["csv,json,pgm", "csv", "json,pgm,ppm"])
     def test_bad_bins_exits_1_before_writing(self, tmp_path, capsys, bins, format):
         out = tmp_path / "out"
@@ -623,7 +621,7 @@ class TestErrorspec:
                      "--format", format])
         assert code == 1
         assert capsys.readouterr().err == (f"error: usage: argument --bins: must be an integer "
-                                           f"from 1 to {INT64_MAX}, got '{bins}'\n")
+                                           f"from 1 to {2 ** 53}, got '{bins}'\n")
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("content", [b"P5 4 4 255\n" + bytes(10), b"P7 4 4 255\n",
@@ -757,9 +755,19 @@ class TestExitCodes:
           "--width", "33"], "sigma must be positive, with 2*sigma^2 > 0, got 1e-200"),
         (["compare", "--signal", "cosine-mix", "--components", "1:1e308:0,1:1e308:0", "--n", "8",
           "--seed", "1"], "the cosine mixture's sum is not finite"),
-    ], ids=["phase", "sigma", "tiny-sigma", "mixture"])
+        # in the flags' ranges, past the sizes of a numpy float64 array
+        (["errorspec", "--signal", "checkerboard", "--height", str(INT64_MAX)],
+         f"height must be an integer from 1 to {MAX_SAMPLES}, got {INT64_MAX}"),
+        (["compare", "--seed", "1", "--n", "16", "--kernel-size", str(INT64_MAX), "--ops", "lctc"],
+         f"kernel size must be an integer from 1 to {MAX_SAMPLES}, got {INT64_MAX}"),
+        (["fit", "--n", str(INT64_MAX), "--kernel-size", "3"],
+         f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {2 * INT64_MAX}"),
+        (["sweep", "--factor", str(INT64_MAX), "--sizes", "3"],
+         f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {16 * INT64_MAX}"),
+    ], ids=["phase", "sigma", "tiny-sigma", "mixture", "height", "kernel-size", "fit-n",
+            "sweep-factor"])
     def test_non_finite_generator_parameter_is_1(self, tmp_path, capsys, argv, message):
-        # named by the generator, with no numpy warning before it
+        # named by the library's parameter, with no numpy warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--out-dir", str(tmp_path)]) == 1
@@ -836,7 +844,7 @@ class TestExitCodes:
         flag, bounds = data.draw(st.sampled_from(INTEGER_FLAGS[command]), label="flag")
         minimum, maximum = bounds.keywords["minimum"], bounds.keywords.get("maximum", INT64_MAX)
         values = [-1, "1.5", "x"] + ([] if maximum == math.inf else
-                                     [minimum - 1, 2 ** 63, 10 ** 23])
+                                     [minimum - 1, maximum + 1, 2 ** 63, 10 ** 23])
         value = str(data.draw(st.sampled_from(values), label="value"))
         required = {"contribution": ["--kernel-size", "3", "--stride", "2"],
                     "fit": ["--kernel-size", "3"], "sweep": ["--sizes", "3"]}.get(command, [])

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import copying_noise, literal_bandlimited_noise
+from helpers import INT64_MAX, MAX_SAMPLES, copying_noise, literal_bandlimited_noise
 from upspec.generators import (
     bandlimited_noise,
     checkerboard_image,
@@ -99,25 +100,37 @@ class TestBandlimitedNoise:
 
 
 class TestOtherGenerators:
-    @pytest.mark.parametrize("make, name", [
-        pytest.param(make, name, id=id_) for id_, make, name in [
-            ("cosine_signal-n", lambda v: cosine_signal(v, 1), "n"),
-            ("cosine_signal-frequency", lambda v: cosine_signal(16, v), "frequency"),
-            ("cosine_mixture-n", lambda v: cosine_mixture(v, [(1, 1, 0)]), "n"),
-            ("cosine_mixture-frequency", lambda v: cosine_mixture(16, [(v, 1, 0)]), "frequency"),
-            ("bandlimited_noise-n", lambda v: bandlimited_noise(v, 0, 1), "n"),
-            ("bandlimited_noise-cutoff", lambda v: bandlimited_noise(16, v, 1), "cutoff"),
-            ("step_signal-n", step_signal, "n"),
-            ("checkerboard_image-height", lambda v: checkerboard_image(v, 4, 2), "height"),
-            ("checkerboard_image-width", lambda v: checkerboard_image(4, v, 2), "width"),
-            ("checkerboard_image-period", lambda v: checkerboard_image(4, 4, v), "period"),
-            ("gaussian_blob_image-height", lambda v: gaussian_blob_image(v, 4), "height"),
-            ("gaussian_blob_image-width", lambda v: gaussian_blob_image(4, v), "width"),
-            ("composite_image-height", lambda v: composite_image(v, 4, 1), "height"),
-            ("composite_image-width", lambda v: composite_image(4, v, 1), "width"),
+    # sizes of samples or pixels take at most 2**60 - 1, numpy's largest
+    # float64 array; the period 2**63 - 1; the frequency any integer
+    @pytest.mark.parametrize("make, name, bounds", [
+        pytest.param(make, name, bounds, id=id_) for id_, make, name, bounds in [
+            ("cosine_signal-n", lambda v: cosine_signal(v, 1), "n", (1, MAX_SAMPLES)),
+            ("cosine_signal-frequency", lambda v: cosine_signal(16, v), "frequency",
+             (-math.inf, math.inf)),
+            ("cosine_mixture-n", lambda v: cosine_mixture(v, [(1, 1, 0)]), "n", (1, MAX_SAMPLES)),
+            ("cosine_mixture-frequency", lambda v: cosine_mixture(16, [(v, 1, 0)]), "frequency",
+             (-math.inf, math.inf)),
+            ("bandlimited_noise-n", lambda v: bandlimited_noise(v, 0, 1), "n", (2, MAX_SAMPLES)),
+            ("bandlimited_noise-cutoff", lambda v: bandlimited_noise(16, v, 1), "cutoff", (0, 7)),
+            ("step_signal-n", step_signal, "n", (2, MAX_SAMPLES)),
+            ("checkerboard_image-height", lambda v: checkerboard_image(v, 4, 2), "height",
+             (1, MAX_SAMPLES)),
+            ("checkerboard_image-width", lambda v: checkerboard_image(4, v, 2), "width",
+             (1, MAX_SAMPLES)),
+            ("checkerboard_image-period", lambda v: checkerboard_image(4, 4, v), "period",
+             (1, INT64_MAX)),
+            ("gaussian_blob_image-height", lambda v: gaussian_blob_image(v, 4), "height",
+             (1, MAX_SAMPLES)),
+            ("gaussian_blob_image-width", lambda v: gaussian_blob_image(4, v), "width",
+             (1, MAX_SAMPLES)),
+            ("composite_image-height", lambda v: composite_image(v, 4, 1), "height",
+             (2, MAX_SAMPLES)),
+            ("composite_image-width", lambda v: composite_image(4, v, 1), "width",
+             (2, MAX_SAMPLES)),
         ]])
-    def test_sizes_and_frequencies_must_be_integral(self, make, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+    def test_sizes_and_frequencies_must_be_integral(self, make, name, bounds):
+        message = f"{name} must be an integer from {bounds[0]} to {bounds[1]}, got 2.5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(2.5)
         np.testing.assert_array_equal(make(2.0), make(2))
 

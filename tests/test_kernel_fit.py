@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    INT64_MAX,
+    MAX_SAMPLES,
     build_basis,
     dense_fit,
     dirichlet_interpolant,
@@ -375,7 +377,9 @@ class TestFitInvariants:
     def test_sizes_must_be_integral(self, field, name):
         # 7.5 is rejected before it reaches an index; 7.0 is stored as the int 7
         sizes = {"n": 16, "k": 7, "parallel_small": 3}
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 7.5$"):
+        top = {"n": INT64_MAX, "k": MAX_SAMPLES, "parallel_small": 7}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer from 1 to {top}, "
+                                             f"got 7.5$"):
             FitProblem(r=2, **{**sizes, field: 7.5})
         problem = FitProblem(r=2, **{**sizes, field: 7.0})
         assert getattr(problem, field) == 7 and type(getattr(problem, field)) is int

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import literal_quantize, literal_strip_file
+from helpers import INT64_MAX, literal_quantize, literal_strip_file
 from upspec import netpbm
 from upspec.netpbm import read_netpbm, write_netpbm
 from upspec.upsamplers import KernelSpec, transposed_conv2
@@ -251,8 +251,8 @@ class TestWriteRead:
         (b"P5 2 1 255", "malformed Netpbm header"),
         (b" P5 2 1 255\n\x00\x00", "unsupported Netpbm magic b' P'"),
         (b"# c\nP5 2 1 255\n\x00\x00", "unsupported Netpbm magic b'# '"),
-        (b"P5 0 4 255\n", "width and height must be at least 1, got 0x4"),
-        (b"P6 4 0 255\n", "width and height must be at least 1, got 4x0"),
+        (b"P5 0 4 255\n", f"width must be an integer from 1 to {INT64_MAX}, got 0"),
+        (b"P6 4 0 255\n", f"height must be an integer from 1 to {INT64_MAX}, got 0"),
     ], ids=["plus-sign", "no-byte-after-maxval", "space-before-magic",
             "comment-before-magic", "zero-width", "zero-height"])
     def test_rejects_headers_outside_the_grammar(self, tmp_path, content, message):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dft
+from helpers import INT64_MAX, MAX_SAMPLES, brute_dft
 from upspec import (
     FitProblem,
     KernelSpec,
@@ -21,7 +22,7 @@ from upspec import (
     radial_average,
 )
 from upspec.alias_analysis import contribution_map
-from upspec.generators import bandlimited_noise
+from upspec.generators import bandlimited_noise, checkerboard_image, composite_image, step_signal
 from upspec.signal_core import _radial_bins
 from upspec.upsamplers import bed_of_nails
 
@@ -177,7 +178,7 @@ class TestRadialAverage:
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as raised:
                 radial_average(np.ones((4, 4)), n_bins)
-        assert str(raised.value) == f"n_bins must be from 1 to 2**53, got {n_bins}"
+        assert str(raised.value) == f"n_bins must be an integer from 1 to {2 ** 53}, got {n_bins}"
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.integers(1, 40), w=st.integers(1, 40), n_bins=st.integers(1, 300),
@@ -232,20 +233,35 @@ class TestTransformInvariants:
             np.testing.assert_allclose(f, mirrored, atol=1e-10)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5])
-@pytest.mark.parametrize("name, build", [
-    ("stride", lambda v: KernelSpec(np.ones(3), v)),
-    ("upsampling factor", lambda v: bed_of_nails(np.ones(4), v)),
-    ("input length", lambda v: FitProblem(n=v, r=2, k=3)),
-    ("kernel size", lambda v: FitProblem(n=16, r=2, k=v)),
-    ("n", lambda v: bandlimited_noise(v, 2, 0)),
-    ("out_len", lambda v: contribution_map(KernelSpec(np.ones(3), 2), v)),
-    ("n_bins", lambda v: radial_average(np.ones((4, 4)), v)),
-    ("n_points", lambda v: filter_response("linear", 2, v)),
-    ("impulse length", lambda v: empirical_filter_response("linear", 2, v)),
-    ("iteration cap", lambda v: fit_gradient_descent(FitProblem(n=8, r=2, k=3), max_iter=v)),
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5,
+                                 "minimum-1", "maximum+1"],
+                         ids=["inf", "-inf", "nan", "2.5", "minimum-1", "maximum+1"])
+@pytest.mark.parametrize("name, minimum, maximum, build", [
+    ("stride", 1, INT64_MAX, lambda v: KernelSpec(np.ones(3), v)),
+    ("upsampling factor", 2, INT64_MAX, lambda v: bed_of_nails(np.ones(4), v)),
+    ("input length", 1, INT64_MAX, lambda v: FitProblem(n=v, r=2, k=3)),
+    ("kernel size", 1, MAX_SAMPLES, lambda v: FitProblem(n=16, r=2, k=v)),
+    ("n", 2, MAX_SAMPLES, lambda v: bandlimited_noise(v, 2, 0)),
+    ("out_len", 1, INT64_MAX, lambda v: contribution_map(KernelSpec(np.ones(3), 2), v)),
+    ("n_bins", 1, 2 ** 53, lambda v: radial_average(np.ones((4, 4)), v)),
+    ("n_points", 2, MAX_SAMPLES, lambda v: filter_response("linear", 2, v)),
+    ("impulse length", 4, MAX_SAMPLES, lambda v: empirical_filter_response("linear", 2, v)),
+    ("iteration cap", 0, INT64_MAX,
+     lambda v: fit_gradient_descent(FitProblem(n=8, r=2, k=3), max_iter=v)),
+    ("height", 1, MAX_SAMPLES, lambda v: checkerboard_image(v, 4, 2)),
+    ("width", 1, MAX_SAMPLES, lambda v: checkerboard_image(4, v, 2)),
+    ("period", 1, INT64_MAX, lambda v: checkerboard_image(4, 4, v)),
+    ("cutoff", 0, 7, lambda v: bandlimited_noise(16, v, 0)),
+    ("parallel kernel size", 1, 7, lambda v: FitProblem(n=16, r=2, k=7, parallel_small=v)),
+    ("n", 2, MAX_SAMPLES, step_signal),
+    ("height", 2, MAX_SAMPLES, lambda v: composite_image(v, 4, 0)),
 ], ids=["stride", "factor", "fit-n", "fit-k", "generator-n", "out_len", "n_bins", "n_points",
-        "impulse-length", "max_iter"])
-def test_non_finite_size_raises_value_error_naming_it(bad, name, build):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
-        build(bad)
+        "impulse-length", "max_iter", "height", "width", "period", "cutoff", "parallel-small",
+        "step-n", "composite-height"])
+def test_non_finite_size_raises_value_error_naming_it(bad, name, minimum, maximum, build):
+    # one rule for every integer: a ValueError naming it and its range, before
+    # any allocation, for a value that is not integral or is out of range
+    value = {"minimum-1": minimum - 1, "maximum+1": maximum + 1}.get(bad, bad)
+    message = f"{name} must be an integer from {minimum} to {maximum}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)

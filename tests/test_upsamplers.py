@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    INT64_MAX,
     brute_dft,
     dirichlet_matrix,
     literal_bed_of_nails,
@@ -204,9 +205,11 @@ class TestTransposedConv:
 
     def test_factor_and_stride_must_be_integral(self):
         # one rule for both: 7.5 is rejected, 7.0 is the int 7
-        with pytest.raises(ValueError, match="^upsampling factor must be an integer, got 7.5$"):
+        with pytest.raises(ValueError, match=f"^upsampling factor must be an integer from 2 to "
+                                             f"{INT64_MAX}, got 7.5$"):
             upsamplers.validate_factor(7.5)
-        with pytest.raises(ValueError, match="^stride must be an integer, got 7.5$"):
+        with pytest.raises(ValueError,
+                           match=f"^stride must be an integer from 1 to {INT64_MAX}, got 7.5$"):
             KernelSpec(weights=[1.0], stride=7.5)
         assert type(upsamplers.validate_factor(7.0)) is int and upsamplers.validate_factor(7.0) == 7
         stride = KernelSpec(weights=[1.0], stride=7.0).stride
