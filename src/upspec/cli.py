@@ -2,10 +2,13 @@
 kernel fits, and deterministic CSV/JSON/Netpbm artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 I/O failure, 3 numerical failure.
-All error paths print a single machine-parsable line to stderr, and a failed
-run removes the files it created in --out-dir, keeping those that were there
-before it. CSV and Netpbm outputs are byte-deterministic for a fixed
-configuration; timestamps only ever appear in JSON metadata.
+All error paths print a single machine-parsable line to stderr. The parser
+checks each flag's own value (a range, a choice, or a read of a comma list)
+before --out-dir is made; a run that fails later removes the files it
+created in --out-dir, keeping those that were there before it. CSV and
+Netpbm outputs are byte-deterministic for a fixed configuration; every CSV
+value is spelled by one rule, and timestamps only ever appear in JSON
+metadata.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .kernel_fit import (
     fit_gradient_descent,
     kernel_edge_profile,
 )
-from .netpbm import read_netpbm, write_bar_strip, write_netpbm
-from .signal_core import (_INT_MAX, _MAX_BINS, NonRealResultError, _integer, _log_map, _rdft,
-                          log_magnitude, radial_average)
+from .netpbm import BAR_HEIGHT, read_netpbm, write_bar_strip, write_netpbm
+from .signal_core import (_INT_MAX, _MAX_BINS, _MAX_SAMPLES, NonRealResultError, _integer,
+                          _log_map, _rdft, log_magnitude, radial_average)
 from .upsamplers import (
     BOUNDARY_MODES,
     KernelSpec,
@@ -86,51 +89,25 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _conversion(kind) -> str | None:
-    """The %-conversion of a CSV value of this type: integers in full,
-    floats to 12 significant digits, other values as ``str`` gives them;
-    None for None and booleans, which are spelled out by :func:`_cell`."""
-    if kind is type(None) or issubclass(kind, (bool, np.bool_)):
-        return None
-    if issubclass(kind, (int, np.integer)):
-        return "%d"
-    if issubclass(kind, (float, np.floating)):
-        return "%.12g"
-    return "%s"
-
-
 def _cell(value) -> str:
-    """One CSV value as text; None is an empty cell, booleans ``true``/``false``."""
-    conversion = _conversion(type(value))
-    if conversion is not None:
-        return conversion % (value,)
-    if value is None:
-        return ""
-    return "true" if value else "false"
+    """One CSV value as text: floats to 12 significant digits, booleans
+    ``true``/``false``, integers in full, None empty, else what ``str`` gives."""
+    if isinstance(value, (float, np.floating)):
+        return "%.12g" % value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return "" if value is None else str(value)
 
 
 def write_csv(path: Path, header, columns) -> None:
-    """One or more columns, all of one length, interleaved into one flat
-    list of values and formatted by one %-template for the whole file.
-
-    A column whose values share one type is converted by the template;
-    any other column, and one of None or booleans, cell by cell first.
-    """
-    width, height = len(columns), len(columns[0])
-    if any(len(column) != height for column in columns):
+    """One or more columns, all of one length, as a header line and one line
+    a row, every value spelled by :func:`_cell`."""
+    if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError(f"CSV columns of lengths {[len(c) for c in columns]} differ")
-    values = [None] * (width * height)
-    conversions = []
-    for i, column in enumerate(columns):
-        kinds = set(map(type, column))
-        conversion = _conversion(kinds.pop()) if len(kinds) == 1 else None
-        if conversion is None:
-            column = list(map(_cell, column))
-            conversion = "%s"
-        conversions.append(conversion)
-        values[i::width] = column
-    row_template = ",".join(conversions) + "\n"
-    path.write_text(",".join(header) + "\n" + (row_template * height) % tuple(values))
+    rows = map(",".join, zip(*[map(_cell, column) for column in columns]))
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
 
 
 def _sanitize(obj):
@@ -180,10 +157,8 @@ def build_signal(args) -> np.ndarray:
         seed = _require_seed(args.seed, "for the noise generator")
         cutoff = args.cutoff if args.cutoff is not None else args.n // 2 - 1
         x = bandlimited_noise(args.n, cutoff, seed)
-    elif kind == "step":
-        x = step_signal(args.n)
     else:
-        raise UsageError(f"--signal must be a 1D kind for this command, got {kind!r}")
+        x = step_signal(args.n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
         x *= args.amplitude
     if not np.all(np.isfinite(x)):
@@ -197,19 +172,8 @@ def build_image(args, seed) -> np.ndarray:
         return checkerboard_image(args.height, args.width, args.period)
     if kind == "gaussian":
         return gaussian_blob_image(args.height, args.width, args.sigma)
-    if kind == "composite":
-        return composite_image(args.height, args.width,
-                               _require_seed(seed, "for the composite generator"))
-    raise UsageError(f"--signal must be a 2D kind for this command, got {kind!r}")
-
-
-def _parse_components(text: str):
-    try:  # a chunk of other than three fields fails to unpack
-        return [(int(k), float(amp), float(phase))
-                for k, amp, phase in (chunk.split(":") for chunk in text.split(","))]
-    except ValueError:
-        raise UsageError(f"--components must be k:amp:phase[,k:amp:phase...], "
-                         f"got {text!r}") from None
+    return composite_image(args.height, args.width,
+                           _require_seed(seed, "for the composite generator"))
 
 
 def apply_operator(name: str, x: np.ndarray, args):
@@ -229,12 +193,10 @@ def apply_operator(name: str, x: np.ndarray, args):
         channels = [x] + [args.amplitude * bandlimited_noise(x.size, x.size // 2 - 1, s)
                           for s in range(seed + 1001, seed + 1000 + r)]
         return pixel_shuffle(channels, r), None
-    if name in ("transposed_conv", "lctc"):
-        small = (args.parallel_small or 3) if name == "lctc" else None
-        problem = FitProblem(n=x.size, r=r, k=args.kernel_size, parallel_small=small)
-        kernel = fit_closed_form(problem).kernel
-        return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), kernel
-    raise UsageError(f"unknown operator {name!r}")
+    small = (args.parallel_small or 3) if name == "lctc" else None  # else transposed_conv
+    problem = FitProblem(n=x.size, r=r, k=args.kernel_size, parallel_small=small)
+    kernel = fit_closed_form(problem).kernel
+    return transposed_conv(kernel=kernel, x=x, boundary=args.boundary), kernel
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +257,7 @@ def cmd_analyze(args, out_dir: Path, formats, config) -> None:
 
 
 def cmd_compare(args, out_dir: Path, formats, config) -> None:
-    names = OPERATORS if args.ops == "all" else tuple(args.ops.split(","))
-    for i, name in enumerate(names):
-        if name not in OPERATORS:
-            raise UsageError(f"unknown operator {name!r}; choose from {OPERATORS}")
-        if name in names[:i]:
-            raise UsageError(f"operator {name!r} is listed more than once in --ops")
-    rows = _write_operator_rows(names, args, out_dir, formats)
+    rows = _write_operator_rows(_parse_ops(args.ops), args, out_dir, formats)
     if "json" in formats:
         write_json(out_dir / "summary.json", {"metrics": rows}, config)
 
@@ -385,10 +341,7 @@ def cmd_fit(args, out_dir: Path, formats, config) -> None:
 
 
 def cmd_sweep(args, out_dir: Path, formats, config) -> None:
-    try:
-        sizes = sorted({_integer_flag(size, minimum=1) for size in args.sizes.split(",")})
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"--sizes {args.sizes!r}: {exc}") from None
+    sizes = _parse_sizes(args.sizes)
     residuals = [_solve_fit(args, k).residual for k in sizes]
     if "csv" in formats:
         write_csv(out_dir / "residuals.csv", ("kernel_size", "residual"), [sizes, residuals])
@@ -454,6 +407,50 @@ def _integer_flag(text: str, minimum: int, maximum: float = _INT_MAX) -> int:
             f"must be an integer from {minimum} to {maximum}, got {text!r}") from None
 
 
+def _parse_ops(text: str) -> tuple:
+    """--ops: every operator for "all", else the comma list, each name once."""
+    names = OPERATORS if text == "all" else tuple(text.split(","))
+    for i, name in enumerate(names):
+        if name not in OPERATORS:
+            raise argparse.ArgumentTypeError(f"unknown operator {name!r}; choose from {OPERATORS}")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"operator {name!r} is listed more than once")
+    return names
+
+
+def _parse_formats(text: str) -> tuple:
+    """--format: the names of the comma list, empty items skipped, at least one."""
+    formats = tuple(f for f in text.split(",") if f)
+    if not formats:
+        raise argparse.ArgumentTypeError("must select at least one format")
+    for f in formats:
+        if f not in FORMATS:
+            raise argparse.ArgumentTypeError(f"unknown format {f!r}; choose from {FORMATS}")
+    return formats
+
+
+def _parse_sizes(text: str) -> list[int]:
+    """--sizes: the kernel sizes of the comma list, once each, ascending."""
+    return sorted({_integer_flag(size, minimum=1) for size in text.split(",")})
+
+
+def _parse_components(text: str) -> list[tuple[int, float, float]]:
+    """--components: the (k, amp, phase) of each k:amp:phase item."""
+    try:  # a chunk of other than three fields fails to unpack
+        return [(int(k), float(amp), float(phase))
+                for k, amp, phase in (chunk.split(":") for chunk in text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be k:amp:phase[,k:amp:phase...], got {text!r}") from None
+
+
+def _text_flag(text: str, parse) -> str:
+    """A comma-list flag's text as given, once ``parse`` (which the command calls
+    again) has read it, so that vars(args) and every config_hash keep its words."""
+    parse(text)
+    return text
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="upspec",
                      description="Spectral analysis of upsampling operators.")
@@ -462,22 +459,24 @@ def build_parser() -> _Parser:
 
     seed = functools.partial(_integer_flag, minimum=0, maximum=math.inf)  # numpy seeds any size
     natural, count, factor = (functools.partial(_integer_flag, minimum=m) for m in (0, 1, 2))
+    ops, formats, sizes, components = (functools.partial(_text_flag, parse=parse) for parse in (
+        _parse_ops, _parse_formats, _parse_sizes, _parse_components))
 
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", required=True, help="directory for artifacts")
-    common.add_argument("--format", default="csv,json,pgm",
+    common.add_argument("--format", type=formats, default="csv,json,pgm",
                         help="comma list from csv,json,pgm,ppm")
     common.add_argument("--seed", type=seed, default=None)
 
     signal = _Parser(add_help=False)
-    signal.add_argument("--signal", default="noise",
-                        help="cosine | cosine-mix | noise | step")
+    signal.add_argument("--signal", choices=("cosine", "cosine-mix", "noise", "step"),
+                        default="noise")
     signal.add_argument("--n", type=count, default=64)
     signal.add_argument("--cutoff", type=natural, default=None,
                         help="band limit for noise (default n/2 - 1)")
     signal.add_argument("--frequency", type=int, default=1)
     signal.add_argument("--amplitude", type=float, default=1.0)
-    signal.add_argument("--components", default="1:1:0")
+    signal.add_argument("--components", type=components, default="1:1:0")
     signal.add_argument("--factor", "-r", type=factor, default=2)
     signal.add_argument("--boundary", choices=BOUNDARY_MODES, default="periodic")
     signal.add_argument("--kernel-size", type=count, default=7)
@@ -491,14 +490,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", parents=[common, signal],
                        help="alias metrics of several operators, sorted")
-    p.add_argument("--ops", default="all", help="comma list of operators or 'all'")
+    p.add_argument("--ops", type=ops, default="all", help="comma list of operators or 'all'")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("contribution", parents=[common],
                        help="checkerboard contribution counts")
-    p.add_argument("--kernel-size", type=count, required=True)
-    p.add_argument("--stride", type=count, required=True)
-    p.add_argument("--out-len", type=count, default=None)
+    # a kernel of float64 taps, and a strip column of BAR_HEIGHT bytes per
+    # position of one period (the stride) and of the output
+    p.add_argument("--kernel-size", type=functools.partial(
+        _integer_flag, minimum=1, maximum=_MAX_SAMPLES), required=True)
+    strip = functools.partial(_integer_flag, minimum=1, maximum=_INT_MAX // BAR_HEIGHT)
+    p.add_argument("--stride", type=strip, required=True)
+    p.add_argument("--out-len", type=strip, default=None)
     p.set_defaults(func=cmd_contribution)
 
     fit_common = _Parser(add_help=False)
@@ -516,15 +519,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", parents=[common, fit_common],
                        help="fit residual across kernel sizes")
-    p.add_argument("--sizes", required=True, help="comma list of kernel sizes")
+    p.add_argument("--sizes", type=sizes, required=True, help="comma list of kernel sizes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("errorspec", parents=[common],
                        help="spectrum of the difference of two images")
     p.add_argument("--pred", default=None, help="Netpbm file (else generated)")
     p.add_argument("--gt", default=None, help="Netpbm file (else generated)")
-    p.add_argument("--signal", default="composite",
-                   help="checkerboard | gaussian | composite")
+    p.add_argument("--signal", choices=("checkerboard", "gaussian", "composite"),
+                   default="composite")
     p.add_argument("--height", type=count, default=32)
     p.add_argument("--width", type=count, default=32)
     p.add_argument("--period", type=count, default=8)
@@ -539,16 +542,6 @@ def build_parser() -> _Parser:
 
 # main parses through one parser per process; build_parser() builds a new one
 _parser = functools.cache(build_parser)
-
-
-def _parse_formats(text: str):
-    formats = tuple(f for f in text.split(",") if f)
-    if not formats:
-        raise UsageError("--format must select at least one format")
-    for f in formats:
-        if f not in FORMATS:
-            raise UsageError(f"unknown format {f!r}; choose from {FORMATS}")
-    return formats
 
 
 def main(argv=None) -> int:

@@ -83,10 +83,9 @@ class FitProblem:
     parallel_small: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", validate_factor(self.r))
         object.__setattr__(self, "n", _integer(self.n, "input length", 1))
+        object.__setattr__(self, "r", validate_factor(self.r, self.n))
         object.__setattr__(self, "k", _integer(self.k, "kernel size", 1, _MAX_SAMPLES))
-        _integer(self.r * self.n, "output length r*n", 1, _MAX_SAMPLES)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.objective == "corpus_lsq" and len(self.corpus) == 0:

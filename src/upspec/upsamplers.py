@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import NonRealResultError, _integer, _rdft, as_image, as_signal
+from .signal_core import _MAX_SAMPLES, NonRealResultError, _integer, _rdft, as_image, as_signal
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -109,8 +109,12 @@ class KernelSpec:
         return folded
 
 
-def validate_factor(r: int) -> int:
-    return _integer(r, "upsampling factor", 2)
+def validate_factor(r: int, n: int = 1) -> int:
+    """``r`` as an int of at least 2 whose output of r*n samples, from n
+    input samples, one float64 array can hold."""
+    r = _integer(r, "upsampling factor", 2)
+    _integer(r * n, "output length r*n", 1, _MAX_SAMPLES)
+    return r
 
 
 def _validate_boundary(boundary: str) -> None:
@@ -121,14 +125,14 @@ def _validate_boundary(boundary: str) -> None:
 def bed_of_nails(x, r: int) -> np.ndarray:
     """Insert r-1 zeros after every sample (kernel [1]): out[r*j] = x[j], 0 elsewhere."""
     x = as_signal(x)
-    r = validate_factor(r)
+    r = validate_factor(r, x.size)
     return _place1(x, np.ones(1), r, "periodic")
 
 
 def nearest(x, r: int) -> np.ndarray:
     """Repeat every sample r times (kernel: r-1 zeros, r ones): out[r*j + m] = x[j]."""
     x = as_signal(x)
-    r = validate_factor(r)
+    r = validate_factor(r, x.size)
     return _place1(x, np.concatenate([np.zeros(r - 1), np.ones(r)]), r, "periodic")
 
 
@@ -141,7 +145,7 @@ def linear(x, r: int, boundary: str = "periodic") -> np.ndarray:
     the triangle m/r (0 < m < r), then 1 - m/r (0 <= m < r), its 1 on the anchor.
     """
     x = as_signal(x)
-    r = validate_factor(r)
+    r = validate_factor(r, x.size)
     _validate_boundary(boundary)
     return _place1(x, np.concatenate([np.arange(1, r) / r, 1 - np.arange(r) / r]), r, boundary)
 
@@ -153,10 +157,10 @@ def pixel_shuffle(channels, r: int) -> np.ndarray:
     2D: out[r*h + a, r*w + b] = channels[a*r + b][h, w] (row-major
     sub-pixel order).
     """
-    r = validate_factor(r)
     arrays = [np.asarray(c, dtype=float) for c in channels]
     if not arrays:
         raise ValueError("pixel_shuffle needs at least one channel")
+    r = validate_factor(r, arrays[0].size)
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValueError("all channels must have identical shape")
@@ -404,6 +408,8 @@ def transposed_conv(x, kernel: KernelSpec, boundary: str = "periodic") -> np.nda
     _validate_boundary(boundary)
     if kernel.weights.ndim != 1:
         raise ValueError("transposed_conv expects a 1D kernel; use transposed_conv2 for images")
+    if kernel.stride > 1:  # a stride of 1 keeps the input's length
+        validate_factor(kernel.stride, x.size)
     return _place1(x, kernel.effective_weights(), kernel.stride, boundary)
 
 
@@ -435,7 +441,7 @@ def fourier_pad_upsample(x, r: int) -> np.ndarray:
     construction, and an overflow raises :class:`NonRealResultError`.
     """
     x = as_signal(x)
-    r = validate_factor(r)
+    r = validate_factor(r, x.size)
     n = x.size
     m = r * n
     g = np.zeros(m // 2 + 1, dtype=complex)

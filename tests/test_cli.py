@@ -23,6 +23,10 @@ from upspec.signal_core import NonRealResultError, center_shift, dft, log_magnit
 from upspec.netpbm import read_netpbm, write_netpbm
 
 
+# contribution's largest --stride and --out-len: a strip column of 48 bytes each
+STRIP_MAX = INT64_MAX // 48
+
+
 def _commands():
     """{command: its subparser}, from build_parser()'s own actions."""
     (commands,) = [action.choices for action in build_parser()._actions
@@ -34,6 +38,45 @@ def _commands():
 INTEGER_FLAGS = {command: [(action.option_strings[0], action.type) for action in parser._actions
                            if getattr(action.type, "func", None) is cli._integer_flag]
                  for command, parser in _commands().items()}
+
+
+# values outside the domain of each flag that cli._text_flag reads, keyed by
+# its parse function: unknown names, repeated names, empty items and fields
+TEXT_FLAG_VALUES = {
+    cli._parse_ops: ["nope", "linear,nope", "linear,linear", "linear,", "", "all,linear",
+                     "1:x:0"],
+    cli._parse_formats: ["bmp", "csv,bmp", "", ",", "1:x:0"],
+    cli._parse_sizes: ["x", "0,3", "3,,7", "3,", "", "3.5", f"3,{2 ** 63}", "1:x:0"],
+    cli._parse_components: ["1:x:0", "x:1:0", "1:1", "1:1:0:0", "1:1:0,", ""],
+}
+
+
+def _bad_values(action):
+    """Values that a flag's parser action refuses, or None if it refuses none."""
+    if action.choices is not None:
+        name = action.choices[0]
+        return ["nope", "", f"{name},{name}", f"{name},", "1:x:0"]
+    func = getattr(action.type, "func", None)
+    if func is cli._integer_flag:
+        minimum = action.type.keywords["minimum"]
+        maximum = action.type.keywords.get("maximum", INT64_MAX)
+        return [-1, "1.5", "x"] + ([] if maximum == math.inf else
+                                   [minimum - 1, maximum + 1, 2 ** 63, 10 ** 23])
+    if func is cli._text_flag:
+        return TEXT_FLAG_VALUES[action.type.keywords["parse"]]
+    return None
+
+
+# {command: [(flag, the values its parser action refuses)]}
+CHECKED_FLAGS = {command: [(action.option_strings[0], _bad_values(action))
+                           for action in parser._actions if _bad_values(action) is not None]
+                 for command, parser in _commands().items()}
+# the flags the parser reads without a domain of their own
+UNCHECKED_FLAGS = {"-h", "--out-dir", "--frequency", "--amplitude", "--lr", "--sigma",
+                   "--pred", "--gt"}
+# what each command needs besides the flag under test; the generators need --seed
+REQUIRED = {"contribution": ["--kernel-size", "3", "--stride", "2"],
+            "fit": ["--kernel-size", "3"], "sweep": ["--sizes", "3"]}
 
 
 def read_csv(path):
@@ -651,9 +694,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, kind", [("compare", "sawtooth"), ("compare", "composite"),
                                                ("errorspec", "sawtooth"), ("errorspec", "noise")])
     def test_unknown_signal_is_1(self, tmp_path, capsys, command, kind):
-        assert main([command, "--out-dir", str(tmp_path), "--seed", "1",
+        # argparse words its list of choices differently across Python versions
+        assert main([command, "--out-dir", str(tmp_path / "out"), "--seed", "1",
                      "--signal", kind]) == 1
-        assert capsys.readouterr().err.startswith("error: usage: --signal")
+        assert capsys.readouterr().err.startswith(
+            f"error: usage: argument --signal: invalid choice: '{kind}'")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         assert main(["compare", "--out-dir", str(tmp_path), "--ops", "linear"]) == 1
@@ -667,25 +713,25 @@ class TestExitCodes:
         assert main(["compare", "--out-dir", str(out), "--seed", "1",
                      "--ops", "linear,nearest,linear"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and "'linear'" in err
-        assert built == [] and list(out.iterdir()) == []
+        assert err.startswith("error: usage: argument --ops:") and "'linear'" in err
+        assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("size", ["-3", "0"])
     def test_contribution_kernel_size_below_one_is_1(self, tmp_path, capsys, size):
         assert main(["contribution", "--out-dir", str(tmp_path), "--kernel-size", size,
                      "--stride", "2"]) == 1
         assert capsys.readouterr().err == (f"error: usage: argument --kernel-size: must be an "
-                                           f"integer from 1 to {INT64_MAX}, got '{size}'\n")
+                                           f"integer from 1 to {MAX_SAMPLES}, got '{size}'\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--stride", "0"],
-         f"argument --stride: must be an integer from 1 to {INT64_MAX}, got '0'"),
+         f"argument --stride: must be an integer from 1 to {STRIP_MAX}, got '0'"),
         (["--stride", "-2"],
-         f"argument --stride: must be an integer from 1 to {INT64_MAX}, got '-2'"),
+         f"argument --stride: must be an integer from 1 to {STRIP_MAX}, got '-2'"),
         (["--stride", "4", "--out-len", "0"],
-         f"argument --out-len: must be an integer from 1 to {INT64_MAX}, got '0'"),
+         f"argument --out-len: must be an integer from 1 to {STRIP_MAX}, got '0'"),
         (["--stride", "4", "--out-len", "-4"],
-         f"argument --out-len: must be an integer from 1 to {INT64_MAX}, got '-4'"),
+         f"argument --out-len: must be an integer from 1 to {STRIP_MAX}, got '-4'"),
         (["--stride", "4", "--out-len", "6"], "--out-len must be a multiple of --stride 4, got 6"),
     ], ids=["stride-0", "stride-negative", "out-len-0", "out-len-negative", "out-len-6"])
     def test_contribution_bad_stride_or_out_len_is_1(self, tmp_path, capsys, argv, message):
@@ -764,8 +810,10 @@ class TestExitCodes:
          f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {2 * INT64_MAX}"),
         (["sweep", "--factor", str(INT64_MAX), "--sizes", "3"],
          f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {16 * INT64_MAX}"),
+        (["compare", "--seed", "1", "--n", "16", "--factor", str(INT64_MAX), "--ops", "linear"],
+         f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {16 * INT64_MAX}"),
     ], ids=["phase", "sigma", "tiny-sigma", "mixture", "height", "kernel-size", "fit-n",
-            "sweep-factor"])
+            "sweep-factor", "compare-factor"])
     def test_non_finite_generator_parameter_is_1(self, tmp_path, capsys, argv, message):
         # named by the library's parameter, with no numpy warning before it
         with warnings.catch_warnings():
@@ -811,22 +859,36 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["compare", "--signal", "cosine-mix", "--components", "1:x:0", "--n", "8"],
-         "--components must be k:amp:phase[,k:amp:phase...], got '1:x:0'"),
+         "argument --components: must be k:amp:phase[,k:amp:phase...], got '1:x:0'"),
         (["sweep", "--n", "8", "--sizes", "3,,7"],
-         f"--sizes '3,,7': must be an integer from 1 to {INT64_MAX}, got ''"),
+         f"argument --sizes: must be an integer from 1 to {INT64_MAX}, got ''"),
         (["sweep", "--n", "16", "--sizes", "0,3"],
-         f"--sizes '0,3': must be an integer from 1 to {INT64_MAX}, got '0'"),
+         f"argument --sizes: must be an integer from 1 to {INT64_MAX}, got '0'"),
         (["sweep", "--n", "16", "--sizes", f"3,{10 ** 23}"],
-         f"--sizes '3,{10 ** 23}': must be an integer from 1 to {INT64_MAX}, got '{10 ** 23}'"),
+         f"argument --sizes: must be an integer from 1 to {INT64_MAX}, got '{10 ** 23}'"),
+        (["compare", "--ops", "foo"],
+         f"argument --ops: unknown operator 'foo'; choose from {OPERATORS}"),
+        (["compare", "--ops", "linear,nope"],
+         f"argument --ops: unknown operator 'nope'; choose from {OPERATORS}"),
+        (["contribution", "--kernel-size", str(INT64_MAX), "--stride", "2"],
+         f"argument --kernel-size: must be an integer from 1 to {MAX_SAMPLES}, got '{INT64_MAX}'"),
+        (["contribution", "--kernel-size", "3", "--stride", str(INT64_MAX),
+          "--out-len", str(INT64_MAX)],
+         f"argument --stride: must be an integer from 1 to {STRIP_MAX}, got '{INT64_MAX}'"),
+        (["contribution", "--kernel-size", "3", "--stride", "2", "--out-len", str(INT64_MAX - 1)],
+         f"argument --out-len: must be an integer from 1 to {STRIP_MAX}, got '{INT64_MAX - 1}'"),
         (["compare", "--seed", "-1"],
          "argument --seed: must be an integer from 0 to inf, got '-1'"),
         (["errorspec", "--seed", "1", "--seed-b", "-1"],
          "argument --seed-b: must be an integer from 0 to inf, got '-1'"),
-    ], ids=["components", "sizes", "sizes-0", "sizes-huge", "seed", "seed-b"])
+    ], ids=["components", "sizes", "sizes-0", "sizes-huge", "ops", "ops-second",
+            "contribution-kernel-size", "contribution-stride", "contribution-out-len", "seed",
+            "seed-b"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, argv, message):
+        # read by the parser, so the missing out dir is not made
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
     def test_every_integer_flag_but_frequency_has_a_range(self):
         plain = {action.option_strings[0] for parser in _commands().values()
@@ -835,29 +897,38 @@ class TestExitCodes:
         assert [flag for flag, _ in INTEGER_FLAGS["errorspec"]] == [
             "--seed", "--height", "--width", "--period", "--seed-b", "--bins"]
 
+    def test_every_flag_but_the_unchecked_has_a_parse_time_domain(self):
+        every = {action.option_strings[0] for parser in _commands().values()
+                 for action in parser._actions}
+        checked = {flag for flags in CHECKED_FLAGS.values() for flag, _ in flags}
+        assert every - checked == UNCHECKED_FLAGS
+        assert {"--signal", "--ops", "--format", "--sizes", "--components"} <= checked
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_out_of_range_integer_flag_prints_one_line(self, data, tmp_path_factory):
-        # every flag the parser reads by cli._integer_flag, at a value outside
-        # its range, fails at parse time: one line naming it, no warning, no file
-        command = data.draw(st.sampled_from(sorted(INTEGER_FLAGS)), label="command")
-        flag, bounds = data.draw(st.sampled_from(INTEGER_FLAGS[command]), label="flag")
-        minimum, maximum = bounds.keywords["minimum"], bounds.keywords.get("maximum", INT64_MAX)
-        values = [-1, "1.5", "x"] + ([] if maximum == math.inf else
-                                     [minimum - 1, maximum + 1, 2 ** 63, 10 ** 23])
+    @given(data=st.data(), existing=st.booleans())
+    def test_bad_flag_value_prints_one_line(self, data, existing, tmp_path_factory):
+        # every flag with a parse-time domain, at a value outside it, fails in
+        # the parser: one line naming it, no warning, and the out dir as it
+        # was, its file kept or, when missing, not made
+        command = data.draw(st.sampled_from(sorted(CHECKED_FLAGS)), label="command")
+        flag, values = data.draw(st.sampled_from(CHECKED_FLAGS[command]), label="flag")
         value = str(data.draw(st.sampled_from(values), label="value"))
-        required = {"contribution": ["--kernel-size", "3", "--stride", "2"],
-                    "fit": ["--kernel-size", "3"], "sweep": ["--sizes", "3"]}.get(command, [])
-        required += ["--seed", "1"]  # for the random generators
         out = tmp_path_factory.mktemp("out")
-        (out / "sentinel").write_text("kept")
+        if existing:
+            (out / "sentinel").write_text("kept")
+        else:
+            out = out / "missing"
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
-            code = main([command, *required, flag, value, "--out-dir", str(out)])
+            code = main([command, *REQUIRED.get(command, []), "--seed", "1", flag, value,
+                         "--out-dir", str(out)])
         assert code == 1
         assert err.getvalue().count("\n") == 1 and f"argument {flag}" in err.getvalue()
-        assert [path.name for path in out.iterdir()] == ["sentinel"]
+        if existing:
+            assert [path.name for path in out.iterdir()] == ["sentinel"]
+        else:
+            assert not out.exists()
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys):
         # 2^48 CSV rows of 18 bytes are past the 2^47-byte user address space,
@@ -1023,8 +1094,8 @@ class TestCsvFormatting:
         (np.bool_(True), "true"), (np.bool_(False), "false"),
     ])
     def test_fmt_strings(self, value, text, tmp_path):
-        # a column of one type goes through the row template, a mixed one
-        # cell by cell; both spell the value as the oracle does
+        # alone in its column or beside a value of another type, the cell
+        # spells the value as the oracle does
         assert literal_csv_cell(value) == text
         for column in ([value], [value, "x"]):
             cli.write_csv(tmp_path / "t.csv", ["v"], [column])
@@ -1037,8 +1108,8 @@ class TestCsvFormatting:
         kinds = [st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
                  st.floats(), st.floats(width=32).map(np.float32), st.none(), st.booleans(),
                  st.booleans().map(np.bool_), st.text(alphabet="ab%,-", max_size=4)]
-        # each column of one type or of the mix, so that both the row
-        # template and the cell-by-cell conversion are exercised
+        # each column of one type or of the mix, so that every type meets
+        # every other in a row
         drawn = [data.draw(st.sampled_from([st.one_of(kinds), *kinds])) for _ in range(width)]
         columns = [[data.draw(kind) for _ in range(height)] for kind in drawn]
         header = [f"c{i}" for i in range(width)]

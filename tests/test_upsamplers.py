@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     INT64_MAX,
+    MAX_SAMPLES,
     brute_dft,
     dirichlet_matrix,
     literal_bed_of_nails,
@@ -876,3 +878,24 @@ class TestOperatorInvariants:
         x = 1e8 * np.cos(2 * np.pi * 7 * np.arange(1000) / 1000)
         y = fourier_pad_upsample(x, 3)
         np.testing.assert_allclose(y[::3], x, rtol=0, atol=1e-12 * 1e8)
+
+
+class TestOutputLength:
+    @pytest.mark.parametrize("upsample", [
+        bed_of_nails, nearest, linear, fourier_pad_upsample,
+        lambda x, r: pixel_shuffle([x], r),
+        lambda x, r: transposed_conv(x, KernelSpec(np.ones(3), r)),
+    ], ids=["bed_of_nails", "nearest", "linear", "fourier_pad", "pixel_shuffle",
+            "transposed_conv"])
+    def test_output_past_an_array_is_named(self, upsample):
+        # r*n past the most float64 samples one array holds is one ValueError
+        # naming it, not numpy's words, whatever the operator
+        message = f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {16 * 2**62}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            upsample(np.ones(16), 2 ** 62)
+
+    def test_largest_output_is_accepted(self):
+        assert upsamplers.validate_factor(MAX_SAMPLES, 1) == MAX_SAMPLES
+        assert upsamplers.validate_factor(2 ** 55, 16) == 2 ** 55
+        with pytest.raises(ValueError, match="^output length r\\*n must be"):
+            upsamplers.validate_factor(2 ** 56, 16)
