@@ -3,12 +3,12 @@ kernel fits, and deterministic CSV/JSON/Netpbm artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 I/O failure, 3 numerical failure.
 All error paths print a single machine-parsable line to stderr. The parser
-checks each flag's own value (a range, a choice, or a read of a comma list)
-before --out-dir is made; a run that fails later removes the files it
-created in --out-dir, keeping those that were there before it. CSV and
-Netpbm outputs are byte-deterministic for a fixed configuration; every CSV
-value is spelled by one rule, and timestamps only ever appear in JSON
-metadata.
+checks each flag's own value (a range, a finite float, a choice, or a read
+of a comma list) before --out-dir is made; a run that fails later removes
+the files it created in --out-dir, keeping those that were there before it.
+CSV and Netpbm outputs are byte-deterministic for a fixed configuration;
+every CSV value is spelled by one rule, and timestamps only ever appear in
+JSON metadata.
 """
 
 from __future__ import annotations
@@ -407,6 +407,19 @@ def _integer_flag(text: str, minimum: int, maximum: float = _INT_MAX) -> int:
             f"must be an integer from {minimum} to {maximum}, got {text!r}") from None
 
 
+def _float_flag(text: str, positive: bool) -> float:
+    """The value of --amplitude (finite) and of --lr and --sigma (finite, above
+    0): what ``float`` reads, else an ArgumentTypeError naming the domain."""
+    try:  # float reads no number
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number{' above 0' if positive else ''}, got {text!r}")
+    return value
+
+
 def _parse_ops(text: str) -> tuple:
     """--ops: every operator for "all", else the comma list, each name once."""
     names = OPERATORS if text == "all" else tuple(text.split(","))
@@ -459,6 +472,7 @@ def build_parser() -> _Parser:
 
     seed = functools.partial(_integer_flag, minimum=0, maximum=math.inf)  # numpy seeds any size
     natural, count, factor = (functools.partial(_integer_flag, minimum=m) for m in (0, 1, 2))
+    real, positive = (functools.partial(_float_flag, positive=p) for p in (False, True))
     ops, formats, sizes, components = (functools.partial(_text_flag, parse=parse) for parse in (
         _parse_ops, _parse_formats, _parse_sizes, _parse_components))
 
@@ -475,7 +489,7 @@ def build_parser() -> _Parser:
     signal.add_argument("--cutoff", type=natural, default=None,
                         help="band limit for noise (default n/2 - 1)")
     signal.add_argument("--frequency", type=int, default=1)
-    signal.add_argument("--amplitude", type=float, default=1.0)
+    signal.add_argument("--amplitude", type=real, default=1.0)
     signal.add_argument("--components", type=components, default="1:1:0")
     signal.add_argument("--factor", "-r", type=factor, default=2)
     signal.add_argument("--boundary", choices=BOUNDARY_MODES, default="periodic")
@@ -508,7 +522,7 @@ def build_parser() -> _Parser:
     fit_common.add_argument("--n", type=count, default=16)
     fit_common.add_argument("--factor", "-r", type=factor, default=2)
     fit_common.add_argument("--method", choices=("closed", "gradient"), default="closed")
-    fit_common.add_argument("--lr", type=float, default=None)
+    fit_common.add_argument("--lr", type=positive, default=None)
     fit_common.add_argument("--max-iter", type=natural, default=GD_MAX_ITER)
     fit_common.add_argument("--parallel-small", type=natural, default=0)
 
@@ -531,7 +545,7 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=count, default=32)
     p.add_argument("--width", type=count, default=32)
     p.add_argument("--period", type=count, default=8)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=positive, default=None)
     p.add_argument("--seed-b", type=seed, default=None)
     p.add_argument("--mode", choices=("complex", "magnitude"), default="complex")
     p.add_argument("--bins", type=functools.partial(_integer_flag, minimum=1, maximum=_MAX_BINS),

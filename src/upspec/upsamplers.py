@@ -200,12 +200,12 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     """Polyphase tap placement of an (H, W, C) array, all channels at once.
 
     Output phase (pa, pb) of the stride-(sa, sb) transposed convolution
-    receives the taps that :func:`_phases` lists for pa on axis 0 and pb on
-    axis 1; each adds w[a, b] times the un-inserted input shifted by the
-    tap's offsets. The input is padded once by :func:`_padded` (wrapped or
-    zero; not at all when no tap reads past an edge) so every shift is a
-    slice, and taps are summed in ascending (a, b) order. 1D signals come
-    in as rows.
+    receives the taps that the table :func:`_phases` lists for pa on axis 0
+    and pb on axis 1; each adds w[a, b] times the un-inserted input shifted
+    by their shifts. The input is padded once by :func:`_padded`, by the
+    table's reads before and after it (wrapped or zero), so every shift is a
+    slice; taps are summed in ascending (a, b) order into a zeroed output,
+    whose phases without a tap stay 0. 1D signals come in as rows.
 
     With H*W >= FFT_MIN_SAMPLES (1024) and enough nonzero taps in the
     fullest phase for the longest axis, max(H, W), :func:`_place_fft`
@@ -237,17 +237,16 @@ def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
     if h * wd >= FFT_MIN_SAMPLES and _fullest_phase_taps(w, strides) >= next(
             taps for bound, taps in FFT_MIN_TAPS if max(h, wd) < bound):
         return _place_fft(x, w, strides, boundary)
-    pads = _pads(w.shape, strides)
-    padded = _padded(x, pads, boundary) if any(pads[0] + pads[1]) else x
-    (lo_a, _), (lo_b, _) = pads
-    out = np.empty((sa * h, sb * wd, nc))
-    for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
-        for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)):
+    (phases_a, reads_a), (phases_b, reads_b) = map(_phases, w.shape, strides)
+    padded = _padded(x, (reads_a, reads_b), boundary) if any(reads_a + reads_b) else x
+    out = np.zeros((sa * h, sb * wd, nc))
+    for pa, rows, ua in phases_a:
+        for pb, cols, ub in phases_b:
             acc = np.zeros((h, wd, nc))
             for a, u in zip(rows.tolist(), ua.tolist()):
                 for b, v in zip(cols.tolist(), ub.tolist()):
                     if w[a, b] != 0.0:
-                        ra, rb = lo_a - u, lo_b - v
+                        ra, rb = reads_a[0] - u, reads_b[0] - v
                         acc += w[a, b] * padded[ra:ra + h, rb:rb + wd]
             out[pa::sa, pb::sb] = acc
     return out
@@ -278,23 +277,20 @@ def _padded(x: np.ndarray, pads, boundary: str) -> np.ndarray:
 
 
 @lru_cache
-def _phases(k: int, s: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per output phase p, the taps j = p + floor(k/2) (mod s) it receives, in
-    ascending order, and the input offset (j - p - floor(k/2)) / s each reads
-    back. Every tap lies in exactly one phase; a phase gets none only if s > k.
-    Cached, as building it costs more than a short placement: read, never write."""
-    c = k // 2
-    phases = [np.arange((p + c) % s, k, s) for p in range(s)]
-    return tuple((taps, (taps - p - c) // s) for p, taps in enumerate(phases))
-
-
-def _pads(shape, strides) -> list[tuple[int, int]]:
-    """Input samples read before and after the input, per axis.
-
-    Tap a of phase p reads the input at offset (p + c - a) / s, which lies
-    between -((K - 1 - c) // s) and (s - 1 + c) // s, with c = floor(K/2).
-    """
-    return [((k - 1 - k // 2) // s, (s - 1 + k // 2) // s) for k, s in zip(shape, strides)]
+def _phases(k: int, s: int) -> tuple[tuple, tuple[int, int]]:
+    """The polyphase table of k taps at stride s: (phases, reads). Tap j lands
+    at offset d = j - floor(k/2) (:func:`_tap_offsets`), d = s*u + p with
+    0 <= p < s: output phase p receives it, applied to the input shifted by u.
+    ``phases`` lists (p, taps, u) for each phase that receives a tap, at most
+    k, p and taps ascending; ``reads`` is (max u, -min u), the input samples
+    read before and after the input. One stable sort of the taps builds it,
+    whatever s. Cached, as building it costs more than a short placement:
+    read, never write."""
+    d = np.arange(k) - k // 2
+    order = np.argsort(d % s, kind="stable")
+    phase, starts = np.unique(d[order] % s, return_index=True)
+    split = np.split(order, starts[1:]), np.split(d[order] // s, starts[1:])
+    return tuple(zip(phase.tolist(), *split)), (int(d[-1] // s), int(-(d[0] // s)))
 
 
 def _tap_offsets(sizes, m: int) -> np.ndarray:
@@ -307,9 +303,9 @@ def _tap_offsets(sizes, m: int) -> np.ndarray:
 def _fullest_phase_taps(w: np.ndarray, strides) -> int:
     """Nonzero taps of the output phase that receives the most of them, the
     phases being those of :func:`_phases`."""
-    (sa, sb), nonzero = strides, w != 0.0
-    return max(np.count_nonzero(nonzero[np.ix_(rows, cols)])
-               for rows, _ in _phases(w.shape[0], sa) for cols, _ in _phases(w.shape[1], sb))
+    (phases_a, _), (phases_b, _) = map(_phases, w.shape, strides)
+    return max(np.count_nonzero(w[np.ix_(rows, cols)]) for _, rows, _ in phases_a
+               for _, cols, _ in phases_b)
 
 
 def _fast_length(n: int) -> int:
@@ -325,7 +321,7 @@ def _fast_length(n: int) -> int:
 
 
 def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:
-    """:func:`_place` by real FFTs: one of the input, one inverse per output phase.
+    """:func:`_place` by real FFTs: one of the input, one inverse per tapped output phase.
 
     Phase (pa, pb) is the un-inserted input convolved with its sub-kernel
     W_p: tap (a, b) reads the input at offset -(ua, ub), the offsets that
@@ -335,8 +331,9 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     onto their Lb bins, as a matrix too costly for a long 1D signal.
     Periodic placement is the circular convolution at (La, Lb) = (H, W).
     Zero-pad placement is the linear one: the input is zero-padded to the
-    next 5-smooth length of at least H + max(pads) per axis, so that every
-    read past either end finds a zero, and the first (H, W) samples are kept.
+    next 5-smooth length of at least H plus the table's larger read per
+    axis, so that every read past either end finds a zero, and the first
+    (H, W) samples are kept; phases without a tap stay 0.
 
     Input and output are handled channel first, so the real FFT runs along
     the contiguous last axis (the samples of a 1D row), each phase is
@@ -357,9 +354,10 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
     if turned:
         x, w, strides = x.transpose(1, 0, 2), w.T, strides[::-1]
     (h, wd, nc), (sa, sb) = x.shape, strides
+    (phases_a, reads_a), (phases_b, reads_b) = map(_phases, w.shape, strides)
     la, lb = h, wd
     if boundary == "zero-pad":
-        la, lb = (_fast_length(n + max(pad)) for n, pad in zip((h, wd), _pads(w.shape, strides)))
+        la, lb = _fast_length(h + max(reads_a)), _fast_length(wd + max(reads_b))
     ex, ew = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (x, w))
     w = np.ldexp(w, -ew)
     spectrum = np.empty((nc, la, lb // 2 + 1), complex)
@@ -372,10 +370,8 @@ def _place_fft(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarr
             spectrum[c, h:] = 0.0
             np.fft.fft(spectrum[c], axis=0, out=spectrum[c])
 
-    for pa, (rows, ua) in enumerate(_phases(w.shape[0], sa)):
-        for pb, (cols, ub) in enumerate(_phases(w.shape[1], sb)):
-            if not (rows.size and cols.size):  # a phase with no tap stays 0
-                continue
+    for pa, rows, ua in phases_a:
+        for pb, cols, ub in phases_b:
             ea = np.exp(-2j * np.pi / la * (np.outer(ua, np.arange(la)) % la))
             bins = np.arange(rows.size)[:, None] * lb + ub % lb
             taps = np.bincount(bins.ravel(), weights=w[np.ix_(rows, cols)].ravel(),
@@ -423,8 +419,9 @@ def transposed_conv2(image, kernel: KernelSpec, boundary: str = "periodic") -> n
     _validate_boundary(boundary)
     if kernel.weights.ndim != 2:
         raise ValueError("transposed_conv2 expects a 2D kernel")
-    out = _place(as_image(image), kernel.effective_weights(), (kernel.stride, kernel.stride),
-                 boundary)
+    x = as_image(image)
+    _integer(kernel.stride ** 2 * x.size, "output size r*r*H*W*C", 1, _MAX_SAMPLES)
+    out = _place(x, kernel.effective_weights(), (kernel.stride, kernel.stride), boundary)
     return out[:, :, 0] if np.ndim(image) == 2 else out
 
 

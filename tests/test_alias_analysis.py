@@ -27,7 +27,7 @@ from helpers import (
 )
 from upspec.alias_analysis import FILTER_METHODS, _alias_reports, _psnr_rows
 from upspec.signal_core import Spectrum, _log_map, _rdft, dft, idft
-from upspec.upsamplers import _pads, _phases
+from upspec.upsamplers import _phases
 from upspec import (
     KernelSpec,
     NonRealResultError,
@@ -536,11 +536,10 @@ class TestContributionMap:
         np.testing.assert_array_equal(
             transposed_conv2(np.ones((h, w)), KernelSpec(np.ones((ka, kb)), s)),
             np.outer(counts(ka, s * h), counts(kb, s * w)))
-        phases = _phases(k, s)
-        np.testing.assert_array_equal(np.sort(np.concatenate([t for t, _ in phases])),
+        phases, (before, after) = _phases(k, s)
+        np.testing.assert_array_equal(np.sort(np.concatenate([t for _, t, _ in phases])),
                                       np.arange(k))
-        ((lo, hi),) = _pads((k,), (s,))
-        assert all(np.all((-hi <= u) & (u <= lo)) for _, u in phases)
+        assert all(np.all((-after <= u) & (u <= before)) for _, _, u in phases)
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 200), k2=st.none() | st.integers(1, 200), s=st.integers(1, 12),

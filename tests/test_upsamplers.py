@@ -452,6 +452,24 @@ class TestPolyphasePlacement:
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.floats(0, np.log2(300)).map(lambda e: int(2.0 ** e)),
+           s=st.floats(0, 40).map(lambda e: int(2.0 ** e)))
+    @example(k=300, s=2 ** 40)
+    @example(k=2, s=5)  # phases with no taps
+    def test_phase_table_lists_exactly_the_tapped_phases(self, k, s):
+        # tap j's offset d = j - k//2 is s*u + p: the table lists each class
+        # p = d mod s once, ascending, with its taps ascending and their u,
+        # and reads what the closed form ((k-1-c)//s, (s-1+c)//s) gives
+        phases, reads = upsamplers._phases(k, s)
+        d, c = np.arange(k) - k // 2, k // 2
+        assert [p for p, _, _ in phases] == sorted(set((d % s).tolist()))
+        assert len(phases) <= min(k, s)
+        for p, taps, u in phases:
+            np.testing.assert_array_equal(taps, np.flatnonzero(d % s == p))
+            np.testing.assert_array_equal(s * u + p, d[taps])
+        assert reads == ((k - 1 - c) // s, (s - 1 + c) // s)
+
 
 def _place_by_fft(x, kernel, boundary):
     """The FFT placement of a kernel's effective weights, called directly."""
@@ -893,6 +911,22 @@ class TestOutputLength:
         message = f"output length r*n must be an integer from 1 to {MAX_SAMPLES}, got {16 * 2**62}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             upsample(np.ones(16), 2 ** 62)
+
+    def test_image_output_past_an_array_is_named(self, monkeypatch):
+        # r*r*H*W*C samples, checked before placement builds or allocates
+        monkeypatch.setattr(upsamplers, "_place", None)
+        message = (f"output size r*r*H*W*C must be an integer from 1 to {MAX_SAMPLES}, "
+                   f"got {48 * 2**124}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transposed_conv2(np.ones((4, 4, 3)), KernelSpec(np.ones((3, 3)), 2 ** 62))
+
+    def test_stride_past_the_taps_fails_at_its_allocation(self):
+        # the table holds only the 200 tapped phases of 2^40, so placement
+        # reaches numpy's 8 PiB output allocation at once, which fails on
+        # any machine
+        assert len(upsamplers._phases(200, 2 ** 40)[0]) == 200
+        with pytest.raises(MemoryError):
+            transposed_conv(np.ones(1024), KernelSpec(np.ones(200), 2 ** 40))
 
     def test_largest_output_is_accepted(self):
         assert upsamplers.validate_factor(MAX_SAMPLES, 1) == MAX_SAMPLES
