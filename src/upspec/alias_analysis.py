@@ -271,8 +271,8 @@ def error_spectrum(pred, gt, mode: str = "complex", log: bool = True) -> np.ndar
     """
     if mode not in ("complex", "magnitude"):
         raise ValueError("mode must be 'complex' or 'magnitude'")
-    p = _image(pred)
-    g = _image(gt)
+    p = _image(pred, finite=False)
+    g = _image(gt, finite=False)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
 

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,6 +76,13 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a value such as -1e3, -.5E1 or -inf for an option,
+        # since its own pattern reads only -1 and -2.5 as negative numbers
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$|^-(?:inf|nan)$")
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -354,7 +362,7 @@ def cmd_sweep(args, out_dir: Path, formats, config) -> None:
 
 def _read_input(path) -> np.ndarray:
     try:  # a malformed input file is an I/O error, like a missing one
-        return read_netpbm(path).astype(float)
+        return read_netpbm(path)  # error_spectrum reads it as float
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -397,9 +405,9 @@ def cmd_errorspec(args, out_dir: Path, formats, config) -> None:
 # parser
 
 
-def _integer_flag(text: str, minimum: int, maximum: float = _INT_MAX) -> int:
-    """The value of every integer flag but --frequency: what ``int`` reads, in
-    the range of :func:`_integer`, else an ArgumentTypeError naming the range."""
+def _integer_flag(text: str, minimum: float, maximum: float = _INT_MAX) -> int:
+    """The value of every integer flag: what ``int`` reads, in the range of
+    :func:`_integer`, else an ArgumentTypeError naming the range."""
     try:  # int reads no integer, or _integer finds it out of range
         return _integer(int(text), "value", minimum, maximum)
     except ValueError:  # argparse names the flag before this message
@@ -472,6 +480,7 @@ def build_parser() -> _Parser:
 
     seed = functools.partial(_integer_flag, minimum=0, maximum=math.inf)  # numpy seeds any size
     natural, count, factor = (functools.partial(_integer_flag, minimum=m) for m in (0, 1, 2))
+    whole = functools.partial(_integer_flag, minimum=-math.inf, maximum=math.inf)
     real, positive = (functools.partial(_float_flag, positive=p) for p in (False, True))
     ops, formats, sizes, components = (functools.partial(_text_flag, parse=parse) for parse in (
         _parse_ops, _parse_formats, _parse_sizes, _parse_components))
@@ -488,7 +497,7 @@ def build_parser() -> _Parser:
     signal.add_argument("--n", type=count, default=64)
     signal.add_argument("--cutoff", type=natural, default=None,
                         help="band limit for noise (default n/2 - 1)")
-    signal.add_argument("--frequency", type=int, default=1)
+    signal.add_argument("--frequency", type=whole, default=1)
     signal.add_argument("--amplitude", type=real, default=1.0)
     signal.add_argument("--components", type=components, default="1:1:0")
     signal.add_argument("--factor", "-r", type=factor, default=2)

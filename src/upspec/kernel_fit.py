@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signal_core import _MAX_SAMPLES, _integer
+from .signal_core import _MAX_SAMPLES, _array, _integer
 from .upsamplers import KernelSpec, _tap_offsets, fourier_pad_upsample, validate_factor
 
 OBJECTIVES = ("operator_frobenius", "corpus_lsq")
@@ -95,12 +95,10 @@ class FitProblem:
         if self.parallel_small is not None:
             object.__setattr__(self, "parallel_small",
                                _integer(self.parallel_small, "parallel kernel size", 1, self.k))
-        corpus = tuple(np.asarray(x, dtype=float) for x in self.corpus)
+        corpus = tuple(_array(x, "corpus signal", (1,)) for x in self.corpus)
         shapes = sorted({x.shape for x in corpus} - {(self.n,)})
         if shapes:
             raise ValueError(f"corpus signals must have shape ({self.n},), got {shapes}")
-        if not all(np.all(np.isfinite(x)) for x in corpus):
-            raise ValueError("corpus signals must be finite")
         object.__setattr__(self, "corpus", corpus)
 
 

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .signal_core import _integer
+from .signal_core import _array, _integer
 
 #: Raster bytes quantized and written at a time by :func:`write_netpbm`.
 _BLOCK_BYTES = 1 << 16
@@ -43,14 +43,6 @@ def _minmax_rint(arr, lo: float, hi: float, top: float, out) -> np.ndarray:
     return np.rint(out, out=out)
 
 
-def _finite_range(arr: np.ndarray) -> tuple[float, float]:
-    """min and max of the whole array as floats; a non-finite one raises."""
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("array values must be finite")
-    return lo, hi
-
-
 def _quantize_block(block: np.ndarray, lo: float, hi: float, scratch: np.ndarray) -> np.ndarray:
     """Min-max quantisation to uint8 of any rows of an array whose range is
     [lo, hi], read as floats (booleans as 0 and 1), zeros when constant; in C
@@ -66,9 +58,14 @@ def _quantize_block(block: np.ndarray, lo: float, hi: float, scratch: np.ndarray
 def write_netpbm(array, path) -> None:
     """Write a 2D array as P5 or an (H, W, 3) array as P6, quantized in blocks
     of whole rows of about ``_BLOCK_BYTES`` through one block-sized float
-    buffer: no full-size copy is made. The range is checked first, so a
-    non-finite array creates no file."""
+    buffer: no full-size copy is made. A complex, empty or non-finite array
+    raises ``ValueError``, in the words of ``signal_core._array``, before the
+    file is opened."""
     arr = np.asarray(array)
+    if arr.dtype.kind == "c":  # _array's checks, read without its float copy
+        raise ValueError("array must be real, got a complex array")
+    if arr.size == 0:
+        raise ValueError("array must contain at least one sample")
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
     if arr.ndim == 2:
@@ -76,8 +73,10 @@ def write_netpbm(array, path) -> None:
     elif arr.ndim == 3 and arr.shape[2] == 3:
         magic = b"P6"
     else:
-        raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {arr.shape}")
-    lo, hi = _finite_range(arr)
+        raise ValueError(f"array must be (H, W) or (H, W, 3), got shape {arr.shape}")
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("array samples must be finite")
     h, w = arr.shape[:2]
     rows = max(1, _BLOCK_BYTES // arr[0].size)
     scratch = np.empty((min(rows, h), *arr.shape[1:]))
@@ -94,9 +93,9 @@ def write_bar_strip(values, path, repeat: int = 1) -> None:
     values min-max scaled to [0, 1], and 0 above (all 0 when constant). The
     (BAR_HEIGHT, len(values)) raster is filled once, with no zero-fill, by a
     compare into its bool view and ``np.negative`` (1 -> 255), then tiled.
-    Non-finite values raise ``ValueError`` before the file is opened."""
-    vals = np.asarray(values, dtype=float)
-    lo, hi = _finite_range(vals)
+    ``values`` is read by ``signal_core._array``, before the file is opened."""
+    vals = _array(values, "values", (1,))
+    lo, hi = float(vals.min()), float(vals.max())
     filled = np.zeros(vals.size) if hi == lo else _minmax_rint(vals, lo, hi, BAR_HEIGHT, None)
     empty = np.subtract(BAR_HEIGHT, filled, out=filled)
     raster = np.empty((BAR_HEIGHT, vals.size), np.uint8)

@@ -4,6 +4,10 @@ Conventions:
 - A signal is a 1D array of finite real samples, length N >= 1.
 - An image is an (H, W) or (H, W, C) array of finite real samples; 2D
   arrays are treated as single-channel.
+- Every array an entry point takes is read by ``_array``: a complex array
+  is refused, not cut to its real part; anything else is read as float64
+  (a float64 array is not copied); a wrong dimensionality, an empty array
+  or a non-finite sample is one ValueError naming the argument.
 - The forward transform is unnormalized,
       F_k = sum_j exp(-2*pi*i*j*k/N) * x_j,
   and the inverse carries the 1/N factor. Any signal length is supported;
@@ -88,16 +92,27 @@ def _integer(value, name: str, minimum: float, maximum: float = _INT_MAX) -> int
     return number
 
 
+def _array(x, name: str, ndims: tuple, finite: bool = True) -> np.ndarray:
+    """``x`` as a float64 array, read in one conversion and not copied if it
+    is one, if it is real, has ``ndims`` dimensions and at least one sample,
+    all finite unless ``finite`` is False; else a ValueError naming ``name``."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":  # a float cast would keep the real part
+        raise ValueError(f"{name} must be real, got a complex array")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim not in ndims:
+        dims = " or ".join(f"{d}D" for d in ndims)
+        raise ValueError(f"{name} must be {dims}, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must contain at least one sample")
+    if finite and not np.isfinite(arr).all():  # half np.all's cost on short arrays
+        raise ValueError(f"{name} samples must be finite")
+    return arr
+
+
 def as_signal(x) -> np.ndarray:
     """Validate and return ``x`` as a 1D float array of length >= 1."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"signal must be 1D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("signal must contain at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("signal samples must be finite")
-    return arr
+    return _array(x, "signal", (1,))
 
 
 def as_image(x) -> np.ndarray:
@@ -105,23 +120,14 @@ def as_image(x) -> np.ndarray:
 
     2D inputs are promoted to a single channel.
     """
-    arr = _image(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("image samples must be finite")
-    return arr
+    return _image(x)
 
 
-def _image(x) -> np.ndarray:
-    """:func:`as_image` but for the finiteness check, for callers that make
-    it on values they compute anyway."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[:, :, np.newaxis]
-    if arr.ndim != 3:
-        raise ValueError(f"image must be 2D or 3D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("image must contain at least one sample")
-    return arr
+def _image(x, finite: bool = True) -> np.ndarray:
+    """:func:`as_image`, whose finiteness check callers that make it on values
+    they compute anyway skip with ``finite=False``."""
+    arr = _array(x, "image", (2, 3), finite)
+    return arr[:, :, np.newaxis] if arr.ndim == 2 else arr
 
 
 def dft(signal) -> Spectrum:
@@ -206,13 +212,11 @@ def radial_average(spectrum, n_bins: int) -> RadialProfile:
     if isinstance(spectrum, Spectrum):
         if not spectrum.centered:
             raise ValueError("radial_average requires a centered Spectrum")
+        if spectrum.values.ndim != 2:
+            raise ValueError("radial_average requires a 2D spectrum")
         values = spectrum.values
     else:
-        values = np.asarray(spectrum)
-        if np.iscomplexobj(values) or not np.all(np.isfinite(values)):
-            raise ValueError("radial_average takes a centered Spectrum or finite real magnitudes")
-    if values.ndim != 2:
-        raise ValueError("radial_average requires a 2D spectrum")
+        values = _array(spectrum, "spectrum", (2,))
 
     idx, counts, r_max = _radial_bins(*values.shape, n_bins)
     sums = np.bincount(idx, weights=np.abs(values).ravel(), minlength=n_bins)

@@ -39,7 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import _MAX_SAMPLES, NonRealResultError, _integer, _rdft, as_image, as_signal
+from .signal_core import (_MAX_SAMPLES, NonRealResultError, _array, _integer, _rdft, as_image,
+                          as_signal)
 
 BOUNDARY_MODES = ("periodic", "zero-pad")
 
@@ -68,21 +69,11 @@ class KernelSpec:
     parallel_small: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim not in (1, 2):
-            raise ValueError("kernel weights must be 1D or 2D")
-        if w.size == 0:
-            raise ValueError("kernel must have at least one tap")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("kernel weights must be finite")
+        w = _array(self.weights, "kernel", (1, 2))
         object.__setattr__(self, "stride", _integer(self.stride, "stride", 1))
         object.__setattr__(self, "weights", w)
         if self.parallel_small is not None:
-            small = np.asarray(self.parallel_small, dtype=float)
-            if small.ndim != w.ndim:
-                raise ValueError("parallel kernel must match main kernel dimensionality")
-            if small.size == 0 or not np.all(np.isfinite(small)):
-                raise ValueError("parallel kernel taps must be finite and non-empty")
+            small = _array(self.parallel_small, "parallel kernel", (w.ndim,))
             if any(s > m for s, m in zip(small.shape, w.shape)):
                 raise ValueError("parallel kernel must not exceed the main kernel size")
             object.__setattr__(self, "parallel_small", small)
@@ -157,43 +148,34 @@ def pixel_shuffle(channels, r: int) -> np.ndarray:
     2D: out[r*h + a, r*w + b] = channels[a*r + b][h, w] (row-major
     sub-pixel order).
     """
-    arrays = [np.asarray(c, dtype=float) for c in channels]
+    arrays = [_array(c, "channels", (1, 2)) for c in channels]
     if not arrays:
         raise ValueError("pixel_shuffle needs at least one channel")
     r = validate_factor(r, arrays[0].size)
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValueError("all channels must have identical shape")
-    if any(not np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError("channel samples must be finite")
 
     if arrays[0].ndim == 1:
         if len(arrays) != r:
             raise ValueError(f"1D pixel shuffle needs exactly r={r} channels, got {len(arrays)}")
         return np.stack(arrays, axis=1).ravel()
 
-    if arrays[0].ndim == 2:
-        if len(arrays) != r * r:
-            raise ValueError(f"2D pixel shuffle needs exactly r^2={r * r} channels, got {len(arrays)}")
-        h, w = shape
-        return np.stack(arrays).reshape(r, r, h, w).transpose(2, 0, 3, 1).reshape(r * h, r * w)
-
-    raise ValueError("channels must be 1D or 2D arrays")
+    if len(arrays) != r * r:
+        raise ValueError(f"2D pixel shuffle needs exactly r^2={r * r} channels, got {len(arrays)}")
+    h, w = shape
+    return np.stack(arrays).reshape(r, r, h, w).transpose(2, 0, 3, 1).reshape(r * h, r * w)
 
 
 def pixel_unshuffle(x, r: int) -> list[np.ndarray]:
     """Exact inverse of :func:`pixel_shuffle`."""
     r = validate_factor(r)
-    arr = np.asarray(x, dtype=float)
+    arr = _array(x, "x", (1, 2))
+    if any(side % r for side in arr.shape):
+        raise ValueError(f"shape {arr.shape} not divisible by r={r}")
     if arr.ndim == 1:
-        if arr.size % r != 0:
-            raise ValueError(f"length {arr.size} not divisible by r={r}")
         return [arr[m::r].copy() for m in range(r)]
-    if arr.ndim == 2:
-        if arr.shape[0] % r != 0 or arr.shape[1] % r != 0:
-            raise ValueError(f"shape {arr.shape} not divisible by r={r}")
-        return [arr[a::r, b::r].copy() for a in range(r) for b in range(r)]
-    raise ValueError("pixel_unshuffle expects a 1D or 2D array")
+    return [arr[a::r, b::r].copy() for a in range(r) for b in range(r)]
 
 
 def _place(x: np.ndarray, w: np.ndarray, strides, boundary: str) -> np.ndarray:

@@ -60,12 +60,12 @@ def _bad_values(action):
     if func is cli._integer_flag:
         minimum = action.type.keywords["minimum"]
         maximum = action.type.keywords.get("maximum", INT64_MAX)
-        return [-1, "1.5", "x"] + ([] if maximum == math.inf else
-                                   [minimum - 1, maximum + 1, 2 ** 63, 10 ** 23])
+        return ([-1] if minimum > -1 else []) + ["1.5", "x"] + (
+            [] if maximum == math.inf else [minimum - 1, maximum + 1, 2 ** 63, 10 ** 23])
     if func is cli._text_flag:
         return TEXT_FLAG_VALUES[action.type.keywords["parse"]]
     if func is cli._float_flag:
-        return ["nan", "inf", "1e400", "x", ""] + (
+        return ["nan", "inf", "-inf", "1e400", "-1e400", "x", ""] + (
             ["0", "-0.0", "-1", "1e-400"] if action.type.keywords["positive"] else [])
     return None
 
@@ -75,7 +75,7 @@ CHECKED_FLAGS = {command: [(action.option_strings[0], _bad_values(action))
                            for action in parser._actions if _bad_values(action) is not None]
                  for command, parser in _commands().items()}
 # the flags the parser reads without a domain of their own
-UNCHECKED_FLAGS = {"-h", "--out-dir", "--frequency", "--pred", "--gt"}
+UNCHECKED_FLAGS = {"-h", "--out-dir", "--pred", "--gt"}
 # what each command needs besides the flag under test; the generators need --seed
 REQUIRED = {"contribution": ["--kernel-size", "3", "--stride", "2"],
             "fit": ["--kernel-size", "3"], "sweep": ["--sizes", "3"]}
@@ -198,6 +198,21 @@ class TestAmplitude:
         del rows["1"]["fourier_pad"], rows[amplitude]["fourier_pad"]
         assert rows[amplitude] == rows["1"]
         assert rows["1"]["bed_of_nails"][0] == "0.5"
+
+    @pytest.mark.parametrize("value", ["-1e3", "-2.5E-4", "-.5e1", "-1.", "-7"])
+    def test_negative_value_reads_the_same_with_or_without_equals(self, tmp_path, value):
+        # argparse's own pattern takes -1e3 for an option; the parser reads
+        # every negative float spelling as the flag's value
+        files = {}
+        for name, argv in (("apart", ["--amplitude", value]), ("joined", [f"--amplitude={value}"])):
+            out = tmp_path / name
+            assert main(["compare", "--seed", "1", "--n", "16", "--ops", "linear,nearest",
+                         "--out-dir", str(out), *argv]) == 0
+            files[name] = {path.name: path.read_bytes() for path in out.iterdir()
+                           if path.suffix in (".csv", ".pgm")}
+        assert sorted(files["apart"]) == ["alias_metrics.csv", "spectrum_linear.pgm",
+                                          "spectrum_nearest.pgm"]
+        assert files["apart"] == files["joined"]
 
 
 class TestAnalyze:
@@ -887,19 +902,26 @@ class TestExitCodes:
          "argument --amplitude: must be a finite number, got 'nan'"),
         (["fit", "--kernel-size", "3", "--method", "gradient", "--lr", "inf"],
          "argument --lr: must be a finite number above 0, got 'inf'"),
+        (["compare", "--signal", "noise", "--seed", "1", "--n", "16", "--amplitude", "-inf"],
+         "argument --amplitude: must be a finite number, got '-inf'"),
+        (["fit", "--kernel-size", "3", "--method", "gradient", "--lr", "-2.5E-4"],
+         "argument --lr: must be a finite number above 0, got '-2.5E-4'"),
+        (["compare", "--signal", "cosine", "--frequency", "1.5"],
+         "argument --frequency: must be an integer from -inf to inf, got '1.5'"),
     ], ids=["components", "sizes", "sizes-0", "sizes-huge", "ops", "ops-second",
             "contribution-kernel-size", "contribution-stride", "contribution-out-len", "seed",
-            "seed-b", "sigma", "amplitude", "lr"])
+            "seed-b", "sigma", "amplitude", "lr", "amplitude-minus-inf", "lr-exponent",
+            "frequency"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, argv, message):
         # read by the parser, so the missing out dir is not made
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_every_integer_flag_but_frequency_has_a_range(self):
+    def test_every_integer_flag_has_a_range(self):
         plain = {action.option_strings[0] for parser in _commands().values()
                  for action in parser._actions if action.type is int}
-        assert plain == {"--frequency"}
+        assert plain == set()
         assert [flag for flag, _ in INTEGER_FLAGS["errorspec"]] == [
             "--seed", "--height", "--width", "--period", "--seed-b", "--bins"]
 

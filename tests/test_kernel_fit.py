@@ -405,7 +405,7 @@ class TestFitInvariants:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_corpus_signals_must_be_finite(self, bad):
         corpus = (np.ones(8), np.array([0.0] * 7 + [bad]))
-        with pytest.raises(ValueError, match="corpus signals must be finite"):
+        with pytest.raises(ValueError, match="^corpus signal samples must be finite$"):
             FitProblem(n=8, r=2, k=3, objective="corpus_lsq", corpus=corpus)
 
     def test_corpus_signal_length_must_be_n(self):

@@ -12,17 +12,25 @@ from upspec import (
     KernelSpec,
     NonRealResultError,
     Spectrum,
+    alias_energy,
+    as_image,
+    as_signal,
     center_shift,
     dft,
     empirical_filter_response,
+    error_spectrum,
     filter_response,
     fit_gradient_descent,
     idft,
     log_magnitude,
+    pixel_shuffle,
+    pixel_unshuffle,
     radial_average,
+    transposed_conv2,
 )
 from upspec.alias_analysis import contribution_map
 from upspec.generators import bandlimited_noise, checkerboard_image, composite_image, step_signal
+from upspec.netpbm import write_bar_strip, write_netpbm
 from upspec.signal_core import _radial_bins
 from upspec.upsamplers import bed_of_nails
 
@@ -164,9 +172,10 @@ class TestRadialAverage:
             radial_average(dft([1, 2, 3, 4]), 2)
         with pytest.raises(ValueError):
             radial_average(Spectrum(np.ones((3, 3), dtype=complex), centered=True), 0)
-        for values in (np.ones((3, 3), dtype=complex), np.full((3, 3), np.inf)):
-            with pytest.raises(ValueError, match="finite real magnitudes"):
-                radial_average(values, 2)
+        with pytest.raises(ValueError, match="^spectrum must be real, got a complex array$"):
+            radial_average(np.ones((3, 3), dtype=complex), 2)
+        with pytest.raises(ValueError, match="^spectrum samples must be finite$"):
+            radial_average(np.full((3, 3), np.inf), 2)
         with pytest.raises(ValueError, match="2D"):
             radial_average(np.ones(3), 2)
 
@@ -265,3 +274,79 @@ def test_non_finite_size_raises_value_error_naming_it(bad, name, minimum, maximu
     message = f"{name} must be an integer from {minimum} to {maximum}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(value)
+
+
+def _written(write):
+    """A Netpbm writer as a function of (array, path) that returns the bytes."""
+    def call(x, path):
+        write(x, path)
+        return path.read_bytes()
+    return call
+
+
+# (name in the message, the dimensionalities read, a valid float64 input, one
+# of a wrong dimensionality, the entry point as a function of (array, path))
+ARRAY_ENTRY_POINTS = {
+    "as_signal": ("signal", "1D", np.arange(4.0), np.ones((2, 2)), lambda x, _: as_signal(x)),
+    "dft": ("signal", "1D", np.arange(4.0), np.ones((2, 2)), lambda x, _: dft(x).values),
+    "alias_energy": ("signal", "1D", np.arange(4.0), np.ones((2, 2)),
+                     lambda x, _: alias_energy(x, 2).alias_energy),
+    "as_image": ("image", "2D or 3D", np.eye(3), np.ones(3), lambda x, _: as_image(x)),
+    "transposed_conv2": ("image", "2D or 3D", np.eye(3), np.ones(3),
+                         lambda x, _: transposed_conv2(x, KernelSpec(np.ones((3, 3)), 2))),
+    "error_spectrum-pred": ("image", "2D or 3D", np.eye(4), np.ones(4),
+                            lambda x, _: error_spectrum(x, np.zeros((4, 4)))),
+    "error_spectrum-gt": ("image", "2D or 3D", np.eye(4), np.ones(4),
+                          lambda x, _: error_spectrum(np.zeros((4, 4)), x)),
+    "radial_average": ("spectrum", "2D", np.eye(4), np.ones(4),
+                       lambda x, _: radial_average(x, 3).magnitude),
+    "KernelSpec": ("kernel", "1D or 2D", np.arange(3.0), np.ones((1, 1, 1)),
+                   lambda x, _: KernelSpec(x, 2).weights),
+    "KernelSpec-parallel": ("parallel kernel", "1D", np.arange(3.0), np.ones((1, 1)),
+                            lambda x, _: KernelSpec(np.ones(5), 2, x).parallel_small),
+    "pixel_shuffle": ("channels", "1D or 2D", np.arange(4.0), np.ones((1, 1, 1)),
+                      lambda x, _: pixel_shuffle([x, x[::-1]], 2)),
+    "pixel_unshuffle": ("x", "1D or 2D", np.arange(4.0), np.ones((2, 2, 2)),
+                        lambda x, _: np.stack(pixel_unshuffle(x, 2))),
+    "FitProblem-corpus": ("corpus signal", "1D", np.arange(4.0), np.ones((1, 4)),
+                          lambda x, _: FitProblem(n=4, r=2, k=3, objective="corpus_lsq",
+                                                  corpus=(x,)).corpus[0]),
+    "write_bar_strip": ("values", "1D", np.arange(4.0), np.ones((2, 3)),
+                        _written(write_bar_strip)),
+    "write_netpbm": ("array", "(H, W) or (H, W, 3)", np.eye(3), np.ones(3),
+                     _written(write_netpbm)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_one_array_rule_names_the_argument(entry, tmp_path):
+    # complex (even with zero imaginary parts), empty, misshapen and non-finite
+    # arrays each raise one ValueError naming the argument, with no warning and
+    # no file written; bool, integer and float32 arrays read as the same
+    # values in float64
+    name, dims, good, misshapen, call = ARRAY_ENTRY_POINTS[entry]
+    path = tmp_path / "out.pgm"
+    empty = np.ones(good.shape[:-1] + (0,))
+    nan = good.copy()
+    nan.flat[0] = np.nan
+    for bad, message in ((good.astype(complex), f"{name} must be real, got a complex array"),
+                         (empty, f"{name} must contain at least one sample"),
+                         (misshapen, f"{name} must be {dims}, got shape {misshapen.shape}"),
+                         (nan, f"{name} samples must be finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad, path)
+        assert not path.exists()
+    for dtype in (bool, np.int64, np.float32):
+        read = good.astype(dtype)
+        expected = np.asarray(call(read.astype(float), path))
+        assert np.asarray(call(read, path)).tobytes() == expected.tobytes()
+
+
+def test_float64_arrays_are_read_without_a_copy():
+    # the hot path: an operator's input is not copied before it is placed
+    x, image = np.arange(8.0), np.eye(3)
+    assert np.shares_memory(as_signal(x), x)
+    assert np.shares_memory(as_image(image), image)
+
